@@ -17,11 +17,6 @@ the one place to import from::
 
 Keyword names are uniform across entry points: ``jobs=``,
 ``cache_dir=``, ``fault_rate=`` / ``fault_seed=``, ``trace_out=``.
-
-The old package-root imports (``from repro.sweep import SweepRunner``,
-``from repro.faults import FaultPlan``, ...) still work but raise
-:class:`DeprecationWarning` and will be removed two PRs after this
-facade landed; :data:`DEPRECATED_IMPORTS` lists every shimmed path.
 Deep-module imports (``repro.sweep.runner`` etc.) remain supported for
 internal use.
 """
@@ -40,40 +35,20 @@ from repro.faults.policy import RetryPolicy
 from repro.hsm.cache import CacheConfig, CacheReport, PartitionCache
 from repro.obs.export import write_chrome_trace, write_jsonl
 from repro.obs.recorder import JoinObserver
-from repro.service import (
-    JoinRequest,
-    JoinService,
-    ServiceConfig,
-    WorkloadReport,
-    run_service,
-)
+from repro.service import JoinRequest, JoinService, ServiceConfig, WorkloadReport
+from repro.service import scheduler
 from repro.sweep.cache import DEFAULT_CACHE_DIR, SweepCache
 from repro.sweep.runner import SweepRunner
 from repro.sweep.tasks import (
     SweepTask,
     assumption_task,
     figure4_task,
-    hsm_task,
     join_task,
     service_task,
 )
 
-#: Every legacy package-root import now behind a deprecation shim, as
-#: (module, name) pairs.  CI imports each one under
-#: ``-W error::DeprecationWarning`` and expects the failure.
-DEPRECATED_IMPORTS: tuple[tuple[str, str], ...] = (
-    ("repro.sweep", "SweepRunner"),
-    ("repro.sweep", "SweepCache"),
-    ("repro.sweep", "SweepTask"),
-    ("repro.sweep", "join_task"),
-    ("repro.sweep", "figure4_task"),
-    ("repro.sweep", "assumption_task"),
-    ("repro.faults", "FaultPlan"),
-    ("repro.faults", "RetryPolicy"),
-    ("repro.obs", "write_jsonl"),
-    ("repro.obs", "write_chrome_trace"),
-    ("repro.experiments", "run_join"),
-)
+class JoinVerificationError(AssertionError):
+    """A method produced a different result than the reference join."""
 
 
 def plan(spec: JoinSpec) -> JoinPlan:
@@ -102,7 +77,8 @@ def run_join(
     :class:`~repro.faults.plan.FaultPlan`; ``trace_out`` enables device
     tracing and writes ``trace-<symbol>.jsonl`` + ``.trace.json`` under
     that directory; ``verify`` checks the simulated output against the
-    in-memory reference join.
+    in-memory reference join and raises :class:`JoinVerificationError`
+    on a divergence.
     """
     if method is None:
         method = plan_join(spec).chosen
@@ -125,9 +101,9 @@ def run_join(
             stats.output.n_pairs,
             stats.output.checksum,
         ):
-            raise AssertionError(
-                f"{method} output diverged from the reference join: "
-                f"{stats.output.n_pairs} pairs vs {expected.n_pairs}"
+            raise JoinVerificationError(
+                f"{method} produced {stats.output} but the reference join "
+                f"is {expected}"
             )
     if trace_out:
         trace(stats, trace_out)
@@ -145,7 +121,7 @@ def sweep(
 
     ``cache_dir=None`` disables the content-addressed result cache.
     Build tasks with :func:`join_task`, :func:`figure4_task`,
-    :func:`assumption_task`, :func:`service_task` or :func:`hsm_task`.
+    :func:`assumption_task` or :func:`service_task`.
     """
     cache = SweepCache(cache_dir) if cache_dir else None
     runner = SweepRunner(jobs=jobs, cache=cache, progress=progress)
@@ -189,7 +165,9 @@ def trace(
         elif isinstance(source, WorkloadReport):
             name = f"service-{source.policy}"
             header.setdefault("policy", source.policy)
+            header.setdefault("estimator", source.estimator)
             header.setdefault("makespan_s", source.makespan_s)
+            header.setdefault("jobs", len(source.outcomes))
         else:
             name = "trace"
     os.makedirs(trace_out, exist_ok=True)
@@ -198,6 +176,26 @@ def trace(
     write_jsonl(observer, paths[0], header)
     write_chrome_trace(observer, paths[1], header)
     return paths
+
+
+def run_service(
+    requests: typing.Iterable[JoinRequest],
+    *,
+    trace_out: str | None = None,
+    **options,
+) -> WorkloadReport:
+    """Run a workload through the service in one call.
+
+    ``options`` are those of :func:`repro.service.scheduler.run_service`
+    (``config=``, ``policy=``, ``estimator=``, ``fault_rate=`` /
+    ``fault_seed=``, ``fault_plan=``, ``retry_policy=``).  With
+    ``trace_out`` the run's observer is exported by :func:`trace` as
+    ``service-<policy>.jsonl`` + ``.trace.json`` under that directory.
+    """
+    report = scheduler.run_service(requests, **options)
+    if trace_out:
+        trace(report, trace_out)
+    return report
 
 
 def submit(service: JoinService, request: JoinRequest | None = None, **kwargs):
@@ -209,7 +207,6 @@ __all__ = [
     "CacheConfig",
     "CacheReport",
     "DEFAULT_CACHE_DIR",
-    "DEPRECATED_IMPORTS",
     "FaultPlan",
     "InfeasibleJoinError",
     "JoinPlan",
@@ -217,6 +214,7 @@ __all__ = [
     "JoinService",
     "JoinSpec",
     "JoinStats",
+    "JoinVerificationError",
     "PartitionCache",
     "RetryPolicy",
     "ServiceConfig",
@@ -226,7 +224,6 @@ __all__ = [
     "WorkloadReport",
     "assumption_task",
     "figure4_task",
-    "hsm_task",
     "join_task",
     "plan",
     "run_join",

@@ -9,22 +9,15 @@ One module per experiment:
 * :mod:`repro.experiments.exp4_faults` — Experiment 4: fault degradation.
 * :mod:`repro.experiments.exp5_service` — Experiment 5: multi-join
   scheduling policies on a shared tape library.
+* :mod:`repro.experiments.exp6_hsm` — Experiment 6: the partition
+  cache's payoff over cache size and workload skew.
 
 Every experiment accepts a ``scale`` knob that shrinks the relation sizes
 while preserving the ratios the paper says determine the outcome
 ("the outcome of this experiment is determined by the relative values of
 M, D and |R|, not the absolute values used" — Section 8), so tests can run
 the full suite quickly and benchmarks can run it at paper scale.
-
-Importing ``run_join`` from this package root is **deprecated**: use
-:func:`repro.api.run_join` (spec-first) or the deep module
-``repro.experiments.harness``.  The root re-export raises
-:class:`DeprecationWarning` and will be removed two PRs after the
-facade landed.
 """
-
-import importlib
-import warnings
 
 from repro.experiments.config import (
     BASE_TAPE,
@@ -39,11 +32,7 @@ from repro.experiments.exp2 import run_experiment2
 from repro.experiments.exp3 import run_experiment3
 from repro.experiments.exp4_faults import run_experiment4
 from repro.experiments.exp5_service import run_experiment5
-
-#: Legacy package-root exports, shimmed: name -> implementation module.
-_DEPRECATED = {
-    "run_join": "repro.experiments.harness",
-}
+from repro.experiments.exp6_hsm import run_experiment6
 
 __all__ = [
     "BASE_TAPE",
@@ -59,26 +48,6 @@ __all__ = [
     "run_experiment3",
     "run_experiment4",
     "run_experiment5",
+    "run_experiment6",
     "run_figure4",
-    "run_join",
 ]
-
-
-def __getattr__(name: str):
-    """PEP 562 shim forwarding deprecated root imports with a warning."""
-    home = _DEPRECATED.get(name)
-    if home is None:
-        raise AttributeError(f"module 'repro.experiments' has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name} from repro.experiments is deprecated; use "
-        f"repro.api.run_join or {home} (root re-exports will be removed "
-        "two PRs after the repro.api facade landed)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__():
-    """Advertise shimmed names alongside the eager ones."""
-    return sorted(set(globals()) | set(_DEPRECATED))

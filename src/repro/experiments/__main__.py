@@ -34,7 +34,7 @@ import time
 from repro.experiments.analytical import figure1, figure2, figure3
 from repro.experiments.assumptions import run_assumption_checks
 from repro.experiments.cli import report_sweep_usage, runner_from_args, sweep_options
-from repro.experiments.config import TAPE_SPEEDS, ExperimentScale
+from repro.experiments.config import TAPE_SPEEDS, ExperimentScale, ScaleTooSmallError
 from repro.experiments.exp1 import run_experiment1, run_figure4
 from repro.experiments.exp2 import run_experiment2
 from repro.experiments.exp3 import run_experiment3
@@ -125,12 +125,30 @@ def _run_assumptions(runner: SweepRunner) -> tuple[str, dict]:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     wanted = list(ARTIFACTS[:-1]) if "all" in args.artifacts else args.artifacts
+    runner = runner_from_args(args)
+    try:
+        collected = _regenerate(wanted, args, runner)
+    except ScaleTooSmallError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    if args.json:
+        _write_json_atomic(args.json, collected)
+        print(f"wrote {args.json}")
+    if args.trace_out and any(artifact not in ("exp5", "exp6") for artifact in wanted):
+        _run_trace_pass(args.trace_out, args.scale, args.tape)
+    report_sweep_usage(runner)
+    return 0
+
+
+def _regenerate(
+    wanted: list[str], args: argparse.Namespace, runner: SweepRunner
+) -> dict[str, object]:
+    """Run and print each wanted artifact; return their JSON forms."""
     scale = ExperimentScale(scale=args.scale)
     scale_exp1 = ExperimentScale(scale=args.scale, tuple_bytes=8192)
     block_spec = BlockSpec()
     collected: dict[str, object] = {}
-
-    runner = runner_from_args(args)
 
     for artifact in dict.fromkeys(wanted):  # preserve order, drop dupes
         started = time.perf_counter()
@@ -198,14 +216,7 @@ def main(argv: list[str] | None = None) -> int:
             print(result.render())
             collected[artifact] = result.to_dict()
         print(f"[{artifact} regenerated in {time.perf_counter() - started:.1f}s]\n")
-
-    if args.json:
-        _write_json_atomic(args.json, collected)
-        print(f"wrote {args.json}")
-    if args.trace_out and any(artifact not in ("exp5", "exp6") for artifact in wanted):
-        _run_trace_pass(args.trace_out, args.scale, args.tape)
-    report_sweep_usage(runner)
-    return 0
+    return collected
 
 
 #: Methods joining tape-to-tape (|R| need not fit on disk).  They trace
@@ -229,16 +240,14 @@ def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
     per-method ``trace-<symbol>.jsonl`` and ``trace-<symbol>.trace.json``
     plus an aggregate ``summary.json`` of derived utilization metrics.
     """
+    from repro.api import run_join, trace
     from repro.core.registry import ALL_METHODS
     from repro.core.spec import InfeasibleJoinError
     from repro.experiments.config import (
-        DISK_1996,
         EXPERIMENT3_D_MB,
         EXPERIMENT3_R_MB,
         EXPERIMENT3_S_MB,
     )
-    from repro.experiments.harness import run_join
-    from repro.obs.export import write_chrome_trace, write_jsonl
     from repro.obs.metrics import buffer_utilization
 
     os.makedirs(out_dir, exist_ok=True)
@@ -277,19 +286,16 @@ def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
         symbol = method.symbol
         slug = symbol.lower().replace("/", "-")
         frame = tape_frame if symbol in _TAPE_TAPE_SYMBOLS else disk_frame
+        spec = frame["scale"].join_spec(
+            *frame["relations"],
+            memory_blocks=frame["memory"],
+            disk_blocks=frame["disk"],
+            tape=tape,
+            trace_buffers=True,
+            trace_devices=True,
+        )
         try:
-            stats = run_join(
-                symbol,
-                frame["relations"][0],
-                frame["relations"][1],
-                memory_blocks=frame["memory"],
-                disk_blocks=frame["disk"],
-                tape=tape,
-                scale=frame["scale"],
-                disk_params=DISK_1996,
-                trace_buffers=True,
-                trace_devices=True,
-            )
+            stats = run_join(spec, method=symbol)
         except InfeasibleJoinError as exc:
             summary[symbol] = {"infeasible": True, "error": str(exc)}
             print(f"  trace: {symbol} infeasible on the trace frame", file=sys.stderr)
@@ -303,12 +309,7 @@ def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
             "response_s": stats.response_s,
             "step1_s": stats.step1_s,
         }
-        write_jsonl(
-            stats.observer, os.path.join(out_dir, f"trace-{slug}.jsonl"), meta
-        )
-        write_chrome_trace(
-            stats.observer, os.path.join(out_dir, f"trace-{slug}.trace.json"), meta
-        )
+        trace(stats, out_dir, meta=meta)
         method_summary = dict(stats.obs_summary or {})
         method_summary["frame"] = frame["name"]
         if "s_buffer.total" in stats.traces.series:

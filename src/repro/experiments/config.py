@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.core.spec import JoinSpec
 from repro.relational.datagen import uniform_relation
 from repro.relational.relation import Relation
 from repro.storage.block import BlockSpec
@@ -43,6 +44,10 @@ DISK_1996 = DiskParameters(transfer_rate_mb_s=3.5)
 #: Experiment 3's published overheads are consistent with an aggregate
 #: disk rate of ~5 MB/s, i.e. two Lightning-class spindles.
 DISK_LIGHTNING = DiskParameters(transfer_rate_mb_s=2.5)
+
+
+class ScaleTooSmallError(ValueError):
+    """An experiment's frame does not fit the system model at this scale."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,6 +105,34 @@ class ExperimentScale:
             spec=self.block_spec,
         )
         return r, s
+
+    def join_spec(
+        self,
+        relation_r: Relation,
+        relation_s: Relation,
+        memory_blocks: float,
+        disk_blocks: float,
+        tape: TapeDriveParameters = BASE_TAPE,
+        disk_params: DiskParameters = DISK_1996,
+        **options,
+    ) -> JoinSpec:
+        """The :class:`JoinSpec` of one experiment point.
+
+        The experiments run both relations on one tape model and spread
+        D over this scale's ``n_disks``; ``options`` are further
+        :class:`JoinSpec` fields (tracing, faults, a partition cache).
+        """
+        return JoinSpec(
+            relation_r,
+            relation_s,
+            memory_blocks=memory_blocks,
+            disk_blocks=disk_blocks,
+            n_disks=self.n_disks,
+            disk_params=disk_params,
+            tape_params_r=tape,
+            tape_params_s=tape,
+            **options,
+        )
 
 
 @dataclasses.dataclass(frozen=True)

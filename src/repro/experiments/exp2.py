@@ -20,6 +20,7 @@ from repro.experiments.config import (
     EXPERIMENT2_R_MB,
     EXPERIMENT2_S_MB,
     ExperimentScale,
+    ScaleTooSmallError,
 )
 from repro.experiments.report import format_series
 from repro.sweep.runner import SweepRunner
@@ -86,6 +87,12 @@ def run_experiment2(
     # M = 0.1|R| as in the paper, clamped to Grace Hash's sqrt(|R|) floor
     # (relation sizes scale linearly, the floor does not).
     memory = max(0.1 * r_blocks, 1.05 * math.sqrt(r_blocks))
+    if memory > r_blocks:
+        raise ScaleTooSmallError(
+            f"fig5: scale {scale.scale:g} is too small, the smallest usable "
+            f"scale is {_min_scale(scale, r_mb):g} (below it the memory "
+            "floor 1.05*sqrt(|R|) exceeds |R|)"
+        )
     tasks, points = [], []
     d_values = []
     for fraction in d_fractions:
@@ -109,3 +116,15 @@ def run_experiment2(
             point = Figure5Point(d_mb, stats.response_s, stats.r_scans)
         series[symbol].append(point)
     return Figure5Result(tuple(d_values), series, scale.mb(r_mb))
+
+
+def _min_scale(scale: ExperimentScale, r_mb: float) -> float:
+    """Smallest scale factor whose |R| holds the memory floor, rounded up.
+
+    M = 1.05 sqrt(|R|) fits under |R| once |R| >= 1.05**2 blocks, and
+    :meth:`ExperimentScale.relations` rounds |R| to whole tuples.
+    """
+    per_block = scale.block_spec.tuples_per_block(scale.tuple_bytes)
+    tuples_needed = math.ceil(1.05**2 * per_block)
+    tuples_per_unit_scale = scale.blocks(r_mb) / scale.scale * per_block
+    return math.ceil((tuples_needed - 0.5) / tuples_per_unit_scale * 1e4) / 1e4

@@ -231,7 +231,7 @@ def run_experiment5(
         series[policy] = points
 
     if trace_out:
-        from repro.service.scheduler import run_service
+        from repro.api import run_service
 
         for policy in policies:
             run_service(

@@ -18,9 +18,9 @@ makespan drops toward the one-cold-read-per-hot-relation floor.  The
 ``tests/hsm`` suite asserts the cache-on points strictly beat cache-off
 on the repeated-relation workload.
 
-Runs go through the sweep engine under the dedicated ``hsm`` task kind
-(cache settings are part of the fingerprint; cache-off points reuse
-nothing from ``service``-kind entries).
+Runs go through the sweep engine as ``service`` tasks; the cache
+settings ride in the service config, so they are part of the
+fingerprint.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.experiments.report import format_series
 from repro.hsm.cache import CacheConfig
 from repro.service.requests import JoinRequest, ServiceConfig
 from repro.sweep.runner import SweepRunner
-from repro.sweep.tasks import hsm_task
+from repro.sweep.tasks import service_task
 
 #: Swept cache capacities in paper MB; 0 disables the cache (baseline).
 EXPERIMENT6_CACHE_MB: tuple[float, ...] = (0.0, 125.0, 250.0, 500.0, 1000.0)
@@ -213,7 +213,7 @@ def run_experiment6(
     runner = runner or SweepRunner()
 
     tasks = [
-        hsm_task(
+        service_task(
             policy,
             zipfian_workload(n_jobs, skew, seed),
             experiment6_config(scale, cache_mb, cache_policy),
@@ -244,7 +244,7 @@ def run_experiment6(
         series[skew] = points
 
     if trace_out:
-        from repro.service.scheduler import run_service
+        from repro.api import run_service
 
         run_service(
             zipfian_workload(n_jobs, max(skews), seed),

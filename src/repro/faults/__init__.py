@@ -19,16 +19,7 @@ alive when faults fire:
 With no plan installed — or a plan whose rates are all zero — the layer
 is provably inert: every artifact stays byte-identical to a fault-free
 build.  See ``docs/faults.md``.
-
-Importing ``FaultPlan`` / ``RetryPolicy`` from this package root is
-**deprecated**: use :mod:`repro.api` (which re-exports both) or the
-deep modules ``repro.faults.plan`` / ``repro.faults.policy``.  The root
-re-exports raise :class:`DeprecationWarning` and will be removed two
-PRs after the facade landed.
 """
-
-import importlib
-import warnings
 
 from repro.faults.checkpoint import MAX_UNIT_RESTARTS, JoinCheckpoint, run_unit
 from repro.faults.errors import (
@@ -45,18 +36,11 @@ from repro.faults.errors import (
 from repro.faults.injector import FaultInjector, FaultStats
 from repro.faults.plan import OP_KINDS
 
-#: Legacy package-root exports, shimmed: name -> implementation module.
-_DEPRECATED = {
-    "FaultPlan": "repro.faults.plan",
-    "RetryPolicy": "repro.faults.policy",
-}
-
 __all__ = [
     "DeviceFault",
     "DiskTransientError",
     "ErrorBudgetExceededError",
     "FaultInjector",
-    "FaultPlan",
     "FaultStats",
     "JoinCheckpoint",
     "MAX_UNIT_RESTARTS",
@@ -64,29 +48,8 @@ __all__ = [
     "NonRestartableError",
     "OP_KINDS",
     "RetryExhaustedError",
-    "RetryPolicy",
     "TapeSoftReadError",
     "TapeWriteError",
     "UnitRestartLimitError",
     "run_unit",
 ]
-
-
-def __getattr__(name: str):
-    """PEP 562 shim forwarding deprecated root imports with a warning."""
-    home = _DEPRECATED.get(name)
-    if home is None:
-        raise AttributeError(f"module 'repro.faults' has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name} from repro.faults is deprecated; use repro.api "
-        f"or {home} (root re-exports will be removed two PRs after the "
-        "repro.api facade landed)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__():
-    """Advertise shimmed names alongside the eager ones."""
-    return sorted(set(globals()) | set(_DEPRECATED))

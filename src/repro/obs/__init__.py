@@ -16,15 +16,7 @@ utilization/overlap metrics from them.
 * :mod:`repro.obs.export` — JSONL and Chrome-trace/Perfetto exporters;
 * :mod:`repro.obs.validate` — schema validation for exported trace files
   (also a CLI: ``python -m repro.obs.validate DIR``).
-
-Importing the exporters from this package root is **deprecated**: use
-:func:`repro.api.trace` or the deep module ``repro.obs.export``.  The
-root re-exports raise :class:`DeprecationWarning` and will be removed
-two PRs after the facade landed.
 """
-
-import importlib
-import warnings
 
 from repro.obs.metrics import (
     buffer_utilization,
@@ -35,12 +27,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.recorder import JoinObserver
 
-#: Legacy package-root exports, shimmed: name -> implementation module.
-_DEPRECATED = {
-    "write_jsonl": "repro.obs.export",
-    "write_chrome_trace": "repro.obs.export",
-}
-
 __all__ = [
     "JoinObserver",
     "buffer_utilization",
@@ -48,26 +34,4 @@ __all__ = [
     "disk_balance",
     "overlap_fraction",
     "summarize",
-    "write_chrome_trace",
-    "write_jsonl",
 ]
-
-
-def __getattr__(name: str):
-    """PEP 562 shim forwarding deprecated root imports with a warning."""
-    home = _DEPRECATED.get(name)
-    if home is None:
-        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name} from repro.obs is deprecated; use repro.api.trace "
-        f"or {home} (root re-exports will be removed two PRs after the "
-        "repro.api facade landed)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__():
-    """Advertise shimmed names alongside the eager ones."""
-    return sorted(set(globals()) | set(_DEPRECATED))

@@ -11,7 +11,7 @@ and cache-affinity batching); admission enforces Table 2 feasibility per job via
 Step I so the next job's tape read overlaps their disk-resident
 Step II — the service-level analogue of the paper's CDT concurrency.
 
-Entry points: :func:`~repro.service.scheduler.run_service` (one call),
+Entry points: :func:`repro.api.run_service` (one call, optionally traced),
 :class:`~repro.service.scheduler.JoinService` (submit/run), and the
 ``exp5`` experiment (``python -m repro.experiments exp5 --policy ...``).
 See ``docs/service.md``.

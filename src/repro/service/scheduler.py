@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import typing
 
 from repro.core.planner import JoinPlan, plan_join
@@ -488,17 +487,15 @@ def run_service(
     fault_seed: int = 0,
     fault_plan: "FaultPlan | None" = None,
     retry_policy: "RetryPolicy | None" = None,
-    trace_out: str | None = None,
 ) -> WorkloadReport:
     """Run a workload through the service in one call.
 
     ``fault_rate`` > 0 builds a uniform
     :class:`~repro.faults.plan.FaultPlan` (seeded by ``fault_seed``) and
     switches to simulated profiles so injected faults stretch the
-    schedule; an explicit ``fault_plan`` takes precedence.  With
-    ``trace_out`` the run's observer is exported as
-    ``service-<policy>.jsonl`` + ``service-<policy>.trace.json`` under
-    that directory (``python -m repro.obs.validate`` clean).
+    schedule; an explicit ``fault_plan`` takes precedence.  To export
+    the run's trace, use :func:`repro.api.run_service` with
+    ``trace_out=``.
     """
     if fault_plan is None and fault_rate > 0:
         from repro.faults.plan import FaultPlan
@@ -509,18 +506,4 @@ def run_service(
     )
     for request in requests:
         service.submit(request)
-    report = service.run(policy=policy)
-    if trace_out:
-        from repro.obs.export import write_chrome_trace, write_jsonl
-
-        os.makedirs(trace_out, exist_ok=True)
-        meta = {
-            "policy": report.policy,
-            "estimator": report.estimator,
-            "makespan_s": report.makespan_s,
-            "jobs": len(report.outcomes),
-        }
-        base = os.path.join(trace_out, f"service-{report.policy}")
-        write_jsonl(report.observer, f"{base}.jsonl", meta)
-        write_chrome_trace(report.observer, f"{base}.trace.json", meta)
-    return report
+    return service.run(policy=policy)

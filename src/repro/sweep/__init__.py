@@ -14,60 +14,14 @@ The experiment drivers (``repro.experiments``) submit their points
 through a :class:`~repro.sweep.runner.SweepRunner` instead of looping
 inline; ``--jobs 1`` without a cache reproduces the original in-order,
 single-process execution exactly.
-
-Importing the runner, cache or task builders from this package root is
-**deprecated**: use the :mod:`repro.api` facade (``api.sweep``,
-``api.join_task``, ...) or the deep modules (``repro.sweep.runner``,
-``repro.sweep.cache``, ``repro.sweep.tasks``).  The root re-exports
-raise :class:`DeprecationWarning` and will be removed two PRs after the
-facade landed.
 """
-
-import importlib
-import warnings
 
 from repro.sweep.fingerprint import CODE_VERSION, canonical_json, task_fingerprint
 from repro.sweep.tasks import execute_task
 
-#: Legacy package-root exports, shimmed: name -> implementation module.
-_DEPRECATED = {
-    "SweepRunner": "repro.sweep.runner",
-    "SweepCache": "repro.sweep.cache",
-    "SweepTask": "repro.sweep.tasks",
-    "join_task": "repro.sweep.tasks",
-    "figure4_task": "repro.sweep.tasks",
-    "assumption_task": "repro.sweep.tasks",
-}
-
 __all__ = [
     "CODE_VERSION",
-    "SweepCache",
-    "SweepRunner",
-    "SweepTask",
-    "assumption_task",
     "canonical_json",
     "execute_task",
-    "figure4_task",
-    "join_task",
     "task_fingerprint",
 ]
-
-
-def __getattr__(name: str):
-    """PEP 562 shim forwarding deprecated root imports with a warning."""
-    home = _DEPRECATED.get(name)
-    if home is None:
-        raise AttributeError(f"module 'repro.sweep' has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name} from repro.sweep is deprecated; use repro.api "
-        f"or {home} (root re-exports will be removed two PRs after the "
-        "repro.api facade landed)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__():
-    """Advertise shimmed names alongside the eager ones."""
-    return sorted(set(globals()) | set(_DEPRECATED))

@@ -16,12 +16,9 @@ Task kinds:
 * ``assumption`` — one of the Section 3.2 assumption measurements;
 * ``service`` — run one multi-join workload through the scheduler
   service (``repro.service``) under one policy, returning the
-  serialized :class:`~repro.service.metrics.WorkloadReport`;
-* ``hsm`` — a service workload with the partition cache in play
-  (``repro.hsm``).  Same executor and report shape as ``service``; the
-  separate kind keeps cache-sweep entries out of the ``service``
-  namespace and documents that the payload's config may carry a
-  ``cache`` key.
+  serialized :class:`~repro.service.metrics.WorkloadReport`.  The
+  payload's config carries a ``cache`` key when the partition cache
+  (``repro.hsm``) is in play.
 """
 
 from __future__ import annotations
@@ -155,6 +152,11 @@ def service_task(
     serialize losslessly, so the fingerprint covers the whole workload.
     As with ``join`` tasks, the fault payload key exists only when a
     plan is given — fault-free service fingerprints never change.
+    ``config.cache`` (a :class:`~repro.hsm.cache.CacheConfig`) is part
+    of the serialized config, so cache size and eviction policy are in
+    the fingerprint.  Faults and the partition cache are not combined:
+    a restarted Step I would have to invalidate its half-written cache
+    entry.
     """
     if fault_plan is not None:
         estimator = "simulated"  # faults only surface in simulated profiles
@@ -170,33 +172,6 @@ def service_task(
             "policy": None if retry_policy is None else retry_policy.to_dict(),
         }
     return SweepTask("service", payload)
-
-
-def hsm_task(
-    policy: str,
-    requests: typing.Sequence,
-    config,
-    estimator: str = "analytical",
-) -> SweepTask:
-    """A task running one cache-aware service workload (``repro.hsm``).
-
-    ``config.cache`` may be a :class:`~repro.hsm.cache.CacheConfig` or
-    None (the cache-off comparison point); either way the config's
-    serialized form — cache settings included — lands in the payload,
-    so cache size and eviction policy are part of the fingerprint.
-    Faults and the partition cache are not combined (a restarted Step I
-    would have to invalidate its half-written cache entry), so unlike
-    :func:`service_task` there is no fault plan parameter.
-    """
-    return SweepTask(
-        "hsm",
-        {
-            "policy": policy,
-            "estimator": estimator,
-            "requests": [request.to_dict() for request in requests],
-            "config": config.to_dict(),
-        },
-    )
 
 
 def _encode_param(value):
@@ -260,8 +235,8 @@ def _memo_relations(scale: ExperimentScale, r_mb: float, s_mb: float):
 
 
 def _run_join_task(payload: dict) -> dict:
+    from repro.api import run_join
     from repro.core.spec import InfeasibleJoinError
-    from repro.experiments.harness import run_join
 
     scale = scale_from_dict(payload["scale"])
     relation_r, relation_s = _memo_relations(scale, payload["r_mb"], payload["s_mb"])
@@ -269,19 +244,19 @@ def _run_join_task(payload: dict) -> dict:
     faults = payload.get("faults")
     if faults is not None:
         fault_plan, retry_policy = _faults_from_payload(faults)
+    spec = scale.join_spec(
+        relation_r,
+        relation_s,
+        memory_blocks=payload["memory_blocks"],
+        disk_blocks=payload["disk_blocks"],
+        tape=tape_from_dict(payload["tape"]),
+        disk_params=disk_from_dict(payload["disk_params"]),
+        fault_plan=fault_plan,
+        retry_policy=retry_policy,
+    )
     try:
         stats = run_join(
-            payload["symbol"],
-            relation_r,
-            relation_s,
-            memory_blocks=payload["memory_blocks"],
-            disk_blocks=payload["disk_blocks"],
-            tape=tape_from_dict(payload["tape"]),
-            scale=scale,
-            disk_params=disk_from_dict(payload["disk_params"]),
-            verify=payload.get("verify", False),
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
+            spec, method=payload["symbol"], verify=payload.get("verify", False)
         )
     except InfeasibleJoinError as exc:
         return {"infeasible": True, "error": str(exc)}
@@ -324,23 +299,22 @@ def _run_figure4_task(payload: dict) -> dict:
     # The derivation lives in the generic observability layer now; the
     # task is just a traced run plus one metrics call, and the result
     # dict (and therefore cached figure4 entries) is unchanged.
-    from repro.experiments.harness import run_join
+    from repro.api import run_join
     from repro.obs.metrics import buffer_utilization
 
     scale = scale_from_dict(payload["scale"])
     relation_r, relation_s = _memo_relations(scale, payload["r_mb"], payload["s_mb"])
     capacity = payload["disk_blocks"]
-    stats = run_join(
-        "CTT-GH",
+    spec = scale.join_spec(
         relation_r,
         relation_s,
         memory_blocks=payload["memory_blocks"],
         disk_blocks=capacity,
         tape=tape_from_dict(payload["tape"]),
-        scale=scale,
         disk_params=disk_from_dict(payload["disk_params"]),
         trace_buffers=True,
     )
+    stats = run_join(spec, method="CTT-GH")
     return buffer_utilization(
         stats.traces, "s_buffer", capacity, (stats.step1_s, stats.response_s)
     )
@@ -410,9 +384,6 @@ _EXECUTORS: dict[str, typing.Callable[[dict], dict]] = {
     "assumption": _run_assumption_task,
     "selftest": _run_selftest_task,
     "service": _run_service_task,
-    # Cache-aware service runs share the service executor: the payload
-    # config's optional "cache" key is all that differs.
-    "hsm": _run_service_task,
 }
 
 

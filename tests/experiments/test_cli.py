@@ -31,6 +31,15 @@ class TestCli:
         assert main(["fig1", "fig1"]) == 0
         assert capsys.readouterr().out.count("Figure 1 (small |R|)") == 1
 
+    def test_fig5_below_its_smallest_scale_fails_with_one_line(self, capsys):
+        assert main(["fig5", "--scale", "0.005", "--no-cache"]) != 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "fig5" in line and "smallest usable scale is 0.0061" in line
+
+    def test_fig5_runs_at_its_smallest_scale(self, capsys):
+        assert main(["fig5", "--scale", "0.0061", "--no-cache"]) == 0
+        assert "Figure 5" in capsys.readouterr().out
+
     def test_unknown_artifact_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure99"])

@@ -9,8 +9,9 @@ still produces exactly the reference join result.
 
 import pytest
 
+from repro import api
 from repro.core.base import guard_overflow_restart
-from repro.experiments.harness import run_join
+from repro.experiments.config import ExperimentScale
 from repro.faults import (
     JoinCheckpoint,
     NonRestartableError,
@@ -25,6 +26,15 @@ from repro.simulator.process import ProcessCrash
 
 #: Fail-fast policy: every injected error escalates to a bucket restart.
 FAIL_FAST = RetryPolicy(max_retries=0, backoff_s=0.0)
+
+
+def run_method(symbol, relation_r, relation_s, verify=False, **spec_options):
+    """Run ``symbol`` on the experiments' M=10, D=120 frame."""
+    spec = ExperimentScale().join_spec(
+        relation_r, relation_s, memory_blocks=10.0, disk_blocks=120.0,
+        **spec_options,
+    )
+    return api.run_join(spec, method=symbol, verify=verify)
 
 
 def media_error(message="t0: boom"):
@@ -161,8 +171,8 @@ class TestRiggedJoins:
     ):
         plan = FaultPlan(seed=7, kinds=kinds, step2_only=True,
                          **{rate_field: 0.02})
-        stats = run_join(
-            symbol, small_r, small_s, memory_blocks=10.0, disk_blocks=120.0,
+        stats = run_method(
+            symbol, small_r, small_s,
             fault_plan=plan, retry_policy=FAIL_FAST, verify=True,
         )
         assert stats.bucket_restarts > 0
@@ -170,8 +180,7 @@ class TestRiggedJoins:
         assert stats.restart_lost_s > 0
         # Recovery shows up in the response time: the run is slower than
         # its fault-free twin.
-        clean = run_join(symbol, small_r, small_s,
-                         memory_blocks=10.0, disk_blocks=120.0)
+        clean = run_method(symbol, small_r, small_s)
         assert stats.response_s > clean.response_s
 
     @pytest.mark.parametrize("symbol,rate_field,kinds", RIGGED)
@@ -182,9 +191,8 @@ class TestRiggedJoins:
                          **{rate_field: 0.02})
 
         def once():
-            return run_join(
-                symbol, small_r, small_s, memory_blocks=10.0, disk_blocks=120.0,
-                fault_plan=plan, retry_policy=FAIL_FAST,
+            return run_method(
+                symbol, small_r, small_s, fault_plan=plan, retry_policy=FAIL_FAST
             )
 
         first, second = once(), once()
@@ -196,9 +204,8 @@ class TestRiggedJoins:
         plan = FaultPlan(seed=7, kinds=("disk-read",), step2_only=True,
                          disk_error_rate=1.0)
         with pytest.raises(ProcessCrash) as exc_info:
-            run_join("DT-GH", small_r, small_s,
-                     memory_blocks=10.0, disk_blocks=120.0,
-                     fault_plan=plan, retry_policy=FAIL_FAST)
+            run_method("DT-GH", small_r, small_s,
+                       fault_plan=plan, retry_policy=FAIL_FAST)
         assert isinstance(exc_info.value.__cause__, UnitRestartLimitError)
 
     def test_error_budget_kills_the_join(self, small_r, small_s):
@@ -208,7 +215,6 @@ class TestRiggedJoins:
                          disk_error_rate=1.0)
         policy = RetryPolicy(max_retries=0, backoff_s=0.0, device_error_budget=2)
         with pytest.raises(ProcessCrash) as exc_info:
-            run_join("DT-GH", small_r, small_s,
-                     memory_blocks=10.0, disk_blocks=120.0,
-                     fault_plan=plan, retry_policy=policy)
+            run_method("DT-GH", small_r, small_s,
+                       fault_plan=plan, retry_policy=policy)
         assert isinstance(exc_info.value.__cause__, ErrorBudgetExceededError)

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.api import run_join
 from repro.experiments.config import ExperimentScale
 from repro.experiments.exp1 import run_experiment1
 from repro.faults.plan import FaultPlan
@@ -58,12 +59,11 @@ class TestRate0Parity:
 
 class TestStatsAtRate0:
     def test_guarded_run_reports_zero_fault_activity(self, small_r, small_s):
-        from repro.experiments.harness import run_join
-
-        stats = run_join(
-            "CTT-GH", small_r, small_s, memory_blocks=10.0, disk_blocks=120.0,
-            fault_plan=FaultPlan(seed=0), verify=True,
+        spec = ExperimentScale().join_spec(
+            small_r, small_s, memory_blocks=10.0, disk_blocks=120.0,
+            fault_plan=FaultPlan(seed=0),
         )
+        stats = run_join(spec, method="CTT-GH", verify=True)
         assert stats.fault_events == 0
         assert stats.fault_retries == 0
         assert stats.fault_recovery_s == 0.0
@@ -72,12 +72,14 @@ class TestStatsAtRate0:
         assert stats.restart_lost_s == 0.0
 
     def test_guarded_run_matches_unguarded_timing(self, small_r, small_s):
-        from repro.experiments.harness import run_join
+        def tt_gh(**options):
+            spec = ExperimentScale().join_spec(
+                small_r, small_s, memory_blocks=10.0, disk_blocks=120.0,
+                **options,
+            )
+            return run_join(spec, method="TT-GH")
 
-        clean = run_join("TT-GH", small_r, small_s,
-                         memory_blocks=10.0, disk_blocks=120.0)
-        guarded = run_join("TT-GH", small_r, small_s,
-                           memory_blocks=10.0, disk_blocks=120.0,
-                           fault_plan=FaultPlan(seed=0))
+        clean = tt_gh()
+        guarded = tt_gh(fault_plan=FaultPlan(seed=0))
         assert guarded.response_s == clean.response_s
         assert guarded.step1_s == clean.step1_s

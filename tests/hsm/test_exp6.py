@@ -14,7 +14,7 @@ from repro.experiments.exp6_hsm import (
 )
 from repro.sweep import task_fingerprint
 from repro.sweep.runner import SweepRunner
-from repro.sweep.tasks import hsm_task, service_task
+from repro.sweep.tasks import service_task
 
 
 class TestWorkload:
@@ -64,23 +64,10 @@ class TestSweepIdentity:
     def test_cache_size_is_part_of_the_fingerprint(self):
         scale = ExperimentScale(scale=0.05)
         workload = zipfian_workload(4)
-        small = hsm_task("fifo", workload, experiment6_config(scale, 250.0))
-        large = hsm_task("fifo", workload, experiment6_config(scale, 500.0))
+        small = service_task("fifo", workload, experiment6_config(scale, 250.0))
+        large = service_task("fifo", workload, experiment6_config(scale, 500.0))
         assert task_fingerprint(small.kind, small.payload) != task_fingerprint(
             large.kind, large.payload
-        )
-
-    def test_hsm_kind_never_collides_with_service_entries(self):
-        """A cache-off hsm task and the identical service task must not
-        share a cache entry (kinds differ even when payloads agree)."""
-        scale = ExperimentScale(scale=0.05)
-        workload = zipfian_workload(4)
-        config = experiment6_config(scale, 0.0)
-        hsm = hsm_task("fifo", workload, config)
-        service = service_task("fifo", workload, config)
-        assert hsm.kind == "hsm" and service.kind == "service"
-        assert task_fingerprint(hsm.kind, hsm.payload) != task_fingerprint(
-            service.kind, service.payload
         )
 
 

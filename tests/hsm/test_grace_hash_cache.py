@@ -8,7 +8,7 @@ and leave the cache-off path byte-untouched.
 import pytest
 
 from repro.experiments.config import ExperimentScale
-from repro.experiments.harness import run_join
+from repro.api import run_join
 from repro.hsm.cache import PartitionCache
 
 R_MB, S_MB = 18.0, 100.0
@@ -27,16 +27,14 @@ def relations(scale):
 
 def _run(scale, relations, cache, symbol="DT-GH", verify=False):
     relation_r, relation_s = relations
-    return run_join(
-        symbol,
+    spec = scale.join_spec(
         relation_r,
         relation_s,
         memory_blocks=scale.blocks(MEMORY_MB),
         disk_blocks=scale.blocks(DISK_MB),
-        scale=scale,
         partition_cache=cache,
-        verify=verify,
     )
+    return run_join(spec, method=symbol, verify=verify)
 
 
 @pytest.mark.parametrize("symbol", ["DT-GH", "CDT-GH"])

@@ -1,7 +1,4 @@
-"""The repro.api facade and the legacy-import deprecation shims."""
-
-import importlib
-import warnings
+"""The repro.api facade."""
 
 import pytest
 
@@ -28,6 +25,15 @@ class TestFacade:
     def test_run_join_honors_a_method_override(self, spec):
         stats = api.run_join(spec, method="TT-GH", verify=True)
         assert stats.symbol == "TT-GH"
+
+    def test_run_join_verify_catches_a_diverged_output(self, spec, monkeypatch):
+        import repro.relational.join_core as join_core
+
+        honest = join_core.reference_join(spec.relation_r, spec.relation_s)
+        wrong = join_core.JoinResult(honest.n_pairs + 1, honest.checksum)
+        monkeypatch.setattr(join_core, "reference_join", lambda r, s: wrong)
+        with pytest.raises(api.JoinVerificationError, match="reference join"):
+            api.run_join(spec, method="DT-GH", verify=True)
 
     def test_run_join_fault_rate_records_faults(self, spec):
         stats = api.run_join(spec, fault_rate=0.02, fault_seed=1)
@@ -77,39 +83,3 @@ class TestFacade:
         import repro.sweep
 
         assert isinstance(repro.sweep, types.ModuleType)
-
-
-class TestDeprecationShims:
-    @pytest.mark.parametrize("module_name,name", api.DEPRECATED_IMPORTS)
-    def test_legacy_import_warns_and_forwards(self, module_name, name):
-        module = importlib.import_module(module_name)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = getattr(module, name)
-        assert any(
-            issubclass(w.category, DeprecationWarning) and name in str(w.message)
-            for w in caught
-        ), f"{module_name}.{name} did not warn"
-        assert value is not None
-
-    def test_shimmed_names_still_appear_in_dir(self):
-        import repro.sweep
-
-        assert "SweepRunner" in dir(repro.sweep)
-
-    def test_unknown_attributes_still_raise(self):
-        import repro.sweep
-
-        with pytest.raises(AttributeError):
-            repro.sweep.does_not_exist
-
-    def test_facade_names_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.api import (  # noqa: F401
-                FaultPlan,
-                RetryPolicy,
-                SweepRunner,
-                run_join,
-                run_service,
-            )

@@ -1,11 +1,12 @@
-"""Byte-stability of the pre-refactor artifacts across the api redesign.
+"""Byte-stability of the experiment artifacts across refactors.
 
-The facade, the deprecation shims and the import migration must not
-perturb a single simulated number: each hash below is the sha256 of the
-canonical JSON of an artifact, recorded on the commit *before* this
-refactor ("Add device-utilization observability layer...").  A mismatch
-means the refactor changed experiment output — a regression, not a
-baseline to re-record.
+Refactors of the entry points (the ``repro.api`` facade, one
+``run_join`` for every caller, one trace exporter) must not perturb a
+single simulated number: each hash below is the sha256 of the canonical
+JSON of an artifact, recorded on the commit before the facade landed
+("Add device-utilization observability layer...").  A mismatch means a
+refactor changed experiment output — a regression, not a baseline to
+re-record.
 """
 
 import hashlib
@@ -108,16 +109,16 @@ class TestCacheAddressing:
         assert task_fingerprint(task.kind, task.payload) == SERVICE_TASK_FINGERPRINT
 
     def test_cacheless_stats_serialization_has_no_cache_keys(self, scale_2k):
-        from repro.experiments.harness import run_join
+        from repro.api import run_join
         from repro.sweep.serialize import stats_to_dict
 
         relation_r, relation_s = scale_2k.relations(18.0, 100.0)
-        stats = run_join(
-            "DT-GH", relation_r, relation_s,
+        spec = scale_2k.join_spec(
+            relation_r, relation_s,
             memory_blocks=scale_2k.blocks(9.0),
             disk_blocks=scale_2k.blocks(50.0),
-            scale=scale_2k,
         )
+        stats = run_join(spec, method="DT-GH")
         payload = stats_to_dict(stats)
         assert "partition_cache" not in payload
         assert not any(key.startswith("cache_") for key in payload)

@@ -6,8 +6,11 @@ makespan (and strictly fewer robot exchanges) than FIFO, and
 shortest-job-first yields a strictly lower mean latency than FIFO.
 """
 
+import json
+
 import pytest
 
+from repro import api
 from repro.service.requests import JoinRequest, ServiceConfig
 from repro.service.scheduler import JoinService, run_service
 
@@ -164,9 +167,12 @@ class TestTracing:
             JoinRequest(name="a", r_mb=80.0, s_mb=400.0),
             JoinRequest(name="b", r_mb=64.0, s_mb=250.0),
         ]
-        run_service(
+        api.run_service(
             requests, config=config, policy="sjf", trace_out=str(tmp_path)
         )
-        assert (tmp_path / "service-sjf.jsonl").exists()
         assert (tmp_path / "service-sjf.trace.json").exists()
         validate_directory(str(tmp_path))
+        with open(tmp_path / "service-sjf.jsonl", encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
+        assert header["policy"] == "sjf" and header["estimator"] == "analytical"
+        assert header["jobs"] == 2
