@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import abc
+import functools
 import math
 import typing
 
 import numpy as np
 
+from repro.buffering.interleaved import InterleavedDiskBuffer
 from repro.core.environment import JoinEnvironment
+from repro.faults.checkpoint import run_unit
 from repro.relational.hashing import bucket_ids, partition_keys
+from repro.relational.join_core import hash_join
 from repro.core.requirements import (
     GH_BUCKET_FRACTION,
     GH_BUCKET_TARGET_FRACTION,
@@ -18,7 +22,7 @@ from repro.core.requirements import (
     GH_WRITE_STAGING_FRACTION,
     ResourceRequirements,
 )
-from repro.core.spec import InfeasibleJoinError, JoinSpec, JoinStats
+from repro.core.spec import InfeasibleJoinError, JoinSpec, JoinStats, ceil_div
 from repro.faults.errors import MediaError, NonRestartableError
 from repro.storage.block import DataChunk
 from repro.storage.tape import TapeDrive, TapeFile
@@ -155,12 +159,6 @@ def align_blocks_to_tuples(blocks: float, tuples_per_block: int) -> float:
     return max(aligned, 1.0 / tuples_per_block)
 
 
-def partition_chunk(keys: np.ndarray, n_buckets: int) -> dict[int, np.ndarray]:
-    """Partition a chunk's keys into a bucket → keys mapping."""
-    parts = partition_keys(keys, n_buckets)
-    return {bucket: part for bucket, part in enumerate(parts) if len(part)}
-
-
 def scan_disk_and_join(
     env: JoinEnvironment,
     extent,
@@ -173,8 +171,6 @@ def scan_disk_and_join(
     (issued as at least :data:`MIN_DISK_REQUEST_BLOCKS`-block requests) and
     folds each piece's mini-join into the environment's accumulator.
     """
-    from repro.relational.join_core import hash_join
-
     piece = max(buffer_blocks, MIN_DISK_REQUEST_BLOCKS)
     offset = 0.0
     total = extent.n_blocks
@@ -186,43 +182,111 @@ def scan_disk_and_join(
     env.count_r_scan()
 
 
-def join_buffered_bucket(
+class DiskBucket:
+    """An S bucket in a plain disk extent (DT-GH, STAGE-GH).
+
+    :meth:`pop` consumes chunks only after their read succeeds, so a
+    restarted unit resumes with exactly the unjoined rest.
+    """
+
+    def __init__(self, array, extent):
+        self.array = array
+        self.extent = extent
+
+    def pop(self, max_blocks: float) -> typing.Generator:
+        """Read and consume up to ``max_blocks``; None once empty."""
+        if self.extent.n_blocks <= 1e-9:
+            return None
+        return (yield from self.array.read_coalesced(self.extent, max_blocks))
+
+    def peek(self, cursor: float | None, max_blocks: float) -> typing.Generator:
+        """Read up to ``max_blocks`` at block offset ``cursor`` (None: the
+        start) without consuming; returns ``(data or None, next cursor)``."""
+        offset = cursor or 0.0
+        if offset >= self.extent.n_blocks - 1e-9:
+            return None, offset
+        step = min(max_blocks, self.extent.n_blocks - offset)
+        data = yield from self.array.read_range(self.extent, offset, step)
+        return data, offset + step
+
+    def discard(self) -> None:
+        """Drop the content without I/O."""
+        self.array.discard_content(self.extent)
+
+
+class BufferedBucket:
+    """One bucket of one iteration in an interleaved disk buffer (CDT/CTT)."""
+
+    def __init__(self, sbuf: InterleavedDiskBuffer, iteration: int, tag: object):
+        self.sbuf = sbuf
+        self.key = (iteration, tag)
+
+    def pop(self, max_blocks: float) -> typing.Generator:
+        """Read and release up to ``max_blocks``; None once empty."""
+        return self.sbuf.pop_coalesced(*self.key, max_blocks)
+
+    def peek(self, cursor: int | None, max_blocks: float) -> typing.Generator:
+        """Read from chunk index ``cursor`` on without releasing anything."""
+        return self.sbuf.peek_coalesced(*self.key, cursor or 0, max_blocks)
+
+    def discard(self) -> None:
+        """Release the bucket's space without I/O."""
+        self.sbuf.discard(*self.key)
+
+
+def extent_reader(array, extent, consume: bool = False) -> typing.Callable:
+    """R-bucket reader of a disk extent: one parallel ``read_all`` for the
+    whole (resident) bucket, logical ranges for spill pieces."""
+
+    def read(offset: float, n_blocks: float) -> typing.Generator:
+        if offset == 0.0 and n_blocks == extent.n_blocks:
+            return array.read_all(extent, consume=consume)
+        return array.read_range(extent, offset, n_blocks)
+
+    return read
+
+
+def probe_resident(
+    env: JoinEnvironment, r_keys: np.ndarray, s_bucket, probe_blocks: float
+) -> typing.Generator:
+    """Pop an S bucket piece by piece past memory-resident R keys."""
+    while True:
+        piece = yield from s_bucket.pop(probe_blocks)
+        if piece is None:
+            return
+        env.accumulator.add(hash_join(r_keys, piece.keys))
+
+
+def join_bucket(
     env: JoinEnvironment,
     layout: "GraceHashLayout",
-    sbuf,
-    iteration: int,
-    tag: object,
     read_r_range: typing.Callable[[float, float], typing.Generator],
     r_total_blocks: float,
+    s_bucket,
 ) -> typing.Generator:
-    """Join one R bucket with its S bucket in the interleaved buffer.
+    """Join one R bucket with its S bucket (one Grace-Hash Step II unit).
 
-    The normal path holds the whole R bucket in memory and streams the S
-    bucket past it, releasing buffer space chunk by chunk.  If the R
+    ``read_r_range(offset, n_blocks)`` reads part of the R bucket;
+    ``s_bucket`` has ``pop``/``peek``/``discard`` (:class:`DiskBucket`,
+    :class:`BufferedBucket`, TT-GH's tape bucket).  The normal path holds
+    the whole R bucket in memory and pops the S bucket past it.  If the R
     bucket outgrows the free memory (skewed keys — the paper assumes
-    uniform hash values and has no such path), the *spill* path processes
-    the R bucket in memory-sized pieces, re-reading the S bucket once per
-    piece and releasing its space only at the end.  Returns True when the
-    spill path ran.
+    uniform hash values and has no such path), the *spill* path joins it
+    in memory-sized pieces, re-reading the S bucket once per piece and
+    discarding it at the end.
     """
-    from repro.relational.join_core import hash_join
-
     probe = layout.probe_blocks
     available = env.memory.free_blocks - probe
     if r_total_blocks <= available + 1e-9:
         r_data = yield from read_r_range(0.0, r_total_blocks)
         env.memory.take(r_data.n_blocks, "R bucket")
         try:
-            while True:
-                piece = yield from sbuf.pop_coalesced(iteration, tag, probe)
-                if piece is None:
-                    break
-                env.accumulator.add(hash_join(r_data.keys, piece.keys))
+            yield from probe_resident(env, r_data.keys, s_bucket, probe)
         finally:
             # A media error mid-stream must not leak the bucket's memory:
             # the checkpointed restart re-takes it on the next attempt.
             env.memory.give(r_data.n_blocks)
-        return False
+        return
 
     env.count_overflow_bucket()
     piece_blocks = max(available, probe, 1.0)
@@ -232,19 +296,101 @@ def join_buffered_bucket(
         r_piece = yield from read_r_range(offset, step)
         env.memory.take(r_piece.n_blocks, "R bucket piece")
         try:
-            cursor = 0
-            while True:
-                piece, cursor = yield from sbuf.peek_coalesced(
-                    iteration, tag, cursor, probe
-                )
-                if piece is None:
-                    break
+            piece, cursor = yield from s_bucket.peek(None, probe)
+            while piece is not None:
                 env.accumulator.add(hash_join(r_piece.keys, piece.keys))
+                piece, cursor = yield from s_bucket.peek(cursor, probe)
         finally:
             env.memory.give(r_piece.n_blocks)
         offset += step
-    sbuf.discard(iteration, tag)
-    return True
+    s_bucket.discard()
+
+
+def hash_tape_range(
+    env: JoinEnvironment, layout: "GraceHashLayout", drive: TapeDrive,
+    file: TapeFile, offset: float, n_blocks: float, tuples_per_block: int,
+    flush_burst: typing.Callable, *, chunk_blocks: float, overlap: bool,
+    reverse: bool = False, **stager_options,
+) -> typing.Generator:
+    """Scan a tape range and hash its keys into buckets.
+
+    A :class:`BucketStager` (``stager_options``: ``buckets``,
+    ``threshold_blocks``) hands each full staging burst to
+    ``flush_burst`` and drains at the end; the caller holds the memory.
+    """
+    stager = BucketStager(layout, tuples_per_block, flush_burst, **stager_options)
+
+    def consume(data):
+        yield from stager.add_keys(data.keys)
+
+    yield from scan_tape(
+        env, drive, file, offset, n_blocks, chunk_blocks, consume, overlap, reverse
+    )
+    yield from stager.drain()
+
+
+def write_buckets(env: JoinEnvironment, extents: list) -> typing.Callable:
+    """Flush burst writing each bucket's chunk to its own disk extent."""
+    return lambda pairs: env.array.write_burst(
+        [(extents[bucket], chunk) for bucket, chunk in pairs]
+    )
+
+
+def concurrent_step2(
+    env: JoinEnvironment,
+    layout: "GraceHashLayout",
+    d: float,
+    r_bucket: typing.Callable[[int], tuple[typing.Callable, float]],
+) -> typing.Generator:
+    """Step II of CDT-GH and CTT-GH: a hash process and a join process.
+
+    The hash process hashes ``d`` blocks of S per iteration from tape
+    into an interleaved double-buffered disk region while the join
+    process joins the previous iteration's buckets.  ``r_bucket(b)``
+    gives R bucket *b*'s ``(read_r_range, r_total_blocks)``.
+    """
+    spec, sim = env.spec, env.sim
+    tuples_per_block = spec.relation_s.tuples_per_block
+    capacity = d + 2.0 / tuples_per_block + 1e-6  # two tuples of packing slack
+    sbuf = InterleavedDiskBuffer(sim, env.array, "s_buffer", capacity, env.trace)
+    n_iters = ceil_div(spec.size_s_blocks, d)
+
+    def hasher():
+        with env.memory.hold(
+            layout.read_staging_blocks + layout.write_staging_blocks,
+            "hash staging",
+        ):
+            offset = 0.0
+            for iteration in range(n_iters):
+                target = min(d, spec.size_s_blocks - offset)
+                yield from hash_tape_range(
+                    env, layout, env.drive_s, env.file_s, offset, target,
+                    tuples_per_block, functools.partial(sbuf.put_many, iteration),
+                    chunk_blocks=layout.scan_chunk_blocks, overlap=True,
+                )
+                sbuf.end_iteration(iteration)
+                offset += target
+
+    def joiner():
+        for iteration in range(n_iters):
+            yield sbuf.wait_iteration(iteration)
+            for bucket in range(layout.n_buckets):
+                if not sbuf.has_pending(iteration, bucket):
+                    continue
+                unit = functools.partial(
+                    join_bucket, env, layout, *r_bucket(bucket),
+                    BufferedBucket(sbuf, iteration, bucket),
+                )
+                key = f"II.{iteration}.b{bucket}"
+                yield from run_unit(env, key, guard_overflow_restart(env, key, unit))
+            env.count_r_scan()
+            env.count_iteration()
+            sbuf.finish_iteration(iteration)
+
+    yield sim.all_of(
+        [sim.process(hasher(), name="hash"), sim.process(joiner(), name="join")]
+    )
+    sbuf.close()
 
 
 def guard_overflow_restart(
@@ -295,7 +441,6 @@ class GraceHashLayout:
         self.read_staging_blocks = GH_READ_STAGING_FRACTION * memory
         self.write_staging_blocks = GH_WRITE_STAGING_FRACTION * memory
         self.probe_blocks = GH_PROBE_FRACTION * memory
-        self.flush_blocks = self.write_staging_blocks / self.n_buckets
         #: chunk size for overlapped tape scans (two chunks in flight).
         self.scan_chunk_blocks = self.read_staging_blocks / 2
 

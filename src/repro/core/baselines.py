@@ -27,10 +27,14 @@ import typing
 
 from repro.core.base import (
     BucketStager,
+    DiskBucket,
     GraceHashLayout,
     TertiaryJoinMethod,
     align_blocks_to_tuples,
+    extent_reader,
+    join_bucket,
     scan_tape,
+    write_buckets,
 )
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import NB_R_SCAN_FRACTION, ResourceRequirements
@@ -44,7 +48,8 @@ class StagedDiskJoin(TertiaryJoinMethod):
     Step I copies R and S from their tapes to disk (the two drives copy
     in parallel — a generous reading of the OS-staging strawman).  Step II
     is a conventional disk-resident Grace Hash Join: partition both
-    staged copies into buckets, then join bucket by bucket.
+    staged copies into buckets, then join bucket by bucket through the
+    shared bucket join (oversized buckets spill like the paper's methods).
 
     Disk requirement: the staged copies (|R| + |S|) plus the bucket
     partitions being written while the copies are read, peaking near
@@ -102,20 +107,14 @@ class StagedDiskJoin(TertiaryJoinMethod):
 
         def partition(extent, buckets, tuples_per_block):
             stager = BucketStager(
-                layout,
-                tuples_per_block,
-                lambda pairs: env.array.write_burst(
-                    [(buckets[b], chunk) for b, chunk in pairs]
-                ),
+                layout, tuples_per_block, write_buckets(env, buckets)
             )
-            offset = 0.0
-            total = extent.n_blocks
+            staged = DiskBucket(env.array, extent)
             piece = max(layout.read_staging_blocks, 1.0)
-            while offset < total - 1e-9:
-                step = min(piece, total - offset)
-                data = yield from env.array.read_range(extent, offset, step)
+            data, cursor = yield from staged.peek(None, piece)
+            while data is not None:
                 yield from stager.add_keys(data.keys)
-                offset += step
+                data, cursor = yield from staged.peek(cursor, piece)
             yield from stager.drain()
 
         with env.memory.hold(
@@ -127,17 +126,14 @@ class StagedDiskJoin(TertiaryJoinMethod):
             yield from partition(s_copy, s_buckets, spec.relation_s.tuples_per_block)
             env.array.free(s_copy)
 
-            for bucket in range(layout.n_buckets):
-                if s_buckets[bucket].n_blocks <= 0 or r_buckets[bucket].n_blocks <= 0:
+            for r_extent, s_extent in zip(r_buckets, s_buckets):
+                if s_extent.n_blocks <= 0 or r_extent.n_blocks <= 0:
                     continue
-                r_data = yield from env.array.read_all(r_buckets[bucket], consume=True)
-                env.memory.take(r_data.n_blocks, "R bucket")
-                while s_buckets[bucket].n_blocks > 1e-9:
-                    piece = yield from env.array.read_coalesced(
-                        s_buckets[bucket], layout.probe_blocks
-                    )
-                    env.accumulator.add(hash_join(r_data.keys, piece.keys))
-                env.memory.give(r_data.n_blocks)
+                yield from join_bucket(
+                    env, layout,
+                    extent_reader(env.array, r_extent, consume=True),
+                    r_extent.n_blocks, DiskBucket(env.array, s_extent),
+                )
             env.count_r_scan()
             env.count_iteration()
         for extent in r_buckets + s_buckets:

@@ -14,24 +14,26 @@ with its S counterpart.
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
 
-from repro.buffering.interleaved import InterleavedDiskBuffer
 from repro.core.base import (
-    BucketStager,
+    DiskBucket,
     GraceHashLayout,
     TertiaryJoinMethod,
     align_blocks_to_tuples,
+    concurrent_step2,
+    extent_reader,
     guard_overflow_restart,
-    join_buffered_bucket,
-    scan_tape,
+    hash_tape_range,
+    join_bucket,
+    write_buckets,
 )
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import ResourceRequirements
-from repro.core.spec import InfeasibleJoinError, JoinSpec, ceil_div
+from repro.core.spec import InfeasibleJoinError, JoinSpec
 from repro.faults.checkpoint import run_unit
-from repro.relational.join_core import hash_join
 
 
 class _GraceHashBase(TertiaryJoinMethod):
@@ -70,25 +72,14 @@ class _GraceHashBase(TertiaryJoinMethod):
             return cached
         spec = env.spec
         r_buckets = [env.array.allocate(f"R.b{b}") for b in range(layout.n_buckets)]
-        stager = BucketStager(
-            layout,
-            spec.relation_r.tuples_per_block,
-            lambda pairs: env.array.write_burst(
-                [(r_buckets[b], chunk) for b, chunk in pairs]
-            ),
-        )
-
-        def consume(data):
-            yield from stager.add_keys(data.keys)
-
         with env.memory.hold(
             layout.read_staging_blocks + layout.write_staging_blocks, "step I staging"
         ):
-            yield from scan_tape(
-                env, env.drive_r, env.file_r, 0.0, spec.size_r_blocks,
-                layout.scan_chunk_blocks, consume, overlap,
+            yield from hash_tape_range(
+                env, layout, env.drive_r, env.file_r, 0.0, spec.size_r_blocks,
+                spec.relation_r.tuples_per_block, write_buckets(env, r_buckets),
+                chunk_blocks=layout.scan_chunk_blocks, overlap=overlap,
             )
-            yield from stager.drain()
         env.count_r_scan()
         env.mark_step1_done()
         env.offer_r_partition(layout.n_buckets, r_buckets)
@@ -121,86 +112,30 @@ class DiskTapeGraceHash(_GraceHashBase):
         ):
             while offset < total - 1e-9:
                 target = min(d, total - offset)
-                stager = BucketStager(
-                    layout,
-                    spec.relation_s.tuples_per_block,
-                    lambda pairs: env.array.write_burst(
-                        [(s_buckets[b], chunk) for b, chunk in pairs]
-                    ),
+                yield from hash_tape_range(
+                    env, layout, env.drive_s, env.file_s, offset, target,
+                    spec.relation_s.tuples_per_block, write_buckets(env, s_buckets),
+                    chunk_blocks=layout.read_staging_blocks, overlap=False,
                 )
-
-                def consume(data):
-                    yield from stager.add_keys(data.keys)
-
-                yield from scan_tape(
-                    env, env.drive_s, env.file_s, offset, target,
-                    layout.read_staging_blocks, consume, overlap=False,
-                )
-                yield from stager.drain()
                 offset += target
                 # Join phase: each R bucket back to memory, S bucket
-                # scanned; oversized (skewed) R buckets spill to
-                # piece-wise probing, re-reading the S bucket per piece.
-                # Each bucket is a checkpointed unit: a media error
-                # restarts only the bucket it hit, not the iteration.
+                # scanned past it.  Each bucket is a checkpointed unit: a
+                # media error restarts only the bucket it hit, not the
+                # iteration.
                 iteration = env.iterations
-                for bucket in range(layout.n_buckets):
-                    s_extent = s_buckets[bucket]
-                    r_extent = r_buckets[bucket]
+                pairs = enumerate(zip(r_buckets, s_buckets))
+                for bucket, (r_extent, s_extent) in pairs:
                     if s_extent.n_blocks <= 1e-9:
                         env.array.discard_content(s_extent)
                         continue
-
-                    def join_bucket(r_extent=r_extent, s_extent=s_extent):
-                        available = env.memory.free_blocks - layout.probe_blocks
-                        if r_extent.n_blocks <= available + 1e-9:
-                            r_data = yield from env.array.read_all(r_extent)
-                            env.memory.take(r_data.n_blocks, "R bucket")
-                            try:
-                                # read_coalesced consumes only after a
-                                # successful read, so a restart resumes
-                                # with exactly the unjoined S chunks.
-                                while s_extent.n_blocks > 1e-9:
-                                    piece = yield from env.array.read_coalesced(
-                                        s_extent, layout.probe_blocks
-                                    )
-                                    env.accumulator.add(
-                                        hash_join(r_data.keys, piece.keys)
-                                    )
-                            finally:
-                                env.memory.give(r_data.n_blocks)
-                            return
-                        env.count_overflow_bucket()
-                        piece_blocks = max(available, layout.probe_blocks, 1.0)
-                        r_offset = 0.0
-                        while r_offset < r_extent.n_blocks - 1e-9:
-                            step = min(piece_blocks, r_extent.n_blocks - r_offset)
-                            r_piece = yield from env.array.read_range(
-                                r_extent, r_offset, step
-                            )
-                            env.memory.take(r_piece.n_blocks, "R bucket piece")
-                            try:
-                                s_offset = 0.0
-                                while s_offset < s_extent.n_blocks - 1e-9:
-                                    s_step = min(
-                                        layout.probe_blocks,
-                                        s_extent.n_blocks - s_offset,
-                                    )
-                                    piece = yield from env.array.read_range(
-                                        s_extent, s_offset, s_step
-                                    )
-                                    env.accumulator.add(
-                                        hash_join(r_piece.keys, piece.keys)
-                                    )
-                                    s_offset += s_step
-                            finally:
-                                env.memory.give(r_piece.n_blocks)
-                            r_offset += step
-                        env.array.discard_content(s_extent)
-
+                    unit = functools.partial(
+                        join_bucket, env, layout,
+                        extent_reader(env.array, r_extent), r_extent.n_blocks,
+                        DiskBucket(env.array, s_extent),
+                    )
                     key = f"II.{iteration}.b{bucket}"
                     yield from run_unit(
-                        env, key, guard_overflow_restart(env, key, join_bucket)
+                        env, key, guard_overflow_restart(env, key, unit)
                     )
                 env.count_r_scan()
                 env.count_iteration()
@@ -211,10 +146,11 @@ class DiskTapeGraceHash(_GraceHashBase):
 class ConcurrentGraceHash(_GraceHashBase):
     """CDT-GH: Concurrent Disk–Tape Grace Hash Join (Section 5.1.4).
 
-    Step II runs a hash process and a join process concurrently: the hash
-    process reads S from tape and fills iteration *i+1*'s buckets into the
-    interleaved disk buffer while the join process reads R buckets (from
-    disk) and the S buckets of iteration *i*.
+    Step II runs a hash process and a join process concurrently
+    (:func:`~repro.core.base.concurrent_step2`): the hash process reads S
+    from tape and fills iteration *i+1*'s buckets into the interleaved
+    disk buffer while the join process reads R buckets (from disk) and
+    the S buckets of iteration *i*.
     """
 
     symbol = "CDT-GH"
@@ -228,64 +164,11 @@ class ConcurrentGraceHash(_GraceHashBase):
         d = align_blocks_to_tuples(
             self._s_chunk_blocks(spec), spec.relation_s.tuples_per_block
         )
-        sim = env.sim
-        slack = 2.0 / spec.relation_s.tuples_per_block
-        sbuf = InterleavedDiskBuffer(
-            sim, env.array, "s_buffer", d + slack + 1e-6, env.trace
-        )
-        n_iters = ceil_div(spec.size_s_blocks, d)
 
-        def hasher():
-            with env.memory.hold(
-                layout.read_staging_blocks + layout.write_staging_blocks,
-                "hash staging",
-            ):
-                offset = 0.0
-                for iteration in range(n_iters):
-                    target = min(d, spec.size_s_blocks - offset)
-                    stager = BucketStager(
-                        layout,
-                        spec.relation_s.tuples_per_block,
-                        lambda pairs, i=iteration: sbuf.put_many(i, pairs),
-                    )
+        def r_bucket(bucket):
+            extent = r_buckets[bucket]
+            return functools.partial(env.array.read_range, extent), extent.n_blocks
 
-                    def consume(data, stager=stager):
-                        yield from stager.add_keys(data.keys)
-
-                    yield from scan_tape(
-                        env, env.drive_s, env.file_s, offset, target,
-                        layout.scan_chunk_blocks, consume, overlap=True,
-                    )
-                    yield from stager.drain()
-                    sbuf.end_iteration(iteration)
-                    offset += target
-
-        def joiner():
-            for iteration in range(n_iters):
-                yield sbuf.wait_iteration(iteration)
-                for bucket in range(layout.n_buckets):
-                    if not sbuf.has_pending(iteration, bucket):
-                        continue
-                    r_extent = r_buckets[bucket]
-
-                    def join_bucket(i=iteration, b=bucket, e=r_extent):
-                        return (yield from join_buffered_bucket(
-                            env, layout, sbuf, i, b,
-                            lambda off, n, e=e: env.array.read_range(e, off, n),
-                            e.n_blocks,
-                        ))
-
-                    key = f"II.{iteration}.b{bucket}"
-                    yield from run_unit(
-                        env, key, guard_overflow_restart(env, key, join_bucket)
-                    )
-                env.count_r_scan()
-                env.count_iteration()
-                sbuf.finish_iteration(iteration)
-
-        yield sim.all_of(
-            [sim.process(hasher(), name="hash"), sim.process(joiner(), name="join")]
-        )
-        sbuf.close()
+        yield from concurrent_step2(env, layout, d, r_bucket)
         for extent in r_buckets:
             env.array.free(extent)

@@ -18,27 +18,28 @@ contiguously.
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
 
 import numpy as np
 
-from repro.buffering.interleaved import InterleavedDiskBuffer
 from repro.core.base import (
-    BucketStager,
     GraceHashLayout,
     TertiaryJoinMethod,
     align_blocks_to_tuples,
+    concurrent_step2,
     guard_overflow_restart,
-    join_buffered_bucket,
-    scan_tape,
+    hash_tape_range,
+    join_bucket,
+    probe_resident,
+    write_buckets,
 )
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import ResourceRequirements
-from repro.core.spec import JoinSpec, ceil_div
+from repro.core.spec import JoinSpec
 from repro.faults.checkpoint import run_unit
 from repro.relational.hashing import bucket_ids
-from repro.relational.join_core import hash_join
 from repro.relational.relation import Relation
 from repro.storage.tape import TapeDrive, TapeFile
 
@@ -70,6 +71,40 @@ def read_files_range(
         if base >= end:
             break
     return DataChunk.concat(pieces)
+
+
+class TapeBucket:
+    """An S bucket in tape fragments (TT-GH), read but never consumed.
+
+    A cursor is ``(fragment index, offset in it)``; no read crosses a
+    fragment boundary.  :meth:`pop` advances the bucket's own cursor.
+    """
+
+    def __init__(self, drive: TapeDrive, files: list[TapeFile]):
+        self.drive = drive
+        self.files = files
+        self._cursor: tuple[int, float] | None = None
+
+    def pop(self, max_blocks: float) -> typing.Generator:
+        """Read the next piece at the bucket's own cursor; None at the end."""
+        data, self._cursor = yield from self.peek(self._cursor, max_blocks)
+        return data
+
+    def peek(self, cursor: tuple | None, max_blocks: float) -> typing.Generator:
+        """Read up to ``max_blocks`` at ``cursor`` (None: the start);
+        returns ``(data or None, next cursor)``."""
+        index, offset = cursor or (0, 0.0)
+        while index < len(self.files):
+            tape_file = self.files[index]
+            if offset < tape_file.n_blocks - 1e-9:
+                step = min(max_blocks, tape_file.n_blocks - offset)
+                data = yield from self.drive.read_range(tape_file, offset, step)
+                return data, (index, offset + step)
+            index, offset = index + 1, 0.0
+        return None, (index, offset)
+
+    def discard(self) -> None:
+        """Tape fragments stay where they are."""
 
 
 def bucket_sizes_blocks(relation: Relation, n_buckets: int) -> np.ndarray:
@@ -169,28 +204,20 @@ class _TapeTapeBase(TertiaryJoinMethod):
                         env.memory.give(data.n_blocks)
 
             def flush(pairs):
-                yield from env.array.write_burst(
-                    [(assemblies[b], chunk) for b, chunk in pairs]
-                )
+                yield from write_buckets(env, assemblies)(pairs)
                 if sum(assemblies[b].n_blocks for b in group) >= dump_at:
                     yield from dump()
-
-            stager = BucketStager(
-                layout, tpb, flush, buckets=group, threshold_blocks=staging_pool
-            )
-
-            def consume(data, stager=stager):
-                yield from stager.add_keys(data.keys)
 
             with env.memory.hold(
                 layout.read_staging_blocks + layout.write_staging_blocks,
                 "hash-to-tape staging",
             ):
-                yield from scan_tape(
-                    env, read_drive, source_file, 0.0, relation.n_blocks,
-                    layout.scan_chunk_blocks, consume, overlap, reverse=reverse,
+                yield from hash_tape_range(
+                    env, layout, read_drive, source_file, 0.0, relation.n_blocks,
+                    tpb, flush, chunk_blocks=layout.scan_chunk_blocks,
+                    overlap=overlap, reverse=reverse, buckets=group,
+                    threshold_blocks=staging_pool,
                 )
-                yield from stager.drain()
                 yield from dump()
             if count_r_scans:
                 env.count_r_scan()
@@ -233,68 +260,10 @@ class ConcurrentTapeTapeGraceHash(_TapeTapeBase):
         # Step II: like CDT-GH, with R buckets streamed from tape and the
         # entire disk budget double-buffering S.
         d = align_blocks_to_tuples(spec.disk_blocks, spec.relation_s.tuples_per_block)
-        sim = env.sim
-        slack = 2.0 / spec.relation_s.tuples_per_block
-        sbuf = InterleavedDiskBuffer(
-            sim, env.array, "s_buffer", d + slack + 1e-6, env.trace
-        )
-        n_iters = ceil_div(spec.size_s_blocks, d)
-
-        def hasher():
-            with env.memory.hold(
-                layout.read_staging_blocks + layout.write_staging_blocks,
-                "hash staging",
-            ):
-                offset = 0.0
-                for iteration in range(n_iters):
-                    target = min(d, spec.size_s_blocks - offset)
-                    stager = BucketStager(
-                        layout,
-                        spec.relation_s.tuples_per_block,
-                        lambda pairs, i=iteration: sbuf.put_many(i, pairs),
-                    )
-
-                    def consume(data, stager=stager):
-                        yield from stager.add_keys(data.keys)
-
-                    yield from scan_tape(
-                        env, env.drive_s, env.file_s, offset, target,
-                        layout.scan_chunk_blocks, consume, overlap=True,
-                    )
-                    yield from stager.drain()
-                    sbuf.end_iteration(iteration)
-                    offset += target
-
-        def joiner():
-            for iteration in range(n_iters):
-                yield sbuf.wait_iteration(iteration)
-                for bucket in range(layout.n_buckets):
-                    if not sbuf.has_pending(iteration, bucket):
-                        continue
-                    files = r_files[bucket]
-                    total_blocks = sum(f.n_blocks for f in files)
-
-                    def join_bucket(i=iteration, b=bucket, fs=files, t=total_blocks):
-                        return (yield from join_buffered_bucket(
-                            env, layout, sbuf, i, b,
-                            lambda off, n, fs=fs: read_files_range(
-                                env.drive_r, fs, off, n
-                            ),
-                            t,
-                        ))
-
-                    key = f"II.{iteration}.b{bucket}"
-                    yield from run_unit(
-                        env, key, guard_overflow_restart(env, key, join_bucket)
-                    )
-                env.count_r_scan()
-                env.count_iteration()
-                sbuf.finish_iteration(iteration)
-
-        yield sim.all_of(
-            [sim.process(hasher(), name="hash"), sim.process(joiner(), name="join")]
-        )
-        sbuf.close()
+        yield from concurrent_step2(env, layout, d, lambda b: (
+            functools.partial(read_files_range, env.drive_r, r_files[b]),
+            sum(f.n_blocks for f in r_files[b]),
+        ))
 
 
 class TapeTapeGraceHash(_TapeTapeBase):
@@ -336,10 +305,18 @@ class TapeTapeGraceHash(_TapeTapeBase):
         # Step II: bucket by bucket — R bucket (from the S tape) into
         # memory, matching S bucket (from the R tape) scanned past it.
         # The two drives pipeline: while bucket b's S files stream off the
-        # R drive, bucket b+1's R files are prefetched from the S drive.
+        # R drive, bucket b+1's R files are prefetched from the S drive if
+        # both buckets fit in M together.  An R bucket larger than M
+        # (skewed keys) takes the shared spill path instead.
         buckets = [
             b for b in range(layout.n_buckets) if r_files[b] and s_files[b]
         ]
+        r_blocks = {b: sum(f.n_blocks for f in r_files[b]) for b in buckets}
+        budget = spec.memory_blocks + 1e-9
+        prefetch_after = {
+            b: c for b, c in zip(buckets, buckets[1:])
+            if r_blocks[b] + r_blocks[c] <= budget
+        }
 
         def fetch_r_bucket(bucket):
             pieces = []
@@ -364,42 +341,34 @@ class TapeTapeGraceHash(_TapeTapeBase):
                 # prefetch, its failure must not crash the kernel;
                 # awaiting still rethrows into the unit.
                 proc.defused = True
-            pending[bucket] = proc
             return proc
 
-        if buckets:
-            spawn(buckets[0])
-        for index, bucket in enumerate(buckets):
-            # The S-side stream is read non-consumingly from tape, so a
-            # restarted unit must not re-accumulate pieces it already
-            # joined: progress records, per S fragment, how far the probe
-            # stream got; r_keys are identical across attempts.
-            progress: dict[int, float] = {}
+        def join_resident(bucket, s_bucket):
+            r_keys, taken = yield pending.pop(bucket, None) or spawn(bucket)
+            following = prefetch_after.get(bucket)
+            if following is not None and following not in pending:
+                pending[following] = spawn(following)
+            try:
+                yield from probe_resident(env, r_keys, s_bucket, layout.probe_blocks)
+            finally:
+                env.memory.give(taken)
 
-            def join_bucket(index=index, bucket=bucket, progress=progress):
-                proc = pending.pop(bucket, None)
-                if proc is None:
-                    proc = spawn(bucket)
-                    pending.pop(bucket, None)
-                r_keys, taken = yield proc
-                if index + 1 < len(buckets) and buckets[index + 1] not in pending:
-                    spawn(buckets[index + 1])
-                try:
-                    for file_index, tape_file in enumerate(s_files[bucket]):
-                        offset = progress.get(file_index, 0.0)
-                        while offset < tape_file.n_blocks - 1e-9:
-                            step = min(
-                                layout.probe_blocks, tape_file.n_blocks - offset
-                            )
-                            piece = yield from env.drive_r.read_range(
-                                tape_file, offset, step
-                            )
-                            env.accumulator.add(hash_join(r_keys, piece.keys))
-                            offset += step
-                            progress[file_index] = offset
-                finally:
-                    env.memory.give(taken)
-
-            yield from run_unit(env, f"II.b{bucket}", join_bucket)
+        if buckets and r_blocks[buckets[0]] <= budget:
+            pending[buckets[0]] = spawn(buckets[0])
+        for bucket in buckets:
+            # The S bucket is read from tape without consuming it; its
+            # cursor survives a unit restart, so a restarted unit does not
+            # re-join pieces it already joined.
+            s_bucket = TapeBucket(env.drive_r, s_files[bucket])
+            if r_blocks[bucket] <= budget:
+                unit = functools.partial(join_resident, bucket, s_bucket)
+            else:
+                unit = functools.partial(
+                    join_bucket, env, layout,
+                    functools.partial(read_files_range, env.drive_s, r_files[bucket]),
+                    r_blocks[bucket], s_bucket,
+                )
+            key = f"II.b{bucket}"
+            yield from run_unit(env, key, guard_overflow_restart(env, key, unit))
             env.count_iteration()
         env.count_r_scan()

@@ -46,6 +46,10 @@ DISK_1996 = DiskParameters(transfer_rate_mb_s=3.5)
 DISK_LIGHTNING = DiskParameters(transfer_rate_mb_s=2.5)
 
 
+#: The memo behind :meth:`ExperimentScale.cached_relations`.
+_RELATION_MEMO: dict[tuple, tuple[Relation, Relation]] = {}
+
+
 class ScaleTooSmallError(ValueError):
     """An experiment's frame does not fit the system model at this scale."""
 
@@ -105,6 +109,22 @@ class ExperimentScale:
             spec=self.block_spec,
         )
         return r, s
+
+    def cached_relations(self, r_mb: float, s_mb: float) -> tuple[Relation, Relation]:
+        """:meth:`relations` through a process-local memo.
+
+        Sweep points and service jobs reuse a handful of (R, S) shapes,
+        and datagen is the expensive part of both, so a worker generates
+        each pair once.  The memo holds at most nine pairs, which bounds
+        worker memory across sweeps.
+        """
+        key = (self, r_mb, s_mb)
+        pair = _RELATION_MEMO.get(key)
+        if pair is None:
+            if len(_RELATION_MEMO) > 8:
+                _RELATION_MEMO.clear()
+            pair = _RELATION_MEMO[key] = self.relations(r_mb, s_mb)
+        return pair
 
     def join_spec(
         self,

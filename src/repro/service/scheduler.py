@@ -50,20 +50,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
     from repro.faults.policy import RetryPolicy
     from repro.hsm.catalog import PartitionSetKey
-    from repro.relational.relation import Relation
-
-#: Process-local relation memo: workloads reuse a handful of (r, s)
-#: shapes, and datagen is the expensive part of admission.
-_RELATION_MEMO: dict[tuple, "tuple[Relation, Relation]"] = {}
-
-
-def _relations(config: ServiceConfig, r_mb: float, s_mb: float):
-    key = (dataclasses.astuple(config.scale), r_mb, s_mb)
-    if key not in _RELATION_MEMO:
-        if len(_RELATION_MEMO) > 8:
-            _RELATION_MEMO.clear()
-        _RELATION_MEMO[key] = config.scale.relations(r_mb, s_mb)
-    return _RELATION_MEMO[key]
 
 
 @dataclasses.dataclass
@@ -168,7 +154,7 @@ class JoinService:
                 f"needs {disk:.0f} disk blocks but the service pool holds "
                 f"{scale.blocks(config.pool_disk_mb):.0f}"
             )
-        relation_r, relation_s = _relations(config, request.r_mb, request.s_mb)
+        relation_r, relation_s = scale.cached_relations(request.r_mb, request.s_mb)
         scratch = {}
         if request.scratch_r_mb is not None:
             scratch["scratch_r_blocks"] = scale.blocks(request.scratch_r_mb)

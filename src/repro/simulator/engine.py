@@ -38,17 +38,11 @@ class Simulator:
         self._now = float(start_time)
         self._queue: list = []
         self._seq = 0
-        self._active_process: Process | None = None
 
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- factories -----------------------------------------------------------
 

@@ -46,10 +46,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        # Save/restore rather than set/clear, so a resume triggered from
-        # inside another dispatch cannot clobber the active process.
-        previous = self.sim._active_process
-        self.sim._active_process = self
         while True:
             try:
                 if event.ok:
@@ -88,4 +84,3 @@ class Process(Event):
             self._target = target
             target.callbacks.append(self._resume)
             break
-        self.sim._active_process = previous

@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.relational.relation import Relation
 from repro.sweep.serialize import (
     disk_from_dict,
     disk_to_dict,
@@ -215,31 +214,13 @@ _ASSUMPTION_DEFAULTS = {
 
 # -- executors (worker side) --------------------------------------------------
 
-#: Process-local memo of generated relations, keyed by their generation
-#: parameters.  Sweep points within one experiment share relations, so a
-#: worker regenerates each (R, S) pair once, not once per point.
-_RELATION_MEMO: dict[str, tuple[Relation, Relation]] = {}
-
-
-def _memo_relations(scale: ExperimentScale, r_mb: float, s_mb: float):
-    from repro.sweep.fingerprint import canonical_json
-
-    key = canonical_json({"scale": scale_to_dict(scale), "r": r_mb, "s": s_mb})
-    pair = _RELATION_MEMO.get(key)
-    if pair is None:
-        if len(_RELATION_MEMO) > 8:  # bound worker memory across sweeps
-            _RELATION_MEMO.clear()
-        pair = scale.relations(r_mb, s_mb)
-        _RELATION_MEMO[key] = pair
-    return pair
-
 
 def _run_join_task(payload: dict) -> dict:
     from repro.api import run_join
     from repro.core.spec import InfeasibleJoinError
 
     scale = scale_from_dict(payload["scale"])
-    relation_r, relation_s = _memo_relations(scale, payload["r_mb"], payload["s_mb"])
+    relation_r, relation_s = scale.cached_relations(payload["r_mb"], payload["s_mb"])
     fault_plan = retry_policy = None
     faults = payload.get("faults")
     if faults is not None:
@@ -303,7 +284,7 @@ def _run_figure4_task(payload: dict) -> dict:
     from repro.obs.metrics import buffer_utilization
 
     scale = scale_from_dict(payload["scale"])
-    relation_r, relation_s = _memo_relations(scale, payload["r_mb"], payload["s_mb"])
+    relation_r, relation_s = scale.cached_relations(payload["r_mb"], payload["s_mb"])
     capacity = payload["disk_blocks"]
     spec = scale.join_spec(
         relation_r,

@@ -26,6 +26,29 @@ BASELINES = {
     "exp4": "8f3ed14f838d834670ef808a2052f954ce5a3f10a800dd85e94f51ff6794a9c4",
 }
 
+#: sha256(json.dumps(stats_to_dict(stats), sort_keys=True)) of single
+#: joins whose paths the experiment artifacts never reach: the bucket
+#: spill path (the hot-key pair of ``tests/core/test_bucket_overflow.py``
+#: at M=8, D=140 spills 3/3/2 buckets in DT-GH/CDT-GH/CTT-GH) and TT-GH
+#: plus the two baselines on the uniform ``small_r``/``small_s`` pair at
+#: M=10, D=520.  Each runs without faults and under
+#: ``FaultPlan.uniform(0.002, seed=3)``.  Recorded on the commit before
+#: the Grace-Hash bucket join was shared between methods.
+SINGLE_JOIN_BASELINES = {
+    ("hot-key", "DT-GH", False): "03f86c00086f31f384db26098080bd84c2299e167d1f5eb78d5855b2b6f31af8",
+    ("hot-key", "DT-GH", True): "9dbcc5beb2ffd176737702feb051a0aec2f4df4a2478838485ee41046d41882a",
+    ("hot-key", "CDT-GH", False): "8ac31b28b513c3cc3a0032a3894ff58d40e07b471d136c9ede0217e95adb1dfe",
+    ("hot-key", "CDT-GH", True): "5c3c615bdf32ae04c9425396771fc6bdc77a6695b2c19b3202d6c8680fa63a1f",
+    ("hot-key", "CTT-GH", False): "9628a250903dd1fff7fcdd6827f34f34a0f5505a21dd218428ef27a53484ee00",
+    ("hot-key", "CTT-GH", True): "b84b58e4fabb0eafa0532a8d0be5dd61ac4e3494e27ebb2b2861772b11d561df",
+    ("uniform", "TT-GH", False): "097a1cbc96968e4093dcd5b4e3e29bcda7d55cc1c1abe4d29744f8dc46e5c9cf",
+    ("uniform", "TT-GH", True): "410fb4dabf57488c6ca2201557de917a512c59179f11e631f121ce9429145bfd",
+    ("uniform", "STAGE-GH", False): "7c8a7c84c52955cf8a1e45a14511ca96dcb8ae2f16ced9cac9d0c12e713e3e11",
+    ("uniform", "STAGE-GH", True): "04d7ba0c7fe0d2e3900aaa76f15411b24b25c87a403d9ec2745907186933ef51",
+    ("uniform", "NAIVE-NL", False): "1ba9b0f1850384ba289a4924a1ee551138d6a2aa392f2fa0ed4dee7deceafe0c",
+    ("uniform", "NAIVE-NL", True): "3978749afe75cbd8d586d9cb172fa8509e6f830be9db91fd967a640e6f980635",
+}
+
 #: The recorded fingerprint of a canonical join task — cache entries
 #: written before the refactor must still be addressable.
 JOIN_TASK_FINGERPRINT = (
@@ -84,6 +107,30 @@ class TestArtifactBytes:
 
         result = run_experiment4(scale=scale_2k, max_rate=0.01, fault_seed=0)
         assert digest(result.to_dict()) == BASELINES["exp4"]
+
+
+@pytest.mark.parametrize("pair,symbol,faulty", sorted(SINGLE_JOIN_BASELINES))
+class TestSingleJoinBytes:
+    def test_stats_digest(self, pair, symbol, faulty, small_r, small_s):
+        from repro.core.baselines import BASELINES as BASELINE_METHODS
+        from repro.core.registry import ALL_METHODS
+        from repro.core.spec import JoinSpec
+        from repro.faults.plan import FaultPlan
+        from repro.sweep.serialize import stats_to_dict
+        from tests.core.test_bucket_overflow import hot_key_pair
+
+        if pair == "hot-key":
+            (relation_r, relation_s), memory, disk = hot_key_pair(), 8.0, 140.0
+        else:
+            relation_r, relation_s, memory, disk = small_r, small_s, 10.0, 520.0
+        spec = JoinSpec(
+            relation_r, relation_s, memory_blocks=memory, disk_blocks=disk,
+            fault_plan=FaultPlan.uniform(0.002, seed=3) if faulty else None,
+        )
+        methods = {m.symbol: m for m in ALL_METHODS + BASELINE_METHODS}
+        stats = methods[symbol].run(spec)
+        expected = SINGLE_JOIN_BASELINES[(pair, symbol, faulty)]
+        assert digest(stats_to_dict(stats)) == expected
 
 
 class TestCacheAddressing:
