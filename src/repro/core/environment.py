@@ -77,10 +77,8 @@ class JoinEnvironment:
         )
         self.file_s = vol_s.create_file("S")
         self.file_s._append(spec.relation_s.as_chunk())
-        self.storage.library.add_volume(vol_r)
-        self.storage.library.add_volume(vol_s)
-        self.storage.library.preload(self.drive_r, "vol_r")
-        self.storage.library.preload(self.drive_s, "vol_s")
+        self.drive_r.load(vol_r)
+        self.drive_s.load(vol_s)
         self._data_end_r = vol_r.end_block
         self._data_end_s = vol_s.end_block
 

@@ -89,10 +89,8 @@ class FaultInjector:
 
     def attach(self, storage: "StorageSystem") -> None:
         """Install this injector on every device of a storage system."""
-        storage.drive_r.faults = self
-        storage.drive_s.faults = self
-        for disk in storage.disks:
-            disk.faults = self
+        for device in storage.devices:
+            device.faults = self
         for bus in storage.buses:
             bus.fault_hook = self.glitch_delay
 

@@ -9,7 +9,7 @@ real data (numpy key arrays), so join methods built on top are measured
 
 from repro.storage.block import BlockSpec, DataChunk
 from repro.storage.bus import Bus
-from repro.storage.disk import Disk, DiskExtent, DiskParameters
+from repro.storage.disk import Disk, DiskParameters
 from repro.storage.disk_array import DiskArray, StripedExtent
 from repro.storage.tape import TapeDrive, TapeDriveParameters, TapeFile, TapeVolume
 from repro.storage.library import TapeLibrary
@@ -21,7 +21,6 @@ __all__ = [
     "DataChunk",
     "Disk",
     "DiskArray",
-    "DiskExtent",
     "DiskParameters",
     "StorageConfig",
     "StorageSystem",

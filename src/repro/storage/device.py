@@ -1,0 +1,83 @@
+"""The one device operation shared by disks and tape drives.
+
+The paper's system model (Section 3) charges every device request the
+same way: position the device, then stream the blocks over a shared SCSI
+bus.  :class:`Device` owns that sequence; :class:`~repro.storage.disk.Disk`
+and :class:`~repro.storage.tape.TapeDrive` only supply their positioning
+rule.
+"""
+
+from __future__ import annotations
+
+import typing
+
+from repro.simulator.engine import Simulator
+from repro.simulator.resources import Resource
+from repro.storage.block import BlockSpec
+from repro.storage.bus import Bus
+
+
+class Device:
+    """One bus-attached device: a single unit serving one request at a time."""
+
+    def __init__(self, sim: Simulator, name: str, bus: Bus, spec: BlockSpec, params):
+        self.sim = sim
+        self.name = name
+        self.bus = bus
+        self.spec = spec
+        self.params = params
+        #: The disk arm or the tape drive mechanism.
+        self.unit = Resource(sim, capacity=1)
+        self.read_blocks = 0.0
+        self.write_blocks = 0.0
+        #: Where the device is: the extent a disk arm last served, the head
+        #: block of a tape drive.
+        self.position = None
+        self._last_op_end = 0.0
+        #: Optional fault injector (``repro.faults``); None = fault-free,
+        #: in which case every I/O takes the original unguarded path.
+        self.faults = None
+        #: Optional :class:`~repro.obs.recorder.JoinObserver`; recording
+        #: is purely observational, so traced runs stay time-identical.
+        self.observer = None
+
+    def _lead_in(self, where, n_blocks: float, near: int | None) -> tuple[float, typing.Any]:
+        """The positioning rule, applied once the unit is granted.
+
+        Returns the seconds spent positioning before the first byte moves
+        and the device's position once the transfer completes.
+        """
+        raise NotImplementedError
+
+    def _io(
+        self, where, n_blocks: float, kind: str, near: int | None = None
+    ) -> typing.Generator:
+        """Hold the unit, position at ``where``, then stream ``n_blocks``.
+
+        ``near`` marks a disk burst of ``near + 1`` small requests (see
+        :meth:`Disk._lead_in <repro.storage.disk.Disk._lead_in>`).
+        Positioning and transfer share one bus event (lead-in), so an op
+        costs a single scheduled completion.
+        """
+        req = self.unit.request()
+        if self.observer is not None:
+            self.observer.queue_depth(self.name, self.sim.now, len(self.unit.queue))
+        yield req
+        start = self.sim.now
+        try:
+            lead_in, after = self._lead_in(where, n_blocks, near)
+            n_bytes = self.spec.bytes_from_blocks(n_blocks)
+            if self.faults is None:
+                yield self.bus.transfer(self.params.rate_bytes_s, n_bytes, lead_in_s=lead_in)
+            else:
+                yield from self.faults.guarded_transfer(
+                    self.bus, self.params.rate_bytes_s, n_bytes, lead_in,
+                    self.name, kind,
+                )
+            self.position = after
+        finally:
+            self._last_op_end = self.sim.now
+            if self.observer is not None:
+                self.observer.device_busy(self.name, start, self.sim.now, kind)
+                self.observer.queue_depth(self.name, self.sim.now, len(self.unit.queue))
+            self.unit.release(req)

@@ -1,4 +1,4 @@
-"""Magnetic disk model: arm, seek/rotation latency, extents and space.
+"""Magnetic disk model: arm, seek/rotation latency and space.
 
 Matches the paper's secondary-storage assumptions: multi-block requests pay
 one positioning delay (seek + rotational latency) and a per-byte transfer
@@ -14,9 +14,9 @@ import dataclasses
 import typing
 
 from repro.simulator.engine import Simulator
-from repro.simulator.resources import Resource
-from repro.storage.block import MB, BlockSpec, DataChunk, slice_chunks
+from repro.storage.block import MB, BlockSpec
 from repro.storage.bus import Bus
+from repro.storage.device import Device
 
 
 class DiskFullError(RuntimeError):
@@ -58,56 +58,8 @@ class DiskParameters:
         return self.near_seek_ms / 1000.0
 
 
-class DiskExtent:
-    """A named, growable allocation on one disk.
-
-    Content is an ordered list of :class:`DataChunk` objects.  Space
-    accounting is live: appends grow the disk's used space, consumes shrink
-    it, so buffer schemes that gradually release space (Section 4) are
-    reflected in the disk's occupancy.
-    """
-
-    def __init__(self, disk: "Disk", name: str):
-        self.disk = disk
-        self.name = name
-        self.chunks: list[DataChunk] = []
-        self.n_blocks = 0.0
-
-    @property
-    def n_tuples(self) -> int:
-        """Total tuples currently stored in the extent."""
-        return sum(c.n_tuples for c in self.chunks)
-
-    def _append(self, chunk: DataChunk) -> None:
-        self.chunks.append(chunk)
-        self.n_blocks += chunk.n_blocks
-
-    def _consume_all(self) -> DataChunk:
-        data = DataChunk.concat(self.chunks)
-        self.chunks = []
-        self.disk._release(self.n_blocks)
-        self.n_blocks = 0.0
-        return data
-
-    def _consume_next(self) -> DataChunk:
-        if not self.chunks:
-            raise ValueError(f"extent {self.name!r} is empty")
-        chunk = self.chunks.pop(0)
-        self.n_blocks -= chunk.n_blocks
-        self.disk._release(chunk.n_blocks)
-        return chunk
-
-    def peek_all(self) -> DataChunk:
-        """All content without consuming it."""
-        return DataChunk.concat(self.chunks)
-
-    def slice_range(self, offset_blocks: float, n_blocks: float) -> DataChunk:
-        """Tuples stored in the block range [offset, offset + n_blocks)."""
-        return slice_chunks(self.chunks, self.n_blocks, offset_blocks, n_blocks)
-
-
-class Disk:
-    """One disk drive: a single arm, a bus attachment and an extent table."""
+class Disk(Device):
+    """One disk drive: a single arm, a bus attachment and its space."""
 
     def __init__(
         self,
@@ -120,52 +72,15 @@ class Disk:
     ):
         if capacity_blocks <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_blocks}")
-        self.sim = sim
-        self.name = name
-        self.bus = bus
-        self.spec = spec
+        super().__init__(sim, name, bus, spec, params or DiskParameters())
         self.capacity_blocks = float(capacity_blocks)
-        self.params = params or DiskParameters()
-        self.arm = Resource(sim, capacity=1)
         self.used_blocks = 0.0
         self.peak_used_blocks = 0.0
-        self.read_blocks = 0.0
-        self.write_blocks = 0.0
-        self.busy_s = 0.0
-        self.extents: dict[str, DiskExtent] = {}
-        self._last_extent: DiskExtent | None = None
-        #: Optional fault injector (``repro.faults``); None = fault-free,
-        #: in which case every I/O takes the original unguarded path.
-        self.faults = None
-        #: Optional :class:`~repro.obs.recorder.JoinObserver`; recording
-        #: is purely observational, so traced runs stay time-identical.
-        self.observer = None
 
     @property
     def free_blocks(self) -> float:
         """Unused capacity in blocks."""
         return self.capacity_blocks - self.used_blocks
-
-    # -- space management -----------------------------------------------------
-
-    def allocate(self, name: str) -> DiskExtent:
-        """Create a new, empty extent named ``name``."""
-        if name in self.extents:
-            raise ValueError(f"extent {name!r} already exists on {self.name}")
-        extent = DiskExtent(self, name)
-        self.extents[name] = extent
-        return extent
-
-    def free(self, extent: DiskExtent) -> None:
-        """Drop an extent and release its space."""
-        if self.extents.get(extent.name) is not extent:
-            raise ValueError(f"extent {extent.name!r} not on {self.name}")
-        self._release(extent.n_blocks)
-        extent.chunks = []
-        extent.n_blocks = 0.0
-        del self.extents[extent.name]
-        if self._last_extent is extent:
-            self._last_extent = None
 
     def _reserve(self, n_blocks: float) -> None:
         if self.used_blocks + n_blocks > self.capacity_blocks + 1e-9:
@@ -181,116 +96,21 @@ class Disk:
     def _release(self, n_blocks: float) -> None:
         self.used_blocks = max(0.0, self.used_blocks - n_blocks)
 
-    # -- I/O operations (generators; use with ``yield from``) -----------------
+    def _lead_in(self, extent, n_blocks: float, near: int | None) -> tuple[float, typing.Any]:
+        """Seek plus rotation, unless the arm last served ``extent``.
 
-    def _io(
-        self, extent: DiskExtent, n_blocks: float, kind: str = "disk-read"
-    ) -> typing.Generator:
-        """Hold the arm, pay positioning if not sequential, then transfer."""
-        req = self.arm.request()
-        if self.observer is not None:
-            self.observer.queue_depth(self.name, self.sim.now, len(self.arm.queue))
-        yield req
-        start = self.sim.now
-        try:
-            positioning = 0.0
-            if self._last_extent is not extent:
-                positioning = self.params.positioning_s
-            self._last_extent = extent
-            n_bytes = self.spec.bytes_from_blocks(n_blocks)
-            # Positioning and transfer share one bus event (lead-in).
-            if self.faults is None:
-                yield self.bus.transfer(
-                    self.params.rate_bytes_s, n_bytes, lead_in_s=positioning
-                )
-            else:
-                yield from self.faults.guarded_transfer(
-                    self.bus, self.params.rate_bytes_s, n_bytes, positioning,
-                    self.name, kind,
-                )
-        finally:
-            self.busy_s += self.sim.now - start
-            if self.observer is not None:
-                self.observer.device_busy(self.name, start, self.sim.now, kind)
-                self.observer.queue_depth(
-                    self.name, self.sim.now, len(self.arm.queue)
-                )
-            self.arm.release(req)
-
-    def _burst_io(
-        self,
-        extent: DiskExtent,
-        n_blocks: float,
-        far_positions: int,
-        near_positions: int,
-        kind: str = "disk-read",
-    ) -> typing.Generator:
-        """One arm hold covering a burst of small requests.
-
-        Charges ``far_positions`` full repositions plus ``near_positions``
-        short ones, then a single transfer of the burst's total bytes.
-        Timing matches issuing the requests back to back; simulating them
-        as one event keeps large experiments tractable.
+        ``extent`` is any object naming a region of the disk.  A burst
+        (``near`` given) stands for ``near + 1`` small requests issued back
+        to back — bucket appends, fragment reads — and always pays one full
+        reposition plus ``near`` short ones; simulating it as one op keeps
+        large experiments tractable.  The arm is at ``extent`` from the
+        grant on, even if the transfer then fails.
         """
-        req = self.arm.request()
-        if self.observer is not None:
-            self.observer.queue_depth(self.name, self.sim.now, len(self.arm.queue))
-        yield req
-        start = self.sim.now
-        try:
-            delay = (
-                far_positions * self.params.positioning_s
-                + near_positions * self.params.near_positioning_s
-            )
-            self._last_extent = extent
-            n_bytes = self.spec.bytes_from_blocks(n_blocks)
-            if self.faults is None:
-                yield self.bus.transfer(
-                    self.params.rate_bytes_s, n_bytes, lead_in_s=delay
-                )
-            else:
-                yield from self.faults.guarded_transfer(
-                    self.bus, self.params.rate_bytes_s, n_bytes, delay,
-                    self.name, kind,
-                )
-        finally:
-            self.busy_s += self.sim.now - start
-            if self.observer is not None:
-                self.observer.device_busy(self.name, start, self.sim.now, kind)
-                self.observer.queue_depth(
-                    self.name, self.sim.now, len(self.arm.queue)
-                )
-            self.arm.release(req)
-
-    def write(self, extent: DiskExtent, chunk: DataChunk) -> typing.Generator:
-        """Append ``chunk`` to ``extent`` (reserves space up front)."""
-        self._reserve(chunk.n_blocks)
-        self.write_blocks += chunk.n_blocks
-        yield from self._io(extent, chunk.n_blocks, "disk-write")
-        extent._append(chunk)
-
-    def read_all(self, extent: DiskExtent, consume: bool = False) -> typing.Generator:
-        """Read the entire extent; optionally release its space."""
-        n_blocks = extent.n_blocks
-        self.read_blocks += n_blocks
-        yield from self._io(extent, n_blocks)
-        if consume:
-            return extent._consume_all()
-        return extent.peek_all()
-
-    def read_next(self, extent: DiskExtent) -> typing.Generator:
-        """Read and consume the oldest chunk of the extent."""
-        if not extent.chunks:
-            raise ValueError(f"extent {extent.name!r} is empty")
-        n_blocks = extent.chunks[0].n_blocks
-        self.read_blocks += n_blocks
-        yield from self._io(extent, n_blocks)
-        return extent._consume_next()
-
-    def read_range(
-        self, extent: DiskExtent, offset_blocks: float, n_blocks: float
-    ) -> typing.Generator:
-        """Read a block range without consuming (sequential scans)."""
-        self.read_blocks += n_blocks
-        yield from self._io(extent, n_blocks)
-        return extent.slice_range(offset_blocks, n_blocks)
+        if near is not None:
+            lead_in = self.params.positioning_s + near * self.params.near_positioning_s
+        elif self.position is extent:
+            lead_in = 0.0
+        else:
+            lead_in = self.params.positioning_s
+        self.position = extent
+        return lead_in, extent

@@ -10,13 +10,16 @@ placement of disk blocks and usage of disk arms".  This array provides it:
 * large requests are split across all member disks and executed in
   parallel, delivering the aggregate bandwidth ``X_D`` of the model;
 * burst operations simulate a run of small requests (hash bucket flushes,
-  fragment reads) as one event whose delay charges every reposition.
+  fragment reads) as one disk op whose delay charges every reposition.
 
-Content is tracked logically per extent while space and time are accounted
-physically per disk, so occupancy, traffic and busy time remain exact.
-Chunk removal uses tombstones with lazy compaction: experiments create
-hundreds of thousands of bucket fragments, and eager list removal would be
-quadratic.
+Content lives only here, tracked logically per extent; a
+:class:`~repro.storage.disk.Disk` holds no content, only space and an arm.
+Space and time are accounted physically per disk, so occupancy and traffic
+remain exact.  The :class:`StripedExtent` object is also the positioning
+identity on each member disk: an arm that last served the extent streams
+on without a seek.  Chunk removal uses tombstones with lazy compaction:
+experiments create hundreds of thousands of bucket fragments, and eager
+list removal would be quadratic.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import typing
 
 from repro.simulator.engine import Simulator
 from repro.storage.block import DataChunk, slice_chunks
-from repro.storage.disk import Disk, DiskExtent
+from repro.storage.disk import Disk
 
 #: Compact an extent's chunk list once this many tombstones accumulate
 #: (and they are the majority).
@@ -55,9 +58,6 @@ class StripedExtent:
         self.n_blocks = 0.0
         self._n_dead = 0
         self._rr = 0
-        # Shadow extents give each disk a positioning identity for this
-        # allocation without entering the disk's extent table.
-        self._shadows = {disk: DiskExtent(disk, f"{name}@{disk.name}") for disk in disks}
 
     # -- chunk bookkeeping -----------------------------------------------------
 
@@ -238,12 +238,10 @@ class DiskArray:
         """Run one I/O on each (disk, blocks) pair concurrently."""
         if len(parts) == 1:
             disk, blocks = parts[0]
-            yield from disk._io(extent._shadows[disk], blocks, kind)
+            yield from disk._io(extent, blocks, kind)
             return
         procs = [
-            self.sim.process(
-                disk._io(extent._shadows[disk], blocks, kind), name=f"io@{disk.name}"
-            )
+            self.sim.process(disk._io(extent, blocks, kind), name=f"io@{disk.name}")
             for disk, blocks in parts
         ]
         self._defuse_if_faulty(procs)
@@ -307,10 +305,9 @@ class DiskArray:
         procs = []
         for disk, items in per_disk.items():
             total = sum(blocks for _extent, blocks in items)
-            shadow = items[-1][0]._shadows[disk]
             procs.append(
                 self.sim.process(
-                    disk._burst_io(shadow, total, 1, len(items) - 1, "disk-write"),
+                    disk._io(items[-1][0], total, "disk-write", near=len(items) - 1),
                     name=f"burst@{disk.name}",
                 )
             )
@@ -346,7 +343,7 @@ class DiskArray:
                 disk.read_blocks += blocks
         procs = [
             self.sim.process(
-                disk._burst_io(extent._shadows[disk], total, 1, count - 1, "disk-read"),
+                disk._io(extent, total, "disk-read", near=count - 1),
                 name=f"burst@{disk.name}",
             )
             for disk, (total, count) in per_disk.items()

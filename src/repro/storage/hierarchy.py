@@ -1,9 +1,9 @@
 """Assembly of the full storage hierarchy of the paper's testbed.
 
 The reference configuration mirrors Section 6: two Fast SCSI-2 buses, one
-tape drive per bus, disks spread over the buses, all disks pooled into one
-:class:`~repro.storage.disk_array.DiskArray`, and a tape library holding
-the R and S volumes.
+tape drive per bus, disks spread over the buses and all disks pooled into
+one :class:`~repro.storage.disk_array.DiskArray`.  The R and S volumes are
+loaded straight into the drives: the paper's joins assume pre-loaded tapes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.storage.block import BlockSpec
 from repro.storage.bus import Bus
 from repro.storage.disk import Disk, DiskParameters
 from repro.storage.disk_array import DiskArray
-from repro.storage.library import TapeLibrary
 from repro.storage.tape import TapeDrive, TapeDriveParameters
 
 
@@ -37,7 +36,6 @@ class StorageConfig:
     tape_params_s: TapeDriveParameters = dataclasses.field(default_factory=TapeDriveParameters)
     n_buses: int = 2
     bus_bandwidth_mb_s: float = 10.0
-    exchange_s: float = 30.0
     stripe_threshold_blocks: float = 8.0
 
     def __post_init__(self):
@@ -47,6 +45,15 @@ class StorageConfig:
             raise ValueError("need at least one bus")
         if self.disk_capacity_blocks <= 0:
             raise ValueError("disk capacity must be positive")
+        if self.bus_bandwidth_mb_s <= 0:
+            raise ValueError(
+                f"bus bandwidth must be positive, got {self.bus_bandwidth_mb_s} MB/s"
+            )
+        if self.stripe_threshold_blocks < 0:
+            raise ValueError(
+                "stripe threshold must be non-negative, got "
+                f"{self.stripe_threshold_blocks} blocks"
+            )
 
     @property
     def aggregate_disk_rate_mb_s(self) -> float:
@@ -55,7 +62,7 @@ class StorageConfig:
 
 
 class StorageSystem:
-    """Buses, disks, the array, two tape drives and a library, wired up."""
+    """Buses, disks, the array and two tape drives, wired up."""
 
     def __init__(self, sim: Simulator, config: StorageConfig):
         self.sim = sim
@@ -82,7 +89,8 @@ class StorageSystem:
         self.drive_s = TapeDrive(
             sim, "tape_s", self.buses[-1], spec, config.tape_params_s
         )
-        self.library = TapeLibrary(sim, config.exchange_s)
+        #: Every disk and tape drive, listed once for fault and observer wiring.
+        self.devices = [self.drive_r, self.drive_s, *self.disks]
 
     @property
     def spec(self) -> BlockSpec:
@@ -97,12 +105,8 @@ class StorageSystem:
     def install_observer(self, observer) -> None:
         """Attach a :class:`~repro.obs.recorder.JoinObserver` to every
         bus, disk and tape drive of this system."""
-        self.drive_r.observer = observer
-        self.drive_s.observer = observer
-        for disk in self.disks:
-            disk.observer = observer
-        for bus in self.buses:
-            bus.observer = observer
+        for part in (*self.devices, *self.buses):
+            part.observer = observer
 
     def total_disk_traffic_blocks(self) -> float:
         """Blocks read plus written across all disks."""

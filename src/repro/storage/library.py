@@ -1,8 +1,10 @@
 """Automated tape library (robot) model.
 
 The paper notes media exchanges cost roughly 30 seconds and are negligible
-against multi-hour transfers; its joins assume tapes are pre-loaded.  The
-library is provided for completeness (multi-volume datasets, examples) and
+against multi-hour transfers; its joins assume tapes are pre-loaded, so a
+single join loads its volumes straight into the drives.  The multi-join
+service's broker and the media-exchange check of
+:mod:`repro.experiments.assumptions` mount through this robot, which
 charges exactly that exchange latency.
 """
 
@@ -55,13 +57,5 @@ class TapeLibrary:
         volume = self.shelf.pop(volume_name)
         self.exchanges += 1
         yield self.sim.timeout(self.exchange_s + drive.params.load_s)
-        drive.load(volume)
-        return volume
-
-    def preload(self, drive: TapeDrive, volume_name: str) -> TapeVolume:
-        """Instantly mount a volume — the paper's 'already loaded' setup."""
-        if volume_name not in self.shelf:
-            raise KeyError(f"volume {volume_name!r} not on the shelf")
-        volume = self.shelf.pop(volume_name)
         drive.load(volume)
         return volume

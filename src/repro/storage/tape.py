@@ -6,9 +6,9 @@ Models the Quantum DLT-4000 class drive the paper used:
 * a sustained transfer rate that scales with data compressibility (the
   paper's Experiment 3 varies tape speed by using 0 %, 25 % and 50 %
   compressible data);
-* repositioning (locate) penalties when access is not sequential, cheap
-  rewinds (serpentine tracks), and optional stop/start penalties (off by
-  default — the paper assumes the drive's read-ahead buffer hides them);
+* repositioning (locate) penalties when access is not sequential, and
+  optional stop/start penalties (off by default — the paper assumes the
+  drive's read-ahead buffer hides them);
 * a fixed volume capacity, which is how scratch-space requirements
   (``T_R``/``T_S`` in Table 2) are enforced and verified.
 """
@@ -19,9 +19,9 @@ import dataclasses
 import typing
 
 from repro.simulator.engine import Simulator
-from repro.simulator.resources import Resource
 from repro.storage.block import MB, BlockSpec, DataChunk, slice_chunks
 from repro.storage.bus import Bus
+from repro.storage.device import Device
 
 
 class TapeFullError(RuntimeError):
@@ -165,8 +165,11 @@ class TapeVolume:
         return max(0.0, self.end_block - position_block)
 
 
-class TapeDrive:
-    """One tape drive: a head position, a bus attachment and one media slot."""
+class TapeDrive(Device):
+    """One tape drive: a head position, a bus attachment and one media slot.
+
+    :attr:`position` is the head block.
+    """
 
     def __init__(
         self,
@@ -176,25 +179,10 @@ class TapeDrive:
         spec: BlockSpec,
         params: TapeDriveParameters | None = None,
     ):
-        self.sim = sim
-        self.name = name
-        self.bus = bus
-        self.spec = spec
-        self.params = params or TapeDriveParameters()
-        self.unit = Resource(sim, capacity=1)
+        super().__init__(sim, name, bus, spec, params or TapeDriveParameters())
         self.volume: TapeVolume | None = None
-        self.head_block = 0.0
-        self.read_blocks = 0.0
-        self.write_blocks = 0.0
+        self.position = 0.0
         self.repositions = 0
-        self.busy_s = 0.0
-        self._last_op_end = 0.0
-        #: Optional fault injector (``repro.faults``); None = fault-free,
-        #: in which case every I/O takes the original unguarded path.
-        self.faults = None
-        #: Optional :class:`~repro.obs.recorder.JoinObserver`; recording
-        #: is purely observational, so traced runs stay time-identical.
-        self.observer = None
 
     # -- media handling ---------------------------------------------------------
 
@@ -203,7 +191,7 @@ class TapeDrive:
         if self.volume is not None:
             raise RuntimeError(f"drive {self.name} already has {self.volume.name} loaded")
         self.volume = volume
-        self.head_block = 0.0
+        self.position = 0.0
 
     def unload(self) -> TapeVolume:
         """Eject the mounted volume."""
@@ -212,77 +200,43 @@ class TapeDrive:
         volume, self.volume = self.volume, None
         return volume
 
-    def _require_volume(self) -> TapeVolume:
-        if self.volume is None:
-            raise RuntimeError(f"drive {self.name} has no volume loaded")
-        return self.volume
-
     # -- I/O operations (generators; use with ``yield from``) ---------------------
 
-    def _op(
-        self, target_block: float, n_blocks: float, kind: str = "tape-read"
-    ) -> typing.Generator:
-        """Hold the drive, reposition if needed, then stream ``n_blocks``.
+    def _lead_in(
+        self, target_block: float, n_blocks: float, near: int | None
+    ) -> tuple[float, float]:
+        """Locate to ``target_block`` unless the head is already there.
 
         A drive with READ REVERSE serves a request whose *end* is at the
         current head position by reading backwards — no reposition, and
         the head finishes at the range's start.
         """
-        req = self.unit.request()
-        if self.observer is not None:
-            self.observer.queue_depth(self.name, self.sim.now, len(self.unit.queue))
-        yield req
-        start = self.sim.now
+        head = self.position
         reverse = (
             self.params.supports_read_reverse
-            and abs(self.head_block - (target_block + n_blocks)) <= 1e-9
+            and abs(head - (target_block + n_blocks)) <= 1e-9
             and n_blocks > 0
         )
-        try:
-            penalty = 0.0
-            at_position = reverse or abs(self.head_block - target_block) <= 1e-9
-            if not at_position:
-                penalty += self.params.reposition_s
-                if self.params.locate_s_per_gb > 0:
-                    distance_gb = self.spec.bytes_from_blocks(
-                        abs(self.head_block - target_block)
-                    ) / (1024**3)
-                    penalty += distance_gb * self.params.locate_s_per_gb
-                self.repositions += 1
-            elif (
-                self.params.stop_start_penalty_s > 0
-                and self.sim.now - self._last_op_end > 1e-9
-            ):
-                penalty += self.params.stop_start_penalty_s
-            n_bytes = self.spec.bytes_from_blocks(n_blocks)
-            # Positioning and streaming ride one bus event (lead-in), so a
-            # reposition-then-read costs a single scheduled completion.
-            if self.faults is None:
-                yield self.bus.transfer(
-                    self.params.rate_bytes_s, n_bytes, lead_in_s=penalty
-                )
-            else:
-                yield from self.faults.guarded_transfer(
-                    self.bus, self.params.rate_bytes_s, n_bytes, penalty,
-                    self.name, kind,
-                )
-            self.head_block = target_block if reverse else target_block + n_blocks
-        finally:
-            self._last_op_end = self.sim.now
-            self.busy_s += self.sim.now - start
-            if self.observer is not None:
-                self.observer.device_busy(self.name, start, self.sim.now, kind)
-                self.observer.queue_depth(
-                    self.name, self.sim.now, len(self.unit.queue)
-                )
-            self.unit.release(req)
+        penalty = 0.0
+        if not (reverse or abs(head - target_block) <= 1e-9):
+            penalty += self.params.reposition_s
+            if self.params.locate_s_per_gb > 0:
+                distance_gb = self.spec.bytes_from_blocks(abs(head - target_block)) / (1024**3)
+                penalty += distance_gb * self.params.locate_s_per_gb
+            self.repositions += 1
+        elif (
+            self.params.stop_start_penalty_s > 0
+            and self.sim.now - self._last_op_end > 1e-9
+        ):
+            penalty += self.params.stop_start_penalty_s
+        return penalty, target_block if reverse else target_block + n_blocks
 
     def read_range(self, file: TapeFile, offset_blocks: float, n_blocks: float):
         """Read ``n_blocks`` starting ``offset_blocks`` into ``file``."""
         self._check_mounted(file)
         data = file.slice_range(offset_blocks, n_blocks)
         self.read_blocks += n_blocks
-        yield from self._op(file.start_block + offset_blocks, n_blocks)
+        yield from self._io(file.start_block + offset_blocks, n_blocks, "tape-read")
         return data
 
     def read_file(self, file: TapeFile) -> typing.Generator:
@@ -310,31 +264,13 @@ class TapeDrive:
                 f"{requirement}"
             )
         self.write_blocks += chunk.n_blocks
-        yield from self._op(file.end_block, chunk.n_blocks, "tape-write")
+        yield from self._io(file.end_block, chunk.n_blocks, "tape-write")
         file._append(chunk)
 
-    def rewind(self) -> typing.Generator:
-        """Rewind to beginning of tape (cheap on serpentine media)."""
-        self._require_volume()
-        req = self.unit.request()
-        if self.observer is not None:
-            self.observer.queue_depth(self.name, self.sim.now, len(self.unit.queue))
-        yield req
-        start = self.sim.now
-        try:
-            yield self.sim.timeout(self.params.rewind_s)
-            self.head_block = 0.0
-        finally:
-            self.busy_s += self.sim.now - start
-            if self.observer is not None:
-                self.observer.device_busy(self.name, start, self.sim.now, "tape-rewind")
-                self.observer.queue_depth(
-                    self.name, self.sim.now, len(self.unit.queue)
-                )
-            self.unit.release(req)
-
     def _check_mounted(self, file: TapeFile) -> TapeVolume:
-        volume = self._require_volume()
+        volume = self.volume
+        if volume is None:
+            raise RuntimeError(f"drive {self.name} has no volume loaded")
         if file.volume is not volume:
             raise RuntimeError(
                 f"file {file.name!r} is on volume {file.volume.name}, but drive "

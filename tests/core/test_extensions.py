@@ -67,7 +67,7 @@ class TestReadReverse:
         def flow():
             yield from drive.read_range(data, 0.0, 50.0)   # head at 50
             yield from drive.read_range(data, 40.0, 10.0)  # ends at head: reverse
-            assert drive.head_block == pytest.approx(40.0)
+            assert drive.position == pytest.approx(40.0)
 
         sim.run(sim.process(flow()))
         assert drive.repositions == 0

@@ -49,6 +49,29 @@ SINGLE_JOIN_BASELINES = {
     ("uniform", "NAIVE-NL", True): "3978749afe75cbd8d586d9cb172fa8509e6f830be9db91fd967a640e6f980635",
 }
 
+#: sha256 of the ``api.trace`` JSONL (device busy intervals, queue-depth
+#: samples, spans) of CDT-GH and CTT-GH on the uniform ``small_r``/
+#: ``small_s`` pair at M=10, D=520 with ``trace_devices=True``, without
+#: faults and under ``FaultPlan.uniform(0.002, seed=3)``.  No artifact
+#: hash covers device trace bytes.  Recorded on the commit before disks
+#: and tape drives shared one device operation.
+DEVICE_TRACE_BASELINES = {
+    ("CDT-GH", False): "c829239b1ce21e724fa0d9e3a070f665893662af04e7c27d44e2264cc6ef8f0b",
+    ("CDT-GH", True): "b341d8c943bc02bdb49c05727d1a8231d08dedcf8da51965159aa24242217882",
+    ("CTT-GH", False): "9d9f5747f69d10902337c5504ecb6ad727f1c3e40940460a659f9ba41c11f8ac",
+    ("CTT-GH", True): "3f2872ff2012cd36d48008bde2d2bd10c7d936fbd2e239ccb3b0a31bbe4943cb",
+}
+
+#: sha256(json.dumps(stats_to_dict(stats), sort_keys=True)) of CTT-GH
+#: and TT-GH on the same pair with every tape positioning option on:
+#: READ REVERSE, a distance-dependent locate and a stop/start penalty.
+#: Every pinned artifact runs with all three off.  Recorded on the same
+#: commit as ``DEVICE_TRACE_BASELINES``.
+TAPE_OPTION_BASELINES = {
+    "CTT-GH": "f27c7823e6f2b34a4a17e6c20ca46c1f2e773afd4085e68d2b427b376559eac7",
+    "TT-GH": "6cf8751ca4c811decc1912f0d28b44b5ba9c8cc17ceae53a40b2a132f7610658",
+}
+
 #: The recorded fingerprint of a canonical join task — cache entries
 #: written before the refactor must still be addressable.
 JOIN_TASK_FINGERPRINT = (
@@ -131,6 +154,48 @@ class TestSingleJoinBytes:
         stats = methods[symbol].run(spec)
         expected = SINGLE_JOIN_BASELINES[(pair, symbol, faulty)]
         assert digest(stats_to_dict(stats)) == expected
+
+
+def uniform_spec(small_r, small_s, **updates):
+    from repro.core.spec import JoinSpec
+
+    return JoinSpec(small_r, small_s, memory_blocks=10.0, disk_blocks=520.0, **updates)
+
+
+def device_trace_digest(symbol, faulty, small_r, small_s, trace_dir) -> str:
+    from repro.api import run_join, trace
+    from repro.faults.plan import FaultPlan
+
+    spec = uniform_spec(
+        small_r, small_s, trace_devices=True,
+        fault_plan=FaultPlan.uniform(0.002, seed=3) if faulty else None,
+    )
+    jsonl = trace(run_join(spec, method=symbol), str(trace_dir))[0]
+    with open(jsonl, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def tape_option_digest(symbol, small_r, small_s) -> str:
+    from repro.api import run_join
+    from repro.storage.tape import TapeDriveParameters
+    from repro.sweep.serialize import stats_to_dict
+
+    tape = TapeDriveParameters(
+        supports_read_reverse=True, locate_s_per_gb=10.0, stop_start_penalty_s=0.5
+    )
+    spec = uniform_spec(small_r, small_s, tape_params_r=tape, tape_params_s=tape)
+    return digest(stats_to_dict(run_join(spec, method=symbol)))
+
+
+@pytest.mark.parametrize("symbol,faulty", sorted(DEVICE_TRACE_BASELINES))
+def test_device_trace_bytes(symbol, faulty, small_r, small_s, tmp_path):
+    expected = DEVICE_TRACE_BASELINES[(symbol, faulty)]
+    assert device_trace_digest(symbol, faulty, small_r, small_s, tmp_path) == expected
+
+
+@pytest.mark.parametrize("symbol", sorted(TAPE_OPTION_BASELINES))
+def test_tape_option_stats_bytes(symbol, small_r, small_s):
+    assert tape_option_digest(symbol, small_r, small_s) == TAPE_OPTION_BASELINES[symbol]
 
 
 class TestCacheAddressing:

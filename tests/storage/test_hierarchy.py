@@ -19,6 +19,10 @@ class TestStorageConfig:
             StorageConfig(n_buses=0)
         with pytest.raises(ValueError):
             StorageConfig(disk_capacity_blocks=0.0)
+        with pytest.raises(ValueError, match=r"got -3.0 MB/s"):
+            StorageConfig(bus_bandwidth_mb_s=-3.0)
+        with pytest.raises(ValueError, match="stripe threshold"):
+            StorageConfig(stripe_threshold_blocks=-1.0)
 
 
 class TestStorageSystem:
@@ -45,3 +49,19 @@ class TestStorageSystem:
         system = StorageSystem(sim, StorageConfig())
         assert system.total_disk_traffic_blocks() == 0.0
         assert system.total_tape_traffic_blocks() == 0.0
+
+    def test_faults_and_observer_reach_every_device(self, sim):
+        from repro.faults import FaultInjector
+        from repro.faults.plan import FaultPlan
+        from repro.obs.recorder import JoinObserver
+
+        system = StorageSystem(sim, StorageConfig(n_disks=3))
+        injector = FaultInjector(sim, FaultPlan())
+        observer = JoinObserver()
+        system.install_faults(injector)
+        system.install_observer(observer)
+        devices = [system.drive_r, system.drive_s, *system.disks]
+        assert all(device.faults is injector for device in devices)
+        assert all(device.observer is observer for device in devices)
+        assert all(bus.fault_hook == injector.glitch_delay for bus in system.buses)
+        assert all(bus.observer is observer for bus in system.buses)

@@ -34,16 +34,6 @@ class TestShelf:
         with pytest.raises(ValueError):
             TapeLibrary(sim, exchange_s=-1.0)
 
-    def test_preload_is_instant(self, sim, library, drive):
-        volume = library.preload(drive, "a")
-        assert drive.volume is volume
-        assert sim.now == 0.0
-        assert "a" not in library.shelf
-
-    def test_preload_unknown_volume(self, library, drive):
-        with pytest.raises(KeyError):
-            library.preload(drive, "zz")
-
 
 class TestMount:
     def test_mount_charges_exchange_and_load(self, sim, library, drive):

@@ -185,12 +185,21 @@ class TestTapeDriveIO:
         assert "Table 2 scratch requirement T_R" in message
         assert "violated" in message
 
-    def test_rewind_resets_head(self, sim, drive, volume):
+    def test_head_moves_only_after_a_completed_transfer(self, sim, drive, volume):
+        from repro.faults import FaultInjector
+        from repro.faults.plan import FaultPlan
+        from repro.faults.policy import RetryPolicy
+
         data = self._load(drive, volume)
         run(sim, drive.read_range(data, 0.0, 50.0))
-        assert drive.head_block == pytest.approx(50.0)
-        run(sim, drive.rewind())
-        assert drive.head_block == 0.0
+        assert drive.position == pytest.approx(50.0)
+        drive.faults = FaultInjector(
+            sim, FaultPlan(tape_read_error_rate=1.0), RetryPolicy(max_retries=0)
+        )
+        with pytest.raises(ProcessCrash):
+            run(sim, drive.read_range(data, 0.0, 10.0))
+        assert drive.position == pytest.approx(50.0)
+        assert drive.repositions == 1
 
     def test_stop_start_penalty_when_enabled(self, sim):
         params = TapeDriveParameters(stop_start_penalty_s=2.0)
