@@ -13,7 +13,7 @@ from repro.buffering.interleaved import InterleavedDiskBuffer
 from repro.core.environment import JoinEnvironment
 from repro.faults.checkpoint import run_unit
 from repro.relational.hashing import bucket_ids, partition_keys
-from repro.relational.join_core import hash_join
+from repro.relational.join_core import BuildSide
 from repro.core.requirements import (
     GH_BUCKET_FRACTION,
     GH_BUCKET_TARGET_FRACTION,
@@ -163,21 +163,22 @@ def scan_disk_and_join(
     env: JoinEnvironment,
     extent,
     buffer_blocks: float,
-    probe_keys: np.ndarray,
+    held_keys: np.ndarray,
 ) -> typing.Generator:
-    """Stream a disk-resident relation copy past in-memory probe keys.
+    """Stream a disk-resident relation copy past in-memory held keys.
 
     Reads the extent sequentially through a ``buffer_blocks`` window
     (issued as at least :data:`MIN_DISK_REQUEST_BLOCKS`-block requests) and
     folds each piece's mini-join into the environment's accumulator.
     """
+    held = BuildSide(held_keys)
     piece = max(buffer_blocks, MIN_DISK_REQUEST_BLOCKS)
     offset = 0.0
     total = extent.n_blocks
     while offset < total - 1e-9:
         step = min(piece, total - offset)
         data = yield from env.array.read_range(extent, offset, step)
-        env.accumulator.add(hash_join(data.keys, probe_keys))
+        env.accumulator.add(held.probe(data.keys))
         offset += step
     env.count_r_scan()
 
@@ -250,11 +251,12 @@ def probe_resident(
     env: JoinEnvironment, r_keys: np.ndarray, s_bucket, probe_blocks: float
 ) -> typing.Generator:
     """Pop an S bucket piece by piece past memory-resident R keys."""
+    held = BuildSide(r_keys)
     while True:
         piece = yield from s_bucket.pop(probe_blocks)
         if piece is None:
             return
-        env.accumulator.add(hash_join(r_keys, piece.keys))
+        env.accumulator.add(held.probe(piece.keys))
 
 
 def join_bucket(
@@ -295,10 +297,11 @@ def join_bucket(
         step = min(piece_blocks, r_total_blocks - offset)
         r_piece = yield from read_r_range(offset, step)
         env.memory.take(r_piece.n_blocks, "R bucket piece")
+        held = BuildSide(r_piece.keys)
         try:
             piece, cursor = yield from s_bucket.peek(None, probe)
             while piece is not None:
-                env.accumulator.add(hash_join(r_piece.keys, piece.keys))
+                env.accumulator.add(held.probe(piece.keys))
                 piece, cursor = yield from s_bucket.peek(cursor, probe)
         finally:
             env.memory.give(r_piece.n_blocks)
@@ -472,7 +475,10 @@ class BucketStager:
         self.layout = layout
         self.tuples_per_block = tuples_per_block
         self.flush_burst = flush_burst
-        self.wanted = None if buckets is None else np.asarray(sorted(set(buckets)))
+        self.wanted = None
+        if buckets is not None:
+            self.wanted = np.zeros(layout.n_buckets, dtype=bool)
+            self.wanted[list(buckets)] = True
         self._staged: list[np.ndarray] = []
         self._total_tuples = 0
         if threshold_blocks is None:
@@ -487,8 +493,7 @@ class BucketStager:
         current group's buckets) and do not count against staging.
         """
         if self.wanted is not None:
-            ids = bucket_ids(keys, self.layout.n_buckets)
-            keys = keys[np.isin(ids, self.wanted)]
+            keys = keys[self.wanted[bucket_ids(keys, self.layout.n_buckets)]]
         if len(keys) == 0:
             return
         self._staged.append(keys)

@@ -39,7 +39,7 @@ from repro.core.base import (
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import NB_R_SCAN_FRACTION, ResourceRequirements
 from repro.core.spec import JoinSpec
-from repro.relational.join_core import hash_join
+from repro.relational.join_core import BuildSide
 
 
 class StagedDiskJoin(TertiaryJoinMethod):
@@ -182,8 +182,8 @@ class NaiveTapeNestedLoop(TertiaryJoinMethod):
                 r_data = yield from env.drive_r.read_range(env.file_r, offset, step)
                 offset += step
 
-                def probe_s(data, r_keys=r_data.keys):
-                    env.accumulator.add(hash_join(r_keys, data.keys))
+                def probe_s(data, held=BuildSide(r_data.keys)):
+                    env.accumulator.add(held.probe(data.keys))
                     return
                     yield  # pragma: no cover - generator shape
 

@@ -1,5 +1,7 @@
 """Minimal relational substrate: schemas, relations, data generation,
-hash partitioning and in-memory join primitives.
+hash partitioning and in-memory join primitives: :class:`BuildSide`
+groups a held key array once so each streamed piece is one probe, and
+:func:`hash_join` is the one-shot form of the same kernel.
 
 Relations carry real join-key arrays so every tertiary join method produces
 a verifiable result (output cardinality and an order-independent pair
@@ -16,6 +18,7 @@ from repro.relational.datagen import (
 )
 from repro.relational.hashing import bucket_ids, partition_keys
 from repro.relational.join_core import (
+    BuildSide,
     JoinAccumulator,
     JoinResult,
     hash_join,
@@ -24,6 +27,7 @@ from repro.relational.join_core import (
 )
 
 __all__ = [
+    "BuildSide",
     "JoinAccumulator",
     "JoinResult",
     "Relation",

@@ -71,6 +71,8 @@ def zipf_relation(
     count = _tuple_count(size_mb, tuple_bytes, spec)
     if key_space is None:
         key_space = 4 * count
+    if key_space < 1:
+        raise ValueError(f"key_space must be >= 1, got {key_space}")
     rng = np.random.default_rng(seed)
     ranks = rng.zipf(skew, size=count).astype(np.int64)
     # Fold the unbounded Zipf ranks into the key space, then scramble so

@@ -56,31 +56,53 @@ class JoinAccumulator:
         return JoinResult(self.n_pairs, self.checksum)
 
 
+class BuildSide:
+    """The held side of a mini-join, built once and probed many times.
+
+    Every method holds one side in memory and streams the other past it
+    (an R bucket and its S bucket pieces, an S window and the R copy on
+    disk, an R chunk and S from tape).  The build groups the held keys by
+    distinct value once; each :meth:`probe` sorts its piece and binary
+    searches it into the distinct keys (numpy's binary search is several
+    times faster on sorted needles than on random ones, more than paying
+    for the sort).  Each distinct key ``k`` held ``c`` times carries the
+    weight ``c * mix(k)``, so summing the weights of the matching streamed
+    tuples gives the same checksum, mod 2^64, as summing
+    ``c_r * c_s * mix(k)`` over keys.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        self.keys, counts = np.unique(np.asarray(keys, dtype=np.int64), return_counts=True)
+        self.counts = counts.view(np.uint64)
+        # uint64 array arithmetic wraps mod 2^64 without a warning.
+        self.weights = self.keys.astype(np.uint64)
+        self.weights *= _MIX
+        self.weights *= self.counts
+
+    def probe(self, keys: np.ndarray) -> JoinResult:
+        """Join one streamed piece against the built side."""
+        if len(self.keys) == 0 or len(keys) == 0:
+            return JoinResult.zero()
+        keys = np.array(keys, dtype=np.int64)
+        keys.sort()
+        idx = self.keys.searchsorted(keys)
+        np.minimum(idx, len(self.keys) - 1, out=idx)
+        idx = idx[self.keys[idx] == keys]
+        return JoinResult(int(self.counts[idx].sum()), int(self.weights[idx].sum()))
+
+
 def hash_join(r_keys: np.ndarray, s_keys: np.ndarray) -> JoinResult:
-    """Equi-join two key arrays (hash/merge on distinct values).
+    """Equi-join two key arrays in one shot.
 
     For each key ``k`` appearing ``c_r`` times in R and ``c_s`` times in S,
     the join emits ``c_r * c_s`` pairs, each contributing ``mix(k)`` to the
-    checksum (mod 2^64).
+    checksum (mod 2^64).  Builds on the larger input and probes with the
+    smaller: grouping a side costs one sort, probing with it a sort plus
+    a binary search per tuple.
     """
-    r_keys = np.asarray(r_keys, dtype=np.int64)
-    s_keys = np.asarray(s_keys, dtype=np.int64)
-    if len(r_keys) == 0 or len(s_keys) == 0:
-        return JoinResult.zero()
-    ur, cr = np.unique(r_keys, return_counts=True)
-    us, cs = np.unique(s_keys, return_counts=True)
-    # Probe R's distinct keys into S's (both sorted by np.unique); cheaper
-    # than intersect1d, which would concatenate and sort a third time.
-    idx = np.searchsorted(us, ur)
-    idx[idx == len(us)] = 0
-    hit = us[idx] == ur
-    if not hit.any():
-        return JoinResult.zero()
-    pairs = cr[hit].astype(np.uint64) * cs[idx[hit]].astype(np.uint64)
-    mixed = (ur[hit].astype(np.uint64) * _MIX) & _MASK
-    with np.errstate(over="ignore"):
-        checksum = int(np.sum(pairs * mixed, dtype=np.uint64))
-    return JoinResult(int(pairs.sum()), checksum)
+    if len(r_keys) < len(s_keys):
+        r_keys, s_keys = s_keys, r_keys
+    return BuildSide(r_keys).probe(s_keys)
 
 
 def nested_loop_join(r_keys: np.ndarray, s_keys: np.ndarray) -> JoinResult:

@@ -48,6 +48,11 @@ class TestZipf:
         with pytest.raises(ValueError):
             zipf_relation("r", 1.0, skew=1.0)
 
+    @pytest.mark.parametrize("key_space", [0, -5])
+    def test_bad_key_space(self, key_space):
+        with pytest.raises(ValueError, match="key_space must be >= 1"):
+            zipf_relation("r", 1.0, key_space=key_space)
+
     def test_zipf_is_more_skewed_than_uniform(self):
         uniform = uniform_relation("u", 2.0, seed=3)
         zipf = zipf_relation("z", 2.0, skew=1.3, seed=3)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.relational.hashing import partition_keys
 from repro.relational.join_core import (
+    BuildSide,
     JoinAccumulator,
     JoinResult,
     hash_join,
@@ -90,6 +91,43 @@ class TestHashJoin:
         b = hash_join(np.array([2]), np.array([2]))
         assert a.n_pairs == b.n_pairs == 1
         assert a.checksum != b.checksum
+
+
+def zipf_keys(seed: int, size: int) -> np.ndarray:
+    return np.random.default_rng(seed).zipf(1.3, size).astype(np.int64) % 1000
+
+
+def int64_arrays(lo: int, hi: int, max_size: int):
+    return st.lists(st.integers(lo, hi), max_size=max_size).map(
+        lambda xs: np.array(xs, dtype=np.int64)
+    )
+
+
+#: Uniform, zipf-skewed, negative, duplicate-heavy and full-int64 keys.
+join_keys = st.one_of(
+    int64_arrays(0, 999, 80),
+    st.builds(zipf_keys, st.integers(0, 2**32 - 1), st.integers(0, 200)),
+    int64_arrays(-(2**63), -1, 40),
+    int64_arrays(-3, 3, 120),
+    int64_arrays(-(2**63), 2**63 - 1, 40),
+)
+
+
+class TestBuildSide:
+    @given(r=join_keys, s=join_keys, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_probing_every_piece_sums_to_the_one_shot_join(self, r, s, data):
+        """Build once on R, probe with S split at arbitrary (possibly
+        repeated, so empty-piece) cut points: the sum is the whole join."""
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(s)), max_size=6)))
+        held = BuildSide(r)
+        acc = JoinAccumulator()
+        for piece in np.split(s, cuts):
+            acc.add(held.probe(piece))
+        whole = acc.result()
+        assert whole == hash_join(r, s)
+        assert whole == hash_join(s, r)
+        assert whole == nested_loop_join(r, s)
 
 
 class TestAccumulator:

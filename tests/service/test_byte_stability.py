@@ -47,6 +47,22 @@ SINGLE_JOIN_BASELINES = {
     ("uniform", "STAGE-GH", True): "04d7ba0c7fe0d2e3900aaa76f15411b24b25c87a403d9ec2745907186933ef51",
     ("uniform", "NAIVE-NL", False): "1ba9b0f1850384ba289a4924a1ee551138d6a2aa392f2fa0ed4dee7deceafe0c",
     ("uniform", "NAIVE-NL", True): "3978749afe75cbd8d586d9cb172fa8509e6f830be9db91fd967a640e6f980635",
+    # The nested-block methods' mini-joins (held S window, streamed R
+    # copy) on the uniform pair, and DT-GH/CTT-GH on the duplicate-heavy
+    # pair of ``duplicate_pair()``, both at M=10, D=520.  The nested-block
+    # runs draw no fault at this rate, so their two digests agree.
+    # Recorded on the commit before the data-plane join was split into a
+    # build and a probe.
+    ("uniform", "DT-NB", False): "e03c5e5373b9bab134546fc722ec62ab5471959e49c44d693cd3b4cbb2d952b1",
+    ("uniform", "DT-NB", True): "e03c5e5373b9bab134546fc722ec62ab5471959e49c44d693cd3b4cbb2d952b1",
+    ("uniform", "CDT-NB/MB", False): "9bc29855d8fe4369b26da340644d7bbc140e5584e7686443445bc84c1ed9c190",
+    ("uniform", "CDT-NB/MB", True): "9bc29855d8fe4369b26da340644d7bbc140e5584e7686443445bc84c1ed9c190",
+    ("uniform", "CDT-NB/DB", False): "0b467f6a5650e497887973d8554775332798995193368ac919ec05a8f0f76d35",
+    ("uniform", "CDT-NB/DB", True): "0b467f6a5650e497887973d8554775332798995193368ac919ec05a8f0f76d35",
+    ("duplicates", "DT-GH", False): "14ea2c6efd9b19795b1f0e02d4297ed39394046091e9d99771d649ad9aa10da4",
+    ("duplicates", "DT-GH", True): "31b8420ed76f7167913ce1da64d580613560a560de51959bcd18ca5db8db25e5",
+    ("duplicates", "CTT-GH", False): "ddb945344f56cadada9cfa283b02aaa1d9c79bf58cfabfcf196a1b859c8bad20",
+    ("duplicates", "CTT-GH", True): "a5a3da2c0f20334054def2c86aff1391487f8e0c9076e20ef1c874022db049ac",
 }
 
 #: sha256 of the ``api.trace`` JSONL (device busy intervals, queue-depth
@@ -85,6 +101,16 @@ JOIN_TASK_FINGERPRINT = (
 SERVICE_TASK_FINGERPRINT = (
     "9fb0a898377a229829b028baf07158a102f01ff3a0201ba50e9e2a48928314a2"
 )
+
+
+def duplicate_pair():
+    """R and S sized like ``small_r``/``small_s``, every key ~8 times."""
+    from repro.relational.datagen import self_join_relation
+
+    return (
+        self_join_relation("R", 5.0, tuple_bytes=4096, duplicates=8, seed=11),
+        self_join_relation("S", 20.0, tuple_bytes=4096, duplicates=8, seed=12),
+    )
 
 
 def digest(payload: dict) -> str:
@@ -144,6 +170,8 @@ class TestSingleJoinBytes:
 
         if pair == "hot-key":
             (relation_r, relation_s), memory, disk = hot_key_pair(), 8.0, 140.0
+        elif pair == "duplicates":
+            (relation_r, relation_s), memory, disk = duplicate_pair(), 10.0, 520.0
         else:
             relation_r, relation_s, memory, disk = small_r, small_s, 10.0, 520.0
         spec = JoinSpec(
