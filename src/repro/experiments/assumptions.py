@@ -27,10 +27,10 @@ from repro.core.spec import JoinSpec
 from repro.experiments.config import BASE_TAPE, ExperimentScale
 from repro.simulator.engine import Simulator
 from repro.storage.block import BlockSpec
-from repro.storage.bus import Bus
 from repro.storage.disk import DiskParameters
+from repro.storage.hierarchy import StorageConfig, StorageSystem
 from repro.storage.library import TapeLibrary
-from repro.storage.tape import TapeDrive, TapeDriveParameters, TapeVolume
+from repro.storage.tape import TapeDriveParameters, TapeVolume
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,8 +62,7 @@ def media_exchange_share(
         raise ValueError("need at least one volume")
     spec = BlockSpec()
     sim = Simulator()
-    bus = Bus(sim, "scsi")
-    drive = TapeDrive(sim, "drive", bus, spec, tape)
+    drive = StorageSystem(sim, StorageConfig(spec=spec, tape_params_r=tape)).drive_r
     library = TapeLibrary(sim, exchange_s=exchange_s)
     segment_blocks = spec.blocks_from_mb(relation_mb) / n_volumes
 

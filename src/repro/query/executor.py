@@ -5,18 +5,24 @@ Execution semantics, chosen to stay honest about what tapes can do:
 * A *scan pipeline* (filters/aggregate over one relation) reads the tape
   once; filters and aggregates are applied to the stream for free, as the
   paper assumes for high-selectivity consumers of a join.
-* A *filter feeding a join* is materialized first: the input tape is read
-  end to end and the surviving tuples are written to a scratch tape on
-  the other drive (a pipelined tape-to-tape pass).  Tapes have no
-  indices, so the read cost is unavoidable; the pay-off is that the join
-  then runs on the smaller relation — often switching to a cheaper
-  method via the planner.
-* The *join* itself is planned with :func:`repro.core.planner.plan_join`
-  and executed for real by the chosen tertiary join method.
+* The *filters feeding a join input* are materialized first, all in one
+  pass: the input tape is read end to end in chunks, and after each read
+  the chunk's survivors of every predicate are appended to a scratch
+  tape on the other drive.  Reads and writes alternate, so the pass is
+  charged the sum of both.  Tapes have no indices, so the read cost is
+  unavoidable; the pay-off is that the join then runs on the smaller
+  relation — often switching to a cheaper method via the planner.
+* The *join* itself is planned with :func:`repro.core.planner.plan_join`,
+  executed by the chosen tertiary join method through
+  :func:`repro.api.run_join` and verified against the reference join.
 * ``Aggregate(Join, "count")`` is the join's verified output cardinality.
   Other aggregates over a join would require materializing the join
   output, which the paper's model deliberately pipelines away; they are
   rejected with :class:`UnsupportedPlanError`.
+
+Every pass runs on its own :class:`~repro.storage.hierarchy.StorageSystem`:
+the input is read on ``drive_r`` and a filter's scratch volume sits on
+``drive_s``.
 """
 
 from __future__ import annotations
@@ -26,16 +32,20 @@ import typing
 
 import numpy as np
 
-from repro.core.planner import plan_join
-from repro.core.registry import method_by_symbol
+from repro import api
 from repro.core.spec import JoinSpec
 from repro.query.plan import Aggregate, Filter, Join, PlanNode, TapeScan
+from repro.query.predicates import Predicate
+from repro.relational.join_core import JoinResult
 from repro.relational.relation import Relation
 from repro.simulator.engine import Simulator
 from repro.storage.block import DataChunk
-from repro.storage.bus import Bus
 from repro.storage.disk import DiskParameters
-from repro.storage.tape import TapeDrive, TapeDriveParameters, TapeVolume
+from repro.storage.hierarchy import StorageConfig, StorageSystem
+from repro.storage.tape import TapeDriveParameters, TapeVolume
+
+#: Blocks a filter pass reads before it writes that chunk's survivors.
+FILTER_CHUNK_BLOCKS = 16.0
 
 
 class UnsupportedPlanError(ValueError):
@@ -65,91 +75,77 @@ class QueryResult:
     passes: tuple[tuple[str, float], ...]
 
 
-def _scan_pass_s(relation: Relation, machine: Machine) -> float:
-    """Simulated seconds to stream one relation off its tape."""
-    sim = Simulator()
-    drive = TapeDrive(sim, "scan", Bus(sim, "bus"), relation.spec, machine.tape_params)
-    volume = TapeVolume("vol", relation.n_blocks + 1.0)
-    data = volume.create_file("data")
-    data._append(relation.as_chunk())
-    drive.load(volume)
-    sim.run(sim.process(drive.read_file(data)))
-    return sim.now
+def _tape_pass(
+    relation: Relation, machine: Machine, predicates: list[Predicate]
+) -> tuple[float, np.ndarray]:
+    """One pass over ``relation``'s tape: simulated seconds and the keys.
 
-
-def _materialize_pass_s(
-    source: Relation, surviving_keys: np.ndarray, machine: Machine
-) -> float:
-    """Simulated seconds to copy the filtered tuples to a scratch tape.
-
-    The source streams off one drive while the survivors are appended to
-    a scratch tape on the other drive, chunk by chunk — the pass is bound
-    by the slower of the two streams.
+    Without predicates the pass is a scan, one read of the whole file.
+    With predicates it is a filter pass: the file is read in chunks of
+    :data:`FILTER_CHUNK_BLOCKS`, each chunk's survivors are appended to a
+    scratch file, and the keys returned are that file's content.  Each
+    write starts after its chunk's read, so the pass is charged every read
+    plus every write.
     """
     sim = Simulator()
-    spec = source.spec
-    bus = Bus(sim, "bus")
-    reader = TapeDrive(sim, "src", bus, spec, machine.tape_params)
-    writer = TapeDrive(sim, "dst", Bus(sim, "bus2"), spec, machine.tape_params)
-    src_volume = TapeVolume("src", source.n_blocks + 1.0)
-    data = src_volume.create_file("data")
-    data._append(source.as_chunk())
-    reader.load(src_volume)
-    dst_volume = TapeVolume("dst", source.n_blocks + 1.0)
-    out_file = dst_volume.create_file("filtered")
-    writer.load(dst_volume)
+    storage = StorageSystem(
+        sim,
+        StorageConfig(
+            spec=relation.spec,
+            tape_params_r=machine.tape_params,
+            tape_params_s=machine.tape_params,
+        ),
+    )
+    source = TapeVolume("source", relation.n_blocks + 1.0)
+    data = source.create_file("data")
+    data._append(relation.as_chunk())
+    storage.drive_r.load(source)
+    scratch = TapeVolume("scratch", relation.n_blocks + 1.0)
+    filtered = scratch.create_file("filtered")
+    storage.drive_s.load(scratch)
+    step = FILTER_CHUNK_BLOCKS if predicates else data.n_blocks
 
-    survive_ratio = len(surviving_keys) / source.n_tuples
-    chunk_blocks = 16.0
-
-    def pipeline():
+    def run():
         offset = 0.0
-        total = source.n_blocks
-        while offset < total - 1e-9:
-            step = min(chunk_blocks, total - offset)
-            piece = yield from reader.read_range(data, offset, step)
-            offset += step
-            kept = max(0.0, step * survive_ratio)
-            if kept > 1e-9:
-                yield from writer.append(
-                    out_file, DataChunk(piece.keys[: int(len(piece.keys) * survive_ratio)], kept)
-                )
+        while offset < data.n_blocks - 1e-9:
+            n_blocks = min(step, data.n_blocks - offset)
+            piece = yield from storage.drive_r.read_range(data, offset, n_blocks)
+            offset += n_blocks
+            keys = piece.keys
+            for predicate in predicates:
+                keys = predicate.apply(keys)
+            if predicates and len(keys):
+                chunk = DataChunk.from_keys(keys, relation.tuples_per_block)
+                yield from storage.drive_s.append(filtered, chunk)
 
-    sim.run(sim.process(pipeline()))
-    return sim.now
+    sim.run(sim.process(run()))
+    return sim.now, filtered.peek_all().keys if predicates else relation.keys
 
 
 def _resolve_join_input(
     node: PlanNode, machine: Machine, passes: list
 ) -> Relation | None:
-    """Reduce a join input to a relation, charging materialization passes.
+    """Reduce a join input to a relation, charging one pass for its filters.
 
-    Returns ``None`` when a filter eliminated every tuple (the join is
+    Returns ``None`` when the filters eliminated every tuple (the join is
     then empty without running).
     """
-    if isinstance(node, TapeScan):
-        return node.relation
-    if isinstance(node, Filter):
-        inner = _resolve_join_input(node.child, machine, passes)
-        if inner is None:
-            return None
-        keys = node.predicate.apply(inner.keys)
-        seconds = _materialize_pass_s(inner, keys, machine)
-        passes.append((f"filter {inner.name} ({len(keys)}/{inner.n_tuples} kept)", seconds))
-        if len(keys) == 0:
-            return None
-        return Relation(f"{inner.name}'", inner.schema, keys, inner.spec)
-    raise UnsupportedPlanError(
-        f"a join input must be a (possibly filtered) tape scan, got {type(node).__name__}"
+    relation, predicates = _resolve_stream(node)
+    if not predicates:
+        return relation
+    seconds, keys = _tape_pass(relation, machine, predicates)
+    passes.append(
+        (f"filter {relation.name} ({len(keys)}/{relation.n_tuples} kept)", seconds)
     )
+    if len(keys) == 0:
+        return None
+    return Relation(f"{relation.name}'", relation.schema, keys, relation.spec)
 
 
 def _execute_join(node: Join, machine: Machine, passes: list):
     left = _resolve_join_input(node.left, machine, passes)
     right = _resolve_join_input(node.right, machine, passes)
     if left is None or right is None:
-        from repro.relational.join_core import JoinResult
-
         return JoinResult.zero(), None
     if left.n_blocks > right.n_blocks:
         left, right = right, left  # equi-joins are symmetric; R is smaller
@@ -163,10 +159,9 @@ def _execute_join(node: Join, machine: Machine, passes: list):
         tape_params_r=machine.tape_params,
         tape_params_s=machine.tape_params,
     )
-    plan = plan_join(spec)
-    stats = method_by_symbol(plan.chosen).run(spec)
-    passes.append((f"join via {plan.chosen}", stats.response_s))
-    return stats.output, plan.chosen
+    stats = api.run_join(spec, verify=True)
+    passes.append((f"join via {stats.symbol}", stats.response_s))
+    return stats.output, stats.symbol
 
 
 def _stream_aggregate(kind: str, keys: np.ndarray):
@@ -181,7 +176,7 @@ def _stream_aggregate(kind: str, keys: np.ndarray):
     return int(keys.max()) if len(keys) else None
 
 
-def _resolve_stream(node: PlanNode) -> tuple[Relation, list]:
+def _resolve_stream(node: PlanNode) -> tuple[Relation, list[Predicate]]:
     """Collapse a single-relation pipeline to (relation, predicates)."""
     predicates = []
     while isinstance(node, Filter):
@@ -197,7 +192,6 @@ def _resolve_stream(node: PlanNode) -> tuple[Relation, list]:
 def execute(plan: PlanNode, machine: Machine) -> QueryResult:
     """Run a logical plan on ``machine`` and return its verified result."""
     passes: list[tuple[str, float]] = []
-
     if isinstance(plan, Aggregate) and isinstance(plan.child, Join):
         if plan.kind != "count":
             raise UnsupportedPlanError(
@@ -206,26 +200,20 @@ def execute(plan: PlanNode, machine: Machine) -> QueryResult:
                 "is available)"
             )
         output, method = _execute_join(plan.child, machine, passes)
-        total = sum(seconds for _label, seconds in passes)
-        return QueryResult(output.n_pairs, total, method, tuple(passes))
-
-    if isinstance(plan, Join):
-        output, method = _execute_join(plan, machine, passes)
-        total = sum(seconds for _label, seconds in passes)
-        return QueryResult(output, total, method, tuple(passes))
-
-    if isinstance(plan, Aggregate):
+        value = output.n_pairs
+    elif isinstance(plan, Join):
+        value, method = _execute_join(plan, machine, passes)
+    elif isinstance(plan, Aggregate):
         relation, predicates = _resolve_stream(plan.child)
-        seconds = _scan_pass_s(relation, machine)
+        seconds, keys = _tape_pass(relation, machine, [])
         passes.append((f"scan {relation.name}", seconds))
-        keys = relation.keys
         for predicate in predicates:
             keys = predicate.apply(keys)
-        return QueryResult(
-            _stream_aggregate(plan.kind, keys), seconds, None, tuple(passes)
+        value, method = _stream_aggregate(plan.kind, keys), None
+    else:
+        raise UnsupportedPlanError(
+            "a query must be an Aggregate or a Join at the root, got "
+            f"{type(plan).__name__}"
         )
-
-    raise UnsupportedPlanError(
-        "a query must be an Aggregate or a Join at the root, got "
-        f"{type(plan).__name__}"
-    )
+    total = sum(seconds for _label, seconds in passes)
+    return QueryResult(value, total, method, tuple(passes))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 from repro.query.predicates import Predicate
 from repro.relational.relation import Relation
@@ -15,20 +14,12 @@ AGGREGATE_KINDS = ("count", "count_distinct", "sum", "min", "max")
 class PlanNode:
     """Base class for logical plan nodes."""
 
-    def children(self) -> tuple["PlanNode", ...]:
-        """Child nodes, leftmost first."""
-        return ()
-
 
 @dataclasses.dataclass(frozen=True)
 class TapeScan(PlanNode):
     """Leaf: read one tape-resident relation end to end."""
 
     relation: Relation
-
-    def children(self) -> tuple[PlanNode, ...]:
-        """A leaf has no children."""
-        return ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,10 +34,6 @@ class Filter(PlanNode):
     child: PlanNode
     predicate: Predicate
 
-    def children(self) -> tuple[PlanNode, ...]:
-        """The filtered input."""
-        return (self.child,)
-
 
 @dataclasses.dataclass(frozen=True)
 class Join(PlanNode):
@@ -59,10 +46,6 @@ class Join(PlanNode):
 
     left: PlanNode
     right: PlanNode
-
-    def children(self) -> tuple[PlanNode, ...]:
-        """Both join inputs."""
-        return (self.left, self.right)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,14 +66,3 @@ class Aggregate(PlanNode):
             raise ValueError(
                 f"unknown aggregate {self.kind!r}; known: {', '.join(AGGREGATE_KINDS)}"
             )
-
-    def children(self) -> tuple[PlanNode, ...]:
-        """The aggregated input."""
-        return (self.child,)
-
-
-def walk(node: PlanNode) -> typing.Iterator[PlanNode]:
-    """Depth-first iteration over a plan."""
-    yield node
-    for child in node.children():
-        yield from walk(child)

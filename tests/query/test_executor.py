@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro import query
+from repro import api, query
 from repro.query.executor import UnsupportedPlanError
-from repro.query.plan import walk
 from repro.relational.datagen import uniform_relation
 from repro.relational.join_core import hash_join
+from repro.storage.tape import TapeDrive
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +149,45 @@ class TestJoinQueries:
         )
         assert narrow.join_method != full.join_method
 
+    def test_scratch_tape_holds_the_filter_survivors(
+        self, machine, r, s, monkeypatch
+    ):
+        written = []
+        append = TapeDrive.append
+
+        def recording_append(drive, file, chunk):
+            if file.name == "filtered":
+                written.append(chunk.keys)
+            return append(drive, file, chunk)
+
+        monkeypatch.setattr(TapeDrive, "append", recording_append)
+        predicate = query.KeyRange(0, int(r.keys.max() // 3))
+        query.execute(
+            query.Join(query.Filter(query.TapeScan(r), predicate), query.TapeScan(s)),
+            machine,
+        )
+        np.testing.assert_array_equal(np.concatenate(written), predicate.apply(r.keys))
+
+    def test_stacked_filters_under_a_join_share_one_pass(self, machine, r, s):
+        first, second = query.KeyModulo(2, 0), query.KeyRange(0, int(r.keys.max() // 2))
+        plan = query.Join(
+            query.Filter(query.Filter(query.TapeScan(r), first), second),
+            query.TapeScan(s),
+        )
+        result = query.execute(plan, machine)
+        labels = [label for label, _s in result.passes]
+        assert sum(label.startswith("filter ") for label in labels) == 1
+        assert result.value == hash_join(second.apply(first.apply(r.keys)), s.keys)
+
+    def test_join_is_verified_against_the_reference(self, machine, r, s, monkeypatch):
+        import repro.relational.join_core as join_core
+
+        honest = join_core.reference_join(r, s)
+        wrong = join_core.JoinResult(honest.n_pairs + 1, honest.checksum)
+        monkeypatch.setattr(join_core, "reference_join", lambda r, s: wrong)
+        with pytest.raises(api.JoinVerificationError, match="reference join"):
+            query.execute(query.Join(query.TapeScan(r), query.TapeScan(s)), machine)
+
 
 class TestUnsupportedPlans:
     def test_non_count_join_aggregate_rejected(self, machine, r, s):
@@ -168,14 +207,3 @@ class TestUnsupportedPlans:
     def test_unknown_aggregate_kind_rejected(self, r):
         with pytest.raises(ValueError, match="unknown aggregate"):
             query.Aggregate(query.TapeScan(r), "median")
-
-
-class TestPlanStructure:
-    def test_walk_visits_depth_first(self, r, s):
-        plan = query.Aggregate(
-            query.Join(query.Filter(query.TapeScan(r), query.KeyModulo(2, 0)),
-                       query.TapeScan(s)),
-            "count",
-        )
-        kinds = [type(node).__name__ for node in walk(plan)]
-        assert kinds == ["Aggregate", "Join", "Filter", "TapeScan", "TapeScan"]

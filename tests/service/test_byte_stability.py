@@ -9,8 +9,11 @@ refactor changed experiment output — a regression, not a baseline to
 re-record.
 """
 
+import dataclasses
 import hashlib
 import json
+import pathlib
+import runpy
 
 import pytest
 
@@ -24,6 +27,10 @@ BASELINES = {
     "fig5": "a7b453d24888cd79d8aa7ede901065ee4e67c034cded70a077ca8ab04eafbb8e",
     "exp3": "c319662c6ce197621f86f6d90da04d2a95b9d479645e46438261ee10536369f6",
     "exp4": "8f3ed14f838d834670ef808a2052f954ce5a3f10a800dd85e94f51ff6794a9c4",
+    # The three ``run_assumption_checks()`` results, each as a dict under
+    # its class name; recorded on the commit before the checks took their
+    # tape drive from ``StorageSystem``.
+    "assumptions": "69e885f28f9e19db122b7a420461bcafba9afb759b3660c38585800c1c8b7feb",
 }
 
 #: sha256(json.dumps(stats_to_dict(stats), sort_keys=True)) of single
@@ -86,6 +93,23 @@ DEVICE_TRACE_BASELINES = {
 TAPE_OPTION_BASELINES = {
     "CTT-GH": "f27c7823e6f2b34a4a17e6c20ca46c1f2e773afd4085e68d2b427b376559eac7",
     "TT-GH": "6cf8751ca4c811decc1912f0d28b44b5ba9c8cc17ceae53a40b2a132f7610658",
+}
+
+#: ``examples/tape_query.py``'s Q1-Q4 as (value, join method, passes),
+#: recorded on the commit before the query executor ran its passes on
+#: one ``StorageSystem`` and its joins through ``api.run_join``.
+QUERY_RECORD = {
+    "Q1": (76800, None, (("scan sales", 75.0),)),
+    "Q2": (32299, None, (("scan sales", 75.0),)),
+    "Q3": (19122, "CDT-GH", (("join via CDT-GH", 157.5262732373993),)),
+    "Q4": (
+        1874,
+        "CDT-NB/MB",
+        (
+            ("filter customers (909/9216 kept)", 9.8876953125),
+            ("join via CDT-NB/MB", 76.33271711774593),
+        ),
+    ),
 }
 
 #: The recorded fingerprint of a canonical join task — cache entries
@@ -224,6 +248,42 @@ def test_device_trace_bytes(symbol, faulty, small_r, small_s, tmp_path):
 @pytest.mark.parametrize("symbol", sorted(TAPE_OPTION_BASELINES))
 def test_tape_option_stats_bytes(symbol, small_r, small_s):
     assert tape_option_digest(symbol, small_r, small_s) == TAPE_OPTION_BASELINES[symbol]
+
+
+def test_assumption_checks_bytes():
+    from repro.experiments.assumptions import run_assumption_checks
+
+    checks = run_assumption_checks()
+    payload = {type(check).__name__: dataclasses.asdict(check) for check in checks}
+    assert digest(payload) == BASELINES["assumptions"]
+
+
+@pytest.fixture(scope="module")
+def example_queries():
+    """``examples/tape_query.py``'s machine and its queries by Q number."""
+    path = pathlib.Path(__file__).resolve().parents[2] / "examples" / "tape_query.py"
+    example = runpy.run_path(str(path), run_name="tape_query")
+    plans = {title.split(":")[0]: plan for title, plan in example["queries"]()}
+    return example["MACHINE"], plans
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_RECORD))
+def test_query_record(name, example_queries):
+    """Values, methods, labels and join and scan times are exact; a
+    filter pass sums its survivors chunk by chunk, so its seconds may
+    move in the last float digit."""
+    from repro import query
+
+    machine, plans = example_queries
+    result = query.execute(plans[name], machine)
+    value, method, passes = QUERY_RECORD[name]
+    assert (result.value, result.join_method) == (value, method)
+    assert [label for label, _ in result.passes] == [label for label, _ in passes]
+    for (label, seconds), (_, expected) in zip(result.passes, passes):
+        if label.startswith("filter"):
+            assert seconds == pytest.approx(expected, rel=1e-9)
+        else:
+            assert seconds == expected
 
 
 class TestCacheAddressing:
