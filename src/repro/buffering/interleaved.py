@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import typing
 
+from repro.obs.recorder import JoinObserver
 from repro.simulator.engine import Simulator
 from repro.simulator.events import Event
 from repro.simulator.resources import Container
-from repro.simulator.trace import TraceCollector
 from repro.storage.block import DataChunk
 from repro.storage.disk_array import DiskArray, StripedExtent
 
@@ -32,7 +32,7 @@ class InterleavedDiskBuffer:
         array: DiskArray,
         name: str,
         capacity_blocks: float,
-        trace: TraceCollector | None = None,
+        observer: JoinObserver | None = None,
     ):
         if capacity_blocks <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_blocks}")
@@ -45,7 +45,7 @@ class InterleavedDiskBuffer:
         self._pending: dict[int, dict[object, list]] = {}
         self._done: dict[int, Event] = {}
         self._occupancy: dict[int, float] = {}
-        self.trace = trace
+        self.observer = observer
         self._record()  # initial empty-buffer sample anchors the series
 
     # -- occupancy ledger -------------------------------------------------------
@@ -55,19 +55,15 @@ class InterleavedDiskBuffer:
         """Blocks currently held across both logical buffers."""
         return self.capacity_blocks - self._free.level
 
-    def iteration_level(self, iteration: int) -> float:
-        """Blocks currently held by one iteration's logical buffer."""
-        return self._occupancy.get(iteration, 0.0)
-
     def _record(self) -> None:
-        if self.trace is None:
+        if self.observer is None:
             return
         now = self.sim.now
         even = sum(v for it, v in self._occupancy.items() if it % 2 == 0)
         odd = sum(v for it, v in self._occupancy.items() if it % 2 == 1)
-        self.trace.timeseries(f"{self.name}.even").record(now, even)
-        self.trace.timeseries(f"{self.name}.odd").record(now, odd)
-        self.trace.timeseries(f"{self.name}.total").record(now, even + odd)
+        self.observer.timeseries(f"{self.name}.even").record(now, even)
+        self.observer.timeseries(f"{self.name}.odd").record(now, odd)
+        self.observer.timeseries(f"{self.name}.total").record(now, even + odd)
 
     # -- producer side ------------------------------------------------------------
 
@@ -128,18 +124,9 @@ class InterleavedDiskBuffer:
         """Event triggering once ``iteration`` is fully written."""
         return self._done_event(iteration)
 
-    def tags(self, iteration: int) -> list:
-        """Tags with pending chunks for ``iteration`` (insertion order)."""
-        return list(self._pending.get(iteration, {}).keys())
-
     def has_pending(self, iteration: int, tag: object) -> bool:
         """True while ``tag`` still has unread chunks in ``iteration``."""
         return bool(self._pending.get(iteration, {}).get(tag))
-
-    def pending_blocks(self, iteration: int, tag: object) -> float:
-        """Blocks currently buffered under ``tag`` in ``iteration``."""
-        group = self._pending.get(iteration, {}).get(tag, [])
-        return sum(placed.data.n_blocks for placed in group)
 
     def peek_coalesced(
         self, iteration: int, tag: object, start_chunk: int, max_blocks: float
@@ -183,8 +170,8 @@ class InterleavedDiskBuffer:
     def pop_chunk(self, iteration: int, tag: object) -> typing.Generator:
         """Read and release the next chunk of ``tag`` (None when exhausted).
 
-        Streaming counterpart of :meth:`take` for consumers that must not
-        materialize a whole bucket in memory.
+        Streaming path for consumers that must not materialize a whole
+        bucket in memory.
         """
         group = self._pending.get(iteration, {}).get(tag)
         if not group:
@@ -239,20 +226,6 @@ class InterleavedDiskBuffer:
         yield self._free.put(data.n_blocks)
         self._record()
         return data
-
-    def take(self, iteration: int, tag: object) -> typing.Generator:
-        """Read and release every chunk of ``tag`` in ``iteration``."""
-        group = self._pending.get(iteration, {}).pop(tag, None)
-        if group is None:
-            raise KeyError(f"no chunks tagged {tag!r} in iteration {iteration}")
-        pieces = []
-        for placed in group:
-            data = yield from self.array.read_chunk(self.extent, placed)
-            pieces.append(data)
-            self._occupancy[iteration] -= data.n_blocks
-            yield self._free.put(data.n_blocks)
-            self._record()
-        return DataChunk.concat(pieces)
 
     def finish_iteration(self, iteration: int) -> None:
         """Drop bookkeeping for a fully consumed iteration."""

@@ -355,7 +355,7 @@ def concurrent_step2(
     spec, sim = env.spec, env.sim
     tuples_per_block = spec.relation_s.tuples_per_block
     capacity = d + 2.0 / tuples_per_block + 1e-6  # two tuples of packing slack
-    sbuf = InterleavedDiskBuffer(sim, env.array, "s_buffer", capacity, env.trace)
+    sbuf = InterleavedDiskBuffer(sim, env.array, "s_buffer", capacity, env.observer)
     n_iters = ceil_div(spec.size_s_blocks, d)
 
     def hasher():
@@ -446,10 +446,6 @@ class GraceHashLayout:
         self.probe_blocks = GH_PROBE_FRACTION * memory
         #: chunk size for overlapped tape scans (two chunks in flight).
         self.scan_chunk_blocks = self.read_staging_blocks / 2
-
-    def bucket_of_r_blocks(self, spec: JoinSpec) -> float:
-        """Expected size of one R hash bucket in blocks."""
-        return spec.size_r_blocks / self.n_buckets
 
 
 class BucketStager:

@@ -25,13 +25,7 @@ class JoinEnvironment:
     def __init__(self, spec: JoinSpec):
         self.spec = spec
         self.sim = Simulator()
-        # One observer serves both trace flags: ``trace_buffers`` feeds
-        # the buffer-occupancy series (Figure 4), ``trace_devices`` adds
-        # per-device busy intervals, queue depths and phase spans.
-        self.observer = (
-            JoinObserver() if (spec.trace_buffers or spec.trace_devices) else None
-        )
-        self.trace = self.observer.trace if self.observer is not None else None
+        self.observer = JoinObserver() if spec.trace_devices else None
         # Iteration boundaries are tuple-aligned, but rounding at chunk
         # boundaries can shift a tuple between adjacent iterations; a
         # two-tuple slack on D absorbs that without materially relaxing
@@ -61,7 +55,7 @@ class JoinEnvironment:
         if spec.fault_plan is not None:
             self.faults = FaultInjector(self.sim, spec.fault_plan, spec.retry_policy)
             self.storage.install_faults(self.faults)
-        if self.observer is not None and spec.trace_devices:
+        if self.observer is not None:
             self.storage.install_observer(self.observer)
             self.memory.on_change = self._record_memory
             if self.faults is not None:
@@ -114,8 +108,8 @@ class JoinEnvironment:
     # -- bookkeeping ----------------------------------------------------------------
 
     def _record_memory(self, used_blocks: float) -> None:
-        """Sample the memory ledger into the observer's buffer series."""
-        self.observer.trace.timeseries("memory.used_blocks").record(
+        """Sample the memory ledger into the observer's memory series."""
+        self.observer.timeseries("memory.used_blocks").record(
             self.sim.now, used_blocks
         )
 
@@ -212,7 +206,7 @@ class JoinEnvironment:
                 spec.partition_cache.unpin(key)
             self._cache_pins.clear()
         obs_summary = None
-        if self.observer is not None and spec.trace_devices:
+        if self.observer is not None:
             from repro.obs.metrics import summarize
 
             self.observer.span("Step I", 0.0, self.step1_end_s, "step")
@@ -251,7 +245,6 @@ class JoinEnvironment:
             cache_misses=self.cache_misses,
             cache_saved_blocks=self.cache_saved_blocks,
             cache_saved_s=self.cache_saved_s,
-            traces=self.trace,
             obs_summary=obs_summary,
             observer=self.observer,
         )

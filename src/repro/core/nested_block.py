@@ -223,7 +223,7 @@ class ConcurrentNestedBlockDisk(_NestedBlockBase):
         sim = env.sim
         slack = 2.0 / spec.relation_s.tuples_per_block
         sbuf = InterleavedDiskBuffer(
-            sim, env.array, "s_buffer", chunk + slack + 1e-6, env.trace
+            sim, env.array, "s_buffer", chunk + slack + 1e-6, env.observer
         )
         n_iters = ceil_div(spec.size_s_blocks, chunk)
         stage = min(self.SPEED_MATCH_BLOCKS, chunk)

@@ -16,7 +16,6 @@ import typing
 
 from repro.relational.join_core import JoinResult
 from repro.relational.relation import Relation
-from repro.simulator.trace import TraceCollector
 from repro.storage.block import BlockSpec
 from repro.storage.disk import DiskParameters
 from repro.storage.tape import TapeDriveParameters
@@ -56,9 +55,9 @@ class JoinSpec:
     n_buses: int = 2
     bus_bandwidth_mb_s: float = 10.0
     stripe_threshold_blocks: float = 8.0
-    trace_buffers: bool = False
-    #: Record per-device busy intervals, queue depths and phase spans
-    #: into a :class:`~repro.obs.recorder.JoinObserver` (``repro.obs``).
+    #: Record per-device busy intervals, queue depths, buffer and memory
+    #: occupancy (the Figure 4 series) and phase spans into a
+    #: :class:`~repro.obs.recorder.JoinObserver` (``repro.obs``).
     #: Purely observational: a traced run's event schedule — and every
     #: reported statistic — is identical to an untraced one.
     trace_devices: bool = False
@@ -225,30 +224,19 @@ class JoinStats:
     cache_saved_blocks: float = 0.0
     #: Simulated seconds of Step I avoided by cache hits.
     cache_saved_s: float = 0.0
-    traces: TraceCollector | None = None
     #: Compact derived metrics from the observability layer (device
     #: utilization, overlap fractions, queue depths) — present only when
     #: the run was traced; never the raw trace itself.
     obs_summary: dict | None = None
     #: The full :class:`~repro.obs.recorder.JoinObserver` (raw busy
-    #: intervals and spans) for in-process export; like ``traces`` it is
-    #: never serialized.
+    #: intervals, time series, counters and spans) for in-process export;
+    #: it is never serialized.
     observer: "JoinObserver | None" = None
 
     @property
     def disk_traffic_blocks(self) -> float:
         """Total disk blocks moved (the y-axis of Figure 7)."""
         return self.disk_read_blocks + self.disk_write_blocks
-
-    @property
-    def tape_traffic_blocks(self) -> float:
-        """Total tape blocks moved on both drives."""
-        return (
-            self.tape_r_read_blocks
-            + self.tape_r_write_blocks
-            + self.tape_s_read_blocks
-            + self.tape_s_write_blocks
-        )
 
     @property
     def relative_cost(self) -> float:
@@ -266,58 +254,6 @@ class JoinStats:
     def disk_traffic_mb(self, spec: BlockSpec) -> float:
         """Disk traffic in MB, as Figure 7 plots it."""
         return spec.mb_from_blocks(self.disk_traffic_blocks)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot (traces omitted).
-
-        The ``observability`` key appears only on traced runs, so
-        untraced artifacts stay byte-identical to builds without the
-        observability layer.
-        """
-        payload = {
-            "method": self.method,
-            "symbol": self.symbol,
-            "response_s": self.response_s,
-            "step1_s": self.step1_s,
-            "step2_s": self.step2_s,
-            "iterations": self.iterations,
-            "r_scans": self.r_scans,
-            "overflow_buckets": self.overflow_buckets,
-            "disk_read_blocks": self.disk_read_blocks,
-            "disk_write_blocks": self.disk_write_blocks,
-            "tape_r_read_blocks": self.tape_r_read_blocks,
-            "tape_r_write_blocks": self.tape_r_write_blocks,
-            "tape_s_read_blocks": self.tape_s_read_blocks,
-            "tape_s_write_blocks": self.tape_s_write_blocks,
-            "tape_repositions": self.tape_repositions,
-            "output_pairs": self.output.n_pairs,
-            "output_checksum": self.output.checksum,
-            "peak_memory_blocks": self.peak_memory_blocks,
-            "peak_disk_blocks": self.peak_disk_blocks,
-            "scratch_used_r_blocks": self.scratch_used_r_blocks,
-            "scratch_used_s_blocks": self.scratch_used_s_blocks,
-            "relative_cost": self.relative_cost,
-            "join_overhead": self.join_overhead,
-            "fault_events": self.fault_events,
-            "fault_retries": self.fault_retries,
-            "fault_recovery_s": self.fault_recovery_s,
-            "fault_delay_s": self.fault_delay_s,
-            "bucket_restarts": self.bucket_restarts,
-            "restart_lost_s": self.restart_lost_s,
-        }
-        if self.obs_summary is not None:
-            payload["observability"] = self.obs_summary
-        # Present only when a partition cache was attached and consulted,
-        # so cache-less artifacts stay byte-identical to builds without
-        # the HSM layer.
-        if self.cache_hits or self.cache_misses:
-            payload["partition_cache"] = {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "saved_blocks": self.cache_saved_blocks,
-                "saved_s": self.cache_saved_s,
-            }
-        return payload
 
 
 def ceil_div(amount: float, chunk: float) -> int:

@@ -291,7 +291,6 @@ def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
             memory_blocks=frame["memory"],
             disk_blocks=frame["disk"],
             tape=tape,
-            trace_buffers=True,
             trace_devices=True,
         )
         try:
@@ -312,9 +311,9 @@ def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
         trace(stats, out_dir, meta=meta)
         method_summary = dict(stats.obs_summary or {})
         method_summary["frame"] = frame["name"]
-        if "s_buffer.total" in stats.traces.series:
+        if "s_buffer.total" in stats.observer.series:
             figure4 = buffer_utilization(
-                stats.traces, "s_buffer", frame["disk"],
+                stats.observer, "s_buffer", frame["disk"],
                 (stats.step1_s, stats.response_s),
             )
             method_summary["buffer_mean_total_pct"] = figure4["mean_total_pct"]

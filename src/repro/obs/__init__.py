@@ -4,12 +4,14 @@ The paper's concurrency claims are utilization claims: Figure 4 shows
 interleaved disk buffering holding occupancy near 100 %, and the CDT/CTT
 methods win because tape drives and the disk array stay busy at the same
 time.  This package records the evidence — per-device busy intervals,
-queue depths and per-phase spans — for every join method, then derives
-utilization/overlap metrics from them.
+queue-depth and buffer-occupancy series, counters and per-phase spans —
+for every join method, then derives utilization/overlap metrics from
+them.
 
-* :class:`~repro.obs.recorder.JoinObserver` — the recording surface the
-  devices and phases report into (purely observational: no simulated
-  events are created, so traced and untraced runs are time-identical);
+* :class:`~repro.obs.recorder.JoinObserver` — the one recorder that
+  devices, buffers and phases report into, switched on by
+  ``JoinSpec.trace_devices`` (purely observational: no simulated events
+  are created, so traced and untraced runs are time-identical);
 * :mod:`repro.obs.metrics` — derived metrics: ``device_utilization``,
   tape-drive ``overlap_fraction``, ``disk_balance``, and the Figure-4
   buffer-utilization curve computed from the generic layer;

@@ -66,7 +66,7 @@ def write_jsonl(observer: "JoinObserver", path: str, meta: dict | None = None) -
                 )
                 + "\n"
             )
-        for name, series in sorted(observer.trace.series.items()):
+        for name, series in sorted(observer.series.items()):
             for time_s, value in zip(series.times, series.values):
                 handle.write(
                     json.dumps(
@@ -80,7 +80,7 @@ def write_jsonl(observer: "JoinObserver", path: str, meta: dict | None = None) -
                     )
                     + "\n"
                 )
-        for name, value in sorted(observer.trace.counters.items()):
+        for name, value in sorted(observer.counters.items()):
             handle.write(
                 json.dumps(
                     {"type": "counter", "name": name, "value": value},
@@ -143,7 +143,7 @@ def chrome_trace_events(observer: "JoinObserver", meta: dict | None = None) -> l
                 "dur": (interval.end_s - interval.start_s) * _US,
             }
         )
-    for name, series in sorted(observer.trace.series.items()):
+    for name, series in sorted(observer.series.items()):
         for time_s, value in zip(series.times, series.values):
             events.append(
                 {

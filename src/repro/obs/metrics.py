@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.simulator.trace import TraceCollector
-
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.recorder import JoinObserver
 
@@ -78,9 +76,21 @@ def _intersection_s(
     return total
 
 
-def _device_intervals(observer: "JoinObserver", devices: typing.Iterable[str]):
-    for device in devices:
-        yield from observer.device_tracker(device).intervals
+def _busy_by_device(observer: "JoinObserver") -> dict[str, list[tuple[float, float]]]:
+    """Each device's (start, end) busy intervals from the observer's log,
+    devices in sorted order."""
+    busy: dict[str, list[tuple[float, float]]] = {}
+    for interval in observer.intervals:
+        busy.setdefault(interval.device, []).append((interval.start_s, interval.end_s))
+    return dict(sorted(busy.items()))
+
+
+def device_busy_s(observer: "JoinObserver", window: Window) -> dict[str, float]:
+    """Merged busy seconds of each observed device over ``window``."""
+    return {
+        device: _total(_merged(intervals, window))
+        for device, intervals in _busy_by_device(observer).items()
+    }
 
 
 def device_utilization(observer: "JoinObserver", window: Window) -> dict[str, float]:
@@ -89,17 +99,8 @@ def device_utilization(observer: "JoinObserver", window: Window) -> dict[str, fl
     if hi <= lo:
         raise ValueError(f"empty utilization window [{lo}, {hi}]")
     return {
-        device: _total(_merged(observer.device_tracker(device).intervals, window))
-        / (hi - lo)
-        for device in observer.devices()
-    }
-
-
-def device_busy_s(observer: "JoinObserver", window: Window) -> dict[str, float]:
-    """Merged busy seconds of each observed device over ``window``."""
-    return {
-        device: _total(_merged(observer.device_tracker(device).intervals, window))
-        for device in observer.devices()
+        device: busy_s / (hi - lo)
+        for device, busy_s in device_busy_s(observer, window).items()
     }
 
 
@@ -114,8 +115,9 @@ def overlap_fraction(
     Each group's busy time is the union over its devices.  Returns 0.0
     when either group is idle in the window (no concurrency to measure).
     """
-    a = _merged(_device_intervals(observer, devices_a), window)
-    b = _merged(_device_intervals(observer, devices_b), window)
+    busy = _busy_by_device(observer)
+    a = _merged((span for d in devices_a for span in busy.get(d, ())), window)
+    b = _merged((span for d in devices_b for span in busy.get(d, ())), window)
     denominator = min(_total(a), _total(b))
     if denominator <= 0.0:
         return 0.0
@@ -129,8 +131,8 @@ def disk_balance(observer: "JoinObserver", window: Window) -> float:
     entirely idle while another worked.
     """
     busy = [
-        _total(_merged(observer.device_tracker(device).intervals, window))
-        for device in observer.devices()
+        busy_s
+        for device, busy_s in device_busy_s(observer, window).items()
         if device.startswith("disk")
     ]
     if not busy:
@@ -142,7 +144,7 @@ def disk_balance(observer: "JoinObserver", window: Window) -> float:
 
 
 def buffer_utilization(
-    trace: TraceCollector, name: str, capacity_blocks: float, window: Window
+    observer: "JoinObserver", name: str, capacity_blocks: float, window: Window
 ) -> dict:
     """The Figure-4 curve from a traced interleaved buffer.
 
@@ -150,9 +152,9 @@ def buffer_utilization(
     percentage of ``capacity_blocks`` over ``window``, and its
     time-averaged mean — the exact series the paper plots.
     """
-    total = trace.timeseries(f"{name}.total")
-    even = trace.timeseries(f"{name}.even")
-    odd = trace.timeseries(f"{name}.odd")
+    total = observer.series[f"{name}.total"]
+    even = observer.series[f"{name}.even"]
+    odd = observer.series[f"{name}.odd"]
     times, total_pct, even_pct, odd_pct = [], [], [], []
     for t, value in zip(total.times, total.values):
         if not window[0] <= t <= window[1]:
@@ -175,7 +177,7 @@ def buffer_utilization(
 def summarize(observer: "JoinObserver", response_s: float, step1_s: float) -> dict:
     """Compact, JSON-serializable metrics summary for one join.
 
-    This is what rides on :meth:`JoinStats.to_dict` — derived numbers
+    This is what rides on ``JoinStats.obs_summary`` — derived numbers
     only, never the raw trace, so artifacts stay small and sweep results
     stay cacheable.
     """
@@ -197,7 +199,7 @@ def summarize(observer: "JoinObserver", response_s: float, step1_s: float) -> di
         if len(tapes) >= 2
         else 0.0,
         "tape_disk_overlap_fraction": overlap_fraction(observer, tapes, disks, run),
-        "counters": dict(sorted(observer.trace.counters.items())),
+        "counters": dict(sorted(observer.counters.items())),
         "spans": {
             "n_units": len(observer.spans_in("unit")),
             "n_unit_retries": len(observer.spans_in("unit-retry")),
@@ -214,7 +216,7 @@ def summarize(observer: "JoinObserver", response_s: float, step1_s: float) -> di
             observer, tapes, disks, step2
         )
     queue_max = {}
-    for name, series in sorted(observer.trace.series.items()):
+    for name, series in sorted(observer.series.items()):
         if name.startswith("queue.") and len(series):
             queue_max[name.removeprefix("queue.")] = series.max()
     summary["queue_depth_max"] = queue_max

@@ -7,13 +7,15 @@ Used by the CI trace-smoke job (and usable by hand)::
 Walks ``TRACE_DIR``, validates every ``*.jsonl`` file against the JSONL
 record schema of :mod:`repro.obs.export` and every ``*.trace.json`` file
 against the Chrome trace-event format, and exits non-zero on the first
-malformed file.  Validation is structural (required keys, types, ordered
-non-negative timestamps) — no third-party schema library is needed.
+malformed file.  Validation is structural (required keys, types, finite
+non-negative timestamps, intervals that end after they start) — no
+third-party schema library is needed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import typing
@@ -35,11 +37,26 @@ def _fail(path: str, message: str) -> typing.NoReturn:
     raise TraceValidationError(f"{path}: {message}")
 
 
+def _is_time(value: object) -> bool:
+    """A finite, non-negative number (JSON ``NaN``/``Infinity`` are not)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value >= 0
+    )
+
+
+def _check_times(path: str, where: str, record: dict, keys: tuple[str, ...]) -> None:
+    for key in keys:
+        if not _is_time(record.get(key)):
+            _fail(path, f"{where}: {key} must be a finite number >= 0")
+
+
 def _check_interval(path: str, line_no: int, record: dict) -> None:
+    _check_times(path, f"line {line_no}", record, ("start_s", "end_s"))
     if record["end_s"] < record["start_s"]:
         _fail(path, f"line {line_no}: interval ends before it starts")
-    if record["start_s"] < 0:
-        _fail(path, f"line {line_no}: negative timestamp")
 
 
 def validate_jsonl(path: str) -> int:
@@ -68,8 +85,8 @@ def validate_jsonl(path: str) -> int:
                 _fail(path, f"line {line_no}: {kind} record missing {missing}")
             if kind in ("interval", "span"):
                 _check_interval(path, line_no, record)
-            if kind == "sample" and record["time_s"] < 0:
-                _fail(path, f"line {line_no}: negative timestamp")
+            if kind == "sample":
+                _check_times(path, f"line {line_no}", record, ("time_s",))
             n_records += 1
     if n_records == 0:
         _fail(path, "empty trace file")
@@ -96,11 +113,13 @@ def validate_chrome_trace(path: str) -> int:
             _fail(path, f"event {index}: unsupported phase {phase!r}")
         if "pid" not in event or "name" not in event:
             _fail(path, f"event {index}: missing pid/name")
-        if phase == "X":
-            if event.get("ts", -1) < 0 or event.get("dur", -1) < 0:
-                _fail(path, f"event {index}: X event needs ts/dur >= 0")
-        if phase == "C" and "args" not in event:
-            _fail(path, f"event {index}: C event needs args")
+        if phase == "X" and not (_is_time(event.get("ts")) and _is_time(event.get("dur"))):
+            _fail(path, f"event {index}: X event needs finite ts/dur >= 0")
+        if phase == "C":
+            if not _is_time(event.get("ts")):
+                _fail(path, f"event {index}: C event needs a finite ts >= 0")
+            if "args" not in event:
+                _fail(path, f"event {index}: C event needs args")
     return len(events)
 
 

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.relational.schema import Schema
-from repro.storage.block import BlockSpec, DataChunk, tuple_index
+from repro.storage.block import BlockSpec, DataChunk
 
 
 class Relation:
@@ -39,11 +37,6 @@ class Relation:
         return self.n_tuples / self.tuples_per_block
 
     @property
-    def n_blocks_ceil(self) -> int:
-        """Size rounded up to whole blocks."""
-        return math.ceil(self.n_blocks)
-
-    @property
     def size_mb(self) -> float:
         """Size in megabytes."""
         return self.spec.mb_from_blocks(self.n_blocks)
@@ -51,17 +44,6 @@ class Relation:
     def as_chunk(self) -> DataChunk:
         """The whole relation as one densely packed chunk."""
         return DataChunk.from_keys(self.keys, self.tuples_per_block)
-
-    def block_range(self, offset_blocks: float, n_blocks: float) -> DataChunk:
-        """Tuples in block range [offset, offset + n_blocks)."""
-        first = tuple_index(offset_blocks * self.tuples_per_block)
-        last = tuple_index((offset_blocks + n_blocks) * self.tuples_per_block)
-        if last > self.n_tuples:
-            raise ValueError(
-                f"block range [{offset_blocks}, {offset_blocks + n_blocks}) "
-                f"beyond relation of {self.n_blocks:.2f} blocks"
-            )
-        return DataChunk(self.keys[first:last], n_blocks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -10,31 +10,27 @@ The kernel is deliberately small but complete enough for the paper's needs:
 
 * :class:`Event`, :class:`Timeout` — basic scheduling primitives.
 * :class:`Process` — generator-based coroutine with failure propagation.
-* :class:`AllOf` / :class:`AnyOf` — barriers for parallel I/O overlap.
+* :class:`AllOf` — a barrier for parallel I/O overlap.
 * :class:`Resource`, :class:`Container`, :class:`Store` — contention
   primitives used to model devices, buses and buffer space.
-* :class:`trace.TraceCollector` — time-series sampling used to regenerate
-  the paper's Figure 4 (disk buffer utilization).
+
+Recording what a run did (busy intervals, buffer occupancy over time) is
+not part of the kernel; it lives in :mod:`repro.obs`.
 """
 
-from repro.simulator.events import AllOf, AnyOf, Event, Timeout
+from repro.simulator.events import AllOf, Event, Timeout
 from repro.simulator.process import Process, ProcessCrash
 from repro.simulator.engine import Simulator
 from repro.simulator.resources import Container, Resource, Store
-from repro.simulator.trace import IntervalTracker, TimeSeries, TraceCollector
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Container",
     "Event",
-    "IntervalTracker",
     "Process",
     "ProcessCrash",
     "Resource",
     "Simulator",
     "Store",
-    "TimeSeries",
     "Timeout",
-    "TraceCollector",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import typing
 from heapq import heappop, heappush
 
-from repro.simulator.events import PROCESSED, AllOf, AnyOf, Event, Timeout
+from repro.simulator.events import PROCESSED, AllOf, Event, Timeout
 from repro.simulator.process import Process, ProcessCrash
 
 #: Scheduling priorities — urgent events (resource bookkeeping) run before
@@ -61,10 +61,6 @@ class Simulator:
     def all_of(self, events: typing.Sequence[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have triggered."""
         return AllOf(self, events)
-
-    def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
-        """Event that triggers when any of ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
 

@@ -84,9 +84,6 @@ class Event:
         self.sim._schedule(self)
         return self
 
-    def _mark_processed(self) -> None:
-        self._state = PROCESSED
-
     def _succeed_now(self, value=None) -> None:
         """Trigger and process synchronously, skipping the event queue.
 
@@ -170,10 +167,3 @@ class AllOf(Condition):
 
     def _satisfied(self) -> bool:
         return self._done == len(self.events)
-
-
-class AnyOf(Condition):
-    """Triggers when the first child event triggers successfully."""
-
-    def _satisfied(self) -> bool:
-        return self._done >= 1

@@ -39,11 +39,6 @@ class Process(Event):
         bootstrap.callbacks.append(self._resume)
         bootstrap.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self.triggered
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         while True:

@@ -35,10 +35,6 @@ class BlockSpec:
         if self.block_bytes <= 0:
             raise ValueError(f"block_bytes must be positive, got {self.block_bytes}")
 
-    def blocks_from_bytes(self, n_bytes: float) -> float:
-        """Blocks (possibly fractional) covering ``n_bytes``."""
-        return n_bytes / self.block_bytes
-
     def bytes_from_blocks(self, n_blocks: float) -> float:
         """Byte count of ``n_blocks`` blocks."""
         return n_blocks * self.block_bytes

@@ -90,11 +90,6 @@ class Bus:
         self.observer = None
         self._busy_since: float | None = None
 
-    @property
-    def active_transfers(self) -> int:
-        """Number of in-flight transfers."""
-        return len(self._flows)
-
     def _observe(self) -> None:
         """Sample the flow count; open/close the bus-active busy span.
 

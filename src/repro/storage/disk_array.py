@@ -193,11 +193,6 @@ class DiskArray:
         """Total blocks written to the array."""
         return sum(d.write_blocks for d in self.disks)
 
-    @property
-    def aggregate_rate_bytes_s(self) -> float:
-        """Sum of member transfer rates (the model's ``X_D``)."""
-        return sum(d.params.rate_bytes_s for d in self.disks)
-
     # -- allocation --------------------------------------------------------------
 
     def allocate(self, name: str, disks: list[Disk] | None = None) -> StripedExtent:

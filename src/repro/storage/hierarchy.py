@@ -55,11 +55,6 @@ class StorageConfig:
                 f"{self.stripe_threshold_blocks} blocks"
             )
 
-    @property
-    def aggregate_disk_rate_mb_s(self) -> float:
-        """The model's X_D in MB/s."""
-        return self.n_disks * self.disk_params.transfer_rate_mb_s
-
 
 class StorageSystem:
     """Buses, disks, the array and two tape drives, wired up."""
@@ -107,16 +102,3 @@ class StorageSystem:
         bus, disk and tape drive of this system."""
         for part in (*self.devices, *self.buses):
             part.observer = observer
-
-    def total_disk_traffic_blocks(self) -> float:
-        """Blocks read plus written across all disks."""
-        return self.array.read_blocks + self.array.write_blocks
-
-    def total_tape_traffic_blocks(self) -> float:
-        """Blocks read plus written across both tape drives."""
-        return (
-            self.drive_r.read_blocks
-            + self.drive_r.write_blocks
-            + self.drive_s.read_blocks
-            + self.drive_s.write_blocks
-        )

@@ -3,9 +3,9 @@
 Floats survive JSON round-trips exactly (``json`` emits ``repr`` which
 round-trips bit-for-bit), so a :class:`JoinStats` reconstructed from a
 cache entry renders byte-identical artifacts to a freshly simulated one.
-Buffer traces are the one exception: they are not serialized, so cached
-stats carry ``traces=None`` (trace-producing runs use their own task
-kind that caches the derived series instead).
+The observer is the one exception: it is not serialized, so cached stats
+carry ``observer=None`` (the figure4 task caches the derived buffer
+series instead).
 """
 
 from __future__ import annotations
@@ -60,10 +60,11 @@ def scale_from_dict(payload: dict) -> ExperimentScale:
 
 
 def stats_to_dict(stats: JoinStats) -> dict:
-    """Serialize every :class:`JoinStats` field except the traces."""
+    """Serialize a :class:`JoinStats`, leaving out the observer, its
+    summary and the partition-cache counters."""
     payload = {}
     for field in dataclasses.fields(JoinStats):
-        # obs_summary is derived observability data; like the raw traces
+        # obs_summary is derived observability data; like the observer
         # it stays out of cache entries so fault-free sweep results keep
         # their original byte-identical form.  The partition-cache
         # counters stay out for the same reason: sweep tasks never carry
@@ -71,7 +72,6 @@ def stats_to_dict(stats: JoinStats) -> dict:
         # task order), so the fields are always zero and serializing
         # them would churn every existing cache entry.
         if field.name in (
-            "traces",
             "obs_summary",
             "observer",
             "cache_hits",
@@ -91,11 +91,10 @@ def stats_to_dict(stats: JoinStats) -> dict:
 
 
 def stats_from_dict(payload: dict) -> JoinStats:
-    """Rebuild a :class:`JoinStats` (traces omitted) from its dict form."""
+    """Rebuild a :class:`JoinStats` (no observer) from its dict form."""
     fields = dict(payload)
     output = fields.pop("output")
     return JoinStats(
         output=JoinResult(int(output["n_pairs"]), int(output["checksum"])),
-        traces=None,
         **fields,
     )

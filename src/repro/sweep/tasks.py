@@ -293,11 +293,11 @@ def _run_figure4_task(payload: dict) -> dict:
         disk_blocks=capacity,
         tape=tape_from_dict(payload["tape"]),
         disk_params=disk_from_dict(payload["disk_params"]),
-        trace_buffers=True,
+        trace_devices=True,
     )
     stats = run_join(spec, method="CTT-GH")
     return buffer_utilization(
-        stats.traces, "s_buffer", capacity, (stats.step1_s, stats.response_s)
+        stats.observer, "s_buffer", capacity, (stats.step1_s, stats.response_s)
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.buffering.interleaved import InterleavedDiskBuffer
-from repro.simulator.trace import TraceCollector
+from repro.obs.recorder import JoinObserver
 from repro.storage.block import BlockSpec, DataChunk
 from repro.storage.bus import Bus
 from repro.storage.disk import Disk
@@ -37,20 +37,12 @@ class TestBasicFlow:
         def flow():
             yield from buffer.put(0, "tag", chunk_of(3.0))
             assert buffer.level_blocks == pytest.approx(3.0)
-            data = yield from buffer.take(0, "tag")
+            data = yield from buffer.pop_coalesced(0, "tag", max_blocks=10.0)
             assert data.n_tuples == 30
+            assert not buffer.has_pending(0, "tag")
             assert buffer.level_blocks == pytest.approx(0.0)
 
         run(sim, flow())
-
-    def test_take_unknown_tag_raises(self, sim, array):
-        buffer = InterleavedDiskBuffer(sim, array, "buf", 10.0)
-
-        def flow():
-            yield from buffer.take(0, "missing")
-
-        with pytest.raises(Exception, match="missing"):
-            run(sim, flow())
 
     def test_put_many_registers_tags(self, sim, array):
         buffer = InterleavedDiskBuffer(sim, array, "buf", 10.0)
@@ -59,9 +51,9 @@ class TestBasicFlow:
             yield from buffer.put_many(
                 0, [("a", chunk_of(1.0)), ("b", chunk_of(2.0, start=50))]
             )
-            assert buffer.tags(0) == ["a", "b"]
-            a = yield from buffer.take(0, "a")
-            b = yield from buffer.take(0, "b")
+            assert buffer.has_pending(0, "a") and buffer.has_pending(0, "b")
+            a = yield from buffer.pop_coalesced(0, "a", max_blocks=10.0)
+            b = yield from buffer.pop_coalesced(0, "b", max_blocks=10.0)
             assert a.n_tuples == 10 and b.n_tuples == 20
 
         run(sim, flow())
@@ -186,22 +178,20 @@ class TestBackpressureAndSharing:
         assert writer_done_at[0] > 10.0
 
     def test_occupancy_ledger_by_parity(self, sim, array):
-        trace = TraceCollector()
-        buffer = InterleavedDiskBuffer(sim, array, "buf", 10.0, trace)
+        observer = JoinObserver()
+        buffer = InterleavedDiskBuffer(sim, array, "buf", 10.0, observer)
 
         def flow():
             yield from buffer.put(0, "s", chunk_of(2.0))
             yield from buffer.put(1, "s", chunk_of(3.0, start=500))
-            assert buffer.iteration_level(0) == pytest.approx(2.0)
-            assert buffer.iteration_level(1) == pytest.approx(3.0)
 
         run(sim, flow())
-        total = trace.timeseries("buf.total")
-        even = trace.timeseries("buf.even")
-        odd = trace.timeseries("buf.odd")
+        total = observer.series["buf.total"]
+        even = observer.series["buf.even"]
+        odd = observer.series["buf.odd"]
         assert total.values[-1] == pytest.approx(5.0)
         assert even.values[-1] == pytest.approx(2.0)
         assert odd.values[-1] == pytest.approx(3.0)
         # total == even + odd at every sample
-        for t, v in total.points():
+        for t, v in zip(total.times, total.values):
             assert v == pytest.approx(even.value_at(t) + odd.value_at(t))

@@ -90,19 +90,6 @@ class TestDiscard:
         with pytest.raises(KeyError):
             buffer.discard(0, "missing")
 
-    def test_pending_blocks_reports_tag_volume(self, sim, array):
-        buffer = InterleavedDiskBuffer(sim, array, "buf", 10.0)
-
-        def flow():
-            yield from buffer.put(0, "a", chunk_of(2.0))
-            yield from buffer.put(0, "b", chunk_of(3.0, start=50))
-            assert buffer.pending_blocks(0, "a") == pytest.approx(2.0)
-            assert buffer.pending_blocks(0, "b") == pytest.approx(3.0)
-            assert buffer.pending_blocks(0, "c") == 0.0
-            buffer.discard(0, "a")
-            buffer.discard(0, "b")
-
-        run(sim, flow())
 
 
 class TestTapeFileRangeReader:

@@ -59,16 +59,16 @@ class TestTracing:
     @pytest.mark.parametrize("symbol", ["CDT-NB/DB", "CDT-GH", "CTT-GH"])
     def test_buffer_trace_collected_when_requested(self, symbol, small_r, small_s):
         stats = method_by_symbol(symbol).run(
-            spec_for(small_r, small_s, trace_buffers=True)
+            spec_for(small_r, small_s, trace_devices=True)
         )
-        assert stats.traces is not None
-        total = stats.traces.timeseries("s_buffer.total")
+        assert stats.observer is not None
+        total = stats.observer.series["s_buffer.total"]
         assert len(total) > 2
         assert total.max() > 0
 
     def test_no_trace_by_default(self, small_r, small_s):
         stats = method_by_symbol("CDT-GH").run(spec_for(small_r, small_s))
-        assert stats.traces is None
+        assert stats.observer is None
 
 
 class TestFasterTapeHelps:

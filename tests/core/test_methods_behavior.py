@@ -125,7 +125,7 @@ class TestGraceHashLayout:
         spec = JoinSpec(r, s, memory_blocks=10.0, disk_blocks=130.0)
         layout = GraceHashLayout(spec)
         assert layout.n_buckets >= r.n_blocks / (0.5 * 10.0)
-        assert layout.bucket_of_r_blocks(spec) <= 0.5 * 10.0
+        assert spec.size_r_blocks / layout.n_buckets <= 0.5 * 10.0
 
     def test_memory_shares_sum_below_budget(self, relations):
         r, s = relations

@@ -71,14 +71,16 @@ class TestJsonExport:
 
         from repro.core.registry import method_by_symbol
         from repro.core.spec import JoinSpec
+        from repro.sweep.serialize import stats_from_dict, stats_to_dict
 
         stats = method_by_symbol("CDT-GH").run(
             JoinSpec(small_r, small_s, memory_blocks=10.0, disk_blocks=130.0)
         )
-        payload = json.loads(json.dumps(stats.to_dict()))
+        payload = json.loads(json.dumps(stats_to_dict(stats)))
         assert payload["symbol"] == "CDT-GH"
-        assert payload["output_pairs"] == stats.output.n_pairs
-        assert payload["relative_cost"] == pytest.approx(stats.relative_cost)
+        assert payload["output"]["n_pairs"] == stats.output.n_pairs
+        assert stats_from_dict(payload) == stats
+        assert stats_from_dict(payload).relative_cost == stats.relative_cost
 
 
 class TestTraceOut:

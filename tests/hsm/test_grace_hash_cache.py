@@ -77,16 +77,6 @@ def test_different_relation_misses(scale, relations):
     assert stats.cache_misses == 1
 
 
-def test_cache_counters_serialize_only_when_a_cache_ran(scale, relations):
-    cache = PartitionCache(capacity_blocks=scale.blocks(DISK_MB))
-    _run(scale, relations, cache)
-    warm = _run(scale, relations, cache)
-    payload = warm.to_dict()
-    assert payload["partition_cache"]["hits"] == 1
-
-    bare = _run(scale, relations, cache=None)
-    assert "partition_cache" not in bare.to_dict()
-
 
 def test_hit_unpins_after_finalize(scale, relations):
     """The consumer's pin is released once its join has finished."""

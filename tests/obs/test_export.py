@@ -174,6 +174,38 @@ class TestValidatorRejections:
         with pytest.raises(TraceValidationError, match="ts/dur"):
             validate_chrome_trace(str(path))
 
+    @pytest.mark.parametrize(
+        "event,message",
+        [
+            ({"ph": "X", "ts": float("nan"), "dur": 1}, "ts/dur"),
+            ({"ph": "C", "ts": -5, "args": {"value": 1}}, "C event needs a finite ts"),
+            ({"ph": "C", "args": {"value": 1}}, "C event needs a finite ts"),
+            ({"ph": "C", "ts": float("nan"), "args": {"value": 1}}, "C event needs a finite ts"),
+        ],
+    )
+    def test_chrome_timestamps_must_be_finite(self, tmp_path, event, message):
+        path = tmp_path / "bad.trace.json"
+        path.write_text(json.dumps({"traceEvents": [{"pid": 1, "name": "q", **event}]}))
+        with pytest.raises(TraceValidationError, match=message):
+            validate_chrome_trace(str(path))
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"type": "interval", "device": "d", "kind": "k", "start_s": NaN, "end_s": 1.0}',
+            '{"type": "interval", "device": "d", "kind": "k", "start_s": 0.0, "end_s": Infinity}',
+            '{"type": "interval", "device": "d", "kind": "k", "start_s": -1.0, "end_s": 1.0}',
+            '{"type": "span", "name": "s", "cat": "c", "start_s": NaN, "end_s": NaN}',
+            '{"type": "span", "name": "s", "cat": "c", "start_s": "0", "end_s": 1.0}',
+            '{"type": "sample", "series": "q", "time_s": NaN, "value": 1.0}',
+            '{"type": "sample", "series": "q", "time_s": -2.0, "value": 1.0}',
+        ],
+    )
+    def test_jsonl_timestamps_must_be_finite(self, tmp_path, record):
+        path = self.write(tmp_path, ['{"type": "meta", "devices": []}', record])
+        with pytest.raises(TraceValidationError, match="finite number >= 0"):
+            validate_jsonl(path)
+
 
 class TestDirectoryValidation:
     def test_walks_both_formats(self, observer, tmp_path):

@@ -26,7 +26,7 @@ from tests.storage.test_tape import chunk_of
 def run_traced(symbol, small_r, small_s, **kwargs):
     spec = JoinSpec(
         small_r, small_s, memory_blocks=10.0, disk_blocks=130.0,
-        trace_buffers=True, trace_devices=True, **kwargs,
+        trace_devices=True, **kwargs,
     )
     return method_by_symbol(symbol).run(spec)
 
@@ -106,11 +106,10 @@ class TestTracingIsPurelyObservational:
         )
         assert stats.obs_summary is None
         assert stats.observer is None
-        assert "observability" not in stats.to_dict()
 
     def test_traced_stats_carry_summary(self, small_r, small_s):
         stats = run_traced("CDT-GH", small_r, small_s)
-        assert stats.to_dict()["observability"] is stats.obs_summary
+        assert stats.obs_summary["window_s"] == [0.0, stats.response_s]
         assert stats.observer is not None
 
     def test_sweep_serialization_never_includes_observability(
@@ -180,10 +179,10 @@ class TestFigure4Parity:
         # The pre-refactor bespoke loop, verbatim, as the reference.
         stats = run_traced("CTT-GH", small_r, small_s)
         capacity = 130.0
-        trace = stats.traces
-        total = trace.timeseries("s_buffer.total")
-        even = trace.timeseries("s_buffer.even")
-        odd = trace.timeseries("s_buffer.odd")
+        observer = stats.observer
+        total = observer.series["s_buffer.total"]
+        even = observer.series["s_buffer.even"]
+        odd = observer.series["s_buffer.odd"]
         window = (stats.step1_s, stats.response_s)
         times, total_pct, even_pct, odd_pct = [], [], [], []
         for t, value in zip(total.times, total.values):
@@ -204,7 +203,7 @@ class TestFigure4Parity:
             / capacity,
         }
 
-        generic = buffer_utilization(trace, "s_buffer", capacity, window)
+        generic = buffer_utilization(observer, "s_buffer", capacity, window)
         assert generic["times_s"] == reference["times_s"]
         assert generic["total_pct"] == reference["total_pct"]
         assert generic["even_pct"] == reference["even_pct"]

@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     summarize,
 )
 from repro.obs.recorder import JoinObserver
-from repro.simulator.trace import TraceCollector
 
 
 def observer_with(intervals):
@@ -110,17 +109,17 @@ class TestDiskBalance:
 
 class TestBufferUtilization:
     def test_percentages_and_time_average(self):
-        trace = TraceCollector()
+        obs = JoinObserver()
         for t, total, even, odd in [
             (0.0, 0.0, 0.0, 0.0),
             (1.0, 50.0, 50.0, 0.0),
             (3.0, 100.0, 50.0, 50.0),
             (4.0, 0.0, 0.0, 0.0),
         ]:
-            trace.timeseries("buf.total").record(t, total)
-            trace.timeseries("buf.even").record(t, even)
-            trace.timeseries("buf.odd").record(t, odd)
-        curve = buffer_utilization(trace, "buf", 100.0, (0.0, 4.0))
+            obs.timeseries("buf.total").record(t, total)
+            obs.timeseries("buf.even").record(t, even)
+            obs.timeseries("buf.odd").record(t, odd)
+        curve = buffer_utilization(obs, "buf", 100.0, (0.0, 4.0))
         assert curve["times_s"] == [0.0, 1.0, 3.0, 4.0]
         assert curve["total_pct"] == [0.0, 50.0, 100.0, 0.0]
         assert curve["even_pct"] == [0.0, 50.0, 50.0, 0.0]
@@ -130,12 +129,12 @@ class TestBufferUtilization:
         assert curve["mean_total_pct"] == pytest.approx(50.0)
 
     def test_window_excludes_outside_samples(self):
-        trace = TraceCollector()
+        obs = JoinObserver()
         for t in (0.0, 2.0, 4.0):
-            trace.timeseries("buf.total").record(t, 10.0)
-            trace.timeseries("buf.even").record(t, 10.0)
-            trace.timeseries("buf.odd").record(t, 0.0)
-        curve = buffer_utilization(trace, "buf", 100.0, (1.0, 3.0))
+            obs.timeseries("buf.total").record(t, 10.0)
+            obs.timeseries("buf.even").record(t, 10.0)
+            obs.timeseries("buf.odd").record(t, 0.0)
+        curve = buffer_utilization(obs, "buf", 100.0, (1.0, 3.0))
         assert curve["times_s"] == [2.0]
 
 

@@ -33,13 +33,11 @@ class TestRelation:
         assert relation.n_tuples == 500
         assert relation.tuples_per_block == 50
         assert relation.n_blocks == pytest.approx(10.0)
-        assert relation.n_blocks_ceil == 10
         assert relation.size_mb == pytest.approx(500 * 2048 / (1024 * 1024))
 
     def test_fractional_blocks(self):
         relation = self._relation(525)
         assert relation.n_blocks == pytest.approx(10.5)
-        assert relation.n_blocks_ceil == 11
 
     def test_empty_relation_rejected(self):
         with pytest.raises(ValueError, match="no tuples"):
@@ -50,13 +48,3 @@ class TestRelation:
         chunk = relation.as_chunk()
         assert chunk.n_tuples == 100
         np.testing.assert_array_equal(chunk.keys, relation.keys)
-
-    def test_block_range_slices_exactly(self):
-        relation = self._relation(500)
-        piece = relation.block_range(2.0, 3.0)
-        np.testing.assert_array_equal(piece.keys, np.arange(100, 250))
-
-    def test_block_range_out_of_bounds(self):
-        relation = self._relation(500)
-        with pytest.raises(ValueError, match="beyond"):
-            relation.block_range(5.0, 6.0)

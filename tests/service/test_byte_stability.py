@@ -85,6 +85,34 @@ DEVICE_TRACE_BASELINES = {
     ("CTT-GH", True): "3f2872ff2012cd36d48008bde2d2bd10c7d936fbd2e239ccb3b0a31bbe4943cb",
 }
 
+#: sha256(json.dumps(stats.obs_summary, sort_keys=True)) of the same
+#: traced runs as ``DEVICE_TRACE_BASELINES``: the derived utilization,
+#: overlap, balance, counter and queue-depth numbers, which no artifact
+#: hash covers.  Recorded on the commit before the observer became the
+#: one recorder of busy intervals, time series and counters.
+OBS_SUMMARY_BASELINES = {
+    ("CDT-GH", False): "539943c4314ff6d446032d526948d8dcf7cc3e9f05623711120a41329af03803",
+    ("CDT-GH", True): "f00e5627a75ca4db1d4e22975e310c9d51c1fcabedc318cec03e649a66b277c2",
+    ("CTT-GH", False): "43efef3b7354b42ec836647eca95babc231155663c260bc561e8037c12d6fa39",
+    ("CTT-GH", True): "e71cf084af00cebd0eb491c97059d84aae9ed62b9d1ba68a6015acee16d9d93d",
+}
+
+#: sha256(json.dumps(report.to_dict(), sort_keys=True)) of service runs
+#: at scale 0.05.  ``WorkloadReport.to_dict()`` carries the merged
+#: ``device_utilization`` that the exp5 and exp6 artifacts leave out.
+#: The exp5 keys are the 6-job mixed workload under each policy; the
+#: exp6 keys are the 12-job Zipfian workload (skew 0.8) with a 200 MB
+#: LRU partition cache and simulated profiles, run cold and then warm
+#: on one ``JoinService``.  Recorded on the same commit as
+#: ``OBS_SUMMARY_BASELINES``.
+SERVICE_REPORT_BASELINES = {
+    ("exp5", "fifo"): "2298560ecf7a871a828c531da603ba71ca278fab81f64a9554ae2ece7cd35a1b",
+    ("exp5", "sjf"): "0dca775411a9f0e26a8b430ae87f11b9073b066b8095824da5a869ed755b1e38",
+    ("exp5", "affinity"): "60e9dd1ddf64957006bd74c0db690708447be864338fb5d357a0ec7993a1daca",
+    ("exp6", "cold"): "97d004b84f7c7bfdda919e5e3cd4f564503f006aaa302d120e4ff652f0038efc",
+    ("exp6", "warm"): "ace4a3ac0275bdb7ba1cd18c7ad99102f58fd22662738685b3656b019260d096",
+}
+
 #: sha256(json.dumps(stats_to_dict(stats), sort_keys=True)) of CTT-GH
 #: and TT-GH on the same pair with every tape positioning option on:
 #: READ REVERSE, a distance-dependent locate and a stop/start penalty.
@@ -243,6 +271,57 @@ def tape_option_digest(symbol, small_r, small_s) -> str:
 def test_device_trace_bytes(symbol, faulty, small_r, small_s, tmp_path):
     expected = DEVICE_TRACE_BASELINES[(symbol, faulty)]
     assert device_trace_digest(symbol, faulty, small_r, small_s, tmp_path) == expected
+
+
+@pytest.mark.parametrize("symbol,faulty", sorted(OBS_SUMMARY_BASELINES))
+def test_obs_summary_bytes(symbol, faulty, small_r, small_s):
+    from repro.api import run_join
+    from repro.faults.plan import FaultPlan
+
+    spec = uniform_spec(
+        small_r, small_s, trace_devices=True,
+        fault_plan=FaultPlan.uniform(0.002, seed=3) if faulty else None,
+    )
+    stats = run_join(spec, method=symbol)
+    assert digest(stats.obs_summary) == OBS_SUMMARY_BASELINES[(symbol, faulty)]
+
+
+def service_report_digests() -> dict:
+    """Digests of the ``SERVICE_REPORT_BASELINES`` runs, by key."""
+    from repro.experiments.exp5_service import (
+        EXPERIMENT5_POLICIES,
+        experiment5_config,
+        service_workload,
+    )
+    from repro.experiments.exp6_hsm import experiment6_config, zipfian_workload
+    from repro.service.estimators import SimulatedEstimator
+    from repro.service.scheduler import JoinService
+
+    scale = ExperimentScale(scale=0.05)
+    digests = {}
+    for policy in EXPERIMENT5_POLICIES:
+        service = JoinService(experiment5_config(scale))
+        for request in service_workload(6):
+            service.submit(request)
+        digests[("exp5", policy)] = digest(service.run(policy).to_dict())
+    service = JoinService(
+        experiment6_config(scale, 200.0, "lru"), estimator=SimulatedEstimator()
+    )
+    for request in zipfian_workload(12, 0.8, 0):
+        service.submit(request)
+    for label in ("cold", "warm"):
+        digests[("exp6", label)] = digest(service.run("fifo").to_dict())
+    return digests
+
+
+@pytest.fixture(scope="module")
+def service_digests():
+    return service_report_digests()
+
+
+@pytest.mark.parametrize("run,label", sorted(SERVICE_REPORT_BASELINES))
+def test_service_report_bytes(run, label, service_digests):
+    assert service_digests[(run, label)] == SERVICE_REPORT_BASELINES[(run, label)]
 
 
 @pytest.mark.parametrize("symbol", sorted(TAPE_OPTION_BASELINES))

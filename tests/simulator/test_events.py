@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simulator.engine import Simulator
-from repro.simulator.events import AllOf, AnyOf, Event, Timeout
+from repro.simulator.events import AllOf, Event, Timeout
 
 
 class TestEventLifecycle:
@@ -125,15 +125,3 @@ class TestAllOf:
         other = Simulator()
         with pytest.raises(ValueError, match="same simulator"):
             AllOf(sim, [Event(other)])
-
-
-class TestAnyOf:
-    def test_triggers_on_first(self, sim):
-        slow, fast = sim.timeout(9.0, "slow"), sim.timeout(1.0, "fast")
-        first = sim.any_of([slow, fast])
-        sim.run(first)
-        assert sim.now == pytest.approx(1.0)
-        assert first.value == {fast: "fast"}
-
-    def test_empty_any_of_triggers_immediately(self, sim):
-        assert AnyOf(sim, []).triggered

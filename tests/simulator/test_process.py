@@ -23,10 +23,11 @@ class TestProcessBasics:
         def worker(sim):
             yield sim.timeout(1.0)
 
+        # A process is an event that triggers when its generator returns.
         proc = sim.process(worker(sim))
-        assert proc.is_alive
+        assert not proc.triggered
         sim.run()
-        assert not proc.is_alive
+        assert proc.triggered
 
     def test_named_process(self, sim):
         def worker(sim):

@@ -1,191 +1,63 @@
-"""TimeSeries, IntervalTracker and TraceCollector behaviour."""
+"""Busy-interval and counter bookkeeping of a traced simulation run.
+
+Devices report each operation to a :class:`JoinObserver` as one closed
+busy interval; :mod:`repro.obs.metrics` merges, clips and divides those
+intervals into busy time and utilization.
+"""
 
 import pytest
 
-from repro.simulator.trace import IntervalTracker, TimeSeries, TraceCollector
+from repro.obs.metrics import device_busy_s, device_utilization
+from repro.obs.recorder import JoinObserver
 
 
-class TestTimeSeries:
-    def test_record_and_lookup(self):
-        series = TimeSeries("m")
-        series.record(0.0, 1.0)
-        series.record(5.0, 3.0)
-        assert series.value_at(0.0) == 1.0
-        assert series.value_at(4.9) == 1.0
-        assert series.value_at(5.0) == 3.0
-        assert series.value_at(100.0) == 3.0
-
-    def test_time_must_not_go_backwards(self):
-        series = TimeSeries("m")
-        series.record(2.0, 1.0)
-        with pytest.raises(ValueError, match="backwards"):
-            series.record(1.0, 2.0)
-
-    def test_same_time_overwrites(self):
-        series = TimeSeries("m")
-        series.record(1.0, 5.0)
-        series.record(1.0, 7.0)
-        assert len(series) == 1
-        assert series.value_at(1.0) == 7.0
-
-    def test_lookup_before_first_sample_raises(self):
-        series = TimeSeries("m")
-        series.record(10.0, 1.0)
-        with pytest.raises(ValueError, match="precedes"):
-            series.value_at(5.0)
-
-    def test_empty_series_operations_raise(self):
-        series = TimeSeries("m")
-        for operation in (series.max, series.min, series.time_average):
-            with pytest.raises(ValueError, match="empty"):
-                operation()
-        with pytest.raises(ValueError):
-            series.value_at(0.0)
-
-    def test_min_max_points(self):
-        series = TimeSeries("m")
-        for t, v in [(0.0, 2.0), (1.0, 8.0), (2.0, 4.0)]:
-            series.record(t, v)
-        assert series.max() == 8.0
-        assert series.min() == 2.0
-        assert series.points() == [(0.0, 2.0), (1.0, 8.0), (2.0, 4.0)]
-
-    def test_time_average_step_function(self):
-        series = TimeSeries("m")
-        series.record(0.0, 0.0)
-        series.record(2.0, 10.0)  # 0 for 2s, then 10 for 2s
-        assert series.time_average(0.0, 4.0) == pytest.approx(5.0)
-
-    def test_time_average_window_inside_plateau(self):
-        series = TimeSeries("m")
-        series.record(0.0, 4.0)
-        assert series.time_average(1.0, 3.0) == pytest.approx(4.0)
-
-    def test_time_average_inverted_window_raises(self):
-        # Regression: an inverted window used to silently return
-        # value_at(start) instead of flagging the caller's bug.
-        series = TimeSeries("m")
-        series.record(0.0, 4.0)
-        series.record(2.0, 8.0)
-        with pytest.raises(ValueError, match="inverted window"):
-            series.time_average(3.0, 1.0)
-
-    def test_time_average_zero_width_window(self):
-        series = TimeSeries("m")
-        series.record(0.0, 4.0)
-        series.record(2.0, 8.0)
-        assert series.time_average(1.0, 1.0) == pytest.approx(4.0)
-        assert series.time_average(2.0, 2.0) == pytest.approx(8.0)
-
-    def test_time_average_window_before_first_sample(self):
-        # A window edge before the first sample carries that sample's
-        # value backward instead of raising like value_at does.
-        series = TimeSeries("m")
-        series.record(2.0, 6.0)
-        series.record(4.0, 0.0)
-        assert series.time_average(0.0, 4.0) == pytest.approx(6.0)
-        assert series.time_average(0.0, 2.0) == pytest.approx(6.0)
+def busy_disk(*intervals):
+    obs = JoinObserver()
+    for start, end in intervals:
+        obs.device_busy("disk", start, end, "op")
+    return obs
 
 
 class TestIntervalTracker:
-    def test_begin_end_accumulates(self):
-        tracker = IntervalTracker("disk")
-        tracker.begin(1.0)
-        tracker.end(3.0)
-        tracker.begin(5.0)
-        tracker.end(6.0)
-        assert tracker.busy_time() == pytest.approx(3.0)
-
-    def test_double_begin_raises(self):
-        tracker = IntervalTracker("disk")
-        tracker.begin(0.0)
-        with pytest.raises(RuntimeError, match="already open"):
-            tracker.begin(1.0)
-
-    def test_end_without_begin_raises(self):
-        with pytest.raises(RuntimeError, match="no open interval"):
-            IntervalTracker("disk").end(1.0)
+    """Busy time of one device, from its logged intervals."""
 
     def test_interval_cannot_end_before_start(self):
-        tracker = IntervalTracker("disk")
-        tracker.begin(5.0)
         with pytest.raises(ValueError):
-            tracker.end(4.0)
+            busy_disk((5.0, 4.0))
 
     def test_busy_time_clipping(self):
-        tracker = IntervalTracker("disk")
-        tracker.add(0.0, 10.0)
-        assert tracker.busy_time(4.0, 6.0) == pytest.approx(2.0)
+        obs = busy_disk((0.0, 10.0))
+        assert device_busy_s(obs, (4.0, 6.0)) == {"disk": pytest.approx(2.0)}
 
     def test_utilization(self):
-        tracker = IntervalTracker("disk")
-        tracker.add(0.0, 5.0)
-        assert tracker.utilization(0.0, 10.0) == pytest.approx(0.5)
-        with pytest.raises(ValueError, match="empty window"):
-            tracker.utilization(3.0, 3.0)
+        obs = busy_disk((0.0, 5.0))
+        assert device_utilization(obs, (0.0, 10.0)) == {"disk": pytest.approx(0.5)}
+        with pytest.raises(ValueError, match="empty utilization window"):
+            device_utilization(obs, (3.0, 3.0))
 
     def test_overlapping_intervals_merge(self):
         # Regression: overlapping intervals used to be summed raw, so a
         # device with concurrent operations could report > 100 % busy.
-        tracker = IntervalTracker("disk")
-        tracker.add(0.0, 6.0)
-        tracker.add(2.0, 4.0)  # fully contained
-        tracker.add(5.0, 9.0)  # partial overlap
-        assert tracker.busy_time() == pytest.approx(9.0)
-        assert tracker.utilization(0.0, 9.0) == pytest.approx(1.0)
+        obs = busy_disk((0.0, 6.0), (2.0, 4.0), (5.0, 9.0))
+        assert device_busy_s(obs, (0.0, 9.0)) == {"disk": pytest.approx(9.0)}
+        assert device_utilization(obs, (0.0, 9.0)) == {"disk": pytest.approx(1.0)}
 
     def test_identical_intervals_count_once(self):
-        tracker = IntervalTracker("disk")
-        tracker.add(1.0, 3.0)
-        tracker.add(1.0, 3.0)
-        assert tracker.busy_time() == pytest.approx(2.0)
+        obs = busy_disk((1.0, 3.0), (1.0, 3.0))
+        assert device_busy_s(obs, (0.0, 10.0)) == {"disk": pytest.approx(2.0)}
 
     def test_unsorted_overlapping_intervals_merge(self):
-        tracker = IntervalTracker("disk")
-        tracker.add(4.0, 8.0)
-        tracker.add(0.0, 5.0)
-        assert tracker.busy_time() == pytest.approx(8.0)
-        assert tracker.busy_time(2.0, 6.0) == pytest.approx(4.0)
-
-    def test_open_interval_counts_up_to_finite_end(self):
-        # Regression: a still-open interval contributed nothing, so a
-        # window ending mid-operation under-reported busy time.
-        tracker = IntervalTracker("disk")
-        tracker.add(0.0, 2.0)
-        tracker.begin(4.0)
-        assert tracker.busy_time(0.0, 10.0) == pytest.approx(8.0)
-        assert tracker.utilization(0.0, 10.0) == pytest.approx(0.8)
-
-    def test_open_interval_ignored_by_unbounded_query(self):
-        tracker = IntervalTracker("disk")
-        tracker.add(0.0, 2.0)
-        tracker.begin(4.0)
-        assert tracker.busy_time() == pytest.approx(2.0)
-
-    def test_open_interval_after_window_contributes_nothing(self):
-        tracker = IntervalTracker("disk")
-        tracker.begin(5.0)
-        assert tracker.busy_time(0.0, 4.0) == pytest.approx(0.0)
-
-    def test_open_interval_overlapping_closed_one_merges(self):
-        tracker = IntervalTracker("disk")
-        tracker.add(0.0, 6.0)
-        tracker.begin(4.0)
-        assert tracker.busy_time(0.0, 8.0) == pytest.approx(8.0)
+        obs = busy_disk((4.0, 8.0), (0.0, 5.0))
+        assert device_busy_s(obs, (0.0, 10.0)) == {"disk": pytest.approx(8.0)}
+        assert device_busy_s(obs, (2.0, 6.0)) == {"disk": pytest.approx(4.0)}
 
 
 class TestTraceCollector:
-    def test_timeseries_is_memoized(self):
-        trace = TraceCollector()
-        assert trace.timeseries("a") is trace.timeseries("a")
-
-    def test_tracker_is_memoized(self):
-        trace = TraceCollector()
-        assert trace.tracker("t") is trace.tracker("t")
+    """Named counters of one traced run."""
 
     def test_counters(self):
-        trace = TraceCollector()
-        assert trace.counter("hits") == 0.0
-        trace.count("hits")
-        trace.count("hits", 2.5)
-        assert trace.counter("hits") == pytest.approx(3.5)
+        obs = JoinObserver()
+        assert obs.counters.get("hits", 0.0) == 0.0
+        obs.count("hits")
+        obs.count("hits", 2.5)
+        assert obs.counters["hits"] == pytest.approx(3.5)

@@ -19,7 +19,7 @@ class TestBlockSpec:
 
     def test_round_trip_conversions(self):
         spec = BlockSpec()
-        assert spec.bytes_from_blocks(spec.blocks_from_bytes(12345)) == pytest.approx(12345)
+        assert spec.bytes_from_blocks(2.5) == pytest.approx(2.5 * spec.block_bytes)
         assert spec.mb_from_blocks(spec.blocks_from_mb(7.5)) == pytest.approx(7.5)
 
     def test_blocks_from_mb(self):

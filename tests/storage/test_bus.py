@@ -130,4 +130,3 @@ class TestBusTransfers:
         lower = total_mb / 4.0  # capacity-bound
         upper = total_mb / 2.0 + 1e-3  # fully serialized at nominal
         assert lower - 1e-3 <= sim.now <= upper
-        assert bus.active_transfers == 0

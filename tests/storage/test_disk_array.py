@@ -62,9 +62,6 @@ class TestPlacement:
         run(sim, array.write(extent, chunk_of(18.0)))  # even split would need 9+9
         assert array.used_blocks == pytest.approx(113.0)
 
-    def test_aggregate_rate(self, array):
-        assert array.aggregate_rate_bytes_s == pytest.approx(2 * 3.5 * 1024 * 1024)
-
     def test_duplicate_name_rejected(self, array):
         array.allocate("x")
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ class TestStorageConfig:
         config = StorageConfig()
         assert config.n_disks == 2
         assert config.n_buses == 2
-        assert config.aggregate_disk_rate_mb_s == pytest.approx(7.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -47,8 +46,9 @@ class TestStorageSystem:
 
     def test_traffic_totals_start_at_zero(self, sim):
         system = StorageSystem(sim, StorageConfig())
-        assert system.total_disk_traffic_blocks() == 0.0
-        assert system.total_tape_traffic_blocks() == 0.0
+        assert system.array.read_blocks + system.array.write_blocks == 0.0
+        for drive in (system.drive_r, system.drive_s):
+            assert drive.read_blocks + drive.write_blocks == 0.0
 
     def test_faults_and_observer_reach_every_device(self, sim):
         from repro.faults import FaultInjector
