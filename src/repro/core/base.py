@@ -120,23 +120,26 @@ def scan_tape(
             data = yield from drive.read_range(file, chunk_start, step)
             yield from consume(data)
         return
-    pending = env.sim.process(
-        drive.read_range(file, bounds[0][0], bounds[0][1]), name="tape-prefetch"
-    )
-    if env.faults is not None:
-        # A consume() fault may abandon the in-flight prefetch; defusing
-        # keeps its own (possibly failed) completion from crashing the
-        # kernel.  Awaited failures still throw into this generator.
-        pending.defused = True
+    sim = env.sim
+
+    def prefetch(chunk_start: float, step: float):
+        """The read of the next chunk, started one queue hop from now."""
+        if drive.faults is not None:
+            pending = sim.process(drive.read_range(file, chunk_start, step), name="tape-prefetch")
+            # A consume() fault may abandon the in-flight prefetch; defusing
+            # keeps its own (possibly failed) completion from crashing the
+            # kernel.  Awaited failures still throw into this generator.
+            pending.defused = True
+            return pending
+        pending = sim.event()
+        sim.defer(lambda _event: drive.read_range(file, chunk_start, step, done=pending))
+        return pending
+
+    pending = prefetch(*bounds[0])
     for index in range(len(bounds)):
         data = yield pending
         if index + 1 < len(bounds):
-            chunk_start, step = bounds[index + 1]
-            pending = env.sim.process(
-                drive.read_range(file, chunk_start, step), name="tape-prefetch"
-            )
-            if env.faults is not None:
-                pending.defused = True
+            pending = prefetch(*bounds[index + 1])
         yield from consume(data)
 
 

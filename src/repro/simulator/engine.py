@@ -62,6 +62,16 @@ class Simulator:
         """Event that triggers when all of ``events`` have triggered."""
         return AllOf(self, events)
 
+    def defer(self, callback: typing.Callable[[Event], None]) -> None:
+        """Call ``callback`` one queue hop from now.
+
+        That is where a new process takes its first step, so work started
+        this way issues its requests exactly where a process would have.
+        """
+        event = Event(self)
+        event.callbacks.append(callback)
+        event.succeed()
+
     # -- scheduling ----------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
@@ -105,6 +115,8 @@ class Simulator:
                     ) from None
             return stop.value
         horizon = float("inf") if until is None else float(until)
+        if horizon != horizon:
+            raise ValueError("cannot run until NaN")
         if horizon != float("inf") and horizon < self._now:
             raise ValueError(f"cannot run until {horizon} < now {self._now}")
         queue = self._queue

@@ -7,6 +7,8 @@ import typing
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.engine import Simulator
 
+_INF = float("inf")
+
 #: Event lifecycle states.
 PENDING = 0
 TRIGGERED = 1
@@ -109,8 +111,10 @@ class Timeout(Event):
     """An event that triggers ``delay`` time units after creation."""
 
     def __init__(self, sim: "Simulator", delay: float, value=None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        # A NaN time compares false with every other, so one in the heap
+        # would silently cut the run short: refuse it here.
+        if not 0 <= delay < _INF:
+            raise ValueError(f"timeout delay must be finite and non-negative, got {delay}")
         super().__init__(sim)
         self.delay = delay
         self._value = value

@@ -35,9 +35,10 @@ class Process(Event):
         # synchronously here would be cheaper, but the one-step deferral
         # is observable: it decides same-time ordering of resource
         # requests, and with it arm hand-off and positioning charges.
-        bootstrap = Event(sim)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        # Device fan-outs that start their ops without a process keep the
+        # same hop (one ``Simulator.defer`` for all their ops) for that
+        # reason.
+        sim.defer(self._resume)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""

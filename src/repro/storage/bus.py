@@ -66,7 +66,7 @@ class Bus:
     """A bandwidth-capped channel shared by concurrent transfers."""
 
     def __init__(self, sim: Simulator, name: str, bandwidth_bytes_per_s: float = math.inf):
-        if bandwidth_bytes_per_s <= 0:
+        if not bandwidth_bytes_per_s > 0:
             raise ValueError(f"bus bandwidth must be positive, got {bandwidth_bytes_per_s}")
         self.sim = sim
         self.name = name
@@ -117,12 +117,14 @@ class Bus:
         ``lead_in_s`` delays the start of the byte movement (the caller's
         positioning time) without costing a separate scheduled event.
         """
-        if nominal_rate_bytes_s <= 0:
-            raise ValueError(f"transfer rate must be positive, got {nominal_rate_bytes_s}")
-        if n_bytes < 0:
-            raise ValueError(f"transfer size must be >= 0, got {n_bytes}")
-        if lead_in_s < 0:
-            raise ValueError(f"lead-in must be >= 0, got {lead_in_s}")
+        if not 0 < nominal_rate_bytes_s < math.inf:
+            raise ValueError(
+                f"transfer rate must be finite and positive, got {nominal_rate_bytes_s}"
+            )
+        if not 0 <= n_bytes < math.inf:
+            raise ValueError(f"transfer size must be finite and >= 0, got {n_bytes}")
+        if not 0 <= lead_in_s < math.inf:
+            raise ValueError(f"lead-in must be finite and >= 0, got {lead_in_s}")
         if self.fault_hook is not None:
             lead_in_s += self.fault_hook(self)
         done = Event(self.sim)

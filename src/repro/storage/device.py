@@ -12,7 +12,8 @@ from __future__ import annotations
 import typing
 
 from repro.simulator.engine import Simulator
-from repro.simulator.resources import Resource
+from repro.simulator.events import Event
+from repro.simulator.resources import Request, Resource
 from repro.storage.block import BlockSpec
 from repro.storage.bus import Bus
 
@@ -49,6 +50,55 @@ class Device:
         """
         raise NotImplementedError
 
+    def _hold(self) -> Request:
+        """Ask for the unit, sampling the queue the request joins."""
+        req = self.unit.request()
+        if self.observer is not None:
+            self.observer.queue_depth(self.name, self.sim.now, len(self.unit.queue))
+        return req
+
+    def _finish(self, req: Request, start: float, kind: str) -> None:
+        """Close an op: stamp its end, record its busy span, release the unit."""
+        now = self.sim.now
+        self._last_op_end = now
+        if self.observer is not None:
+            self.observer.device_busy(self.name, start, now, kind)
+            self.observer.queue_depth(self.name, now, len(self.unit.queue))
+        self.unit.release(req)
+
+    def _start_io(
+        self, where, n_blocks: float, kind: str, near: int | None,
+        finished: typing.Callable[[], None],
+    ) -> None:
+        """Run the op as events alone, with no generator (fault-free only).
+
+        Hold the unit; once it is granted, charge the lead-in and the
+        transfer as one bus event; when that completes, move the
+        position, record, release the unit and call ``finished``, all at
+        the completion instant.  Callers add the queue hops a process
+        running the op would take (see ``DiskArray._fan_out``).
+        """
+        req = self._hold()
+
+        def granted(_event=None) -> None:
+            start = self.sim.now
+            lead_in, after = self._lead_in(where, n_blocks, near)
+            transfer = self.bus.transfer(
+                self.params.rate_bytes_s, self.spec.bytes_from_blocks(n_blocks), lead_in
+            )
+
+            def complete(_event) -> None:
+                self.position = after
+                self._finish(req, start, kind)
+                finished()
+
+            transfer.callbacks.append(complete)
+
+        if req.processed:
+            granted()
+        else:
+            req.callbacks.append(granted)
+
     def _io(
         self, where, n_blocks: float, kind: str, near: int | None = None
     ) -> typing.Generator:
@@ -57,27 +107,26 @@ class Device:
         ``near`` marks a disk burst of ``near + 1`` small requests (see
         :meth:`Disk._lead_in <repro.storage.disk.Disk._lead_in>`).
         Positioning and transfer share one bus event (lead-in), so an op
-        costs a single scheduled completion.
+        costs a single scheduled completion.  A fault-free device runs
+        the op as :meth:`_start_io`; under fault injection the transfer
+        goes through the injector's retry loop, which needs a generator.
         """
-        req = self.unit.request()
-        if self.observer is not None:
-            self.observer.queue_depth(self.name, self.sim.now, len(self.unit.queue))
+        if self.faults is None:
+            # ``_succeed_now``: the waiter resumes inside the completion
+            # callback, before any other same-time event.
+            done = Event(self.sim)
+            self._start_io(where, n_blocks, kind, near, done._succeed_now)
+            yield done
+            return
+        req = self._hold()
         yield req
         start = self.sim.now
         try:
             lead_in, after = self._lead_in(where, n_blocks, near)
-            n_bytes = self.spec.bytes_from_blocks(n_blocks)
-            if self.faults is None:
-                yield self.bus.transfer(self.params.rate_bytes_s, n_bytes, lead_in_s=lead_in)
-            else:
-                yield from self.faults.guarded_transfer(
-                    self.bus, self.params.rate_bytes_s, n_bytes, lead_in,
-                    self.name, kind,
-                )
+            yield from self.faults.guarded_transfer(
+                self.bus, self.params.rate_bytes_s, self.spec.bytes_from_blocks(n_blocks),
+                lead_in, self.name, kind,
+            )
             self.position = after
         finally:
-            self._last_op_end = self.sim.now
-            if self.observer is not None:
-                self.observer.device_busy(self.name, start, self.sim.now, kind)
-                self.observer.queue_depth(self.name, self.sim.now, len(self.unit.queue))
-            self.unit.release(req)
+            self._finish(req, start, kind)

@@ -37,10 +37,11 @@ class DiskParameters:
     near_seek_ms: float = 4.0
 
     def __post_init__(self):
-        if self.transfer_rate_mb_s <= 0:
+        if not self.transfer_rate_mb_s > 0:
             raise ValueError("transfer rate must be positive")
-        if min(self.avg_seek_ms, self.rotational_latency_ms, self.near_seek_ms) < 0:
-            raise ValueError("latencies must be non-negative")
+        latencies = (self.avg_seek_ms, self.rotational_latency_ms, self.near_seek_ms)
+        if not all(latency >= 0 for latency in latencies):
+            raise ValueError("latencies must be non-negative (and not NaN)")
 
     @property
     def rate_bytes_s(self) -> float:

@@ -8,7 +8,8 @@ placement of disk blocks and usage of disk arms".  This array provides it:
   space — which both balances occupancy against the hard per-disk capacity
   and alternates arms between successive writes;
 * large requests are split across all member disks and executed in
-  parallel, delivering the aggregate bandwidth ``X_D`` of the model;
+  parallel, delivering the aggregate bandwidth ``X_D`` of the model; each
+  per-disk part is one device op run as events, with no process per disk;
 * burst operations simulate a run of small requests (hash bucket flushes,
   fragment reads) as one disk op whose delay charges every reposition.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import typing
 
 from repro.simulator.engine import Simulator
+from repro.simulator.events import Event
 from repro.storage.block import DataChunk, slice_chunks
 from repro.storage.disk import Disk
 
@@ -210,37 +212,52 @@ class DiskArray:
         extent._clear()
         del self.extents[extent.name]
 
-    # -- I/O (generators; use with ``yield from``) --------------------------------
+    # -- I/O (generators for ``yield from``; per-disk ops are events) -------------
 
-    def _defuse_if_faulty(self, procs: list) -> None:
-        """Pre-defuse concurrent I/O processes when fault injection is on.
+    def _fan_out(self, ops: list[tuple[Disk, typing.Any, float, int | None]], kind: str) -> Event:
+        """Run one op per ``(disk, where, n_blocks, near)`` concurrently.
 
-        ``all_of`` fails on the *first* failing child; a second concurrent
-        failure would then be an unawaited failed event and crash the
-        kernel instead of reaching the join's recovery path.  Fault-free
-        runs skip this, keeping the seed behaviour bit-identical.
+        Under faults each op is a pre-defused process around the guarded
+        ``_io`` (``all_of`` fails on the *first* failing op; a second
+        failure would otherwise crash the kernel, not reach join
+        recovery).  Fault-free ops run as events with the same queue
+        hops, since same-time ordering decides arm hand-off: they start
+        one hop from now, and the event triggers two hops after the last
+        one ends (one, for no ops).
         """
-        if any(disk.faults is not None for disk in self.disks):
+        sim = self.sim
+        if not ops or any(disk.faults is not None for disk in self.disks):
+            procs = [
+                sim.process(disk._io(where, blocks, kind, near), name=f"{kind}@{disk.name}")
+                for disk, where, blocks, near in ops
+            ]
             for proc in procs:
                 proc.defused = True
+            return sim.all_of(procs)
+        done, left = sim.event(), len(ops)
+
+        def op_done() -> None:
+            nonlocal left
+            left -= 1
+            if not left:
+                sim.defer(lambda _event: done.succeed())
+
+        def start(_event) -> None:
+            for disk, where, blocks, near in ops:
+                disk._start_io(where, blocks, kind, near, op_done)
+
+        sim.defer(start)
+        return done
 
     def _parallel_io(
-        self,
-        extent: StripedExtent,
-        parts: list[tuple[Disk, float]],
-        kind: str = "disk-read",
+        self, extent: StripedExtent, parts: list[tuple[Disk, float]], kind: str = "disk-read"
     ) -> typing.Generator:
         """Run one I/O on each (disk, blocks) pair concurrently."""
         if len(parts) == 1:
             disk, blocks = parts[0]
             yield from disk._io(extent, blocks, kind)
             return
-        procs = [
-            self.sim.process(disk._io(extent, blocks, kind), name=f"io@{disk.name}")
-            for disk, blocks in parts
-        ]
-        self._defuse_if_faulty(procs)
-        yield self.sim.all_of(procs)
+        yield self._fan_out([(disk, extent, blocks, None) for disk, blocks in parts], kind)
 
     def write(self, extent: StripedExtent, chunk: DataChunk) -> typing.Generator:
         """Append ``chunk`` to the extent (placement per array policy)."""
@@ -288,7 +305,7 @@ class DiskArray:
         to many bucket locations inside one region.  Returns the placed
         chunk handles in write order.
         """
-        per_disk: dict[Disk, list] = {}
+        per_disk: dict[Disk, tuple] = {}  # disk -> (last extent, blocks, near)
         placed_by_write = []
         for extent, chunk in writes:
             placement = extent._place(chunk.n_blocks)
@@ -296,19 +313,10 @@ class DiskArray:
             for disk, blocks in placement:
                 disk._reserve(blocks)
                 disk.write_blocks += blocks
-                per_disk.setdefault(disk, []).append((extent, blocks))
-        procs = []
-        for disk, items in per_disk.items():
-            total = sum(blocks for _extent, blocks in items)
-            procs.append(
-                self.sim.process(
-                    disk._io(items[-1][0], total, "disk-write", near=len(items) - 1),
-                    name=f"burst@{disk.name}",
-                )
-            )
-        if procs:
-            self._defuse_if_faulty(procs)
-            yield self.sim.all_of(procs)
+                _last, total, near = per_disk.get(disk, (None, 0.0, -1))
+                per_disk[disk] = (extent, total + blocks, near + 1)
+        if per_disk:
+            yield self._fan_out([(disk, *op) for disk, op in per_disk.items()], "disk-write")
         placed_chunks = []
         for extent, chunk, placement in placed_by_write:
             placed = _PlacedChunk(chunk, placement, extent)
@@ -328,24 +336,16 @@ class DiskArray:
         ``consume=False`` leaves the chunks (and their space) in place —
         the bucket-overflow path re-reads an S bucket once per R piece.
         """
-        per_disk: dict[Disk, tuple[float, int]] = {}
+        per_disk: dict[Disk, tuple[StripedExtent, float, int]] = {}
         for placed in placed_list:
             if not placed.alive or placed.extent is not extent:
                 raise ValueError(f"chunk not stored in extent {extent.name!r}")
             for disk, blocks in placed.placement:
-                total, count = per_disk.get(disk, (0.0, 0))
-                per_disk[disk] = (total + blocks, count + 1)
+                _extent, total, near = per_disk.get(disk, (extent, 0.0, -1))
+                per_disk[disk] = (extent, total + blocks, near + 1)
                 disk.read_blocks += blocks
-        procs = [
-            self.sim.process(
-                disk._io(extent, total, "disk-read", near=count - 1),
-                name=f"burst@{disk.name}",
-            )
-            for disk, (total, count) in per_disk.items()
-        ]
-        if procs:
-            self._defuse_if_faulty(procs)
-            yield self.sim.all_of(procs)
+        if per_disk:
+            yield self._fan_out([(disk, *op) for disk, op in per_disk.items()], "disk-read")
         data = DataChunk.concat([placed.data for placed in placed_list])
         if consume:
             for placed in placed_list:

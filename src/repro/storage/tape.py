@@ -19,6 +19,7 @@ import dataclasses
 import typing
 
 from repro.simulator.engine import Simulator
+from repro.simulator.events import Event
 from repro.storage.block import MB, BlockSpec, DataChunk, slice_chunks
 from repro.storage.bus import Bus
 from repro.storage.device import Device
@@ -55,7 +56,7 @@ class TapeDriveParameters:
     locate_s_per_gb: float = 0.0
 
     def __post_init__(self):
-        if self.native_rate_mb_s <= 0:
+        if not self.native_rate_mb_s > 0:
             raise ValueError("native rate must be positive")
         if not 0 <= self.compression_ratio < 1:
             raise ValueError(
@@ -65,8 +66,8 @@ class TapeDriveParameters:
             self.reposition_s, self.rewind_s, self.load_s,
             self.stop_start_penalty_s, self.locate_s_per_gb,
         )
-        if min(delays) < 0:
-            raise ValueError("delays must be non-negative")
+        if not all(delay >= 0 for delay in delays):
+            raise ValueError("delays must be non-negative (and not NaN)")
 
     @property
     def effective_rate_mb_s(self) -> float:
@@ -200,7 +201,7 @@ class TapeDrive(Device):
         volume, self.volume = self.volume, None
         return volume
 
-    # -- I/O operations (generators; use with ``yield from``) ---------------------
+    # -- I/O operations (use with ``yield from``) ---------------------------------
 
     def _lead_in(
         self, target_block: float, n_blocks: float, near: int | None
@@ -231,12 +232,36 @@ class TapeDrive(Device):
             penalty += self.params.stop_start_penalty_s
         return penalty, target_block if reverse else target_block + n_blocks
 
-    def read_range(self, file: TapeFile, offset_blocks: float, n_blocks: float):
-        """Read ``n_blocks`` starting ``offset_blocks`` into ``file``."""
+    def read_range(
+        self, file: TapeFile, offset_blocks: float, n_blocks: float, done: Event | None = None
+    ):
+        """Read ``n_blocks`` starting ``offset_blocks`` into ``file``.
+
+        Returns a generator for ``yield from`` that returns the data.
+        Given ``done``, a fault-free drive instead starts the read at once
+        as an event op, and ``done`` triggers with the data through the
+        event queue (the overlapped prefetch of
+        :func:`~repro.core.base.scan_tape`).
+        """
+        if done is None:
+            return self._read(file, offset_blocks, n_blocks)
+        data = self._take(file, offset_blocks, n_blocks)
+        self._start_io(
+            file.start_block + offset_blocks, n_blocks, "tape-read", None,
+            lambda: done.succeed(data),
+        )
+        return done
+
+    def _read(self, file: TapeFile, offset_blocks: float, n_blocks: float) -> typing.Generator:
+        data = self._take(file, offset_blocks, n_blocks)
+        yield from self._io(file.start_block + offset_blocks, n_blocks, "tape-read")
+        return data
+
+    def _take(self, file: TapeFile, offset_blocks: float, n_blocks: float) -> DataChunk:
+        """Check the mount, slice out the read's data and count it."""
         self._check_mounted(file)
         data = file.slice_range(offset_blocks, n_blocks)
         self.read_blocks += n_blocks
-        yield from self._io(file.start_block + offset_blocks, n_blocks, "tape-read")
         return data
 
     def read_file(self, file: TapeFile) -> typing.Generator:

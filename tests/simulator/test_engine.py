@@ -87,3 +87,36 @@ class TestDeterminism:
             return log
 
         assert trace_run() == trace_run()
+
+
+class TestNonFiniteTimes:
+    """A NaN time compares false with everything, so one in the heap
+    silently truncates a run; the kernel refuses them at the door."""
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -float("inf")])
+    def test_timeout_rejects_non_finite_delay(self, sim, delay):
+        with pytest.raises(ValueError, match="timeout delay"):
+            sim.timeout(delay)
+
+    def test_rejected_nan_leaves_the_schedule_whole(self, sim):
+        fired = []
+        for delay in (5.0, float("nan"), 1.0, 3.0, 2.0):
+            try:
+                timeout = sim.timeout(delay, delay)
+            except ValueError:
+                continue
+            timeout.callbacks.append(lambda e: fired.append(e.value))
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0, 5.0]
+        assert sim.now == 5.0
+
+    def test_run_rejects_nan_until(self, sim):
+        sim.timeout(1.0)
+        with pytest.raises(ValueError, match="until"):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.0
+
+    def test_run_until_inf_drains(self, sim):
+        sim.timeout(4.0)
+        sim.run(until=float("inf"))
+        assert sim.now == 4.0

@@ -66,6 +66,29 @@ class TestBusTransfers:
         with pytest.raises(ValueError):
             Bus(sim, "bad", bandwidth_bytes_per_s=0.0)
 
+    @pytest.mark.parametrize(
+        "rate,size,lead_in",
+        [
+            (math.nan, 100.0, 0.0),
+            (math.inf, 100.0, 0.0),
+            (MBPS, math.nan, 0.0),
+            (MBPS, math.inf, 0.0),
+            (MBPS, 100.0, math.nan),
+            (MBPS, 100.0, math.inf),
+        ],
+    )
+    def test_non_finite_transfer_rejected(self, sim, rate, size, lead_in):
+        bus = Bus(sim, "b")
+        with pytest.raises(ValueError):
+            bus.transfer(rate, size, lead_in_s=lead_in)
+        assert bus.bytes_moved == 0.0
+        assert sim.peek() == math.inf
+
+    def test_nan_bandwidth_rejected(self, sim):
+        with pytest.raises(ValueError):
+            Bus(sim, "bad", bandwidth_bytes_per_s=math.nan)
+        assert Bus(sim, "unbounded").bandwidth == math.inf
+
     def test_two_flows_within_capacity_are_independent(self, sim):
         bus = Bus(sim, "b", bandwidth_bytes_per_s=10 * MBPS)
         first = bus.transfer(2 * MBPS, 2 * MBPS)   # 1 s alone

@@ -1,0 +1,355 @@
+"""Same-instant ordering of multi-device I/O against a competing request.
+
+Requests issued at one simulated instant are served in the order the
+event queue reaches them, and that order decides arm hand-off and with it
+every positioning charge.  Each case below runs one multi-device I/O path
+(a striped ``read_range``, a ``write_burst``, a multi-disk
+``read_chunks`` and an overlapped ``scan_tape`` prefetch) while a rival
+requests disk 0 (and a second one the tape drive) at the same instant,
+after ``hops`` zero-delay queue round trips.  The rivals wake either
+one step after the caller starts or right after one of the I/O's unit
+releases, so the logs pin how many queue hops the I/O takes to start its
+device ops and to resume its caller.  Right after the I/O the caller
+itself requests disk 0 again.
+
+Every unit grant and release is logged as ``(event, device, requester,
+time)``; the expected logs were recorded on the commit before striped
+I/O and tape prefetch stopped running as one process per device.
+"""
+
+import hashlib
+import types
+
+import numpy as np
+import pytest
+
+from repro.core.base import scan_tape
+from repro.faults import DiskTransientError, FaultInjector, RetryExhaustedError
+from repro.faults.plan import FaultPlan
+from repro.faults.policy import RetryPolicy
+from repro.simulator.engine import Simulator
+from repro.simulator.process import Process
+from repro.simulator.resources import Resource
+from repro.storage.block import BlockSpec, DataChunk
+from repro.storage.bus import Bus
+from repro.storage.disk import Disk
+from repro.storage.disk_array import DiskArray
+from repro.storage.tape import TapeDrive, TapeVolume
+
+MB = 1024 * 1024
+
+
+def chunk_of(n_blocks, start=0, tpb=10):
+    return DataChunk.from_keys(np.arange(start, start + round(n_blocks * tpb)), tpb)
+
+
+class Rig:
+    """Three disks in an array and one tape drive on a 10 MB/s bus.
+
+    Given ``monkeypatch``, logs every grant and release.  ``wake_after``
+    names a release (by its index among the releases); right after it,
+    :attr:`signal` triggers and the rivals wake.
+    """
+
+    def __init__(self, monkeypatch=None, wake_after=None):
+        self.sim = sim = Simulator()
+        spec = BlockSpec()
+        bus = Bus(sim, "scsi", 10 * MB)
+        self.disks = [Disk(sim, f"d{i}", bus, spec, 1000.0) for i in range(3)]
+        self.array = DiskArray(sim, self.disks, stripe_threshold_blocks=2.0)
+        self.drive = TapeDrive(sim, "tape", bus, spec)
+        volume = TapeVolume("vol", 1000.0)
+        self.drive.load(volume)
+        self.file = volume.create_file("data")
+        self.file._append(chunk_of(6.0))
+        self.signal = sim.event()
+        self.log = log = []
+        if monkeypatch is None:
+            return
+        units = {device.unit: device.name for device in (*self.disks, self.drive)}
+        releases = []
+
+        for cls in (Disk, TapeDrive):
+
+            def logged_lead_in(device, where, n_blocks, near, _lead_in=cls._lead_in):
+                log.append(("grant", device.name, getattr(where, "name", where), sim.now))
+                return _lead_in(device, where, n_blocks, near)
+
+            monkeypatch.setattr(cls, "_lead_in", logged_lead_in)
+
+        def logged_release(resource, request, _release=Resource.release):
+            log.append(("release", units[resource], None, sim.now))
+            _release(resource, request)
+            releases.append(sim.now)
+            if len(releases) - 1 == wake_after:
+                self.signal.succeed()
+
+        monkeypatch.setattr(Resource, "release", logged_release)
+
+    def rival(self, device, where, hops, wait):
+        """Request ``device`` ``hops`` queue hops after waking."""
+        if wait:
+            yield self.signal
+        for _ in range(hops):
+            yield self.sim.timeout(0)
+        yield from device._io(where, 1.0, "disk-read" if device is not self.drive else "tape-read")
+        self.log.append(("rival-done", device.name, None, self.sim.now))
+
+
+def striped_read(rig):
+    extent = rig.array.allocate("striped")
+    rig.array.install(extent, chunk_of(12.0))
+    yield from rig.array.read_range(extent, 0.0, 12.0)
+
+
+def write_burst(rig):
+    extents = [rig.array.allocate(f"bucket{i}") for i in range(2)]
+    writes = [(extents[i % 2], chunk_of(1.0, start=100 * i)) for i in range(5)]
+    yield from rig.array.write_burst(writes)
+
+
+def read_chunks(rig):
+    extent = rig.array.allocate("chunks")
+    for i in range(3):
+        rig.array.install(extent, chunk_of(3.0, start=100 * i))
+    yield from rig.array.read_chunks(extent, list(extent.live_chunks()), consume=False)
+
+
+def tape_prefetch(rig):
+    target = types.SimpleNamespace(name="consume")
+
+    def consume(data):
+        yield from rig.disks[0]._io(target, data.n_blocks, "disk-write")
+
+    env = types.SimpleNamespace(sim=rig.sim, faults=None)
+    yield from scan_tape(env, rig.drive, rig.file, 0.0, 6.0, 2.0, consume, overlap=True)
+
+
+PATHS = {
+    "read_range": striped_read,
+    "write_burst": write_burst,
+    "read_chunks": read_chunks,
+    "scan_tape": tape_prefetch,
+}
+
+
+def run_case(path, wake=None, hops=0):
+    """The log of ``path`` against rivals on disk 0 and the tape drive.
+
+    ``wake`` is None (no rivals), ``"start"`` (the rivals start one step
+    after the caller) or the index of the release after which they wake.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        rig = Rig(patch, wake_after=None if wake in (None, "start") else wake)
+        sim = rig.sim
+
+        def caller():
+            yield from PATHS[path](rig)
+            rig.log.append(("io-done", None, None, sim.now))
+            yield from rig.disks[0]._io(types.SimpleNamespace(name="after"), 1.0, "disk-read")
+
+        main = sim.process(caller())
+        if wake is not None:
+            rival_to = types.SimpleNamespace(name="rival")
+            sim.process(rig.rival(rig.disks[0], rival_to, hops, wake != "start"))
+            sim.process(rig.rival(rig.drive, 5.0, hops, wake != "start"))
+        sim.run(main)
+        sim.run()
+        return rig.log
+
+
+#: Full logs with the rivals starting one step after the caller.
+EXPECTED_AT_START = {
+    "read_range": [
+        ("grant", "d0", "rival", 0.0),
+        ("grant", "tape", 5.0, 0.0),
+        ("grant", "d1", "striped", 0.0),
+        ("grant", "d2", "striped", 0.0),
+        ("release", "d0", None, 0.045896875000000004),
+        ("rival-done", "d0", None, 0.045896875000000004),
+        ("grant", "d0", "striped", 0.045896875000000004),
+        ("release", "d1", None, 0.1329575),
+        ("release", "d2", None, 0.1329575),
+        ("release", "d0", None, 0.1774592857142857),
+        ("io-done", None, None, 0.1774592857142857),
+        ("grant", "d0", "after", 0.1774592857142857),
+        ("release", "d0", None, 0.2219610714285714),
+        ("release", "tape", None, 2.048828125),
+        ("rival-done", "tape", None, 2.048828125),
+    ],
+    "write_burst": [
+        ("grant", "d0", "rival", 0.0),
+        ("grant", "tape", 5.0, 0.0),
+        ("grant", "d1", "bucket1", 0.0),
+        ("grant", "d2", "bucket0", 0.0),
+        ("release", "d0", None, 0.045696875),
+        ("rival-done", "d0", None, 0.045696875),
+        ("grant", "d0", "bucket0", 0.045696875),
+        ("release", "d1", None, 0.07836375),
+        ("release", "d2", None, 0.07836375),
+        ("release", "d0", None, 0.09096375),
+        ("io-done", None, None, 0.09096375),
+        ("grant", "d0", "after", 0.09096375),
+        ("release", "d0", None, 0.1354655357142857),
+        ("release", "tape", None, 2.048828125),
+        ("rival-done", "tape", None, 2.048828125),
+    ],
+    "read_chunks": [
+        ("grant", "d0", "rival", 0.0),
+        ("grant", "tape", 5.0, 0.0),
+        ("grant", "d1", "chunks", 0.0),
+        ("grant", "d2", "chunks", 0.0),
+        ("release", "d0", None, 0.045496875),
+        ("rival-done", "d0", None, 0.045496875),
+        ("grant", "d0", "chunks", 0.045496875),
+        ("release", "d1", None, 0.111260625),
+        ("release", "d2", None, 0.111260625),
+        ("release", "d0", None, 0.1557624107142857),
+        ("io-done", None, None, 0.1557624107142857),
+        ("grant", "d0", "after", 0.1557624107142857),
+        ("release", "d0", None, 0.2002641964285714),
+        ("release", "tape", None, 2.048828125),
+        ("rival-done", "tape", None, 2.048828125),
+    ],
+    "scan_tape": [
+        ("grant", "d0", "rival", 0.0),
+        ("grant", "tape", 5.0, 0.0),
+        ("release", "d0", None, 0.044501785714285716),
+        ("rival-done", "d0", None, 0.044501785714285716),
+        ("release", "tape", None, 2.048828125),
+        ("rival-done", "tape", None, 2.048828125),
+        ("grant", "tape", 0.0, 2.048828125),
+        ("release", "tape", None, 4.146484375),
+        ("grant", "d0", "consume", 4.146484375),
+        ("grant", "tape", 2.0, 4.146484375),
+        ("release", "d0", None, 4.218887946428572),
+        ("release", "tape", None, 4.244140625),
+        ("grant", "d0", "consume", 4.244140625),
+        ("grant", "tape", 4.0, 4.244140625),
+        ("release", "d0", None, 4.299944196428571),
+        ("release", "tape", None, 4.341796875),
+        ("grant", "d0", "consume", 4.341796875),
+        ("release", "d0", None, 4.397600446428571),
+        ("io-done", None, None, 4.397600446428571),
+        ("grant", "d0", "after", 4.397600446428571),
+        ("release", "d0", None, 4.442102232142857),
+    ],
+}
+
+#: sha256 of ``repr(log)`` for every wake point and hop count.
+LOG_DIGESTS = {
+    ("read_range", "start", 0): "6e6d8d1077e204bd7c57dcfba55baef589a7d618ab88cd023ba4a9b8660b47b8",
+    ("read_range", "start", 1): "17ece839b245bbefb04a984dba0582eb22143f394a6e0f162c2f539e35581237",
+    ("read_range", "start", 2): "17ece839b245bbefb04a984dba0582eb22143f394a6e0f162c2f539e35581237",
+    ("read_range", 0, 0): "f010d5887a63974c39133df44db1d9581b4faf715c831a5f84b0c9705d57829f",
+    ("read_range", 0, 1): "f010d5887a63974c39133df44db1d9581b4faf715c831a5f84b0c9705d57829f",
+    ("read_range", 0, 2): "66cbead5e8adf87cd07c706f36582bf55a91d9bf32cd15797dff33c7fb7462e9",
+    ("read_range", 1, 0): "f010d5887a63974c39133df44db1d9581b4faf715c831a5f84b0c9705d57829f",
+    ("read_range", 1, 1): "f010d5887a63974c39133df44db1d9581b4faf715c831a5f84b0c9705d57829f",
+    ("read_range", 1, 2): "66cbead5e8adf87cd07c706f36582bf55a91d9bf32cd15797dff33c7fb7462e9",
+    ("read_range", 2, 0): "f010d5887a63974c39133df44db1d9581b4faf715c831a5f84b0c9705d57829f",
+    ("read_range", 2, 1): "f010d5887a63974c39133df44db1d9581b4faf715c831a5f84b0c9705d57829f",
+    ("read_range", 2, 2): "66cbead5e8adf87cd07c706f36582bf55a91d9bf32cd15797dff33c7fb7462e9",
+    ("write_burst", "start", 0): "267f5225ab5a2aae79de2516b52bae028d6bdecc6258081817557a2f5d51b2c5",
+    ("write_burst", "start", 1): "705fb02d59d721088bc32d51d211d0b908060e9adda3a3545f2483df605cf2a4",
+    ("write_burst", "start", 2): "705fb02d59d721088bc32d51d211d0b908060e9adda3a3545f2483df605cf2a4",
+    ("write_burst", 0, 0): "059c07c888b0c567040855455f42b14b1c7664417f2108a899bd065f7b4d1bb6",
+    ("write_burst", 0, 1): "059c07c888b0c567040855455f42b14b1c7664417f2108a899bd065f7b4d1bb6",
+    ("write_burst", 0, 2): "059c07c888b0c567040855455f42b14b1c7664417f2108a899bd065f7b4d1bb6",
+    ("write_burst", 1, 0): "c638a4781a39bf5d9242a56823fd1ba4fa5c65308832cb0bfd32cadadbeae45d",
+    ("write_burst", 1, 1): "c638a4781a39bf5d9242a56823fd1ba4fa5c65308832cb0bfd32cadadbeae45d",
+    ("write_burst", 1, 2): "aa9092050ec399141e89183fd05a05fa81e436814b0adb1db1af4018c98636c9",
+    ("write_burst", 2, 0): "c638a4781a39bf5d9242a56823fd1ba4fa5c65308832cb0bfd32cadadbeae45d",
+    ("write_burst", 2, 1): "c638a4781a39bf5d9242a56823fd1ba4fa5c65308832cb0bfd32cadadbeae45d",
+    ("write_burst", 2, 2): "aa9092050ec399141e89183fd05a05fa81e436814b0adb1db1af4018c98636c9",
+    ("read_chunks", "start", 0): "c0718fdd315b316414cb33c11323e849f1bf901a0173263f369927c5942a3906",
+    ("read_chunks", "start", 1): "921c8a179922a523e79175832b11cae8044d1a4a5201cffe655d15c9352052db",
+    ("read_chunks", "start", 2): "921c8a179922a523e79175832b11cae8044d1a4a5201cffe655d15c9352052db",
+    ("read_chunks", 0, 0): "07cb98041d9610ddf6d3cfcadabe8e497b096c92cb34143a2f1c5fb34bb47b6e",
+    ("read_chunks", 0, 1): "07cb98041d9610ddf6d3cfcadabe8e497b096c92cb34143a2f1c5fb34bb47b6e",
+    ("read_chunks", 0, 2): "82c11bc6a85834cdc137a6572b02e5f07306f1674f949c9c88df45f480c1f9eb",
+    ("read_chunks", 1, 0): "07cb98041d9610ddf6d3cfcadabe8e497b096c92cb34143a2f1c5fb34bb47b6e",
+    ("read_chunks", 1, 1): "07cb98041d9610ddf6d3cfcadabe8e497b096c92cb34143a2f1c5fb34bb47b6e",
+    ("read_chunks", 1, 2): "82c11bc6a85834cdc137a6572b02e5f07306f1674f949c9c88df45f480c1f9eb",
+    ("read_chunks", 2, 0): "07cb98041d9610ddf6d3cfcadabe8e497b096c92cb34143a2f1c5fb34bb47b6e",
+    ("read_chunks", 2, 1): "07cb98041d9610ddf6d3cfcadabe8e497b096c92cb34143a2f1c5fb34bb47b6e",
+    ("read_chunks", 2, 2): "82c11bc6a85834cdc137a6572b02e5f07306f1674f949c9c88df45f480c1f9eb",
+    ("scan_tape", "start", 0): "b069978946a10d7faac863b297a44afb8d949a7b53eda47171a7c52cbeeb91f6",
+    ("scan_tape", "start", 1): "f4f79b20fea3551c6cf2cc6319ed94760ffd626cfef2f8163a4bb6adf2f40ed3",
+    ("scan_tape", "start", 2): "f4f79b20fea3551c6cf2cc6319ed94760ffd626cfef2f8163a4bb6adf2f40ed3",
+    ("scan_tape", 0, 0): "845d95424585f898a279e506f6bc72237179c67106c2a09c5152c398ecbb3cca",
+    ("scan_tape", 0, 1): "f7466bbe7a4b34cfc33d7188503e41e81dc5a3e3f3dd45db3a21447977a431fd",
+    ("scan_tape", 0, 2): "87a15c9ca2a4e350c15a5f7cdcb716fbfc7ba4b4bc4b43194e96a03453360eb9",
+    ("scan_tape", 1, 0): "87a15c9ca2a4e350c15a5f7cdcb716fbfc7ba4b4bc4b43194e96a03453360eb9",
+    ("scan_tape", 1, 1): "87a15c9ca2a4e350c15a5f7cdcb716fbfc7ba4b4bc4b43194e96a03453360eb9",
+    ("scan_tape", 1, 2): "87a15c9ca2a4e350c15a5f7cdcb716fbfc7ba4b4bc4b43194e96a03453360eb9",
+    ("scan_tape", 2, 0): "e8745ea14faf3dee0dd7c489b36223d12f05c4c3c83fda245084fff3b383dc0d",
+    ("scan_tape", 2, 1): "63d30700c35ed0d91b5849c3eed570f53751ebc975edcac60098f9d86c4c03e4",
+    ("scan_tape", 2, 2): "1e52cd90aba607af85b87b84d306062d056ecb37ebc6cf358823370392f548d2",
+    ("scan_tape", 3, 0): "1e52cd90aba607af85b87b84d306062d056ecb37ebc6cf358823370392f548d2",
+    ("scan_tape", 3, 1): "1e52cd90aba607af85b87b84d306062d056ecb37ebc6cf358823370392f548d2",
+    ("scan_tape", 3, 2): "1e52cd90aba607af85b87b84d306062d056ecb37ebc6cf358823370392f548d2",
+    ("scan_tape", 4, 0): "1d0295da9b6d033371f36e5ea851df27897f51d9eaab75d095397f7e2c777443",
+    ("scan_tape", 4, 1): "aa24da0e840ee97271a845fe1f3eecb108b23098a90231fdb8a118c540b151b1",
+    ("scan_tape", 4, 2): "aa24da0e840ee97271a845fe1f3eecb108b23098a90231fdb8a118c540b151b1",
+    ("scan_tape", 5, 0): "f2f2d03b137319fc7952ceef1f099be406d5e70cab756383a07707b5da94573c",
+    ("scan_tape", 5, 1): "f2f2d03b137319fc7952ceef1f099be406d5e70cab756383a07707b5da94573c",
+    ("scan_tape", 5, 2): "f2f2d03b137319fc7952ceef1f099be406d5e70cab756383a07707b5da94573c",
+}
+
+
+@pytest.mark.parametrize("path", list(EXPECTED_AT_START))
+def test_rivals_at_start(path):
+    assert run_case(path, "start") == EXPECTED_AT_START[path]
+
+
+@pytest.mark.parametrize("path,wake,hops", list(LOG_DIGESTS))
+def test_rivals_hops_after_each_release(path, wake, hops):
+    log = run_case(path, wake, hops)
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == LOG_DIGESTS[(path, wake, hops)]
+
+
+class TestNoProcessPerOp:
+    """Fault-free multi-device I/O starts device ops as plain events."""
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_fault_free_paths_spawn_no_process(self, path):
+        with pytest.MonkeyPatch.context() as patch:
+            rig = Rig(patch)
+            main = rig.sim.process(PATHS[path](rig))
+            spawned = []
+            init = Process.__init__
+
+            def counting_init(process, *args, **kwargs):
+                spawned.append(process)
+                init(process, *args, **kwargs)
+
+            patch.setattr(Process, "__init__", counting_init)
+            rig.sim.run(main)
+        assert spawned == []
+        assert any(entry[0] == "grant" for entry in rig.log)
+
+    def test_two_failures_in_one_fan_out_stay_typed(self):
+        # Every disk op fails for good; both arms of one striped read fail
+        # at the same instant.  The caller must get the typed error, and
+        # the second failure must not crash the kernel.
+        rig = Rig()
+        injector = FaultInjector(
+            rig.sim, FaultPlan(disk_error_rate=1.0), RetryPolicy(max_retries=0)
+        )
+        for disk in rig.disks:
+            disk.faults = injector
+        extent = rig.array.allocate("striped")
+        rig.array.install(extent, chunk_of(12.0))
+
+        def caller():
+            try:
+                yield from rig.array.read_range(extent, 0.0, 12.0)
+            except RetryExhaustedError as exc:
+                return exc
+            raise AssertionError("the striped read did not fail")
+
+        exc = rig.sim.run(rig.sim.process(caller()))
+        rig.sim.run()  # the other failed ops drain without a ProcessCrash
+        assert isinstance(exc.__cause__, DiskTransientError)
+        assert sorted(injector.stats.errors_by_device) == ["d0", "d1", "d2"]

@@ -53,6 +53,14 @@ class TestDiskParameters:
         with pytest.raises(ValueError):
             DiskParameters(avg_seek_ms=-1.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["transfer_rate_mb_s", "avg_seek_ms", "rotational_latency_ms", "near_seek_ms"],
+    )
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError):
+            DiskParameters(**{field: float("nan")})
+
 
 class TestSpaceAccounting:
     def test_capacity_validation(self, sim):

@@ -49,6 +49,17 @@ class TestTapeDriveParameters:
         with pytest.raises(ValueError):
             TapeDriveParameters(rewind_s=-1.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "native_rate_mb_s", "compression_ratio", "reposition_s", "rewind_s",
+            "load_s", "stop_start_penalty_s", "locate_s_per_gb",
+        ],
+    )
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError):
+            TapeDriveParameters(**{field: float("nan")})
+
 
 class TestTapeVolume:
     def test_capacity_validation(self):
