@@ -22,7 +22,7 @@ class MemoryManager:
     """Ledger of the join's main-memory blocks."""
 
     def __init__(self, budget_blocks: float):
-        if budget_blocks <= 0:
+        if not budget_blocks > 0:
             raise ValueError(f"memory budget must be positive, got {budget_blocks}")
         self.budget_blocks = float(budget_blocks)
         self.used_blocks = 0.0
@@ -40,8 +40,8 @@ class MemoryManager:
 
     def take(self, n_blocks: float, purpose: str = "") -> float:
         """Allocate ``n_blocks``; raises :class:`MemoryBudgetError` if over."""
-        if n_blocks < 0:
-            raise ValueError(f"cannot take negative memory: {n_blocks}")
+        if not n_blocks >= 0:
+            raise ValueError(f"cannot take negative or NaN memory: {n_blocks}")
         if self.used_blocks + n_blocks > self.budget_blocks + 1e-9:
             label = f" for {purpose}" if purpose else ""
             raise MemoryBudgetError(
@@ -56,8 +56,8 @@ class MemoryManager:
 
     def give(self, n_blocks: float) -> None:
         """Return ``n_blocks`` to the budget."""
-        if n_blocks < 0:
-            raise ValueError(f"cannot give negative memory: {n_blocks}")
+        if not n_blocks >= 0:
+            raise ValueError(f"cannot give negative or NaN memory: {n_blocks}")
         if n_blocks > self.used_blocks + 1e-9:
             raise ValueError(
                 f"returning {n_blocks:.2f} blocks but only "

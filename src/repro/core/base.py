@@ -124,14 +124,11 @@ def scan_tape(
 
     def prefetch(chunk_start: float, step: float):
         """The read of the next chunk, started one queue hop from now."""
-        if drive.faults is not None:
-            pending = sim.process(drive.read_range(file, chunk_start, step), name="tape-prefetch")
-            # A consume() fault may abandon the in-flight prefetch; defusing
-            # keeps its own (possibly failed) completion from crashing the
-            # kernel.  Awaited failures still throw into this generator.
-            pending.defused = True
-            return pending
         pending = sim.event()
+        # A consume() fault may abandon the in-flight prefetch; defusing
+        # keeps its own (possibly failed) completion from crashing the
+        # kernel.  Awaited failures still throw into this generator.
+        pending.defused = True
         sim.defer(lambda _event: drive.read_range(file, chunk_start, step, done=pending))
         return pending
 

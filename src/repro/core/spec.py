@@ -88,14 +88,14 @@ class JoinSpec:
                 "the paper defines R as the smaller relation: "
                 f"|R|={self.relation_r.n_blocks:.1f} > |S|={self.relation_s.n_blocks:.1f}"
             )
-        if self.memory_blocks <= 0:
+        if not self.memory_blocks > 0:
             raise ValueError("memory budget M must be positive")
         if self.memory_blocks > self.relation_r.n_blocks + 1e-9:
             raise ValueError(
                 "the system model assumes M < |R| "
                 f"(M={self.memory_blocks}, |R|={self.relation_r.n_blocks:.1f})"
             )
-        if self.disk_blocks <= 0:
+        if not self.disk_blocks > 0:
             raise ValueError("disk budget D must be positive")
         if self.n_disks < 1:
             raise ValueError("need at least one disk")

@@ -4,7 +4,8 @@ One injector is built per :class:`~repro.core.environment.JoinEnvironment`
 when the spec carries a :class:`~repro.faults.plan.FaultPlan`.  Devices
 delegate their bus transfers to :meth:`FaultInjector.guarded_transfer`,
 which draws a verdict from the device's seeded stream, charges stalls and
-retries in *simulated* time, and raises typed exceptions once the
+retries in *simulated* time as callbacks (no process), and returns an
+event that fails with a typed exception once the
 :class:`~repro.faults.policy.RetryPolicy` is exhausted.
 
 Determinism contract: the verdict for the N-th operation of a device is a
@@ -31,6 +32,7 @@ from repro.faults.errors import (
 )
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
+from repro.simulator.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.engine import Simulator
@@ -157,32 +159,44 @@ class FaultInjector:
         lead_in_s: float,
         device: str,
         kind: str,
-    ) -> typing.Generator:
+    ) -> Event:
         """Run one bus transfer under the plan's faults and the policy.
 
-        A "stall" verdict stretches the transfer's lead-in.  An "error"
-        verdict means the transfer's simulated time is wasted: detection
-        and backoff are charged, and the operation is retried until the
-        policy gives up — then a :class:`RetryExhaustedError` escapes with
-        the typed device fault as its ``__cause__``.
+        Returns an event that settles, with no queue hop, at the instant
+        the last attempt (or its detection) ends.  A "stall" verdict
+        stretches the transfer's lead-in.  An "error" verdict means the
+        transfer's simulated time is wasted: detection and backoff are
+        charged, and the operation is retried until the policy gives up
+        — then the event fails with a :class:`RetryExhaustedError` whose
+        ``__cause__`` is the typed device fault.
         """
-        plan, policy = self.plan, self.policy
-        attempt = 0
-        while True:
+        sim, plan, policy, stats = self.sim, self.plan, self.policy, self.stats
+        done = Event(sim)
+
+        def attempt(number: int) -> None:
             verdict = self.decide(device, kind)
             extra = 0.0
             if verdict == "stall":
                 extra = plan.stall_s
-                self.stats.events += 1
-                self.stats.delay_s += extra
-            started = self.sim.now
-            yield bus.transfer(nominal_rate_bytes_s, n_bytes, lead_in_s + extra)
-            if verdict != "error":
-                return
-            self.stats.events += 1
-            wasted = self.sim.now - started
+                stats.events += 1
+                stats.delay_s += extra
+            started = sim.now
+            transfer = bus.transfer(nominal_rate_bytes_s, n_bytes, lead_in_s + extra)
+            if verdict == "error":
+                transfer.callbacks.append(lambda _event: failed(number, started))
+            else:
+                transfer.callbacks.append(lambda _event: done._succeed_now())
+
+        def give_up(error: BaseException, fault: DeviceFault) -> None:
+            stats.errors_by_device[device] = stats.errors_by_device.get(device, 0) + 1
+            error.__cause__ = fault
+            done._fail_now(error)
+
+        def failed(number: int, started: float) -> None:
+            stats.events += 1
+            wasted = sim.now - started
             fault = _FAULT_TYPES[kind](
-                f"{device}: injected {kind} fault (attempt {attempt + 1})",
+                f"{device}: injected {kind} fault (attempt {number + 1})",
                 device,
                 kind,
             )
@@ -190,39 +204,41 @@ class FaultInjector:
             self._errors[device] = errors
             budget = policy.device_error_budget
             if budget is not None and errors > budget:
-                self.stats.errors_by_device[device] = (
-                    self.stats.errors_by_device.get(device, 0) + 1
-                )
-                self.stats.recovery_s += wasted
-                raise ErrorBudgetExceededError(
+                stats.recovery_s += wasted
+                give_up(ErrorBudgetExceededError(
                     f"{device}: {errors} errors exceed the per-device budget "
                     f"of {budget}; treating the device as failed",
                     device,
                     errors,
                     budget,
-                ) from fault
-            if attempt >= policy.max_retries:
-                if plan.detect_s > 0:
-                    yield self.sim.timeout(plan.detect_s)
-                self.stats.recovery_s += wasted + plan.detect_s
-                self.stats.errors_by_device[device] = (
-                    self.stats.errors_by_device.get(device, 0) + 1
-                )
-                raise RetryExhaustedError(
-                    f"{device}: {kind} failed {attempt + 1} times; retry "
-                    f"policy exhausted (max_retries={policy.max_retries})",
-                    device,
-                    kind,
-                    attempt + 1,
-                ) from fault
-            pause = plan.detect_s + policy.backoff_for(attempt)
+                ), fault)
+                return
+            last = number >= policy.max_retries
+            pause = plan.detect_s + (0.0 if last else policy.backoff_for(number))
+
+            def resume(_event=None) -> None:
+                stats.recovery_s += wasted + pause
+                if last:
+                    give_up(RetryExhaustedError(
+                        f"{device}: {kind} failed {number + 1} times; retry "
+                        f"policy exhausted (max_retries={policy.max_retries})",
+                        device,
+                        kind,
+                        number + 1,
+                    ), fault)
+                    return
+                stats.retries += 1
+                if self.observer is not None:
+                    self.observer.span(
+                        f"{device}.{kind} retry", started, sim.now, "fault-retry"
+                    )
+                    self.observer.count("fault_retries")
+                attempt(number + 1)
+
             if pause > 0:
-                yield self.sim.timeout(pause)
-            self.stats.retries += 1
-            self.stats.recovery_s += wasted + pause
-            if self.observer is not None:
-                self.observer.span(
-                    f"{device}.{kind} retry", started, self.sim.now, "fault-retry"
-                )
-                self.observer.count("fault_retries")
-            attempt += 1
+                sim.timeout(pause).callbacks.append(resume)
+            else:
+                resume()
+
+        attempt(0)
+        return done

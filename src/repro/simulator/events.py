@@ -102,6 +102,13 @@ class Event:
         for callback in callbacks:
             callback(self)
 
+    def _fail_now(self, exception: BaseException) -> None:
+        """:meth:`_succeed_now` for a failure, which the waiters handle."""
+        if self.triggered:
+            raise RuntimeError(f"{self!r} already triggered")
+        self._exception = exception
+        self._succeed_now()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         states = {PENDING: "pending", TRIGGERED: "triggered", PROCESSED: "processed"}
         return f"<{type(self).__name__} {states[self._state]} at {id(self):#x}>"
@@ -122,11 +129,10 @@ class Timeout(Event):
         sim._schedule(self, delay=delay)
 
 
-class Condition(Event):
-    """Base for composite events over a fixed set of child events.
+class AllOf(Event):
+    """Triggers when every child event has triggered successfully.
 
-    The condition triggers when :meth:`_satisfied` first holds, or fails as
-    soon as any child fails.  Its value is a dict mapping each *triggered*
+    Fails as soon as any child fails.  Its value is a dict mapping each
     child event to that child's value (insertion-ordered).
     """
 
@@ -146,9 +152,6 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._on_child)
 
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
     def _on_child(self, event: Event) -> None:
         if self.triggered:
             return
@@ -157,17 +160,5 @@ class Condition(Event):
             self.fail(event.exception)
             return
         self._done += 1
-        if self._satisfied():
-            # Only children that have actually fired contribute a value
-            # (a pending Timeout is "triggered" from birth but has not
-            # happened yet).
-            self.succeed(
-                {child: child._value for child in self.events if child.ok and child.processed}
-            )
-
-
-class AllOf(Condition):
-    """Triggers when every child event has triggered successfully."""
-
-    def _satisfied(self) -> bool:
-        return self._done == len(self.events)
+        if self._done == len(self.events):
+            self.succeed({child: child._value for child in self.events})

@@ -29,7 +29,7 @@ class Resource:
     """A resource with ``capacity`` slots and a FIFO wait queue."""
 
     def __init__(self, sim: "Simulator", capacity: int = 1):
-        if capacity < 1:
+        if not capacity >= 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
@@ -73,7 +73,7 @@ class ContainerEvent(Event):
     """A pending put or get against a :class:`Container`."""
 
     def __init__(self, container: "Container", amount: float):
-        if amount < 0:
+        if not amount >= 0:
             raise ValueError(f"amount must be >= 0, got {amount}")
         super().__init__(container.sim)
         self.container = container
@@ -97,7 +97,7 @@ class Container:
     """
 
     def __init__(self, sim: "Simulator", capacity: float = float("inf"), init: float = 0.0):
-        if capacity <= 0:
+        if not capacity > 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         if not 0 <= init <= capacity:
             raise ValueError(f"init {init} outside [0, {capacity}]")
@@ -185,7 +185,7 @@ class Store:
     """A FIFO queue of discrete items with optional capacity."""
 
     def __init__(self, sim: "Simulator", capacity: float = float("inf")):
-        if capacity <= 0:
+        if not capacity > 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         self.sim = sim
         self.capacity = capacity

@@ -36,7 +36,7 @@ class Device:
         self.position = None
         self._last_op_end = 0.0
         #: Optional fault injector (``repro.faults``); None = fault-free,
-        #: in which case every I/O takes the original unguarded path.
+        #: in which case each transfer is a plain bus transfer.
         self.faults = None
         #: Optional :class:`~repro.obs.recorder.JoinObserver`; recording
         #: is purely observational, so traced runs stay time-identical.
@@ -68,29 +68,38 @@ class Device:
 
     def _start_io(
         self, where, n_blocks: float, kind: str, near: int | None,
-        finished: typing.Callable[[], None],
+        finished: typing.Callable[[BaseException | None], None],
     ) -> None:
-        """Run the op as events alone, with no generator (fault-free only).
+        """Run the op as events alone, with no generator.
 
         Hold the unit; once it is granted, charge the lead-in and the
-        transfer as one bus event; when that completes, move the
-        position, record, release the unit and call ``finished``, all at
-        the completion instant.  Callers add the queue hops a process
-        running the op would take (see ``DiskArray._fan_out``).
+        transfer as one bus event (through the fault injector's retry
+        loop, if the device has one); when that settles, move the
+        position if it succeeded, record, release the unit and call
+        ``finished`` with the failure or None, all at the settling
+        instant.  Callers add the queue hops a process running the op
+        would take (see ``DiskArray._fan_out``).
         """
         req = self._hold()
 
         def granted(_event=None) -> None:
             start = self.sim.now
             lead_in, after = self._lead_in(where, n_blocks, near)
-            transfer = self.bus.transfer(
-                self.params.rate_bytes_s, self.spec.bytes_from_blocks(n_blocks), lead_in
-            )
+            rate, n_bytes = self.params.rate_bytes_s, self.spec.bytes_from_blocks(n_blocks)
+            faults = self.faults
+            if faults is None:
+                transfer = self.bus.transfer(rate, n_bytes, lead_in)
+            else:
+                transfer = faults.guarded_transfer(
+                    self.bus, rate, n_bytes, lead_in, self.name, kind
+                )
 
-            def complete(_event) -> None:
-                self.position = after
+            def complete(event) -> None:
+                failure = event._exception
+                if failure is None:
+                    self.position = after
                 self._finish(req, start, kind)
-                finished()
+                finished(failure)
 
             transfer.callbacks.append(complete)
 
@@ -107,26 +116,14 @@ class Device:
         ``near`` marks a disk burst of ``near + 1`` small requests (see
         :meth:`Disk._lead_in <repro.storage.disk.Disk._lead_in>`).
         Positioning and transfer share one bus event (lead-in), so an op
-        costs a single scheduled completion.  A fault-free device runs
-        the op as :meth:`_start_io`; under fault injection the transfer
-        goes through the injector's retry loop, which needs a generator.
+        costs a single scheduled completion.  The op runs as
+        :meth:`_start_io`; the waiter resumes, or gets the failure
+        thrown in, inside its completion callback, before any other
+        same-time event.
         """
-        if self.faults is None:
-            # ``_succeed_now``: the waiter resumes inside the completion
-            # callback, before any other same-time event.
-            done = Event(self.sim)
-            self._start_io(where, n_blocks, kind, near, done._succeed_now)
-            yield done
-            return
-        req = self._hold()
-        yield req
-        start = self.sim.now
-        try:
-            lead_in, after = self._lead_in(where, n_blocks, near)
-            yield from self.faults.guarded_transfer(
-                self.bus, self.params.rate_bytes_s, self.spec.bytes_from_blocks(n_blocks),
-                lead_in, self.name, kind,
-            )
-            self.position = after
-        finally:
-            self._finish(req, start, kind)
+        done = Event(self.sim)
+        self._start_io(
+            where, n_blocks, kind, near,
+            lambda failure: done._succeed_now() if failure is None else done._fail_now(failure),
+        )
+        yield done

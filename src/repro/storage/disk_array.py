@@ -217,30 +217,24 @@ class DiskArray:
     def _fan_out(self, ops: list[tuple[Disk, typing.Any, float, int | None]], kind: str) -> Event:
         """Run one op per ``(disk, where, n_blocks, near)`` concurrently.
 
-        Under faults each op is a pre-defused process around the guarded
-        ``_io`` (``all_of`` fails on the *first* failing op; a second
-        failure would otherwise crash the kernel, not reach join
-        recovery).  Fault-free ops run as events with the same queue
-        hops, since same-time ordering decides arm hand-off: they start
-        one hop from now, and the event triggers two hops after the last
-        one ends (one, for no ops).
+        The ops run as events with the queue hops of one process per op
+        joined by ``all_of``, since same-time ordering decides arm
+        hand-off: they start one hop from now, and the event triggers
+        two hops after the last one ends (one, for no ops).  The first
+        failing op fails the event two hops after it ends; later
+        failures are dropped, as the caller has already been told.
         """
         sim = self.sim
-        if not ops or any(disk.faults is not None for disk in self.disks):
-            procs = [
-                sim.process(disk._io(where, blocks, kind, near), name=f"{kind}@{disk.name}")
-                for disk, where, blocks, near in ops
-            ]
-            for proc in procs:
-                proc.defused = True
-            return sim.all_of(procs)
         done, left = sim.event(), len(ops)
+        if not ops:
+            return done.succeed()
 
-        def op_done() -> None:
+        def op_done(failure: BaseException | None) -> None:
             nonlocal left
-            left -= 1
-            if not left:
-                sim.defer(lambda _event: done.succeed())
+            if left > 0:
+                left = left - 1 if failure is None else 0
+                if not left:
+                    sim.defer(lambda _event: done.fail(failure) if failure else done.succeed())
 
         def start(_event) -> None:
             for disk, where, blocks, near in ops:

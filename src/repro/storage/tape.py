@@ -238,17 +238,17 @@ class TapeDrive(Device):
         """Read ``n_blocks`` starting ``offset_blocks`` into ``file``.
 
         Returns a generator for ``yield from`` that returns the data.
-        Given ``done``, a fault-free drive instead starts the read at once
-        as an event op, and ``done`` triggers with the data through the
-        event queue (the overlapped prefetch of
-        :func:`~repro.core.base.scan_tape`).
+        Given ``done``, the drive instead starts the read at once as an
+        event op, and ``done`` triggers with the data, or fails with the
+        op's failure, through the event queue (the overlapped prefetch
+        of :func:`~repro.core.base.scan_tape`).
         """
         if done is None:
             return self._read(file, offset_blocks, n_blocks)
         data = self._take(file, offset_blocks, n_blocks)
         self._start_io(
             file.start_block + offset_blocks, n_blocks, "tape-read", None,
-            lambda: done.succeed(data),
+            lambda failure: done.succeed(data) if failure is None else done.fail(failure),
         )
         return done
 

@@ -41,6 +41,19 @@ class TestMemoryManager:
         with pytest.raises(ValueError):
             memory.give(-1.0)
 
+    def test_nan_budget_and_amounts_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            MemoryManager(nan)
+        memory = MemoryManager(10.0)
+        with pytest.raises(ValueError):
+            memory.take(nan)
+        with pytest.raises(ValueError):
+            memory.give(nan)
+        assert memory.used_blocks == 0.0
+        with pytest.raises(MemoryBudgetError):
+            memory.take(1e9)
+
     def test_peak_tracking(self):
         memory = MemoryManager(10.0)
         memory.take(7.0)

@@ -25,6 +25,12 @@ class TestJoinSpecValidation:
         with pytest.raises(ValueError):
             JoinSpec(small_r, small_s, memory_blocks=10, disk_blocks=100, n_disks=0)
 
+    def test_nan_budgets_are_bad_input(self, small_r, small_s):
+        with pytest.raises(ValueError, match="memory budget M"):
+            JoinSpec(small_r, small_s, memory_blocks=float("nan"), disk_blocks=100)
+        with pytest.raises(ValueError, match="disk budget D"):
+            JoinSpec(small_r, small_s, memory_blocks=10, disk_blocks=float("nan"))
+
     def test_mismatched_block_specs_rejected(self, small_r):
         other = uniform_relation(
             "S", 20.0, tuple_bytes=4096, spec=BlockSpec(block_bytes=50 * 1024)

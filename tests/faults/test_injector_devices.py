@@ -27,7 +27,7 @@ def run(sim, gen):
 
 def transfer_1s(injector, bus, device="t0", kind="tape-read", lead_in=0.5):
     """One guarded transfer taking lead_in + 1.0 simulated seconds."""
-    return injector.guarded_transfer(bus, MB, MB, lead_in, device, kind)
+    return (yield injector.guarded_transfer(bus, MB, MB, lead_in, device, kind))
 
 
 def catching(gen, exc_type):

@@ -13,6 +13,10 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
 
+    def test_nan_capacity_rejected(self, sim):
+        with pytest.raises(ValueError):
+            Resource(sim, capacity=float("nan"))
+
     def test_grants_up_to_capacity_immediately(self, sim):
         res = Resource(sim, capacity=2)
         first, second, third = res.request(), res.request(), res.request()
@@ -63,6 +67,17 @@ class TestContainer:
             Container(sim, capacity=0)
         with pytest.raises(ValueError):
             Container(sim, capacity=5, init=6)
+
+    def test_nan_capacity_and_amounts_rejected(self, sim):
+        with pytest.raises(ValueError):
+            Container(sim, capacity=float("nan"))
+        box = Container(sim, capacity=10, init=5)
+        with pytest.raises(ValueError):
+            box.get(float("nan"))
+        with pytest.raises(ValueError):
+            box.put(float("nan"))
+        got = box.get(1)
+        assert got.triggered and box.level == pytest.approx(4)
 
     def test_put_then_get(self, sim):
         box = Container(sim, capacity=10)
@@ -136,6 +151,10 @@ class TestContainer:
 
 
 class TestStore:
+    def test_nan_capacity_rejected(self, sim):
+        with pytest.raises(ValueError):
+            Store(sim, capacity=float("nan"))
+
     def test_put_get_fifo(self, sim):
         store = Store(sim)
         for item in ("a", "b", "c"):

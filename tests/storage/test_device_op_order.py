@@ -15,8 +15,15 @@ itself requests disk 0 again.
 Every unit grant and release is logged as ``(event, device, requester,
 time)``; the expected logs were recorded on the commit before striped
 I/O and tape prefetch stopped running as one process per device.
+
+The same cases also run under two fault plans.  A rate-0 plan must give
+the fault-free logs exactly.  A seeded plan adds the injector's
+verdicts (stalls and errors) and every operation the retry policy gave
+up on; its digests were recorded while faulty device ops still ran the
+retry loop as a generator, inside one process per disk or prefetch.
 """
 
+import collections
 import hashlib
 import types
 
@@ -38,6 +45,17 @@ from repro.storage.tape import TapeDrive, TapeVolume
 
 MB = 1024 * 1024
 
+#: The fault plans the ordering cases also run under.  ``seeded`` is
+#: chosen so that the logs hold stalls, retries that succeed and
+#: operations the policy gives up on.
+FAULT_PLANS = {
+    "rate0": FaultPlan(),
+    "seeded": FaultPlan(
+        seed=298, disk_error_rate=0.3, tape_read_error_rate=0.3, stall_rate=0.3
+    ),
+}
+FAULT_POLICY = RetryPolicy(max_retries=1, backoff_s=0.5)
+
 
 def chunk_of(n_blocks, start=0, tpb=10):
     return DataChunk.from_keys(np.arange(start, start + round(n_blocks * tpb)), tpb)
@@ -48,10 +66,12 @@ class Rig:
 
     Given ``monkeypatch``, logs every grant and release.  ``wake_after``
     names a release (by its index among the releases); right after it,
-    :attr:`signal` triggers and the rivals wake.
+    :attr:`signal` triggers and the rivals wake.  Given ``plan``, every
+    device runs under a fault injector, and the log also records each
+    verdict that is not None.
     """
 
-    def __init__(self, monkeypatch=None, wake_after=None):
+    def __init__(self, monkeypatch=None, wake_after=None, plan=None):
         self.sim = sim = Simulator()
         spec = BlockSpec()
         bus = Bus(sim, "scsi", 10 * MB)
@@ -64,8 +84,20 @@ class Rig:
         self.file._append(chunk_of(6.0))
         self.signal = sim.event()
         self.log = log = []
+        if plan is not None:
+            injector = FaultInjector(sim, FAULT_PLANS[plan], FAULT_POLICY)
+            injector.attach(types.SimpleNamespace(devices=[*self.disks, self.drive], buses=[bus]))
         if monkeypatch is None:
             return
+        if plan is not None:
+
+            def logged_decide(injector, device, kind, _decide=FaultInjector.decide):
+                verdict = _decide(injector, device, kind)
+                if verdict is not None:
+                    log.append((verdict, device, kind, sim.now))
+                return verdict
+
+            monkeypatch.setattr(FaultInjector, "decide", logged_decide)
         units = {device.unit: device.name for device in (*self.disks, self.drive)}
         releases = []
 
@@ -92,8 +124,18 @@ class Rig:
             yield self.signal
         for _ in range(hops):
             yield self.sim.timeout(0)
-        yield from device._io(where, 1.0, "disk-read" if device is not self.drive else "tape-read")
-        self.log.append(("rival-done", device.name, None, self.sim.now))
+        kind = "disk-read" if device is not self.drive else "tape-read"
+        if (yield from self.attempt(device._io(where, 1.0, kind), "rival")):
+            self.log.append(("rival-done", device.name, None, self.sim.now))
+
+    def attempt(self, io, who):
+        """Run ``io``; log an operation the retry policy gave up on."""
+        try:
+            yield from io
+        except RetryExhaustedError as exc:
+            self.log.append(("gave-up", exc.device, who, self.sim.now))
+            return False
+        return True
 
 
 def striped_read(rig):
@@ -133,20 +175,22 @@ PATHS = {
 }
 
 
-def run_case(path, wake=None, hops=0):
+def run_case(path, wake=None, hops=0, plan=None):
     """The log of ``path`` against rivals on disk 0 and the tape drive.
 
     ``wake`` is None (no rivals), ``"start"`` (the rivals start one step
     after the caller) or the index of the release after which they wake.
+    ``plan`` names one of :data:`FAULT_PLANS` (None: fault-free).
     """
     with pytest.MonkeyPatch.context() as patch:
-        rig = Rig(patch, wake_after=None if wake in (None, "start") else wake)
+        rig = Rig(patch, wake_after=None if wake in (None, "start") else wake, plan=plan)
         sim = rig.sim
 
         def caller():
-            yield from PATHS[path](rig)
-            rig.log.append(("io-done", None, None, sim.now))
-            yield from rig.disks[0]._io(types.SimpleNamespace(name="after"), 1.0, "disk-read")
+            if (yield from rig.attempt(PATHS[path](rig), "caller")):
+                rig.log.append(("io-done", None, None, sim.now))
+            after = rig.disks[0]._io(types.SimpleNamespace(name="after"), 1.0, "disk-read")
+            yield from rig.attempt(after, "after")
 
         main = sim.process(caller())
         if wake is not None:
@@ -297,6 +341,65 @@ LOG_DIGESTS = {
     ("scan_tape", 5, 2): "f2f2d03b137319fc7952ceef1f099be406d5e70cab756383a07707b5da94573c",
 }
 
+#: sha256 of ``repr(log)`` under the ``seeded`` plan, for every wake
+#: point (up to the caller's failure) and hop count.
+SEEDED_LOG_DIGESTS = {
+    ("read_range", "start", 0): "2e72d3e9ab07c61fe98626c68535c2a53d5d838e5a3e932102791b06deb16426",
+    ("read_range", "start", 1): "b172fed80c43b229c6e9ebeed6b1c7926e0ad321e830e880ddc44485528d2cc4",
+    ("read_range", "start", 2): "b172fed80c43b229c6e9ebeed6b1c7926e0ad321e830e880ddc44485528d2cc4",
+    ("read_range", 0, 0): "5514c83196a7458a5d99c1b59246bc014f9293b9f8313ae37936eda3c308290e",
+    ("read_range", 0, 1): "5514c83196a7458a5d99c1b59246bc014f9293b9f8313ae37936eda3c308290e",
+    ("read_range", 0, 2): "5514c83196a7458a5d99c1b59246bc014f9293b9f8313ae37936eda3c308290e",
+    ("read_range", 1, 0): "5514c83196a7458a5d99c1b59246bc014f9293b9f8313ae37936eda3c308290e",
+    ("read_range", 1, 1): "5514c83196a7458a5d99c1b59246bc014f9293b9f8313ae37936eda3c308290e",
+    ("read_range", 1, 2): "5514c83196a7458a5d99c1b59246bc014f9293b9f8313ae37936eda3c308290e",
+    ("read_range", 2, 0): "ee33d1060b0010e8578cb12c22e20b0259a37a54fe1142873d3b9fb835b45b78",
+    ("read_range", 2, 1): "ee33d1060b0010e8578cb12c22e20b0259a37a54fe1142873d3b9fb835b45b78",
+    ("read_range", 2, 2): "7f3ee681efb2b53c2f6d5c8f0ce9cb123adea2a90686f391f447dba2858dbbf6",
+    ("write_burst", "start", 0): "114c5175caa4272ffc7d76db62ea76d36d57983c918bf85e21869738420c14a4",
+    ("write_burst", "start", 1): "8adb0ad194501ee363b37d257daa13e4b580bb37c76c7e61c8d81d07ca4fd7d8",
+    ("write_burst", "start", 2): "8adb0ad194501ee363b37d257daa13e4b580bb37c76c7e61c8d81d07ca4fd7d8",
+    ("write_burst", 0, 0): "99a56dd7459e6c7cdc1d8c69c394c6139c8e15f44e84e96e26c923699a2415b4",
+    ("write_burst", 0, 1): "99a56dd7459e6c7cdc1d8c69c394c6139c8e15f44e84e96e26c923699a2415b4",
+    ("write_burst", 0, 2): "99a56dd7459e6c7cdc1d8c69c394c6139c8e15f44e84e96e26c923699a2415b4",
+    ("write_burst", 1, 0): "d748941f0e8a0ddd623d5c2e86646a7e72a6df6af711d096ad8d64a7619a934e",
+    ("write_burst", 1, 1): "d748941f0e8a0ddd623d5c2e86646a7e72a6df6af711d096ad8d64a7619a934e",
+    ("write_burst", 1, 2): "d748941f0e8a0ddd623d5c2e86646a7e72a6df6af711d096ad8d64a7619a934e",
+    ("write_burst", 2, 0): "27b8ccb0f9f6316b40eb4eb0b3319da24fdfccda7d0a2597629a2e5170b9f840",
+    ("write_burst", 2, 1): "27b8ccb0f9f6316b40eb4eb0b3319da24fdfccda7d0a2597629a2e5170b9f840",
+    ("write_burst", 2, 2): "50581c7e552284e5149c5fc780deef59d1debc5807e5d8f8ffd126d41fbc9af4",
+    ("read_chunks", "start", 0): "e7ee670fcce3ebefb149f349e3749dc03ffed1a65def9c06515eaf7402400366",
+    ("read_chunks", "start", 1): "1d3c922e6537be5f0785b18821306cc4d93962c41350c7e42c56f1c6102479d1",
+    ("read_chunks", "start", 2): "1d3c922e6537be5f0785b18821306cc4d93962c41350c7e42c56f1c6102479d1",
+    ("read_chunks", 0, 0): "53119e7d07f77c742edf571eb6ee25b49c1d15fd4b5494b9a8e047daff56649d",
+    ("read_chunks", 0, 1): "53119e7d07f77c742edf571eb6ee25b49c1d15fd4b5494b9a8e047daff56649d",
+    ("read_chunks", 0, 2): "53119e7d07f77c742edf571eb6ee25b49c1d15fd4b5494b9a8e047daff56649d",
+    ("read_chunks", 1, 0): "53119e7d07f77c742edf571eb6ee25b49c1d15fd4b5494b9a8e047daff56649d",
+    ("read_chunks", 1, 1): "53119e7d07f77c742edf571eb6ee25b49c1d15fd4b5494b9a8e047daff56649d",
+    ("read_chunks", 1, 2): "53119e7d07f77c742edf571eb6ee25b49c1d15fd4b5494b9a8e047daff56649d",
+    ("read_chunks", 2, 0): "de4b109f36080a642a6de1eeaff92f0e64f33fbc72ecdd04b9ee51bc802d837f",
+    ("read_chunks", 2, 1): "de4b109f36080a642a6de1eeaff92f0e64f33fbc72ecdd04b9ee51bc802d837f",
+    ("read_chunks", 2, 2): "c1ae995c45992cccf17ea1da29c502afdffc9109b03564d725ceb346799f15d1",
+    ("scan_tape", "start", 0): "d82832b0512f66ca6820fed70995343d3c2cdfd586c6c865d6454a5f78c00e43",
+    ("scan_tape", "start", 1): "f015278e4e11a0c30014d8e2fcf68afa309dad5ff9bac060e0cf7c048f1b3f77",
+    ("scan_tape", "start", 2): "f015278e4e11a0c30014d8e2fcf68afa309dad5ff9bac060e0cf7c048f1b3f77",
+    ("scan_tape", 0, 0): "02105448719e8ca1d11f4837d502cbf0b3e22c5d019663e57aea01b3aebaecc0",
+    ("scan_tape", 0, 1): "e0a724c1fea107a65252b96c5f4310c36f9414e697177f8697154a355b4d055a",
+    ("scan_tape", 0, 2): "777329d9c164cae33b8f582ad4e30f08a1a8da2b669ba0b666f34330160bb5ea",
+    ("scan_tape", 1, 0): "777329d9c164cae33b8f582ad4e30f08a1a8da2b669ba0b666f34330160bb5ea",
+    ("scan_tape", 1, 1): "777329d9c164cae33b8f582ad4e30f08a1a8da2b669ba0b666f34330160bb5ea",
+    ("scan_tape", 1, 2): "777329d9c164cae33b8f582ad4e30f08a1a8da2b669ba0b666f34330160bb5ea",
+    ("scan_tape", 2, 0): "b95bc47447ba485476cffbc14df5c65995ed7775d4ecaf18c4e66cf78a22872a",
+    ("scan_tape", 2, 1): "c719f59c7ea6ba8955d19a28269d33da58e903bebb030385ff37e51c94f079f7",
+    ("scan_tape", 2, 2): "37951001819dcdfdac52286a7eebf1a66c4a9e9b0f7e0ff1a41d448218104dd8",
+    ("scan_tape", 3, 0): "37951001819dcdfdac52286a7eebf1a66c4a9e9b0f7e0ff1a41d448218104dd8",
+    ("scan_tape", 3, 1): "37951001819dcdfdac52286a7eebf1a66c4a9e9b0f7e0ff1a41d448218104dd8",
+    ("scan_tape", 3, 2): "37951001819dcdfdac52286a7eebf1a66c4a9e9b0f7e0ff1a41d448218104dd8",
+    ("scan_tape", 4, 0): "8af8e3c7b605ddd88e0ec3981165eba506427d14d1cee743e7b9c3f7b8dd9d7b",
+    ("scan_tape", 4, 1): "30e5026be1b930d2eab55595727129bdc1d08baeada085d738575f18c7ac3eb5",
+    ("scan_tape", 4, 2): "30e5026be1b930d2eab55595727129bdc1d08baeada085d738575f18c7ac3eb5",
+}
+
 
 @pytest.mark.parametrize("path", list(EXPECTED_AT_START))
 def test_rivals_at_start(path):
@@ -309,8 +412,38 @@ def test_rivals_hops_after_each_release(path, wake, hops):
     assert hashlib.sha256(repr(log).encode()).hexdigest() == LOG_DIGESTS[(path, wake, hops)]
 
 
+def log_digest(log):
+    return hashlib.sha256(repr(log).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("path", list(EXPECTED_AT_START))
+def test_rate0_plan_rivals_at_start(path):
+    assert run_case(path, "start", plan="rate0") == EXPECTED_AT_START[path]
+
+
+@pytest.mark.parametrize("path,wake,hops", list(LOG_DIGESTS))
+def test_rate0_plan_rivals_hops_after_each_release(path, wake, hops):
+    assert log_digest(run_case(path, wake, hops, plan="rate0")) == LOG_DIGESTS[(path, wake, hops)]
+
+
+@pytest.mark.parametrize("path,wake,hops", list(SEEDED_LOG_DIGESTS))
+def test_seeded_plan_rivals_hops_after_each_release(path, wake, hops):
+    log = run_case(path, wake, hops, plan="seeded")
+    assert log_digest(log) == SEEDED_LOG_DIGESTS[(path, wake, hops)]
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+def test_seeded_plan_stalls_retries_and_gives_up(path):
+    # With max_retries=1 an op the policy gives up on saw two errors, so
+    # more errors than that means some retry succeeded.
+    counts = collections.Counter(entry[0] for entry in run_case(path, "start", plan="seeded"))
+    assert counts["stall"] > 0
+    assert counts["gave-up"] > 0
+    assert counts["error"] > 2 * counts["gave-up"]
+
+
 class TestNoProcessPerOp:
-    """Fault-free multi-device I/O starts device ops as plain events."""
+    """Multi-device I/O starts device ops as plain events, with or without faults."""
 
     @pytest.mark.parametrize("path", list(PATHS))
     def test_fault_free_paths_spawn_no_process(self, path):
@@ -326,6 +459,27 @@ class TestNoProcessPerOp:
 
             patch.setattr(Process, "__init__", counting_init)
             rig.sim.run(main)
+        assert spawned == []
+        assert any(entry[0] == "grant" for entry in rig.log)
+
+    @pytest.mark.parametrize("plan", list(FAULT_PLANS))
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_faulty_paths_spawn_no_process(self, path, plan):
+        # Under the seeded plan the path may fail; the failure is logged,
+        # and any op it abandoned drains before the count is taken.
+        with pytest.MonkeyPatch.context() as patch:
+            rig = Rig(patch, plan=plan)
+            main = rig.sim.process(rig.attempt(PATHS[path](rig), "caller"))
+            spawned = []
+            init = Process.__init__
+
+            def counting_init(process, *args, **kwargs):
+                spawned.append(process)
+                init(process, *args, **kwargs)
+
+            patch.setattr(Process, "__init__", counting_init)
+            rig.sim.run(main)
+            rig.sim.run()
         assert spawned == []
         assert any(entry[0] == "grant" for entry in rig.log)
 

@@ -1,9 +1,12 @@
-"""Devices are built in one place: the storage hierarchy.
+"""Structure checks that scan the source tree.
 
-Every join, query pass and assumption check gets its buses, disks and
-tape drives from :class:`repro.storage.hierarchy.StorageSystem`.  This
-test scans the source tree and fails if a device is constructed
-anywhere else.
+Devices are built in one place: every join, query pass and assumption
+check gets its buses, disks and tape drives from
+:class:`repro.storage.hierarchy.StorageSystem`, and the scan fails if a
+device is constructed anywhere else.
+
+A device op runs as events, faulty or not: nothing under ``storage/``
+and nothing in the fault injector spawns a simulation process.
 """
 
 import ast
@@ -47,3 +50,27 @@ def test_the_scan_sees_the_storage_hierarchy():
     """Guard against a vacuous pass: the builder itself is found."""
     hits = device_constructions(SRC / "storage" / "hierarchy.py")
     assert {hit.split()[-1] for hit in hits} == DEVICE_CLASSES
+
+
+#: Source files that must not spawn a simulation process.
+EVENT_ONLY = sorted((SRC / "storage").rglob("*.py")) + [SRC / "faults" / "injector.py"]
+
+
+def process_calls(path: pathlib.Path) -> list[str]:
+    """``file:line`` for every ``.process(...)`` call in ``path``."""
+    return [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "process"
+    ]
+
+
+def test_device_ops_spawn_no_process():
+    assert [hit for path in EVENT_ONLY for hit in process_calls(path)] == []
+
+
+def test_the_process_scan_sees_a_process():
+    """Guard against a vacuous pass: a join's own processes are found."""
+    assert process_calls(SRC / "core" / "base.py")
