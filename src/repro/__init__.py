@@ -77,7 +77,6 @@ from repro.api import (
     run_join,
     run_service,
     run_sweep,
-    submit,
     trace,
 )
 
@@ -116,7 +115,6 @@ __all__ = [
     "run_service",
     "run_sweep",
     "self_join_relation",
-    "submit",
     "symbols",
     "trace",
     "uniform_relation",

@@ -198,11 +198,6 @@ def run_service(
     return report
 
 
-def submit(service: JoinService, request: JoinRequest | None = None, **kwargs):
-    """Queue a request on a service (see :meth:`JoinService.submit`)."""
-    return service.submit(request, **kwargs)
-
-
 __all__ = [
     "CacheConfig",
     "CacheReport",
@@ -230,7 +225,6 @@ __all__ = [
     "run_service",
     "run_sweep",
     "service_task",
-    "submit",
     "sweep",
     "trace",
 ]

@@ -39,6 +39,16 @@ class TertiaryJoinMethod(abc.ABC):
     concurrent: bool = False
     #: "nested-block" or "grace-hash".
     family: str = ""
+    #: True when Step II reads buckets back from *tape*: the method holds
+    #: both drives for the whole join (CTT's concurrent scratch drive,
+    #: TT's bucket-by-bucket reread), and |R| need not fit on disk.
+    #: Every other method releases the R drive after Step I.
+    tape_step2: bool = False
+    #: True when Step I's output is a disk-resident R hash partition the
+    #: partition cache (``repro.hsm``) can keep across joins.  The
+    #: nested-block methods stage raw R pieces, not partitions, and the
+    #: tape–tape methods leave nothing on disk.
+    cacheable_step1: bool = False
 
     @abc.abstractmethod
     def requirements(self, spec: JoinSpec) -> ResourceRequirements:

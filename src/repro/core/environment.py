@@ -12,6 +12,7 @@ from repro.buffering.memory import MemoryManager
 from repro.core.spec import JoinSpec, JoinStats
 from repro.faults.checkpoint import JoinCheckpoint
 from repro.faults.injector import FaultInjector
+from repro.hsm.cache import PartitionSetKey
 from repro.obs.recorder import JoinObserver
 from repro.relational.join_core import JoinAccumulator
 from repro.simulator.engine import Simulator
@@ -85,7 +86,7 @@ class JoinEnvironment:
         self.cache_saved_blocks = 0.0
         self.cache_saved_s = 0.0
         # Partition sets pinned on behalf of this join; released when the
-        # join finalizes, so the catalog never evicts in-flight buckets.
+        # join finalizes, so the cache never evicts in-flight buckets.
         self._cache_pins = []
 
     # -- convenient device handles ------------------------------------------------
@@ -142,24 +143,24 @@ class JoinEnvironment:
         via :meth:`~repro.storage.disk_array.DiskArray.install`, since
         the content is already disk-resident — or None on a miss (or
         with no cache attached).  A hit pins the set until the join
-        finalizes, so the catalog cannot evict in-flight buckets.
+        finalizes, so the cache cannot evict in-flight buckets.
         """
         cache = self.spec.partition_cache
         if cache is None:
             return None
-        key = cache.r_partition_key(self.spec.relation_r, n_buckets)
-        entries = cache.lookup(key)
-        if entries is None:
+        key = PartitionSetKey.for_relation(self.spec.relation_r, n_buckets)
+        cached = cache.lookup(key)
+        if cached is None:
             self.cache_misses += 1
             if self.observer is not None:
                 self.observer.count("cache.miss")
             return None
         self._cache_pins.append(key)
         buckets = []
-        for index, entry in enumerate(entries):
+        for index, (_blocks, data) in enumerate(cached):
             extent = self.array.allocate(f"R.b{index}")
-            if entry.data is not None and entry.data.n_tuples > 0:
-                self.array.install(extent, entry.data)
+            if data is not None and data.n_tuples > 0:
+                self.array.install(extent, data)
             buckets.append(extent)
         self.cache_hits += 1
         self.cache_saved_blocks += self.spec.size_r_blocks
@@ -183,14 +184,14 @@ class JoinEnvironment:
         cache = self.spec.partition_cache
         if cache is None:
             return
-        key = cache.r_partition_key(self.spec.relation_r, n_buckets)
+        key = PartitionSetKey.for_relation(self.spec.relation_r, n_buckets)
         admitted = cache.admit(
             key,
             [(extent.n_blocks, extent.peek_all()) for extent in r_buckets],
             value_s=self.spec.size_r_blocks / self.spec.tape_rate_r_blocks_s,
         )
         if admitted:
-            cache.catalog.pin(key)
+            cache.pin(key)
             self._cache_pins.append(key)
             if self.observer is not None:
                 self.observer.count("cache.admit")

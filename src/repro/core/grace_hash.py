@@ -40,6 +40,7 @@ class _GraceHashBase(TertiaryJoinMethod):
     """Shared Step I (partition R onto disk) and memory checks."""
 
     family = "grace-hash"
+    cacheable_step1 = True
 
     def requirements(self, spec: JoinSpec) -> ResourceRequirements:
         return ResourceRequirements(
@@ -65,7 +66,7 @@ class _GraceHashBase(TertiaryJoinMethod):
         With a partition cache attached (``repro.hsm``), a resident
         partition set short-circuits the whole step — no tape read, no
         partition write, no R scan counted — and a miss offers the
-        freshly written buckets to the catalog on the way out.
+        freshly written buckets to the cache on the way out.
         """
         cached = env.cached_r_partition(layout.n_buckets)
         if cached is not None:

@@ -76,7 +76,7 @@ class JoinSpec:
     #: Optional cross-join partition cache (``repro.hsm``).  None keeps
     #: the original single-join behaviour; a cache lets Grace-Hash
     #: Step I skip the tape read + partition write when this relation's
-    #: partition is already disk-resident, and populate the catalog as
+    #: partition is already disk-resident, and populate the cache as
     #: a side effect when it is not.
     partition_cache: "PartitionCache | None" = None
 

@@ -140,6 +140,7 @@ class _TapeTapeBase(TertiaryJoinMethod):
     """Shared hash-to-tape machinery for both tape–tape methods."""
 
     family = "grace-hash"
+    tape_step2 = True
 
     def _hash_to_tape(
         self,

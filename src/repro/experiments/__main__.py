@@ -219,12 +219,6 @@ def _regenerate(
     return collected
 
 
-#: Methods joining tape-to-tape (|R| need not fit on disk).  They trace
-#: on an Experiment-1-style frame where R is tape-resident; everything
-#: else traces on the Experiment 3 frame, where R fits on disk.
-_TAPE_TAPE_SYMBOLS = frozenset({"CTT-GH", "TT-GH"})
-
-
 def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
     """Run every registered method once with full device tracing.
 
@@ -285,7 +279,7 @@ def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
     for method in ALL_METHODS:
         symbol = method.symbol
         slug = symbol.lower().replace("/", "-")
-        frame = tape_frame if symbol in _TAPE_TAPE_SYMBOLS else disk_frame
+        frame = tape_frame if method.tape_step2 else disk_frame
         spec = frame["scale"].join_spec(
             *frame["relations"],
             memory_blocks=frame["memory"],

@@ -13,6 +13,7 @@ paper's Experiment 3: 0 % compressible data yields the native 1.5 MB/s
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.core.spec import JoinSpec
 from repro.relational.datagen import uniform_relation
@@ -71,8 +72,8 @@ class ExperimentScale:
     n_disks: int = 2
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
     def mb(self, paper_mb: float) -> float:
         """A paper size in MB after scaling."""

@@ -6,53 +6,36 @@ This package owns a slice of the disk budget as a *content-keyed cache*
 of those partitions across jobs: a repeated relation's Step I — the
 tape read plus the partition write — is skipped entirely on a hit.
 
-* :mod:`~repro.hsm.catalog` — the :class:`PartitionCatalog`: bucket
-  entries keyed by (relation fingerprint, hash fn, bucket count,
-  bucket id), block-accurate capacity accounting, atomic whole-set
-  admission/eviction, pin/unpin for in-flight joins.
+* :mod:`~repro.hsm.cache` — the runtime :class:`PartitionCache`:
+  partition sets keyed by (relation fingerprint, bucket count),
+  block-accurate capacity accounting, atomic whole-set
+  admission/eviction, pin/unpin for in-flight joins; plus the
+  serializable :class:`CacheConfig` (rides on ``ServiceConfig.cache``)
+  and the :class:`CacheReport` summary.
 * :mod:`~repro.hsm.policy` — LRU and cost-aware (tape-seconds saved
   per block) eviction.
-* :mod:`~repro.hsm.cache` — the serializable :class:`CacheConfig`
-  (rides on ``ServiceConfig.cache``), the runtime
-  :class:`PartitionCache` and the :class:`CacheReport` summary.
 
 Default-off and inert: without a cache attached, join and service
 behaviour — artifacts, fingerprints, traces — is byte-identical to a
 build without this package.  See ``docs/hsm.md``.
 """
 
-from repro.hsm.cache import CacheConfig, CacheReport, PartitionCache
-from repro.hsm.catalog import (
-    HASH_FN,
-    CatalogEntry,
-    PartitionCatalog,
-    PartitionKey,
+from repro.hsm.cache import (
+    CacheConfig,
+    CacheReport,
+    PartitionCache,
     PartitionSetKey,
-    SetView,
     relation_fingerprint,
 )
-from repro.hsm.policy import (
-    EVICTION_POLICIES,
-    CostAwarePolicy,
-    EvictionPolicy,
-    LruPolicy,
-    eviction_policy_by_name,
-)
+from repro.hsm.policy import EVICTION_POLICIES, CostAwarePolicy, LruPolicy
 
 __all__ = [
     "CacheConfig",
     "CacheReport",
-    "CatalogEntry",
     "CostAwarePolicy",
     "EVICTION_POLICIES",
-    "EvictionPolicy",
-    "HASH_FN",
     "LruPolicy",
     "PartitionCache",
-    "PartitionCatalog",
-    "PartitionKey",
     "PartitionSetKey",
-    "SetView",
-    "eviction_policy_by_name",
     "relation_fingerprint",
 ]

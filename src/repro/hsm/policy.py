@@ -1,9 +1,9 @@
-"""Eviction policies for the partition catalog.
+"""Eviction policies for the partition cache.
 
 A policy picks the next *partition set* to evict — never an individual
 bucket, so a relation's cached partition is either wholly present or
 wholly absent (Step I consumes all-or-nothing).  Candidates are
-unpinned sets only; the catalog filters pinned sets out before asking.
+unpinned sets only; the cache filters pinned sets out before asking.
 
 * ``lru`` — least recently used set (classic recency).
 * ``cost`` — lowest value density first, where a set's value is the
@@ -13,6 +13,11 @@ unpinned sets only; the catalog filters pinned sets out before asking.
   partitions whose re-read from tape is most expensive per block.  The
   cost policy additionally refuses to evict a *denser* set to admit a
   sparser one — admission control and eviction share the metric.
+
+Each policy has ``victim(candidates)``, picking from a non-empty list of
+:class:`~repro.hsm.cache.PartitionSet` records, and ``admits(incoming,
+victim)``, saying whether evicting ``victim`` for ``incoming`` is worth
+it.  Both are deterministic.
 """
 
 from __future__ import annotations
@@ -20,64 +25,47 @@ from __future__ import annotations
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - cycle guard
-    from repro.hsm.catalog import SetView
+    from repro.hsm.cache import PartitionSet
 
 
-class EvictionPolicy:
-    """Base class: a named, deterministic victim selector."""
-
-    name = "?"
-
-    def victim(self, candidates: typing.Sequence["SetView"]) -> "SetView":
-        """Pick the set to evict next from non-empty ``candidates``."""
-        raise NotImplementedError
-
-    def admits(self, incoming: "SetView", victim: "SetView") -> bool:
-        """Whether evicting ``victim`` to admit ``incoming`` is worth it."""
-        return True
-
-
-class LruPolicy(EvictionPolicy):
+class LruPolicy:
     """Evict the least recently used set (ties broken by insertion)."""
 
     name = "lru"
 
-    def victim(self, candidates):
+    def victim(self, candidates: typing.Sequence["PartitionSet"]) -> "PartitionSet":
         """Oldest last-use wins; insertion order breaks exact ties."""
         return min(candidates, key=lambda s: (s.last_used_tick, s.inserted_tick))
 
+    def admits(self, incoming: "PartitionSet", victim: "PartitionSet") -> bool:
+        """Recency alone decides: every trade is worth it."""
+        return True
 
-class CostAwarePolicy(EvictionPolicy):
+
+class CostAwarePolicy:
     """Evict the set saving the least tape time per cached block."""
 
     name = "cost"
 
     @staticmethod
-    def _density(view: "SetView") -> float:
-        return view.value_s / view.blocks if view.blocks > 0 else float("inf")
+    def _density(record: "PartitionSet") -> float:
+        return record.value_s / record.blocks if record.blocks > 0 else float("inf")
 
-    def victim(self, candidates):
+    def victim(self, candidates: typing.Sequence["PartitionSet"]) -> "PartitionSet":
         """Lowest tape-seconds-saved per block; LRU breaks ties."""
         return min(
             candidates,
             key=lambda s: (self._density(s), s.last_used_tick, s.inserted_tick),
         )
 
-    def admits(self, incoming, victim):
+    def admits(self, incoming: "PartitionSet", victim: "PartitionSet") -> bool:
         """Never trade a denser resident set for a sparser newcomer."""
         return self._density(incoming) > self._density(victim)
 
 
-#: Registry of the built-in eviction policies by name.
-EVICTION_POLICIES: dict[str, EvictionPolicy] = {
+#: The built-in eviction policies by name: the one lookup that
+#: :class:`~repro.hsm.cache.CacheConfig` and
+#: :class:`~repro.hsm.cache.PartitionCache` consult.
+EVICTION_POLICIES: dict[str, LruPolicy | CostAwarePolicy] = {
     policy.name: policy for policy in (LruPolicy(), CostAwarePolicy())
 }
-
-
-def eviction_policy_by_name(name: str) -> EvictionPolicy:
-    """Look up an eviction policy, with the known names in the error."""
-    try:
-        return EVICTION_POLICIES[name]
-    except KeyError:
-        known = ", ".join(sorted(EVICTION_POLICIES))
-        raise KeyError(f"unknown eviction policy {name!r} (known: {known})") from None

@@ -20,22 +20,12 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.core.registry import method_by_symbol
+
 if typing.TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.faults.plan import FaultPlan
     from repro.faults.policy import RetryPolicy
     from repro.service.scheduler import AdmittedJob
-
-#: Methods whose Step II reads buckets back from *tape* — they hold both
-#: drives for the whole job (CTT's concurrent scratch drive; TT's
-#: bucket-by-bucket reread).  Everything else releases the R drive after
-#: Step I and runs Step II against the disk array.
-TAPE_STEP2_SYMBOLS = frozenset({"CTT-GH", "TT-GH"})
-
-#: Methods whose Step I output is a disk-resident R hash partition the
-#: HSM cache (``repro.hsm``) can keep across jobs.  The nested-block
-#: methods stage raw R pieces, not partitions, and the tape–tape methods
-#: leave nothing on disk.
-CACHEABLE_STEP1_SYMBOLS = frozenset({"DT-GH", "CDT-GH"})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,7 +56,7 @@ class AnalyticalEstimator:
         return JobProfile(
             step1_s=breakdown.step1_s,
             step2_s=breakdown.step2_s,
-            tape_step2=job.symbol in TAPE_STEP2_SYMBOLS,
+            tape_step2=method_by_symbol(job.symbol).tape_step2,
         )
 
 
@@ -103,8 +93,6 @@ class SimulatedEstimator:
         if cached is not None:
             return cached
 
-        from repro.core.registry import method_by_symbol
-
         spec = job.spec
         if self.fault_plan is not None:
             retry = self.retry_policy
@@ -115,14 +103,15 @@ class SimulatedEstimator:
             spec = dataclasses.replace(
                 spec, fault_plan=self.fault_plan, retry_policy=retry
             )
-        stats = method_by_symbol(job.symbol).run(spec)
+        method = method_by_symbol(job.symbol)
+        stats = method.run(spec)
         profile = JobProfile(
             step1_s=stats.step1_s,
             # Charge everything past Step I to the Step II window so the
             # profile's total equals the measured response time even when
             # retries stretched the run.
             step2_s=stats.response_s - stats.step1_s,
-            tape_step2=job.symbol in TAPE_STEP2_SYMBOLS,
+            tape_step2=method.tape_step2,
             fault_events=stats.fault_events,
             fault_retries=stats.fault_retries,
             fault_recovery_s=stats.fault_recovery_s,

@@ -15,6 +15,7 @@ workloads can travel through the sweep engine's content-addressed cache
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -22,6 +23,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.hsm.cache import CacheConfig
     from repro.storage.disk import DiskParameters
     from repro.storage.tape import TapeDriveParameters
+
+
+def _positive_finite(value: float) -> bool:
+    """False for zero, negative, NaN and infinite sizes."""
+    return value > 0 and math.isfinite(value)
 
 
 def _default_scale():
@@ -72,16 +78,20 @@ class JoinRequest:
     def __post_init__(self):
         if not self.name:
             raise ValueError("a join request needs a name")
-        if self.r_mb <= 0 or self.s_mb <= 0:
-            raise ValueError(f"relation sizes must be positive ({self.name})")
+        if not all(_positive_finite(mb) for mb in (self.r_mb, self.s_mb)):
+            raise ValueError(
+                f"relation sizes must be positive and finite ({self.name})"
+            )
         if self.r_mb > self.s_mb:
             raise ValueError(
                 f"request {self.name!r}: |R| must not exceed |S| "
                 f"({self.r_mb} MB > {self.s_mb} MB); swap the operands"
             )
-        if self.arrival_s < 0:
-            raise ValueError(f"request {self.name!r}: arrival must be >= 0")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if not (self.arrival_s >= 0 and math.isfinite(self.arrival_s)):
+            raise ValueError(
+                f"request {self.name!r}: arrival must be finite and >= 0"
+            )
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError(f"request {self.name!r}: deadline must be positive")
 
     @property
@@ -155,12 +165,19 @@ class ServiceConfig:
     cache: "CacheConfig | None" = None
 
     def __post_init__(self):
-        if self.n_drives < 1:
+        if not self.n_drives >= 1:
             raise ValueError("the service needs at least one tape drive")
-        if self.memory_mb <= 0 or self.disk_mb <= 0:
-            raise ValueError("per-job memory and disk budgets must be positive")
-        if self.exchange_s < 0:
-            raise ValueError("exchange time must be non-negative")
+        if not (_positive_finite(self.memory_mb) and _positive_finite(self.disk_mb)):
+            raise ValueError(
+                "per-job memory and disk budgets must be positive and finite"
+            )
+        for pool in (self.memory_total_mb, self.disk_total_mb):
+            if pool is not None and not _positive_finite(pool):
+                raise ValueError(
+                    f"memory and disk pools must be positive and finite, got {pool}"
+                )
+        if not (self.exchange_s >= 0 and math.isfinite(self.exchange_s)):
+            raise ValueError("exchange time must be finite and non-negative")
 
     @property
     def pool_memory_mb(self) -> float:

@@ -31,8 +31,10 @@ import math
 import typing
 
 from repro.core.planner import JoinPlan, plan_join
+from repro.core.registry import method_by_symbol
 from repro.core.spec import InfeasibleJoinError, JoinSpec
 from repro.costmodel.formulas import CostBreakdown
+from repro.hsm.cache import PartitionCache, PartitionSetKey
 from repro.obs.metrics import device_utilization
 from repro.obs.recorder import JoinObserver
 from repro.service.broker import ResourceBroker
@@ -49,7 +51,6 @@ from repro.simulator.engine import Simulator
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
     from repro.faults.policy import RetryPolicy
-    from repro.hsm.catalog import PartitionSetKey
 
 
 @dataclasses.dataclass
@@ -68,7 +69,7 @@ class AdmittedJob:
     profile: JobProfile | None = None
     #: HSM partition-cache key for this job's Step I output; None when
     #: the service has no cache or the method's Step I is not cacheable.
-    cache_key: "PartitionSetKey | None" = None
+    cache_key: PartitionSetKey | None = None
 
 
 class JoinService:
@@ -86,8 +87,6 @@ class JoinService:
         # it survives across run() calls, so a second pass over the same
         # workload starts warm (see docs/hsm.md).
         if self.config.cache is not None:
-            from repro.hsm.cache import PartitionCache
-
             self.cache = PartitionCache.from_config(
                 self.config.cache, self.config.scale
             )
@@ -183,23 +182,19 @@ class JoinService:
                 f"requested method {symbol} is infeasible here: "
                 f"{reasons.get(symbol, 'unknown method')}"
             )
-        from repro.service.estimators import TAPE_STEP2_SYMBOLS
-
-        if symbol in TAPE_STEP2_SYMBOLS and config.n_drives < 2:
+        method = method_by_symbol(symbol)
+        if method.tape_step2 and config.n_drives < 2:
             return None, (
                 f"method {symbol} joins tape-to-tape and needs two drives; "
                 f"the service has {config.n_drives}"
             )
         entry = ranked[symbol]
         cache_key = None
-        if self.cache is not None:
-            from repro.service.estimators import CACHEABLE_STEP1_SYMBOLS
+        if self.cache is not None and method.cacheable_step1:
+            from repro.core.base import GraceHashLayout
 
-            if symbol in CACHEABLE_STEP1_SYMBOLS:
-                from repro.core.base import GraceHashLayout
-
-                n_buckets = GraceHashLayout(spec).n_buckets
-                cache_key = self.cache.r_partition_key(spec.relation_r, n_buckets)
+            n_buckets = GraceHashLayout(spec).n_buckets
+            cache_key = PartitionSetKey.for_relation(spec.relation_r, n_buckets)
         return (
             AdmittedJob(
                 index=index,
@@ -280,7 +275,7 @@ class JoinService:
         """Offer a finished Step I's R partition to the cache.
 
         The service models Step I as an opaque busy window, so there is
-        no materialized bucket data to keep; the catalog tracks the
+        no materialized bucket data to keep; the cache tracks the
         partition's disk *footprint* (its blocks, spread over the
         layout's buckets) and its value — the profiled Step I seconds a
         future hit saves.  No producer pin: once offered, the entry is

@@ -10,6 +10,7 @@ charges exactly that exchange latency.
 
 from __future__ import annotations
 
+import math
 import typing
 
 from repro.simulator.engine import Simulator
@@ -20,8 +21,8 @@ class TapeLibrary:
     """A robot with a shelf of volumes and an exchange arm."""
 
     def __init__(self, sim: Simulator, exchange_s: float = 30.0):
-        if exchange_s < 0:
-            raise ValueError("exchange time must be non-negative")
+        if not (exchange_s >= 0 and math.isfinite(exchange_s)):
+            raise ValueError("exchange time must be finite and non-negative")
         self.sim = sim
         self.exchange_s = exchange_s
         self.shelf: dict[str, TapeVolume] = {}

@@ -154,7 +154,7 @@ def service_task(
     ``config.cache`` (a :class:`~repro.hsm.cache.CacheConfig`) is part
     of the serialized config, so cache size and eviction policy are in
     the fingerprint.  Faults and the partition cache are not combined:
-    a restarted Step I would have to invalidate its half-written cache
+    a restarted Step I would have to drop its half-written cache
     entry.
     """
     if fault_plan is not None:

@@ -58,6 +58,14 @@ class TestRegistry:
         }
         families = {m.family for m in ALL_METHODS}
         assert families == {"nested-block", "grace-hash"}
+
+    def test_tape_step2_and_cacheable_step1_flags(self):
+        """The service holds both drives for the tape–tape methods, and
+        the partition cache keeps the disk–tape Grace-Hash Step I."""
+        assert {m.symbol for m in ALL_METHODS if m.tape_step2} == {"CTT-GH", "TT-GH"}
+        assert {m.symbol for m in ALL_METHODS if m.cacheable_step1} == {
+            "DT-GH", "CDT-GH",
+        }
         assert all(m.name for m in ALL_METHODS)
 
 

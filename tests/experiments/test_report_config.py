@@ -60,6 +60,11 @@ class TestExperimentScale:
         with pytest.raises(ValueError):
             ExperimentScale(scale=0.0)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_non_finite_scale_is_rejected(self, factor):
+        with pytest.raises(ValueError):
+            ExperimentScale(scale=factor)
+
     def test_relations_track_scale(self):
         scale = ExperimentScale(scale=0.5)
         r, s = scale.relations(18.0, 100.0)

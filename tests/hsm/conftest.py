@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.config import ExperimentScale
-from repro.hsm.catalog import PartitionCatalog, PartitionSetKey
+from repro.hsm.cache import PartitionCache, PartitionSetKey
 
 
 @pytest.fixture
@@ -13,14 +13,14 @@ def scale() -> ExperimentScale:
 
 
 @pytest.fixture
-def catalog() -> PartitionCatalog:
-    """A 100-block LRU catalog, room for a handful of small sets."""
-    return PartitionCatalog(capacity_blocks=100.0)
+def cache() -> PartitionCache:
+    """A 100-block LRU cache, room for a handful of small sets."""
+    return PartitionCache(capacity_blocks=100.0)
 
 
 def set_key(name: str, n_buckets: int = 2) -> PartitionSetKey:
-    """A catalog key for tests that never touch real relations."""
-    return PartitionSetKey(relation=name, hash_fn="fib64", n_buckets=n_buckets)
+    """A cache key for tests that never touch real relations."""
+    return PartitionSetKey(relation=name, n_buckets=n_buckets)
 
 
 def buckets(total_blocks: float, n_buckets: int = 2):

@@ -1,4 +1,4 @@
-"""Property tests: the catalog's invariants under random workloads.
+"""Property tests: the partition cache's invariants under random workloads.
 
 ``docs/hsm.md`` points here for the two load-bearing guarantees:
 ``used_blocks <= capacity_blocks`` always holds, and a pinned set
@@ -6,21 +6,22 @@ survives arbitrary capacity pressure until its last consumer unpins.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from repro.hsm.catalog import PartitionCatalog, PartitionSetKey
+from repro.hsm.cache import PartitionCache, PartitionSetKey
 
 CAPACITY = 100.0
 NAMES = tuple(f"rel-{i}" for i in range(6))
 
 
 def _key(name: str) -> PartitionSetKey:
-    return PartitionSetKey(relation=name, hash_fn="fib64", n_buckets=2)
+    return PartitionSetKey(relation=name, n_buckets=2)
 
 
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["admit", "lookup", "pin", "unpin", "invalidate"]),
+        st.sampled_from(["admit", "lookup", "pin", "unpin", "evict"]),
         st.sampled_from(NAMES),
         st.floats(min_value=5.0, max_value=90.0),
     ),
@@ -32,40 +33,43 @@ ops = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(ops=ops, policy=st.sampled_from(["lru", "cost"]))
 def test_capacity_and_pin_invariants(ops, policy):
-    catalog = PartitionCatalog(capacity_blocks=CAPACITY, policy=policy)
+    cache = PartitionCache(capacity_blocks=CAPACITY, policy=policy)
     pins: dict[PartitionSetKey, int] = {}
 
     for op, name, blocks in ops:
         key = _key(name)
         if op == "admit":
-            catalog.admit(key, [(blocks / 2, None)] * 2, value_s=blocks)
+            cache.admit(key, [(blocks / 2, None)] * 2, value_s=blocks)
         elif op == "lookup":
-            if catalog.lookup(key) is not None:  # a hit pins
+            if cache.lookup(key) is not None:  # a hit pins
                 pins[key] = pins.get(key, 0) + 1
         elif op == "pin":
-            if catalog.contains(key):
-                catalog.pin(key)
+            if cache.contains(key):
+                cache.pin(key)
                 pins[key] = pins.get(key, 0) + 1
         elif op == "unpin":
             if pins.get(key, 0) > 0:
-                catalog.unpin(key)
+                cache.unpin(key)
                 pins[key] -= 1
-        elif op == "invalidate":
-            dropped = catalog.invalidate(key)
-            assert not (dropped and pins.get(key, 0) > 0)
+        elif op == "evict" and cache.contains(key):
+            if pins.get(key, 0) > 0:
+                with pytest.raises(ValueError, match="pinned"):
+                    cache.evict(key)  # pinned: refused, nothing dropped
+            else:
+                cache.evict(key)
 
-        # Invariant 1: the catalog never overcommits its capacity.
-        assert catalog.used_blocks <= CAPACITY + 1e-9
-        assert catalog.free_blocks >= -1e-9
+        # Invariant 1: the cache never overcommits its capacity.
+        assert cache.used_blocks <= CAPACITY + 1e-9
+        assert cache.free_blocks >= -1e-9
         # Invariant 2: every set a consumer still pins stays resident.
         for pinned_key, count in pins.items():
             if count > 0:
-                assert catalog.contains(pinned_key)
+                assert cache.contains(pinned_key)
 
     # Bookkeeping coherence after the dust settles.
-    assert catalog.used_blocks == sum(v.blocks for v in catalog.views())
-    for view in catalog.views():
-        assert view.pins == pins.get(view.key, 0)
+    assert cache.used_blocks == sum(s.blocks for s in cache.sets)
+    for resident in cache.sets:
+        assert resident.pins == pins.get(resident.key, 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -74,17 +78,17 @@ def test_capacity_and_pin_invariants(ops, policy):
 )
 def test_pinned_set_survives_sustained_pressure(sizes):
     """A pinned hot set outlives a stream of admissions that overflows
-    the catalog many times over."""
-    catalog = PartitionCatalog(capacity_blocks=CAPACITY)
+    the cache many times over."""
+    cache = PartitionCache(capacity_blocks=CAPACITY)
     hot = _key("hot")
-    assert catalog.admit(hot, [(20.0, None)] * 2, value_s=1.0)
-    catalog.pin(hot)
+    assert cache.admit(hot, [(20.0, None)] * 2, value_s=1.0)
+    cache.pin(hot)
 
     for i, blocks in enumerate(sizes):
-        catalog.admit(_key(f"churn-{i}"), [(blocks / 2, None)] * 2, value_s=1.0)
-        assert catalog.contains(hot)
-        assert catalog.used_blocks <= CAPACITY + 1e-9
+        cache.admit(_key(f"churn-{i}"), [(blocks / 2, None)] * 2, value_s=1.0)
+        assert cache.contains(hot)
+        assert cache.used_blocks <= CAPACITY + 1e-9
 
-    catalog.unpin(hot)
+    cache.unpin(hot)
     # Once unpinned it is fair game again: enough pressure can evict it.
-    assert catalog.admit(_key("flood"), [(45.0, None)] * 2, value_s=99.0)
+    assert cache.admit(_key("flood"), [(45.0, None)] * 2, value_s=99.0)

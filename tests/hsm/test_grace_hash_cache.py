@@ -83,4 +83,4 @@ def test_hit_unpins_after_finalize(scale, relations):
     cache = PartitionCache(capacity_blocks=scale.blocks(DISK_MB))
     _run(scale, relations, cache)
     _run(scale, relations, cache)
-    assert all(view.pins == 0 for view in cache.catalog.views())
+    assert all(resident.pins == 0 for resident in cache.sets)

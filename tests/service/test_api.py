@@ -68,12 +68,12 @@ class TestFacade:
 
     def test_submit_builds_requests_from_keywords(self):
         service = api.JoinService()
-        request = api.submit(service, name="q", r_mb=10.0, s_mb=40.0)
+        request = service.submit(name="q", r_mb=10.0, s_mb=40.0)
         assert service.requests == (request,)
 
     def test_root_package_re_exports_the_facade(self):
         for name in ("plan", "run_join", "trace", "run_service",
-                     "submit", "ServiceConfig", "JoinRequest", "FaultPlan"):
+                     "ServiceConfig", "JoinRequest", "FaultPlan"):
             assert getattr(repro, name) is getattr(api, name)
 
     def test_root_sweep_stays_a_subpackage(self):

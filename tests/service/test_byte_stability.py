@@ -113,6 +113,26 @@ SERVICE_REPORT_BASELINES = {
     ("exp6", "warm"): "ace4a3ac0275bdb7ba1cd18c7ad99102f58fd22662738685b3656b019260d096",
 }
 
+#: sha256 digests of the partition-cache paths no other pin reaches, at
+#: scale 0.05.  ``exp6`` is ``run_experiment6(...).to_dict()`` under each
+#: eviction policy (both evict at several points).  ``service-cost`` is
+#: the 12-job Zipfian workload (skew 0.8) through one ``JoinService``
+#: with a 125 MB cost-aware cache and simulated profiles, run cold (3
+#: evictions, 7 rejected admissions) and then warm.  ``single-join`` is
+#: DT-GH or CDT-GH run twice through ``api.run_join`` on one
+#: ``PartitionCache`` of 50 MB, on the 18/100 MB pair at M=9, D=50: both
+#: runs' ``stats_to_dict`` plus their four ``cache_*`` counters, and the
+#: final ``cache.report().to_dict()``.  Recorded on the commit before
+#: the partition catalog folded into ``PartitionCache``.
+CACHE_PATH_BASELINES = {
+    ("exp6", "cost"): "8455b235baa6eacf9ec639b867a139a2633e57ff496592c7fab8a07ee8d51dd4",
+    ("exp6", "lru"): "bd2f35c0779fe4f6675118ffc2de7b63539d01c6ec851dd2635c068c86450c95",
+    ("service-cost", "cold"): "a88e4023f4429eddf8e8edb1580c98293db32ee28f04dd8f6ea847496f9dd15b",
+    ("service-cost", "warm"): "0b23b865b781ee97af09191325752d5a49ebdd8692c4f9a8e4b298eeb5dd21bb",
+    ("single-join", "CDT-GH"): "80b16aa4ef6aba0d935091dfac66f4034f0c0140900b152d7f56c4ab87bed426",
+    ("single-join", "DT-GH"): "372ebf9e93145d1bdd184385b63504b9de11a4323e26c2e33019f377ea772be5",
+}
+
 #: sha256(json.dumps(stats_to_dict(stats), sort_keys=True)) of CTT-GH
 #: and TT-GH on the same pair with every tape positioning option on:
 #: READ REVERSE, a distance-dependent locate and a stop/start penalty.
@@ -322,6 +342,64 @@ def service_digests():
 @pytest.mark.parametrize("run,label", sorted(SERVICE_REPORT_BASELINES))
 def test_service_report_bytes(run, label, service_digests):
     assert service_digests[(run, label)] == SERVICE_REPORT_BASELINES[(run, label)]
+
+
+def cache_path_digests() -> dict:
+    """Digests of the ``CACHE_PATH_BASELINES`` runs, by key."""
+    from repro.api import run_join
+    from repro.experiments.exp6_hsm import (
+        experiment6_config,
+        run_experiment6,
+        zipfian_workload,
+    )
+    from repro.hsm.cache import PartitionCache
+    from repro.service.estimators import SimulatedEstimator
+    from repro.service.scheduler import JoinService
+    from repro.sweep.serialize import stats_to_dict
+
+    scale = ExperimentScale(scale=0.05)
+    digests = {}
+    for cache_policy in ("lru", "cost"):
+        result = run_experiment6(scale=scale, cache_policy=cache_policy)
+        digests[("exp6", cache_policy)] = digest(result.to_dict())
+    service = JoinService(
+        experiment6_config(scale, 125.0, "cost"), estimator=SimulatedEstimator()
+    )
+    for request in zipfian_workload(12, 0.8, 0):
+        service.submit(request)
+    for label in ("cold", "warm"):
+        digests[("service-cost", label)] = digest(service.run("fifo").to_dict())
+    relation_r, relation_s = scale.relations(18.0, 100.0)
+    for symbol in ("DT-GH", "CDT-GH"):
+        cache = PartitionCache(capacity_blocks=scale.blocks(50.0))
+        spec = scale.join_spec(
+            relation_r, relation_s,
+            memory_blocks=scale.blocks(9.0),
+            disk_blocks=scale.blocks(50.0),
+            partition_cache=cache,
+        )
+        runs = []
+        for _ in range(2):
+            stats = run_join(spec, method=symbol)
+            payload = stats_to_dict(stats)
+            for name in ("cache_hits", "cache_misses",
+                         "cache_saved_blocks", "cache_saved_s"):
+                payload[name] = getattr(stats, name)
+            runs.append(payload)
+        digests[("single-join", symbol)] = digest(
+            {"runs": runs, "report": cache.report().to_dict()}
+        )
+    return digests
+
+
+@pytest.fixture(scope="module")
+def cache_digests():
+    return cache_path_digests()
+
+
+@pytest.mark.parametrize("run,label", sorted(CACHE_PATH_BASELINES))
+def test_cache_path_bytes(run, label, cache_digests):
+    assert cache_digests[(run, label)] == CACHE_PATH_BASELINES[(run, label)]
 
 
 @pytest.mark.parametrize("symbol", sorted(TAPE_OPTION_BASELINES))

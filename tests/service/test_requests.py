@@ -29,6 +29,22 @@ class TestJoinRequest:
         with pytest.raises(ValueError):
             JoinRequest(name="q1", r_mb=1.0, s_mb=4.0, arrival_s=-1.0)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_sizes_must_be_finite(self, size):
+        with pytest.raises(ValueError, match="finite"):
+            JoinRequest(name="q1", r_mb=size, s_mb=40.0)
+        with pytest.raises(ValueError, match="finite"):
+            JoinRequest(name="q1", r_mb=1.0, s_mb=size)
+
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_arrival_must_be_finite(self, arrival):
+        with pytest.raises(ValueError, match="arrival"):
+            JoinRequest(name="q1", r_mb=1.0, s_mb=4.0, arrival_s=arrival)
+
+    def test_nan_deadline_is_rejected(self):
+        with pytest.raises(ValueError, match="deadline"):
+            JoinRequest(name="q1", r_mb=1.0, s_mb=4.0, deadline_s=float("nan"))
+
     def test_dict_round_trip(self):
         request = JoinRequest(
             name="q1", r_mb=10.0, s_mb=40.0, r_volume="dim",
@@ -51,6 +67,19 @@ class TestServiceConfig:
     def test_explicit_pools_win(self):
         config = ServiceConfig(memory_mb=8.0, memory_total_mb=40.0)
         assert config.pool_memory_mb == 40.0
+
+    @pytest.mark.parametrize(
+        "field", ["n_drives", "memory_mb", "disk_mb", "memory_total_mb",
+                  "disk_total_mb", "exchange_s"],
+    )
+    def test_nan_budgets_are_rejected(self, field):
+        with pytest.raises(ValueError):
+            ServiceConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["memory_mb", "disk_mb", "exchange_s"])
+    def test_infinite_budgets_are_rejected(self, field):
+        with pytest.raises(ValueError):
+            ServiceConfig(**{field: float("inf")})
 
     def test_dict_round_trip(self, config):
         restored = ServiceConfig.from_dict(config.to_dict())

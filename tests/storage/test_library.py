@@ -34,6 +34,11 @@ class TestShelf:
         with pytest.raises(ValueError):
             TapeLibrary(sim, exchange_s=-1.0)
 
+    @pytest.mark.parametrize("exchange_s", [float("nan"), float("inf")])
+    def test_non_finite_exchange_rejected(self, sim, exchange_s):
+        with pytest.raises(ValueError):
+            TapeLibrary(sim, exchange_s=exchange_s)
+
 
 class TestMount:
     def test_mount_charges_exchange_and_load(self, sim, library, drive):
