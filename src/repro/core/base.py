@@ -89,6 +89,10 @@ class TertiaryJoinMethod(abc.ABC):
         return f"<{type(self).__name__} {self.symbol}>"
 
 
+#: Tolerance of :func:`scan_tape`'s chunk loop, in blocks.
+_SCAN_EPS = 1e-9
+
+
 def scan_tape(
     env: JoinEnvironment,
     drive: TapeDrive,
@@ -115,11 +119,14 @@ def scan_tape(
     """
     if chunk_blocks <= 0:
         raise ValueError(f"chunk_blocks must be positive, got {chunk_blocks}")
-    if n_blocks <= 0:
+    # A range within the chunk loop's tolerance holds no chunk (the
+    # ``ceil_div`` slack can leave a last iteration that small): it is
+    # empty in both modes.
+    if n_blocks <= _SCAN_EPS:
         return
     bounds: list[tuple[float, float]] = []
     offset = 0.0
-    while offset < n_blocks - 1e-9:
+    while offset < n_blocks - _SCAN_EPS:
         step = min(chunk_blocks, n_blocks - offset)
         bounds.append((start_block + offset, step))
         offset += step
@@ -139,7 +146,7 @@ def scan_tape(
         # keeps its own (possibly failed) completion from crashing the
         # kernel.  Awaited failures still throw into this generator.
         pending.defused = True
-        sim.defer(lambda _event: drive.read_range(file, chunk_start, step, done=pending))
+        sim.defer(lambda _arg: drive.read_range(file, chunk_start, step, done=pending))
         return pending
 
     pending = prefetch(*bounds[0])

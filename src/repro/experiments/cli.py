@@ -95,11 +95,18 @@ def report_sweep_usage(runner: SweepRunner) -> None:
         )
     profile = runner.profile()
     if profile["executed"]:
+        costliest = sorted(
+            profile["by_method"].items(), key=lambda item: -item[1]["run_s"]
+        )[:3]
+        methods = "".join(
+            f"; {symbol} {entry['run_s']:.1f}s ({entry['tasks']} task(s))"
+            for symbol, entry in costliest
+        )
         print(
             f"sweep profile: {profile['executed']} task(s) executed "
             f"({profile['cached']} cached) in {profile['wall_s']:.1f}s wall; "
             f"run {profile['run_s']:.1f}s, queue {profile['queue_s']:.1f}s, "
             f"cache load {profile['cache_load_s']:.2f}s / "
-            f"store {profile['cache_store_s']:.2f}s",
+            f"store {profile['cache_store_s']:.2f}s{methods}",
             file=sys.stderr,
         )

@@ -4,9 +4,9 @@ One injector is built per :class:`~repro.core.environment.JoinEnvironment`
 when the spec carries a :class:`~repro.faults.plan.FaultPlan`.  Devices
 delegate their bus transfers to :meth:`FaultInjector.guarded_transfer`,
 which draws a verdict from the device's seeded stream, charges stalls and
-retries in *simulated* time as callbacks (no process), and returns an
-event that fails with a typed exception once the
-:class:`~repro.faults.policy.RetryPolicy` is exhausted.
+retries in *simulated* time as callbacks (no process), and reports a
+typed exception once the :class:`~repro.faults.policy.RetryPolicy` is
+exhausted.
 
 Determinism contract: the verdict for the N-th operation of a device is a
 pure function of ``(plan.seed, device name, N)``.  Device operations are
@@ -159,7 +159,8 @@ class FaultInjector:
         lead_in_s: float,
         device: str,
         kind: str,
-    ) -> Event:
+        done: typing.Callable[[BaseException | None], None] | None = None,
+    ) -> Event | None:
         """Run one bus transfer under the plan's faults and the policy.
 
         Returns an event that settles, with no queue hop, at the instant
@@ -169,9 +170,17 @@ class FaultInjector:
         charged, and the operation is retried until the policy gives up
         — then the event fails with a :class:`RetryExhaustedError` whose
         ``__cause__`` is the typed device fault.
+
+        Given ``done`` (a device op's completion), no event is built:
+        ``done`` is called at that instant with None or the failure, and
+        None is returned.  The attempts and the backoff pauses are
+        callbacks either way.
         """
         sim, plan, policy, stats = self.sim, self.plan, self.policy, self.stats
-        done = Event(sim)
+        event = None
+        if done is None:
+            event = Event(sim)
+            done = event._settle
 
         def attempt(number: int) -> None:
             verdict = self.decide(device, kind)
@@ -181,16 +190,15 @@ class FaultInjector:
                 stats.events += 1
                 stats.delay_s += extra
             started = sim.now
-            transfer = bus.transfer(nominal_rate_bytes_s, n_bytes, lead_in_s + extra)
-            if verdict == "error":
-                transfer.callbacks.append(lambda _event: failed(number, started))
-            else:
-                transfer.callbacks.append(lambda _event: done._succeed_now())
+            bus.transfer(
+                nominal_rate_bytes_s, n_bytes, lead_in_s + extra,
+                done=(lambda _none: failed(number, started)) if verdict == "error" else done,
+            )
 
         def give_up(error: BaseException, fault: DeviceFault) -> None:
             stats.errors_by_device[device] = stats.errors_by_device.get(device, 0) + 1
             error.__cause__ = fault
-            done._fail_now(error)
+            done(error)
 
         def failed(number: int, started: float) -> None:
             stats.events += 1
@@ -216,7 +224,7 @@ class FaultInjector:
             last = number >= policy.max_retries
             pause = plan.detect_s + (0.0 if last else policy.backoff_for(number))
 
-            def resume(_event=None) -> None:
+            def resume(_arg=None) -> None:
                 stats.recovery_s += wasted + pause
                 if last:
                     give_up(RetryExhaustedError(
@@ -236,9 +244,9 @@ class FaultInjector:
                 attempt(number + 1)
 
             if pause > 0:
-                sim.timeout(pause).callbacks.append(resume)
+                sim.defer(resume, None, pause)
             else:
                 resume()
 
         attempt(0)
-        return done
+        return event

@@ -1,4 +1,4 @@
-"""The simulation engine: virtual clock and event queue."""
+"""The simulation engine: virtual clock and a heap of events and callbacks."""
 
 from __future__ import annotations
 
@@ -6,12 +6,9 @@ import typing
 from heapq import heappop, heappush
 
 from repro.simulator.events import PROCESSED, AllOf, Event, Timeout
-from repro.simulator.process import Process, ProcessCrash
+from repro.simulator.process import Process
 
-#: Scheduling priorities — urgent events (resource bookkeeping) run before
-#: normal events at the same timestamp.
-URGENT = 0
-NORMAL = 1
+_INF = float("inf")
 
 
 class EmptySchedule(Exception):
@@ -62,40 +59,41 @@ class Simulator:
         """Event that triggers when all of ``events`` have triggered."""
         return AllOf(self, events)
 
-    def defer(self, callback: typing.Callable[[Event], None]) -> None:
-        """Call ``callback`` one queue hop from now.
+    def defer(self, fn: typing.Callable[[typing.Any], None], arg=None, delay: float = 0.0) -> None:
+        """Call ``fn(arg)`` ``delay`` time units from now, with no event.
 
-        That is where a new process takes its first step, so work started
-        this way issues its requests exactly where a process would have.
+        With no delay that is one queue hop from now, where a new process
+        takes its first step, so work started this way issues its
+        requests exactly where a process would have.  Device models use
+        the delay form for their internal timers: nothing waits on them,
+        so they need no :class:`Event`.
         """
-        event = Event(self)
-        event.callbacks.append(callback)
-        event.succeed()
+        if not 0 <= delay < _INF:
+            raise ValueError(f"defer delay must be finite and non-negative, got {delay}")
+        self._schedule(fn, arg, delay)
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def _schedule(self, fn: typing.Callable[[typing.Any], None], arg, delay: float = 0.0) -> None:
+        """Push ``fn(arg)`` at ``delay`` from now: the kernel's one push.
+
+        A triggered event is pushed as ``Event._fire`` on itself, a plain
+        callback as itself, so both share one ``seq`` counter and entries
+        for the same instant run in push order.
+        """
         self._seq += 1
-        heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        heappush(self._queue, (self._now + delay, self._seq, fn, arg))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the single next event."""
+        """Run the single next heap entry: an event's callbacks, or a callback."""
         if not self._queue:
             raise EmptySchedule()
-        when, _prio, _seq, event = heappop(self._queue)
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, []
-        event._state = PROCESSED
-        for callback in callbacks:
-            callback(event)
-        if event._exception is not None and not event.defused:
-            raise ProcessCrash(
-                f"unhandled failure in simulation: {event._exception!r}"
-            ) from event._exception
+        self._now, _seq, fn, arg = heappop(self._queue)
+        fn(arg)
 
     def run(self, until: float | Event | None = None):
         """Run until the queue drains, time ``until`` passes, or an event fires.
@@ -105,7 +103,7 @@ class Simulator:
         step = self.step  # hot loop: one bound-method lookup, not millions
         if isinstance(until, Event):
             stop = until
-            while not stop.processed:
+            while stop._state != PROCESSED:
                 try:
                     step()
                 except EmptySchedule:

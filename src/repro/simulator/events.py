@@ -9,6 +9,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _INF = float("inf")
 
+
+class ProcessCrash(RuntimeError):
+    """Raised by the simulator when a process dies on an unhandled error."""
+
+
 #: Event lifecycle states.
 PENDING = 0
 TRIGGERED = 1
@@ -72,7 +77,7 @@ class Event:
             raise RuntimeError(f"{self!r} already triggered")
         self._value = value
         self._state = TRIGGERED
-        self.sim._schedule(self)
+        self.sim._schedule(Event._fire, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -83,8 +88,22 @@ class Event:
             raise RuntimeError(f"{self!r} already triggered")
         self._exception = exception
         self._state = TRIGGERED
-        self.sim._schedule(self)
+        self.sim._schedule(Event._fire, self)
         return self
+
+    def _fire(self) -> None:
+        """Run the callbacks of a triggered event: its heap entry's step.
+
+        A failure that no waiter defused crashes the run.
+        """
+        callbacks, self.callbacks = self.callbacks, []
+        self._state = PROCESSED
+        for callback in callbacks:
+            callback(self)
+        if self._exception is not None and not self.defused:
+            raise ProcessCrash(
+                f"unhandled failure in simulation: {self._exception!r}"
+            ) from self._exception
 
     def _succeed_now(self, value=None) -> None:
         """Trigger and process synchronously, skipping the event queue.
@@ -109,6 +128,17 @@ class Event:
         self._exception = exception
         self._succeed_now()
 
+    def _settle(self, failure: BaseException | None) -> None:
+        """:meth:`_succeed_now` with None, or :meth:`_fail_now` with ``failure``.
+
+        The shape of a device op's ``done`` callback, so an op can settle
+        an event its waiter yields.
+        """
+        if failure is None:
+            self._succeed_now()
+        else:
+            self._fail_now(failure)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         states = {PENDING: "pending", TRIGGERED: "triggered", PROCESSED: "processed"}
         return f"<{type(self).__name__} {states[self._state]} at {id(self):#x}>"
@@ -126,7 +156,7 @@ class Timeout(Event):
         self.delay = delay
         self._value = value
         self._state = TRIGGERED
-        sim._schedule(self, delay=delay)
+        sim._schedule(Event._fire, self, delay)
 
 
 class AllOf(Event):

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import typing
 
-from repro.simulator.events import Event
+from repro.simulator.events import Event, ProcessCrash
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.engine import Simulator
 
-
-class ProcessCrash(RuntimeError):
-    """Raised by the simulator when a process dies on an unhandled error."""
+__all__ = ["Process", "ProcessCrash"]
 
 
 class Process(Event):
@@ -40,15 +38,17 @@ class Process(Event):
         # reason.
         sim.defer(self._resume)
 
-    def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``."""
+    def _resume(self, event: Event | None) -> None:
+        """Advance the generator with the outcome of ``event`` (None: start it)."""
         while True:
             try:
-                if event.ok:
+                if event is None:
+                    target = self._gen.send(None)
+                elif event._exception is None:
                     target = self._gen.send(event._value)
                 else:
                     event.defused = True
-                    target = self._gen.throw(event.exception)
+                    target = self._gen.throw(event._exception)
             except StopIteration as stop:
                 self._target = None
                 self.succeed(stop.value)

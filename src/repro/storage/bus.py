@@ -18,8 +18,10 @@ recomputed — a small fluid-flow scheduler.  Once the load drops back
 under the bandwidth, the bus returns to the fast regime.
 
 Transfers may carry a ``lead_in_s`` delay (device positioning time before
-the data moves); the lead-in is folded into the same completion event, so
-a reposition-then-stream tape request costs one event, not two.
+the data moves); the lead-in is folded into the same completion timer, so
+a reposition-then-stream tape request costs one heap entry, not two.  The
+timers are plain simulator callbacks (``Simulator.defer``): nothing waits
+on them, so they allocate no :class:`~repro.simulator.events.Event`.
 """
 
 from __future__ import annotations
@@ -34,15 +36,19 @@ _EPS_BYTES = 1e-6
 
 
 class _Flow:
-    __slots__ = ("remaining", "nominal", "rate", "event", "active_from")
+    __slots__ = ("remaining", "nominal", "rate", "done", "active_from", "retired")
 
-    def __init__(self, remaining: float, nominal: float, event: Event):
+    def __init__(self, remaining: float, nominal: float, done: typing.Callable[[None], None]):
         self.remaining = remaining
         self.nominal = nominal
         self.rate = 0.0
-        self.event = event
+        #: Called with None at the instant the last byte moves.
+        self.done = done
         #: Absolute time the lead-in ends and bytes start moving.
         self.active_from = 0.0
+        #: Set once a switch to the managed regime replaced this flow; its
+        #: fast-regime completion timer then does nothing when it fires.
+        self.retired = False
 
 
 def _water_fill(flows: list[_Flow], capacity: float) -> None:
@@ -76,8 +82,6 @@ class Bus:
         self._last_update = sim.now
         #: Invalidates the managed regime's next-completion timer.
         self._timer_token = 0
-        #: Invalidates the fast regime's per-flow completion timers.
-        self._epoch = 0
         self._fast = True
         #: Sum of nominal rates over all flows (lead-ins included).
         self._nominal_sum = 0.0
@@ -108,14 +112,19 @@ class Bus:
             self._busy_since = None
 
     def transfer(
-        self, nominal_rate_bytes_s: float, n_bytes: float, lead_in_s: float = 0.0
-    ) -> Event:
+        self, nominal_rate_bytes_s: float, n_bytes: float, lead_in_s: float = 0.0,
+        *, done: typing.Callable[[None], None] | None = None,
+    ) -> Event | None:
         """Move ``n_bytes`` at up to ``nominal_rate_bytes_s``.
 
         Returns an event that triggers when the transfer completes.  The
         effective rate is reduced whenever the bus is oversubscribed.
         ``lead_in_s`` delays the start of the byte movement (the caller's
         positioning time) without costing a separate scheduled event.
+
+        Given ``done`` (a device op's completion), no event is built:
+        ``done(None)`` is called at the instant the event would settle,
+        and ``transfer`` returns None.
         """
         if not 0 < nominal_rate_bytes_s < math.inf:
             raise ValueError(
@@ -127,15 +136,19 @@ class Bus:
             raise ValueError(f"lead-in must be finite and >= 0, got {lead_in_s}")
         if self.fault_hook is not None:
             lead_in_s += self.fault_hook(self)
-        done = Event(self.sim)
+        event = None
+        if done is None:
+            event = Event(self.sim)
+            done = event._succeed_now
         self.bytes_moved += n_bytes
         if n_bytes <= _EPS_BYTES:
             if lead_in_s > 0:
-                timer = self.sim.timeout(lead_in_s)
-                timer.callbacks.append(lambda _event: done._succeed_now())
+                self.sim.defer(done, None, lead_in_s)
+            elif event is not None:
+                event.succeed()  # triggered now, its waiters run one hop on
             else:
-                done.succeed()
-            return done
+                self.sim.defer(done)
+            return event
         flow = _Flow(n_bytes, nominal_rate_bytes_s, done)
         flow.active_from = self.sim.now + lead_in_s
         if self._fast:
@@ -145,7 +158,7 @@ class Bus:
                 self._flows.append(flow)
                 self._schedule_fast_done(flow)
                 self._observe()
-                return done
+                return event
             self._to_managed()
         else:
             self._settle()
@@ -153,7 +166,7 @@ class Bus:
         self._flows.append(flow)
         self._replan()
         self._observe()
-        return done
+        return event
 
     # -- fast regime ----------------------------------------------------------
 
@@ -162,28 +175,37 @@ class Bus:
         now = self.sim.now
         delay = (flow.active_from - now) + flow.remaining / flow.rate
         delay = max(delay, 1e-9, now * 1e-12)
-        epoch = self._epoch
-        timer = self.sim.timeout(delay)
-        timer.callbacks.append(lambda _event: self._fast_done(flow, epoch))
+        self.sim.defer(self._fast_done, flow, delay)
 
-    def _fast_done(self, flow: _Flow, epoch: int) -> None:
-        if epoch != self._epoch:
+    def _fast_done(self, flow: _Flow) -> None:
+        if flow.retired:
             return  # superseded by a switch to the managed regime
         self._flows.remove(flow)
         self._nominal_sum -= flow.nominal
         if not self._flows:
             self._nominal_sum = 0.0  # shed float dust while idle
         self._observe()
-        flow.event._succeed_now()
+        flow.done(None)
 
     def _to_managed(self) -> None:
-        """Settle fast-regime flows and take over scheduling."""
+        """Settle fast-regime flows and take over scheduling.
+
+        Each flow is replaced by a fresh copy and retired, which cancels
+        its fast-regime completion timer: the copy gets a new timer if
+        the bus returns to the fast regime, while the old one still sits
+        in the heap.
+        """
         now = self.sim.now
+        flows = []
         for flow in self._flows:
             elapsed = now - flow.active_from
             if elapsed > 0:
                 flow.remaining = max(0.0, flow.remaining - flow.rate * elapsed)
-        self._epoch += 1  # cancel every fast-regime completion timer
+            flow.retired = True
+            copy = _Flow(flow.remaining, flow.nominal, flow.done)
+            copy.active_from = flow.active_from
+            flows.append(copy)
+        self._flows = flows
         self._fast = False
         self._last_update = now
 
@@ -222,9 +244,7 @@ class Bus:
         # delay would not advance the float clock, and the settle/replan
         # cycle would spin forever on a nearly-finished flow.
         next_done = max(next_done, 1e-9, now * 1e-12)
-        token = self._timer_token
-        timer = self.sim.timeout(next_done)
-        timer.callbacks.append(lambda _event: self._on_timer(token))
+        self.sim.defer(self._on_timer, self._timer_token, next_done)
 
     def _to_fast(self) -> None:
         """Return to per-flow completion timers (load fits the bandwidth)."""
@@ -246,5 +266,5 @@ class Bus:
             self._observe()
         for flow in finished:
             self._nominal_sum -= flow.nominal
-            flow.event._succeed_now()
+            flow.done(None)
         self._replan()

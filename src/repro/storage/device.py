@@ -70,15 +70,16 @@ class Device:
         self, where, n_blocks: float, kind: str, near: int | None,
         finished: typing.Callable[[BaseException | None], None],
     ) -> None:
-        """Run the op as events alone, with no generator.
+        """Run the op as callbacks alone, with no generator.
 
         Hold the unit; once it is granted, charge the lead-in and the
-        transfer as one bus event (through the fault injector's retry
+        transfer as one bus transfer (through the fault injector's retry
         loop, if the device has one); when that settles, move the
         position if it succeeded, record, release the unit and call
         ``finished`` with the failure or None, all at the settling
-        instant.  Callers add the queue hops a process running the op
-        would take (see ``DiskArray._fan_out``).
+        instant.  Only the unit request is an event; the transfer calls
+        back.  Callers add the queue hops a process running the op would
+        take (see ``DiskArray._fan_out``).
         """
         req = self._hold()
 
@@ -86,22 +87,19 @@ class Device:
             start = self.sim.now
             lead_in, after = self._lead_in(where, n_blocks, near)
             rate, n_bytes = self.params.rate_bytes_s, self.spec.bytes_from_blocks(n_blocks)
-            faults = self.faults
-            if faults is None:
-                transfer = self.bus.transfer(rate, n_bytes, lead_in)
-            else:
-                transfer = faults.guarded_transfer(
-                    self.bus, rate, n_bytes, lead_in, self.name, kind
-                )
 
-            def complete(event) -> None:
-                failure = event._exception
+            def complete(failure: BaseException | None) -> None:
                 if failure is None:
                     self.position = after
                 self._finish(req, start, kind)
                 finished(failure)
 
-            transfer.callbacks.append(complete)
+            if self.faults is None:
+                self.bus.transfer(rate, n_bytes, lead_in, done=complete)
+            else:
+                self.faults.guarded_transfer(
+                    self.bus, rate, n_bytes, lead_in, self.name, kind, done=complete
+                )
 
         if req.processed:
             granted()
@@ -115,15 +113,12 @@ class Device:
 
         ``near`` marks a disk burst of ``near + 1`` small requests (see
         :meth:`Disk._lead_in <repro.storage.disk.Disk._lead_in>`).
-        Positioning and transfer share one bus event (lead-in), so an op
-        costs a single scheduled completion.  The op runs as
+        Positioning and transfer share one bus transfer (lead-in), so an
+        op costs a single scheduled completion.  The op runs as
         :meth:`_start_io`; the waiter resumes, or gets the failure
         thrown in, inside its completion callback, before any other
         same-time event.
         """
         done = Event(self.sim)
-        self._start_io(
-            where, n_blocks, kind, near,
-            lambda failure: done._succeed_now() if failure is None else done._fail_now(failure),
-        )
+        self._start_io(where, n_blocks, kind, near, done._settle)
         yield done

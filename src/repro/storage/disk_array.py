@@ -9,7 +9,7 @@ placement of disk blocks and usage of disk arms".  This array provides it:
   and alternates arms between successive writes;
 * large requests are split across all member disks and executed in
   parallel, delivering the aggregate bandwidth ``X_D`` of the model; each
-  per-disk part is one device op run as events, with no process per disk;
+  per-disk part is one device op run as callbacks, with no process per disk;
 * burst operations simulate a run of small requests (hash bucket flushes,
   fragment reads) as one disk op whose delay charges every reposition.
 
@@ -212,13 +212,13 @@ class DiskArray:
         extent._clear()
         del self.extents[extent.name]
 
-    # -- I/O (generators for ``yield from``; per-disk ops are events) -------------
+    # -- I/O (generators for ``yield from``; per-disk ops are callbacks) ----------
 
     def _fan_out(self, ops: list[tuple[Disk, typing.Any, float, int | None]], kind: str) -> Event:
         """Run one op per ``(disk, where, n_blocks, near)`` concurrently.
 
-        The ops run as events with the queue hops of one process per op
-        joined by ``all_of``, since same-time ordering decides arm
+        The ops run as callbacks with the queue hops of one process per
+        op joined by ``all_of``, since same-time ordering decides arm
         hand-off: they start one hop from now, and the event triggers
         two hops after the last one ends (one, for no ops).  The first
         failing op fails the event two hops after it ends; later
@@ -234,9 +234,12 @@ class DiskArray:
             if left > 0:
                 left = left - 1 if failure is None else 0
                 if not left:
-                    sim.defer(lambda _event: done.fail(failure) if failure else done.succeed())
+                    if failure is None:
+                        sim.defer(done.succeed)
+                    else:
+                        sim.defer(done.fail, failure)
 
-        def start(_event) -> None:
+        def start(_arg) -> None:
             for disk, where, blocks, near in ops:
                 disk._start_io(where, blocks, kind, near, op_done)
 

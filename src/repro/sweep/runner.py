@@ -44,6 +44,21 @@ def _timed_execute(kind: str, payload: dict) -> dict:
     return {"result": result, "run_s": time.perf_counter() - started}
 
 
+def _timing(task: SweepTask, source: str, queue_s: float, run_s: float) -> dict:
+    """One :attr:`SweepRunner.timings` record."""
+    return {
+        "kind": task.kind,
+        "symbol": task.payload.get("symbol") if task.kind == "join" else None,
+        "source": source,
+        "queue_s": queue_s,
+        "run_s": run_s,
+    }
+
+
+def _empty_group() -> dict:
+    return {"tasks": 0, "run_s": 0.0, "queue_s": 0.0}
+
+
 class SweepRunner:
     """Runs sweep tasks through the cache and an optional process pool."""
 
@@ -69,8 +84,9 @@ class SweepRunner:
         #: True once any task had to fall back to inline execution.
         self.degraded = False
         #: Wall-clock record per executed task (accumulated over every
-        #: ``run()`` of this runner): kind, source ("inline"/"pool"),
-        #: ``queue_s`` waiting for a worker and ``run_s`` executing.
+        #: ``run()`` of this runner): kind, the join's method ``symbol``
+        #: (None for other kinds), source ("inline"/"pool"), ``queue_s``
+        #: waiting for a worker and ``run_s`` executing.
         self.timings: list[dict] = []
         self._cache_load_s = 0.0
         self._cache_store_s = 0.0
@@ -137,12 +153,7 @@ class SweepRunner:
             task_started = time.perf_counter()
             result = execute_task(task.kind, task.payload)
             self.timings.append(
-                {
-                    "kind": task.kind,
-                    "source": "inline",
-                    "queue_s": 0.0,
-                    "run_s": time.perf_counter() - task_started,
-                }
+                _timing(task, "inline", 0.0, time.perf_counter() - task_started)
             )
             done = self._finish(index, task, fingerprints[index], result, done, total, results)
         return done
@@ -220,13 +231,9 @@ class SweepRunner:
                         broken = True
                         continue
                     total_s = time.perf_counter() - submitted[future]
+                    run_s = envelope["run_s"]
                     self.timings.append(
-                        {
-                            "kind": tasks[index].kind,
-                            "source": "pool",
-                            "queue_s": max(0.0, total_s - envelope["run_s"]),
-                            "run_s": envelope["run_s"],
-                        }
+                        _timing(tasks[index], "pool", max(0.0, total_s - run_s), run_s)
                     )
                     done = self._finish(
                         index, tasks[index], fingerprints[index],
@@ -260,18 +267,21 @@ class SweepRunner:
     def profile(self) -> dict:
         """Aggregate wall-clock profile of every ``run()`` so far.
 
-        Totals plus a per-kind breakdown; the raw per-task records stay
-        on :attr:`timings`.  All numbers are host wall-clock seconds —
+        Totals plus a per-kind and a per-method breakdown (``by_method``
+        covers join tasks only); the raw per-task records stay on
+        :attr:`timings`.  All numbers are host wall-clock seconds —
         simulated time never appears here.
         """
         by_kind: dict[str, dict] = {}
+        by_method: dict[str, dict] = {}
         for timing in self.timings:
-            entry = by_kind.setdefault(
-                timing["kind"], {"tasks": 0, "run_s": 0.0, "queue_s": 0.0}
-            )
-            entry["tasks"] += 1
-            entry["run_s"] += timing["run_s"]
-            entry["queue_s"] += timing["queue_s"]
+            groups = [by_kind.setdefault(timing["kind"], _empty_group())]
+            if timing["symbol"] is not None:
+                groups.append(by_method.setdefault(timing["symbol"], _empty_group()))
+            for entry in groups:
+                entry["tasks"] += 1
+                entry["run_s"] += timing["run_s"]
+                entry["queue_s"] += timing["queue_s"]
         return {
             "wall_s": self._wall_s,
             "executed": len(self.timings),
@@ -281,6 +291,7 @@ class SweepRunner:
             "cache_load_s": self._cache_load_s,
             "cache_store_s": self._cache_store_s,
             "by_kind": by_kind,
+            "by_method": by_method,
         }
 
     def _report(self, done: int, total: int, note: str) -> None:

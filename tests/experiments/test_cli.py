@@ -3,6 +3,8 @@
 import pytest
 
 from repro.experiments.__main__ import main
+from repro.experiments.cli import report_sweep_usage
+from repro.sweep.runner import SweepRunner
 
 
 class TestCli:
@@ -141,3 +143,30 @@ class TestTraceOut:
 
         summary = json.loads((trace_dir / "summary.json").read_text())
         assert summary["CTT-GH"]["buffer_mean_total_pct"] > 50.0
+
+
+class TestSweepProfileLine:
+    def test_names_the_three_costliest_methods(self, capsys):
+        runner = SweepRunner()
+        runner.timings = [
+            {"kind": kind, "symbol": symbol, "source": "inline", "queue_s": 0.0, "run_s": run_s}
+            for kind, symbol, run_s in [
+                ("join", "DT-NB", 0.6), ("join", "CTT-GH", 9.0), ("figure4", None, 20.0),
+                ("join", "CDT-GH", 11.4), ("join", "CTT-GH", 7.0), ("join", "DT-GH", 2.4),
+            ]
+        ]
+        report_sweep_usage(runner)
+        line = capsys.readouterr().err.strip()
+        assert line.startswith("sweep profile: 6 task(s) executed")
+        assert line.endswith(
+            "; CTT-GH 16.0s (2 task(s)); CDT-GH 11.4s (1 task(s)); DT-GH 2.4s (1 task(s))"
+        )
+        assert "DT-NB" not in line and "figure4" not in line
+
+    def test_no_join_tasks_names_no_method(self, capsys):
+        runner = SweepRunner()
+        runner.timings = [
+            {"kind": "figure4", "symbol": None, "source": "inline", "queue_s": 0.0, "run_s": 1.0}
+        ]
+        report_sweep_usage(runner)
+        assert capsys.readouterr().err.strip().endswith("store 0.00s")

@@ -71,6 +71,46 @@ class TestDeterminism:
         sim.run()
         assert order == ["a", "b", "c"]
 
+    def test_events_and_callbacks_interleave_in_push_order(self, sim):
+        # One heap holds both: entries for the same instant run in the
+        # order they were pushed, whichever kind each one is.
+        order = []
+        for tag in "abcdef":
+            if tag in "ace":
+                timeout = sim.timeout(5.0, tag)
+                timeout.callbacks.append(lambda e: order.append(e.value))
+            else:
+                sim.defer(order.append, tag, 5.0)
+        sim.run()
+        assert order == list("abcdef")
+        assert sim.now == 5.0
+
+    def test_defer_runs_one_hop_later_after_queued_same_time_entries(self, sim):
+        order = []
+
+        def first(_arg):
+            order.append("first")
+            sim.defer(order.append, "deferred")
+            sim.event().succeed().callbacks.append(lambda _e: order.append("event"))
+
+        sim.defer(first)
+        queued = sim.event()
+        queued.callbacks.append(lambda _e: order.append("queued"))
+        queued.succeed()
+        sim.defer(order.append, "callback")
+        assert order == []  # nothing runs before the simulator steps
+        sim.run()
+        assert order == ["first", "queued", "callback", "deferred", "event"]
+        assert sim.now == 0.0
+
+    def test_defer_passes_its_argument(self, sim):
+        seen = []
+        sim.defer(seen.append)
+        sim.defer(seen.append, "x", 2.5)
+        sim.run()
+        assert seen == [None, "x"]
+        assert sim.now == 2.5
+
     def test_simulation_is_reproducible(self):
         def trace_run():
             sim = Simulator()
@@ -106,6 +146,25 @@ class TestNonFiniteTimes:
             except ValueError:
                 continue
             timeout.callbacks.append(lambda e: fired.append(e.value))
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0, 5.0]
+        assert sim.now == 5.0
+
+    @pytest.mark.parametrize(
+        "delay", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12]
+    )
+    def test_defer_rejects_bad_delay(self, sim, delay):
+        with pytest.raises(ValueError, match="defer delay"):
+            sim.defer(print, None, delay)
+        assert sim.peek() == float("inf")
+
+    def test_rejected_defer_leaves_the_schedule_whole(self, sim):
+        fired = []
+        for delay in (5.0, float("nan"), 1.0, -1.0, 3.0, float("inf"), 2.0):
+            try:
+                sim.defer(fired.append, delay, delay)
+            except ValueError:
+                continue
         sim.run()
         assert fired == [1.0, 2.0, 3.0, 5.0]
         assert sim.now == 5.0

@@ -30,11 +30,15 @@ import types
 import numpy as np
 import pytest
 
+from repro.api import run_join
 from repro.core.base import scan_tape
+from repro.core.environment import JoinEnvironment
+from repro.experiments.config import ExperimentScale
 from repro.faults import DiskTransientError, FaultInjector, RetryExhaustedError
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.simulator.engine import Simulator
+from repro.simulator.events import Event
 from repro.simulator.process import Process
 from repro.simulator.resources import Resource
 from repro.storage.block import BlockSpec, DataChunk
@@ -507,3 +511,66 @@ class TestNoProcessPerOp:
         rig.sim.run()  # the other failed ops drain without a ProcessCrash
         assert isinstance(exc.__cause__, DiskTransientError)
         assert sorted(injector.stats.errors_by_device) == ["d0", "d1", "d2"]
+
+
+class TestKernelAllocations:
+    """A fault-free device op allocates only what a process waits on.
+
+    Its unit request is an event, and so is the one event its caller
+    yields; the bus completion timer, the bus completion and the queue
+    hops of a fan-out or prefetch are plain heap callbacks.  Before they
+    were, these paths built 4.7 to 5.7 events per op.
+    """
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_fault_free_op_allocates_at_most_two_events(self, path):
+        with pytest.MonkeyPatch.context() as patch:
+            rig = Rig(patch)
+            created = []
+            init = Event.__init__
+
+            def counting_init(event, *args, **kwargs):
+                created.append(type(event).__name__)
+                init(event, *args, **kwargs)
+
+            patch.setattr(Event, "__init__", counting_init)
+            rig.sim.run(rig.sim.process(PATHS[path](rig)))
+        ops = sum(entry[0] == "grant" for entry in rig.log)
+        kinds = collections.Counter(created)
+        assert ops >= 3
+        assert kinds["Process"] == 1  # the caller
+        assert kinds["Request"] == ops
+        assert "Timeout" not in kinds
+        assert len(created) - 1 <= 2 * ops
+
+
+#: Heap pushes (``Simulator._seq``) of one join on the 5 MB / 20 MB test
+#: pair at M = 10, D = 120 blocks, fault-free and under :data:`JOIN_PLAN`;
+#: recorded before the kernel's internal timers became callbacks, which
+#: kept one push per replaced event.
+JOIN_PLAN = FaultPlan(seed=3, disk_error_rate=0.05, tape_read_error_rate=0.05, stall_rate=0.05)
+JOIN_HEAP_PUSHES = {
+    ("CDT-GH", None): 3093,
+    ("CTT-GH", None): 2843,
+    ("CDT-GH", "seeded"): 3100,
+    ("CTT-GH", "seeded"): 2914,
+}
+
+
+@pytest.mark.parametrize("method,plan", list(JOIN_HEAP_PUSHES))
+def test_join_heap_pushes(method, plan, small_r, small_s, monkeypatch):
+    pushes = []
+    finalize = JoinEnvironment.finalize
+
+    def recording_finalize(env, *args, **kwargs):
+        pushes.append(env.sim._seq)
+        return finalize(env, *args, **kwargs)
+
+    monkeypatch.setattr(JoinEnvironment, "finalize", recording_finalize)
+    spec = ExperimentScale().join_spec(
+        small_r, small_s, memory_blocks=10.0, disk_blocks=120.0,
+        fault_plan=JOIN_PLAN if plan else None,
+    )
+    stats = run_join(spec, method=method, verify=True)
+    assert pushes == [JOIN_HEAP_PUSHES[(method, plan)]]
+    assert (stats.fault_retries > 0) == (plan is not None)

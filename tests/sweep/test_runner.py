@@ -139,6 +139,35 @@ class TestProfiling:
         # A pooled task's wall time is at least its pure run time.
         assert profile["wall_s"] > 0.0
 
+    def test_join_timings_carry_their_method(self, monkeypatch):
+        monkeypatch.setattr(runner_mod, "execute_task", tracking_execute([]))
+        tasks = [
+            SweepTask("join", {"symbol": symbol, "n": n})
+            for n, symbol in enumerate(["CDT-GH", "DT-NB", "CDT-GH"])
+        ]
+        tasks.append(SweepTask("stub", {"symbol": "not a join", "n": 3}))
+        runner = SweepRunner()
+        runner.run(tasks)
+        assert [t["symbol"] for t in runner.timings] == ["CDT-GH", "DT-NB", "CDT-GH", None]
+        profile = runner.profile()
+        assert sorted(profile["by_method"]) == ["CDT-GH", "DT-NB"]
+        assert profile["by_method"]["CDT-GH"]["tasks"] == 2
+        assert profile["by_method"]["CDT-GH"]["run_s"] == sum(
+            t["run_s"] for t in runner.timings if t["symbol"] == "CDT-GH"
+        )
+        assert profile["by_kind"]["join"]["tasks"] == 3
+        assert profile["by_kind"]["stub"]["tasks"] == 1
+
+    def test_pooled_join_timings_carry_their_method(self):
+        tasks = [
+            runner_mod.SweepTask("selftest", {"mode": "ok", "n": n, "symbol": "X"})
+            for n in range(2)
+        ]
+        runner = SweepRunner(jobs=2)
+        runner.run(tasks)
+        assert [t["symbol"] for t in runner.timings] == [None, None]
+        assert runner.profile()["by_method"] == {}
+
     def test_timings_accumulate_across_runs(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "execute_task", tracking_execute([]))
         runner = SweepRunner()
