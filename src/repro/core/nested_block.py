@@ -5,8 +5,8 @@ in memory-sized chunks, scanning the disk-resident R once per chunk:
 
 * :class:`DiskTapeNestedBlock` (DT-NB) — strictly sequential.
 * :class:`ConcurrentNestedBlockMemory` (CDT-NB/MB) — two half-size memory
-  buffers; the next S chunk is fetched from tape while the previous one is
-  joined with R.
+  buffers; one overlapped tape scan fetches the next S chunk while the
+  previous one is joined with R.
 * :class:`ConcurrentNestedBlockDisk` (CDT-NB/DB) — a full-size chunk held
   in memory, refilled through an interleaved double-buffered disk region,
   trading disk space and disk traffic for larger chunks.
@@ -33,7 +33,6 @@ from repro.core.base import (
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import NB_R_SCAN_FRACTION, ResourceRequirements
 from repro.core.spec import InfeasibleJoinError, JoinSpec, ceil_div
-from repro.simulator.resources import Store
 
 
 class _NestedBlockBase(TertiaryJoinMethod):
@@ -119,11 +118,12 @@ class DiskTapeNestedBlock(_NestedBlockBase):
 class ConcurrentNestedBlockMemory(_NestedBlockBase):
     """CDT-NB/MB: memory double-buffering (Section 5.1.3).
 
-    Memory is split into one R window and two S buffers; a prefetch
-    process fills one buffer from tape while the join process drains the
-    other against R.  Interleaved buffering cannot apply here because each
-    chunk is needed in memory for the whole iteration, hence the halved
-    chunk size — and twice the iterations of DT-NB.
+    Memory is split into one R window and two S buffers; an overlapped
+    :func:`~repro.core.base.scan_tape` reads the next S chunk from tape
+    into one buffer while the other is joined against R.  Interleaved
+    buffering cannot apply here because each chunk is needed in memory
+    for the whole iteration, hence the halved chunk size — and twice the
+    iterations of DT-NB.
     """
 
     symbol = "CDT-NB/MB"
@@ -147,39 +147,22 @@ class ConcurrentNestedBlockMemory(_NestedBlockBase):
         r_disk = yield from self._copy_r_to_disk(env, overlap=True)
         chunk = self._chunk_blocks(spec)
         r_window = self._r_scan_blocks(spec)
-        sim = env.sim
-        filled = Store(sim)
-        free_slots = Store(sim)
-        for _slot in range(2):
-            free_slots.put(None)
 
-        def prefetcher():
-            offset = 0.0
-            total = spec.size_s_blocks
-            while offset < total - 1e-9:
-                step = min(chunk, total - offset)
-                yield free_slots.get()
-                env.memory.take(step, "S buffer slot")
-                data = yield from env.drive_s.read_range(env.file_s, offset, step)
-                offset += step
-                yield filled.put(data)
-            yield filled.put(None)
+        def join(data):
+            yield from scan_disk_and_join(env, r_disk, r_window, data.keys)
+            env.count_iteration()
 
-        def joiner():
-            with env.memory.hold(r_window, "R window"):
-                while True:
-                    data = yield filled.get()
-                    if data is None:
-                        return
-                    yield from scan_disk_and_join(env, r_disk, r_window, data.keys)
-                    env.count_iteration()
-                    env.memory.give(data.n_blocks)
-                    yield free_slots.put(None)
-
-        done = sim.all_of(
-            [sim.process(prefetcher(), name="prefetch"), sim.process(joiner(), name="join")]
-        )
-        yield done
+        # Table 2's 2|S_i| plus the R window, held for all of Step II; the
+        # order of the holds fixes the float sum reported as peak memory.
+        with (
+            env.memory.hold(chunk, "S buffer"),
+            env.memory.hold(r_window, "R window"),
+            env.memory.hold(chunk, "S buffer"),
+        ):
+            yield from scan_tape(
+                env, env.drive_s, env.file_s, 0.0, spec.size_s_blocks,
+                chunk, join, overlap=True,
+            )
         env.array.free(r_disk)
 
 

@@ -10,6 +10,7 @@ numeric requirements and the executed algorithms cannot drift apart.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 #: Fraction of M used as the R-scan buffer in Nested Block methods
 #: ("we allocated 10% of M for scanning relation R ... 90% for buffering S").
@@ -36,6 +37,18 @@ GH_WRITE_STAGING_FRACTION = 0.2
 #: Fraction of M used as the window through which the matching S bucket is
 #: scanned past the memory-resident R bucket.
 GH_PROBE_FRACTION = 0.1
+
+
+def clamp_gh_memory(memory_blocks: float, r_blocks: float) -> float:
+    """Scaled memory, clamped to Grace Hash's M >= sqrt(|R|) feasibility.
+
+    Relation sizes scale linearly but the sqrt(|R|) memory floor does
+    not, so a scaled-down run keeps at least ``1.05 * sqrt(|R|)`` blocks,
+    and at most ``|R| - 1`` unless the floor itself is higher.  The
+    experiment drivers and the service's ``clamp_memory_floor`` share it.
+    """
+    floor = 1.05 * math.sqrt(r_blocks)
+    return min(max(memory_blocks, floor), max(r_blocks - 1.0, floor))
 
 
 @dataclasses.dataclass(frozen=True)

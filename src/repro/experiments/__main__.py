@@ -31,6 +31,7 @@ import os
 import sys
 import time
 
+from repro.core.requirements import clamp_gh_memory
 from repro.experiments.analytical import figure1, figure2, figure3
 from repro.experiments.assumptions import run_assumption_checks
 from repro.experiments.cli import report_sweep_usage, runner_from_args, sweep_options
@@ -251,11 +252,10 @@ def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
     scale = ExperimentScale(scale=scale_factor)
     relation_r, relation_s = scale.relations(EXPERIMENT3_R_MB, EXPERIMENT3_S_MB)
     r_blocks = scale.relation_blocks(EXPERIMENT3_R_MB)
-    floor = 1.05 * math.sqrt(r_blocks)
     disk_frame = {
         "name": "exp3",
         "relations": (relation_r, relation_s),
-        "memory": min(max(0.5 * r_blocks, floor), max(r_blocks - 1.0, floor)),
+        "memory": clamp_gh_memory(0.5 * r_blocks, r_blocks),
         "disk": scale.blocks(EXPERIMENT3_D_MB),
         "scale": scale,
     }
@@ -264,13 +264,10 @@ def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
     tt_scale = ExperimentScale(scale=scale_factor, tuple_bytes=8192)
     tt_r, tt_s = tt_scale.relations(500.0, 1000.0)
     tt_r_blocks = tt_scale.relation_blocks(500.0)
-    tt_floor = 1.05 * math.sqrt(tt_r_blocks)
     tape_frame = {
         "name": "exp1",
         "relations": (tt_r, tt_s),
-        "memory": min(
-            max(tt_scale.blocks(16.0), tt_floor), max(tt_r_blocks - 1.0, tt_floor)
-        ),
+        "memory": clamp_gh_memory(tt_scale.blocks(16.0), tt_r_blocks),
         "disk": tt_scale.blocks(50.0),
         "scale": tt_scale,
     }

@@ -14,9 +14,9 @@ the even/odd iteration shares form a shark-tooth pattern.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 
+from repro.core.requirements import clamp_gh_memory
 from repro.core.spec import InfeasibleJoinError
 from repro.experiments.config import (
     BASE_TAPE,
@@ -93,16 +93,6 @@ class Table3Result:
         }
 
 
-def _memory_blocks(scale: ExperimentScale, m_mb: float, size_r_blocks: float) -> float:
-    """Scaled memory, clamped to Grace Hash's M >= sqrt(|R|) feasibility.
-
-    Relation sizes scale linearly but the sqrt(|R|) memory floor does not,
-    so scaled-down runs keep just enough memory to stay feasible.
-    """
-    floor = 1.05 * math.sqrt(size_r_blocks)
-    return min(max(scale.blocks(m_mb), floor), max(size_r_blocks - 1.0, floor))
-
-
 def run_experiment1(
     scale: ExperimentScale | None = None,
     joins: typing.Sequence[Experiment1Join] = EXPERIMENT1_JOINS,
@@ -125,8 +115,8 @@ def run_experiment1(
             "CTT-GH",
             join.r_mb,
             join.s_mb,
-            memory_blocks=_memory_blocks(
-                scale, join.m_mb, scale.relation_blocks(join.r_mb)
+            memory_blocks=clamp_gh_memory(
+                scale.blocks(join.m_mb), scale.relation_blocks(join.r_mb)
             ),
             disk_blocks=scale.blocks(join.d_mb),
             tape=BASE_TAPE,
@@ -215,8 +205,8 @@ def run_figure4(
     task = figure4_task(
         join.r_mb,
         join.s_mb,
-        memory_blocks=_memory_blocks(
-            scale, join.m_mb, scale.relation_blocks(join.r_mb)
+        memory_blocks=clamp_gh_memory(
+            scale.blocks(join.m_mb), scale.relation_blocks(join.r_mb)
         ),
         disk_blocks=scale.blocks(join.d_mb),
         tape=BASE_TAPE,

@@ -13,6 +13,7 @@ import dataclasses
 import math
 import typing
 
+from repro.core.requirements import clamp_gh_memory
 from repro.experiments.config import (
     BASE_TAPE,
     DISK_1996,
@@ -85,8 +86,9 @@ def run_experiment2(
     runner = runner or SweepRunner()
     r_blocks = scale.relation_blocks(r_mb)
     # M = 0.1|R| as in the paper, clamped to Grace Hash's sqrt(|R|) floor
-    # (relation sizes scale linearly, the floor does not).
-    memory = max(0.1 * r_blocks, 1.05 * math.sqrt(r_blocks))
+    # (relation sizes scale linearly, the floor does not).  0.1|R| is below
+    # |R| - 1 whenever it is above the floor, so only the floor can bite.
+    memory = clamp_gh_memory(0.1 * r_blocks, r_blocks)
     if memory > r_blocks:
         raise ScaleTooSmallError(
             f"fig5: scale {scale.scale:g} is too small, the smallest usable "

@@ -16,10 +16,10 @@ free discipline:
   waiter needing it waits for that lease to end (drive holders never
   wait on drives or pools, so the lease always ends).
 
-Mounts go through the single robot arm (a capacity-1 resource) and
-charge the library's exchange latency; the broker prefers granting a
-drive that already holds the requested cartridge, which is what makes
-tape-affinity scheduling pay off.
+Mounts go through the single robot arm (a :class:`~repro.simulator.
+resources.Unit`) and charge the library's exchange latency; the broker
+prefers granting a drive that already holds the requested cartridge,
+which is what makes tape-affinity scheduling pay off.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import typing
 
 from repro.simulator.engine import Simulator
 from repro.simulator.events import Event
-from repro.simulator.resources import Container, Resource
+from repro.simulator.resources import Container, Unit
 from repro.storage.block import BlockSpec
 from repro.storage.bus import Bus
 from repro.storage.library import TapeLibrary
@@ -84,7 +84,7 @@ class ResourceBroker:
             TapeDrive(sim, f"drive{i}", Bus(sim, f"drive{i}.bus"), spec, drive_params)
             for i in range(n_drives)
         ]
-        self.robot = Resource(sim, capacity=1)
+        self.robot = Unit(sim)
         self.memory = Container(sim, capacity=memory_blocks, init=memory_blocks)
         self.disk = Container(sim, capacity=disk_blocks, init=disk_blocks)
         self._free = list(range(n_drives))
@@ -200,14 +200,18 @@ class ResourceBroker:
         single robot arm, charges the library's exchange latency, and
         records robot/drive busy time plus a ``mount`` span when tracing.
         Returns the number of media movements performed (0 if the
-        cartridge was already mounted).
+        cartridge was already mounted).  The arm is freed even if the
+        mount fails (a volume not on the shelf raises ``KeyError``).
         """
-        request = self.robot.request()
-        yield request
+        granted = Event(self.sim)
+        if not self.robot.acquire(granted._settle):
+            yield granted
         started = self.sim.now
         before = self.library.exchanges
-        yield from self.library.mount(lease.drive, volume_name)
-        self.robot.release(request)
+        try:
+            yield from self.library.mount(lease.drive, volume_name)
+        finally:
+            self.robot.release()
         moved = self.library.exchanges - before
         if moved and self.observer is not None:
             self.observer.device_busy("robot", started, self.sim.now, "exchange")

@@ -143,7 +143,8 @@ class ServiceConfig:
     the pool are rejected at admission — granting them would deadlock
     the broker.  ``clamp_memory_floor`` applies the experiment drivers'
     Grace Hash floor (``1.05 * sqrt(|R|)`` blocks) when scaling shrinks
-    memory below feasibility, mirroring ``repro.experiments.exp1``.
+    memory below feasibility, through the same
+    :func:`~repro.core.requirements.clamp_gh_memory`.
     """
 
     n_drives: int = 2

@@ -27,11 +27,11 @@ JoinRequest`\\ s and runs them end to end against shared hardware:
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 
 from repro.core.planner import JoinPlan, plan_join
 from repro.core.registry import method_by_symbol
+from repro.core.requirements import clamp_gh_memory
 from repro.core.spec import InfeasibleJoinError, JoinSpec
 from repro.costmodel.formulas import CostBreakdown
 from repro.hsm.cache import PartitionCache, PartitionSetKey
@@ -133,8 +133,7 @@ class JoinService:
         r_blocks = scale.relation_blocks(request.r_mb)
         memory = scale.blocks(request.memory_mb or config.memory_mb)
         if config.clamp_memory_floor:
-            floor = 1.05 * math.sqrt(r_blocks)
-            memory = min(max(memory, floor), max(r_blocks - 1.0, floor))
+            memory = clamp_gh_memory(memory, r_blocks)
         disk = scale.blocks(request.disk_mb or config.disk_mb)
         return memory, disk, r_blocks
 

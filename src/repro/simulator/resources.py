@@ -1,9 +1,9 @@
-"""Contention primitives: resources, containers and stores.
+"""Contention primitives: units and containers.
 
-These model the shared hardware of the paper's system model: a tape drive or
-disk arm is a :class:`Resource` (one request at a time), buffer space is a
-:class:`Container` (a level of blocks produced and consumed), and queues of
-work items between producer/consumer processes are :class:`Store` instances.
+These model the shared hardware of the paper's system model: a tape drive,
+a disk arm or the library robot is a :class:`Unit` (one request at a time),
+and buffer space is a :class:`Container` (a level of blocks produced and
+consumed).
 """
 
 from __future__ import annotations
@@ -17,56 +17,45 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.engine import Simulator
 
 
-class Request(Event):
-    """A pending or granted claim on a :class:`Resource` slot."""
+class Unit:
+    """One server and a FIFO queue of grant callbacks.
 
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
-        self.resource = resource
+    A disk arm, a tape drive mechanism or the library robot serves one
+    request at a time.  :meth:`acquire` takes the unit at once or queues
+    the caller's ``granted`` callback; :meth:`release` hands the unit to
+    the oldest waiter one queue hop later, so a grant is one heap entry
+    and builds no event.
+    """
 
+    __slots__ = ("sim", "busy", "queue")
 
-class Resource:
-    """A resource with ``capacity`` slots and a FIFO wait queue."""
-
-    def __init__(self, sim: "Simulator", capacity: int = 1):
-        if not capacity >= 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.capacity = capacity
-        self.users: list[Request] = []
-        self.queue: collections.deque[Request] = collections.deque()
+        self.busy = False
+        self.queue: collections.deque[typing.Callable[[typing.Any], None]] = (
+            collections.deque()
+        )
 
-    @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self.users)
+    def acquire(self, granted: typing.Callable[[typing.Any], None]) -> bool:
+        """Take the unit now (True), or queue ``granted`` (False).
 
-    def request(self) -> Request:
-        """Claim a slot; the returned event triggers when granted.
-
-        An uncontended request is granted synchronously: the event comes
-        back already processed, so a waiting process resumes inline
-        instead of taking a round-trip through the event queue.  Queued
-        requests are granted through the scheduler by :meth:`release`.
+        A queued ``granted`` is called with None once the unit is handed
+        to it; a caller that got True runs its grant itself.
         """
-        req = Request(self)
-        if len(self.users) < self.capacity and not self.queue:
-            self.users.append(req)
-            req._state = PROCESSED
-        else:
-            self.queue.append(req)
-        return req
+        if not self.busy:
+            self.busy = True
+            return True
+        self.queue.append(granted)
+        return False
 
-    def release(self, request: Request) -> None:
-        """Return a previously granted slot."""
-        try:
-            self.users.remove(request)
-        except ValueError:
-            raise RuntimeError("releasing a request that does not hold the resource")
-        while self.queue and len(self.users) < self.capacity:
-            nxt = self.queue.popleft()
-            self.users.append(nxt)
-            nxt.succeed()
+    def release(self) -> None:
+        """Hand the unit to the oldest waiter, or free it."""
+        if not self.busy:
+            raise RuntimeError("releasing a unit that is not held")
+        if self.queue:
+            self.sim.defer(self.queue.popleft())
+        else:
+            self.busy = False
 
 
 class ContainerEvent(Event):
@@ -169,74 +158,4 @@ class Container:
                 get = self._gets.popleft()
                 self._level = max(0.0, self._level - get.amount)
                 get.succeed()
-                progress = True
-
-
-class StoreEvent(Event):
-    """A pending put or get against a :class:`Store`."""
-
-    def __init__(self, store: "Store", item=None):
-        super().__init__(store.sim)
-        self.store = store
-        self.item = item
-
-
-class Store:
-    """A FIFO queue of discrete items with optional capacity."""
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")):
-        if not capacity > 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.items: collections.deque = collections.deque()
-        self._puts: collections.deque[StoreEvent] = collections.deque()
-        self._gets: collections.deque[StoreEvent] = collections.deque()
-
-    def put(self, item) -> StoreEvent:
-        """Append ``item``; triggers once there is room.
-
-        A put with room (and no queued puts to overtake) completes
-        synchronously, skipping the scheduler round-trip.
-        """
-        event = StoreEvent(self, item)
-        if not self._puts and len(self.items) < self.capacity:
-            self.items.append(item)
-            event._state = PROCESSED
-            if self._gets:
-                self._drain()  # the new item may release a waiting getter
-            return event
-        self._puts.append(event)
-        self._drain()
-        return event
-
-    def get(self) -> StoreEvent:
-        """Pop the oldest item; triggers once one exists.
-
-        Like :meth:`put`, a get against a non-empty store completes
-        synchronously with the popped item as its value.
-        """
-        event = StoreEvent(self)
-        if not self._gets and self.items:
-            event._value = self.items.popleft()
-            event._state = PROCESSED
-            if self._puts:
-                self._drain()  # the freed slot may admit a waiting putter
-            return event
-        self._gets.append(event)
-        self._drain()
-        return event
-
-    def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._puts and len(self.items) < self.capacity:
-                put = self._puts.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            if self._gets and self.items:
-                get = self._gets.popleft()
-                get.succeed(self.items.popleft())
                 progress = True

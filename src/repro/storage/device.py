@@ -13,7 +13,7 @@ import typing
 
 from repro.simulator.engine import Simulator
 from repro.simulator.events import Event
-from repro.simulator.resources import Request, Resource
+from repro.simulator.resources import Unit
 from repro.storage.block import BlockSpec
 from repro.storage.bus import Bus
 
@@ -28,7 +28,7 @@ class Device:
         self.spec = spec
         self.params = params
         #: The disk arm or the tape drive mechanism.
-        self.unit = Resource(sim, capacity=1)
+        self.unit = Unit(sim)
         self.read_blocks = 0.0
         self.write_blocks = 0.0
         #: Where the device is: the extent a disk arm last served, the head
@@ -50,21 +50,14 @@ class Device:
         """
         raise NotImplementedError
 
-    def _hold(self) -> Request:
-        """Ask for the unit, sampling the queue the request joins."""
-        req = self.unit.request()
-        if self.observer is not None:
-            self.observer.queue_depth(self.name, self.sim.now, len(self.unit.queue))
-        return req
-
-    def _finish(self, req: Request, start: float, kind: str) -> None:
+    def _finish(self, start: float, kind: str) -> None:
         """Close an op: stamp its end, record its busy span, release the unit."""
         now = self.sim.now
         self._last_op_end = now
         if self.observer is not None:
             self.observer.device_busy(self.name, start, now, kind)
             self.observer.queue_depth(self.name, now, len(self.unit.queue))
-        self.unit.release(req)
+        self.unit.release()
 
     def _start_io(
         self, where, n_blocks: float, kind: str, near: int | None,
@@ -72,18 +65,17 @@ class Device:
     ) -> None:
         """Run the op as callbacks alone, with no generator.
 
-        Hold the unit; once it is granted, charge the lead-in and the
-        transfer as one bus transfer (through the fault injector's retry
-        loop, if the device has one); when that settles, move the
-        position if it succeeded, record, release the unit and call
-        ``finished`` with the failure or None, all at the settling
-        instant.  Only the unit request is an event; the transfer calls
-        back.  Callers add the queue hops a process running the op would
-        take (see ``DiskArray._fan_out``).
+        Acquire the unit, sampling the queue the op joins; once it is
+        granted, charge the lead-in and the transfer as one bus transfer
+        (through the fault injector's retry loop, if the device has one);
+        when that settles, move the position if it succeeded, record,
+        release the unit and call ``finished`` with the failure or None,
+        all at the settling instant.  The grant and the transfer call
+        back, so the op builds no event.  Callers add the queue hops a
+        process running the op would take (see ``DiskArray._fan_out``).
         """
-        req = self._hold()
 
-        def granted(_event=None) -> None:
+        def granted(_arg=None) -> None:
             start = self.sim.now
             lead_in, after = self._lead_in(where, n_blocks, near)
             rate, n_bytes = self.params.rate_bytes_s, self.spec.bytes_from_blocks(n_blocks)
@@ -91,7 +83,7 @@ class Device:
             def complete(failure: BaseException | None) -> None:
                 if failure is None:
                     self.position = after
-                self._finish(req, start, kind)
+                self._finish(start, kind)
                 finished(failure)
 
             if self.faults is None:
@@ -101,10 +93,11 @@ class Device:
                     self.bus, rate, n_bytes, lead_in, self.name, kind, done=complete
                 )
 
-        if req.processed:
+        taken = self.unit.acquire(granted)
+        if self.observer is not None:
+            self.observer.queue_depth(self.name, self.sim.now, len(self.unit.queue))
+        if taken:
             granted()
-        else:
-            req.callbacks.append(granted)
 
     def _io(
         self, where, n_blocks: float, kind: str, near: int | None = None

@@ -6,12 +6,22 @@ and that the concurrent variants actually beat their sequential
 counterparts through I/O overlap.
 """
 
+import math
+
 import pytest
 
 from repro.core.base import GraceHashLayout
 from repro.core.registry import method_by_symbol
 from repro.core.spec import JoinSpec, ceil_div
+from repro.experiments.config import (
+    EXPERIMENT3_D_MB,
+    EXPERIMENT3_R_MB,
+    EXPERIMENT3_S_MB,
+    ExperimentScale,
+)
 from repro.relational.datagen import uniform_relation
+from repro.simulator.events import AllOf
+from repro.simulator.process import Process
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +148,36 @@ class TestGraceHashLayout:
             + layout.probe_blocks
         )
         assert total <= 10.0 + 1e-9
+
+
+class TestMemoryDoubleBuffering:
+    """CDT-NB/MB's Step II is one overlapped tape scan (Section 5.1.3)."""
+
+    def test_step_two_needs_no_helper_process(self, relations, monkeypatch):
+        built = []
+        for cls in (Process, AllOf):
+
+            def counting_init(event, *args, _init=cls.__init__, **kwargs):
+                built.append(type(event).__name__)
+                _init(event, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        stats = run("CDT-NB/MB", relations, memory=10.0)
+        assert built == ["Process"]  # the method's own
+        assert stats.iterations == ceil_div(relations[1].n_blocks, 0.45 * 10.0)
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.7, 0.9])
+    def test_two_s_buffers_and_the_r_window_fill_memory(self, fraction):
+        # The Experiment 3 frame, where booking each S chunk as it was
+        # read let the ledger drift up to 9e-13 blocks above M.
+        scale = ExperimentScale(scale=0.03, tuple_bytes=256)
+        r_blocks = scale.relation_blocks(EXPERIMENT3_R_MB)
+        spec = JoinSpec(
+            *scale.relations(EXPERIMENT3_R_MB, EXPERIMENT3_S_MB),
+            memory_blocks=fraction * r_blocks,
+            disk_blocks=scale.blocks(EXPERIMENT3_D_MB),
+        )
+        stats = method_by_symbol("CDT-NB/MB").run(spec)
+        assert abs(stats.peak_memory_blocks - spec.memory_blocks) <= math.ulp(
+            spec.memory_blocks
+        )

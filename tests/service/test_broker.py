@@ -111,3 +111,26 @@ class TestMounting:
 
         run(sim, proc())
         assert broker.exchanges == 1
+
+    def test_failed_mount_frees_the_robot(self, sim, broker):
+        """A mount of a volume not on the shelf raises and frees the robot."""
+        done = []
+
+        def failing():
+            leases = yield broker.acquire(["alpha"])
+            with pytest.raises(KeyError):
+                yield from broker.mount(leases[0], "missing")
+            done.append("failed")
+            broker.release(leases)
+
+        def second():
+            leases = yield broker.acquire(["beta"])
+            moved = yield from broker.mount(leases[0], "beta")
+            done.append(("mounted", moved))
+            broker.release(leases)
+
+        sim.process(failing())
+        sim.process(second())
+        sim.run()
+        assert done == ["failed", ("mounted", 1)]
+        assert broker.exchanges == 1

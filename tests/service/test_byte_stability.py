@@ -97,6 +97,21 @@ OBS_SUMMARY_BASELINES = {
     ("CTT-GH", True): "e71cf084af00cebd0eb491c97059d84aae9ed62b9d1ba68a6015acee16d9d93d",
 }
 
+#: CDT-NB/MB's device schedule on the same pair and fault plans as
+#: ``DEVICE_TRACE_BASELINES``: the sha256 of its ``api.trace`` JSONL with
+#: the ``memory.used_blocks`` samples removed (``"trace"``), and of its
+#: ``obs_summary`` (``"obs"``).  The memory samples are left out because
+#: they follow how the method books its buffers, not what the devices
+#: did.  The run draws no fault at this rate, so the two plans agree.
+#: Recorded on the commit before CDT-NB/MB's Step II became one
+#: overlapped ``scan_tape``.
+NB_MB_SCHEDULE_BASELINES = {
+    ("trace", False): "ef94c99fc71e2126604e77dff3fa02bea0b9e97c3a0a3debd11ba014553f4bd3",
+    ("trace", True): "ef94c99fc71e2126604e77dff3fa02bea0b9e97c3a0a3debd11ba014553f4bd3",
+    ("obs", False): "6a87e67b3ed94ad213ff53193df1cd6b7b4e9ef291c057f38872b1966b1f9051",
+    ("obs", True): "6a87e67b3ed94ad213ff53193df1cd6b7b4e9ef291c057f38872b1966b1f9051",
+}
+
 #: sha256(json.dumps(report.to_dict(), sort_keys=True)) of service runs
 #: at scale 0.05.  ``WorkloadReport.to_dict()`` carries the merged
 #: ``device_utilization`` that the exp5 and exp6 artifacts leave out.
@@ -304,6 +319,27 @@ def test_obs_summary_bytes(symbol, faulty, small_r, small_s):
     )
     stats = run_join(spec, method=symbol)
     assert digest(stats.obs_summary) == OBS_SUMMARY_BASELINES[(symbol, faulty)]
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+def test_nb_mb_schedule_bytes(faulty, small_r, small_s, tmp_path):
+    from repro.api import run_join, trace
+    from repro.faults.plan import FaultPlan
+
+    spec = uniform_spec(
+        small_r, small_s, trace_devices=True,
+        fault_plan=FaultPlan.uniform(0.002, seed=3) if faulty else None,
+    )
+    stats = run_join(spec, method="CDT-NB/MB")
+    with open(trace(stats, str(tmp_path))[0], "rb") as handle:
+        lines = [
+            line for line in handle
+            if json.loads(line).get("series") != "memory.used_blocks"
+        ]
+    assert hashlib.sha256(b"".join(lines)).hexdigest() == (
+        NB_MB_SCHEDULE_BASELINES[("trace", faulty)]
+    )
+    assert digest(stats.obs_summary) == NB_MB_SCHEDULE_BASELINES[("obs", faulty)]
 
 
 def service_report_digests() -> dict:

@@ -1,64 +1,74 @@
-"""Resource, Container and Store semantics."""
+"""Unit and Container semantics."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulator.engine import Simulator
-from repro.simulator.resources import Container, Resource, Store
+from repro.simulator.resources import Container, Unit
 
 
-class TestResource:
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
+class TestUnit:
+    def test_immediate_grant(self, sim):
+        unit = Unit(sim)
+        calls = []
+        assert unit.acquire(calls.append) is True
+        assert unit.busy
+        assert calls == [] and not unit.queue
+        sim.run()
+        assert calls == []
 
-    def test_nan_capacity_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=float("nan"))
+    def test_release_hands_off_fifo_one_hop_later(self, sim):
+        unit = Unit(sim)
+        granted = []
+        assert unit.acquire(granted.append)
+        for name in "abc":
+            assert unit.acquire(lambda _arg, name=name: granted.append(name)) is False
+        unit.release()
+        # The hand-off is one heap entry: nothing is granted until it runs.
+        assert granted == [] and unit.busy and len(unit.queue) == 2
+        sim.step()
+        assert granted == ["a"]
+        unit.release()
+        sim.step()
+        assert granted == ["a", "b"]
+        unit.release()
+        unit.release()
+        sim.run()
+        assert granted == ["a", "b", "c"]
+        assert not unit.busy and not unit.queue
 
-    def test_grants_up_to_capacity_immediately(self, sim):
-        res = Resource(sim, capacity=2)
-        first, second, third = res.request(), res.request(), res.request()
-        assert first.triggered and second.triggered
-        assert not third.triggered
-        assert res.count == 2
-
-    def test_release_grants_next_in_fifo_order(self, sim):
-        res = Resource(sim, capacity=1)
-        holder = res.request()
-        queued = [res.request() for _ in range(3)]
-        res.release(holder)
-        assert queued[0].triggered
-        assert not queued[1].triggered
-
-    def test_release_unknown_request_raises(self, sim):
-        res = Resource(sim, capacity=1)
-        stranger = res.request()
-        res.release(stranger)
-        with pytest.raises(RuntimeError, match="does not hold"):
-            res.release(stranger)
+    def test_release_of_unheld_unit_raises(self, sim):
+        unit = Unit(sim)
+        with pytest.raises(RuntimeError, match="not held"):
+            unit.release()
+        assert unit.acquire(lambda _arg: None)
+        unit.release()
+        with pytest.raises(RuntimeError, match="not held"):
+            unit.release()
 
     def test_mutual_exclusion_in_processes(self, sim):
-        res = Resource(sim, capacity=1)
+        unit = Unit(sim)
         active = []
         overlaps = []
 
         def worker(sim, name):
-            req = res.request()
-            yield req
+            granted = sim.event()
+            if not unit.acquire(granted._settle):
+                yield granted
             active.append(name)
             if len(active) > 1:
                 overlaps.append(tuple(active))
             yield sim.timeout(1.0)
             active.remove(name)
-            res.release(req)
+            unit.release()
 
         for name in "abc":
             sim.process(worker(sim, name))
         sim.run()
         assert not overlaps
         assert sim.now == pytest.approx(3.0)
+        assert not unit.busy
 
 
 class TestContainer:
@@ -148,36 +158,3 @@ class TestContainer:
         for amount in amounts:
             assert box.get(amount).triggered
         assert box.level == pytest.approx(0.0, abs=1e-6)
-
-
-class TestStore:
-    def test_nan_capacity_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=float("nan"))
-
-    def test_put_get_fifo(self, sim):
-        store = Store(sim)
-        for item in ("a", "b", "c"):
-            store.put(item)
-        values = [store.get().value for _ in range(3)]
-        assert values == ["a", "b", "c"]
-
-    def test_get_blocks_until_item(self, sim):
-        store = Store(sim)
-        got = store.get()
-        assert not got.triggered
-        store.put("late")
-        assert got.triggered
-        assert got.value == "late"
-
-    def test_capacity_blocks_puts(self, sim):
-        store = Store(sim, capacity=1)
-        store.put("first")
-        second = store.put("second")
-        assert not second.triggered
-        store.get()
-        assert second.triggered
-
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)

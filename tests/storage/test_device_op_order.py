@@ -40,7 +40,7 @@ from repro.faults.policy import RetryPolicy
 from repro.simulator.engine import Simulator
 from repro.simulator.events import Event
 from repro.simulator.process import Process
-from repro.simulator.resources import Resource
+from repro.simulator.resources import Unit
 from repro.storage.block import BlockSpec, DataChunk
 from repro.storage.bus import Bus
 from repro.storage.disk import Disk
@@ -113,14 +113,14 @@ class Rig:
 
             monkeypatch.setattr(cls, "_lead_in", logged_lead_in)
 
-        def logged_release(resource, request, _release=Resource.release):
-            log.append(("release", units[resource], None, sim.now))
-            _release(resource, request)
+        def logged_release(unit, _release=Unit.release):
+            log.append(("release", units[unit], None, sim.now))
+            _release(unit)
             releases.append(sim.now)
             if len(releases) - 1 == wake_after:
                 self.signal.succeed()
 
-        monkeypatch.setattr(Resource, "release", logged_release)
+        monkeypatch.setattr(Unit, "release", logged_release)
 
     def rival(self, device, where, hops, wait):
         """Request ``device`` ``hops`` queue hops after waking."""
@@ -516,14 +516,14 @@ class TestNoProcessPerOp:
 class TestKernelAllocations:
     """A fault-free device op allocates only what a process waits on.
 
-    Its unit request is an event, and so is the one event its caller
-    yields; the bus completion timer, the bus completion and the queue
+    The one event its caller yields is the op's only event: the unit
+    grant, the bus completion timer, the bus completion and the queue
     hops of a fan-out or prefetch are plain heap callbacks.  Before they
     were, these paths built 4.7 to 5.7 events per op.
     """
 
     @pytest.mark.parametrize("path", list(PATHS))
-    def test_fault_free_op_allocates_at_most_two_events(self, path):
+    def test_fault_free_op_allocates_at_most_one_event(self, path):
         with pytest.MonkeyPatch.context() as patch:
             rig = Rig(patch)
             created = []
@@ -539,9 +539,9 @@ class TestKernelAllocations:
         kinds = collections.Counter(created)
         assert ops >= 3
         assert kinds["Process"] == 1  # the caller
-        assert kinds["Request"] == ops
+        assert "Request" not in kinds
         assert "Timeout" not in kinds
-        assert len(created) - 1 <= 2 * ops
+        assert len(created) - 1 <= ops
 
 
 #: Heap pushes (``Simulator._seq``) of one join on the 5 MB / 20 MB test
