@@ -9,18 +9,35 @@ near 100 % — the property Figure 4 demonstrates.
 
 Chunks are tagged (e.g. with a hash bucket id) so the consumer can fetch
 exactly the chunks of one bucket, in any order, without draining the FIFO.
+Each tag's pending list holds the disk array's stored-chunk handles
+(:class:`~repro.storage.disk_array.StoredChunk`) in write order; a read
+that fails puts its handles back at the front, so no chunk is lost.
 """
 
 from __future__ import annotations
 
 import typing
 
+import numpy as np
+
 from repro.obs.recorder import JoinObserver
 from repro.simulator.engine import Simulator
 from repro.simulator.events import Event
 from repro.simulator.resources import Container
 from repro.storage.block import DataChunk
-from repro.storage.disk_array import DiskArray, StripedExtent
+from repro.storage.disk_array import DiskArray, StoredChunk, StripedExtent
+
+
+def _coalesce(group: list[StoredChunk], start: int, max_blocks: float) -> int:
+    """End index of the batch read from ``group[start]`` on: whole chunks
+    up to ``max_blocks`` in total, and at least one."""
+    index, total = start, 0.0
+    while index < len(group) and (
+        index == start or total + group[index].n_blocks <= max_blocks + 1e-9
+    ):
+        total += group[index].n_blocks
+        index += 1
+    return index
 
 
 class InterleavedDiskBuffer:
@@ -42,7 +59,7 @@ class InterleavedDiskBuffer:
         self.capacity_blocks = float(capacity_blocks)
         self.extent: StripedExtent = array.allocate(name)
         self._free = Container(sim, capacity=capacity_blocks, init=capacity_blocks)
-        self._pending: dict[int, dict[object, list]] = {}
+        self._pending: dict[int, dict[object, list[StoredChunk]]] = {}
         self._done: dict[int, Event] = {}
         self._occupancy: dict[int, float] = {}
         self.observer = observer
@@ -75,22 +92,22 @@ class InterleavedDiskBuffer:
                 f"capacity {self.capacity_blocks:.2f} ({self.name})"
             )
         yield self._free.get(chunk.n_blocks)
-        yield from self.array.write(self.extent, chunk)
-        placed = self.extent.chunks[-1]
-        self._pending.setdefault(iteration, {}).setdefault(tag, []).append(placed)
+        stored = yield from self.array.write(self.extent, chunk)
+        self._pending.setdefault(iteration, {}).setdefault(tag, []).append(stored)
         self._occupancy[iteration] = self._occupancy.get(iteration, 0.0) + chunk.n_blocks
         self._record()
 
     def put_many(
-        self, iteration: int, tagged_chunks: list[tuple[object, DataChunk]]
+        self, iteration: int, writes: list[tuple[object, np.ndarray, float]]
     ) -> typing.Generator:
-        """Write a burst of tagged chunks for ``iteration`` in one operation.
+        """Write a burst of ``(tag, keys, n_blocks)`` for ``iteration`` in
+        one operation.
 
         Space for the whole burst is claimed first (backpressure), then the
         chunks are written as a single disk burst — the flush pattern of a
         hash process emptying its per-bucket staging buffers.
         """
-        total = sum(chunk.n_blocks for _tag, chunk in tagged_chunks)
+        total = sum(n_blocks for _tag, _keys, n_blocks in writes)
         if total > self.capacity_blocks + 1e-9:
             raise ValueError(
                 f"burst of {total:.2f} blocks exceeds buffer capacity "
@@ -99,11 +116,12 @@ class InterleavedDiskBuffer:
         if total <= 0:
             return
         yield self._free.get(total)
-        placed_new = yield from self.array.write_burst(
-            [(self.extent, chunk) for _tag, chunk in tagged_chunks]
+        stored = yield from self.array.write_burst(
+            [(self.extent, keys, n_blocks) for _tag, keys, n_blocks in writes]
         )
-        for (tag, _chunk), placed in zip(tagged_chunks, placed_new):
-            self._pending.setdefault(iteration, {}).setdefault(tag, []).append(placed)
+        pending = self._pending.setdefault(iteration, {})
+        for (tag, _keys, _n_blocks), chunk in zip(writes, stored):
+            pending.setdefault(tag, []).append(chunk)
         self._occupancy[iteration] = self._occupancy.get(iteration, 0.0) + total
         self._record()
 
@@ -142,16 +160,10 @@ class InterleavedDiskBuffer:
         group = self._pending.get(iteration, {}).get(tag, [])
         if start_chunk >= len(group):
             return None, start_chunk
-        batch = []
-        total = 0.0
-        index = start_chunk
-        while index < len(group) and (
-            not batch or total + group[index].data.n_blocks <= max_blocks + 1e-9
-        ):
-            batch.append(group[index])
-            total += group[index].data.n_blocks
-            index += 1
-        data = yield from self.array.read_chunks(self.extent, batch, consume=False)
+        index = _coalesce(group, start_chunk, max_blocks)
+        data = yield from self.array.read_chunks(
+            self.extent, group[start_chunk:index], consume=False
+        )
         return data, index
 
     def discard(self, iteration: int, tag: object) -> None:
@@ -160,9 +172,9 @@ class InterleavedDiskBuffer:
         if group is None:
             raise KeyError(f"no chunks tagged {tag!r} in iteration {iteration}")
         total = 0.0
-        for placed in group:
-            total += placed.data.n_blocks
-            self.extent._bury(placed)
+        for chunk in group:
+            total += chunk.n_blocks
+        self.extent._bury(group)
         self._occupancy[iteration] -= total
         self._free.put(total)
         self._record()
@@ -206,12 +218,9 @@ class InterleavedDiskBuffer:
         if not group:
             self._pending.get(iteration, {}).pop(tag, None)
             return None
-        batch = []
-        total = 0.0
-        while group and (not batch or total + group[0].data.n_blocks <= max_blocks + 1e-9):
-            placed = group.pop(0)
-            batch.append(placed)
-            total += placed.data.n_blocks
+        index = _coalesce(group, 0, max_blocks)
+        batch = group[:index]
+        del group[:index]
         if not group:
             self._pending.get(iteration, {}).pop(tag, None)
         try:

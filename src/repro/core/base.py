@@ -350,9 +350,9 @@ def hash_tape_range(
 
 
 def write_buckets(env: JoinEnvironment, extents: list) -> typing.Callable:
-    """Flush burst writing each bucket's chunk to its own disk extent."""
-    return lambda pairs: env.array.write_burst(
-        [(extents[bucket], chunk) for bucket, chunk in pairs]
+    """Flush burst writing each bucket's keys to its own disk extent."""
+    return lambda writes: env.array.write_burst(
+        [(extents[bucket], keys, n_blocks) for bucket, keys, n_blocks in writes]
     )
 
 
@@ -470,21 +470,32 @@ class BucketStager:
 
     Partitioned keys accumulate per bucket inside the method's write
     staging share of M.  When the share fills, every non-empty bucket is
-    flushed together through ``flush_burst`` (a generator taking a list of
-    ``(bucket, chunk)`` pairs) — "the buffer allows for larger disk writes
-    which help reduce the seek penalty" (Section 6).  Smaller M means a
-    smaller staging share, smaller fragments and more random I/O, which is
-    exactly the small-memory degradation of Figures 8–9.
+    flushed together through ``flush_burst`` — "the buffer allows for
+    larger disk writes which help reduce the seek penalty" (Section 6).
+    Smaller M means a smaller staging share, smaller fragments and more
+    random I/O, which is exactly the small-memory degradation of
+    Figures 8–9.
+
+    A flush is one batch: the staged pool is sorted by bucket once
+    (:func:`~repro.relational.hashing.partition_keys`) and
+    ``flush_burst`` (a generator) receives one ``(bucket, keys,
+    n_blocks)`` triple per non-empty bucket, in bucket order, where
+    ``keys`` is a view into the sorted pool and ``n_blocks`` its dense
+    footprint at ``tuples_per_block``.
     """
 
     def __init__(
         self,
         layout: GraceHashLayout,
         tuples_per_block: int,
-        flush_burst: typing.Callable[[list[tuple[int, DataChunk]]], typing.Generator],
+        flush_burst: typing.Callable[
+            [list[tuple[int, np.ndarray, float]]], typing.Generator
+        ],
         buckets: typing.Iterable[int] | None = None,
         threshold_blocks: float | None = None,
     ):
+        if tuples_per_block <= 0:
+            raise ValueError("tuples_per_block must be positive")
         self.layout = layout
         self.tuples_per_block = tuples_per_block
         self.flush_burst = flush_burst
@@ -523,10 +534,12 @@ class BucketStager:
         pool = self._staged[0] if len(self._staged) == 1 else np.concatenate(self._staged)
         self._staged = []
         self._total_tuples = 0
-        parts = partition_keys(pool, self.layout.n_buckets)
-        pairs = [
-            (bucket, DataChunk.from_keys(keys, self.tuples_per_block))
-            for bucket, keys in enumerate(parts)
-            if len(keys)
-        ]
-        yield from self.flush_burst(pairs)
+        sorted_keys, ends = partition_keys(pool, self.layout.n_buckets)
+        tuples_per_block = self.tuples_per_block
+        writes = []
+        lo = 0
+        for bucket, hi in enumerate(ends):
+            if hi > lo:
+                writes.append((bucket, sorted_keys[lo:hi], (hi - lo) / tuples_per_block))
+                lo = hi
+        yield from self.flush_burst(writes)

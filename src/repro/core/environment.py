@@ -246,6 +246,7 @@ class JoinEnvironment:
             cache_misses=self.cache_misses,
             cache_saved_blocks=self.cache_saved_blocks,
             cache_saved_s=self.cache_saved_s,
+            chunks_placed=self.array.chunks_placed,
             obs_summary=obs_summary,
             observer=self.observer,
         )

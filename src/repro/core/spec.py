@@ -224,6 +224,10 @@ class JoinStats:
     cache_saved_blocks: float = 0.0
     #: Simulated seconds of Step I avoided by cache hits.
     cache_saved_s: float = 0.0
+    #: Chunks the disk array stored (bucket fragments, staged copies):
+    #: a program counter of how much per-chunk bookkeeping the run did,
+    #: not a simulated quantity, so it is neither serialized nor compared.
+    chunks_placed: int = dataclasses.field(default=0, compare=False)
     #: Compact derived metrics from the observability layer (device
     #: utilization, overlap fractions, queue depths) — present only when
     #: the run was traced; never the raw trace itself.

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.registry import method_by_symbol
+from repro.core.requirements import clamp_gh_memory
 from repro.core.spec import JoinSpec
 from repro.experiments.config import BASE_TAPE, ExperimentScale
 from repro.simulator.engine import Simulator
@@ -142,7 +143,7 @@ def locate_model_sensitivity(
     """Run a scaled CTT-GH join under both locate models."""
     scale = scale or ExperimentScale(scale=0.25, tuple_bytes=8192)
     r, s = scale.relations(500.0, 1000.0)
-    memory = max(scale.blocks(16.0), 1.05 * (r.n_blocks ** 0.5))
+    memory = clamp_gh_memory(scale.blocks(16.0), r.n_blocks)
     disk = scale.blocks(100.0)
 
     def response(tape_params: TapeDriveParameters) -> float:

@@ -14,6 +14,7 @@ import numpy as np
 
 #: 64-bit golden-ratio multiplier (Knuth's multiplicative hashing).
 _FIB = np.uint64(0x9E3779B97F4A7C15)
+_HIGH_BITS = np.uint64(32)
 
 
 def bucket_ids(keys: np.ndarray, n_buckets: int, salt: int = 0) -> np.ndarray:
@@ -24,24 +25,31 @@ def bucket_ids(keys: np.ndarray, n_buckets: int, salt: int = 0) -> np.ndarray:
     """
     if n_buckets < 1:
         raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
-    hashed = (np.asarray(keys, dtype=np.int64).astype(np.uint64) + np.uint64(salt)) * _FIB
+    hashed = np.asarray(keys, dtype=np.int64).astype(np.uint64)
+    hashed += np.uint64(salt)
+    hashed *= _FIB
     # Take high-order bits: the top of a multiplicative hash is the
     # well-mixed part.
-    return ((hashed >> np.uint64(32)) % np.uint64(n_buckets)).astype(np.int64)
+    hashed >>= _HIGH_BITS
+    hashed %= np.uint64(n_buckets)
+    return hashed.astype(np.int64)
 
 
 def partition_keys(
     keys: np.ndarray, n_buckets: int, salt: int = 0
-) -> list[np.ndarray]:
-    """Split ``keys`` into ``n_buckets`` arrays by hash bucket.
+) -> tuple[np.ndarray, list[int]]:
+    """Group ``keys`` by hash bucket: ``(sorted_keys, ends)``.
 
-    Returns one array per bucket (possibly empty), preserving the relative
-    order of keys within each bucket.
+    ``sorted_keys`` holds the keys stably sorted by bucket, so each
+    bucket keeps its keys' relative order; bucket *b* is the slice
+    ``sorted_keys[ends[b - 1]:ends[b]]`` (from 0 for *b* = 0), possibly
+    empty.  ``ends`` is a plain list of ``n_buckets`` end offsets, so a
+    caller takes each bucket as a view without splitting the array.
     """
     keys = np.asarray(keys, dtype=np.int64)
-    ids = bucket_ids(keys, n_buckets, salt)
+    # A stable order is unique, so the narrowest dtype changes nothing
+    # but the speed: numpy radix-sorts integers of 16 bits or fewer.
+    ids = bucket_ids(keys, n_buckets, salt).astype(np.min_scalar_type(n_buckets - 1))
     order = np.argsort(ids, kind="stable")
-    counts = np.bincount(ids, minlength=n_buckets)
-    sorted_keys = keys[order]
-    bounds = np.cumsum(counts)[:-1]
-    return np.split(sorted_keys, bounds)
+    ends = np.cumsum(np.bincount(ids, minlength=n_buckets)).tolist()
+    return keys[order], ends

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 
 import numpy as np
 
@@ -81,6 +82,15 @@ class DataChunk:
         self.n_blocks = float(n_blocks)
 
     @classmethod
+    def _of(cls, keys: np.ndarray, n_blocks: float) -> "DataChunk":
+        """A chunk from parts that are valid by construction (int64 keys,
+        a float block count), skipping the checks of ``__init__``."""
+        chunk = cls.__new__(cls)
+        chunk.keys = keys
+        chunk.n_blocks = n_blocks
+        return chunk
+
+    @classmethod
     def empty(cls) -> "DataChunk":
         """A chunk with no tuples and no blocks."""
         return cls(_EMPTY_KEYS, 0.0)
@@ -94,12 +104,16 @@ class DataChunk:
         return cls(keys, len(keys) / tuples_per_block)
 
     @classmethod
-    def concat(cls, chunks: list["DataChunk"]) -> "DataChunk":
-        """Concatenate chunks, summing their block footprints."""
+    def concat(cls, chunks: typing.Sequence[typing.Any]) -> "DataChunk":
+        """Concatenate chunks, summing their block footprints.
+
+        Takes anything with ``keys`` and ``n_blocks``: data chunks or
+        the disk array's stored-chunk handles.
+        """
         if not chunks:
             return cls.empty()
         keys = np.concatenate([c.keys for c in chunks])
-        return cls(keys, sum(c.n_blocks for c in chunks))
+        return cls._of(keys, float(sum(c.n_blocks for c in chunks)))
 
     @property
     def n_tuples(self) -> int:
@@ -124,7 +138,7 @@ def tuple_index(position: float) -> int:
 
 
 def slice_chunks(
-    chunks: list[DataChunk],
+    chunks: typing.Iterable[typing.Any],
     total_blocks: float,
     offset_blocks: float,
     n_blocks: float,
@@ -132,7 +146,9 @@ def slice_chunks(
     """Tuples stored in block range [offset, offset + n_blocks) of ``chunks``.
 
     Keys are mapped proportionally within each chunk, which is exact for
-    densely packed relation data.  Shared by disk extents and tape files.
+    densely packed relation data.  Shared by disk extents (stored-chunk
+    handles) and tape files (data chunks): it reads only each chunk's
+    ``keys`` and ``n_blocks``.
     """
     if offset_blocks < 0 or n_blocks < 0:
         raise ValueError("offset and length must be non-negative")
@@ -149,7 +165,7 @@ def slice_chunks(
         lo = max(offset_blocks, base)
         hi = min(end, base + chunk.n_blocks)
         if hi > lo and chunk.n_blocks > 0:
-            density = chunk.n_tuples / chunk.n_blocks
+            density = len(chunk.keys) / chunk.n_blocks
             first = tuple_index((lo - base) * density)
             last = tuple_index((hi - base) * density)
             pieces.append(chunk.keys[first:last])
@@ -159,7 +175,4 @@ def slice_chunks(
             break
     if not pieces:
         return DataChunk.empty()
-    out = DataChunk.__new__(DataChunk)
-    out.keys = np.concatenate(pieces)
-    out.n_blocks = blocks
-    return out
+    return DataChunk._of(np.concatenate(pieces), blocks)

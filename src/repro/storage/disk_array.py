@@ -18,14 +18,24 @@ Content lives only here, tracked logically per extent; a
 Space and time are accounted physically per disk, so occupancy and traffic
 remain exact.  The :class:`StripedExtent` object is also the positioning
 identity on each member disk: an arm that last served the extent streams
-on without a seek.  Chunk removal uses tombstones with lazy compaction:
-experiments create hundreds of thousands of bucket fragments, and eager
-list removal would be quadratic.
+on without a seek.
+
+Each stored chunk is one :class:`StoredChunk` handle: its keys (for a
+bucket flush, a view into the flush's sorted pool), its block count, the
+per-disk blocks it occupies, its extent and an ``alive`` flag.  A burst is
+placed in one loop (:meth:`DiskArray._store`), and its handles join their
+extents once the write completes.  Consuming a chunk tombstones its handle
+(``alive`` turns False) and releases its space; an extent's chunk list is
+compacted lazily, since experiments create hundreds of thousands of bucket
+fragments and eager list removal would be quadratic.  Callers such as the
+interleaved buffer hold handles, which compaction leaves valid.
 """
 
 from __future__ import annotations
 
 import typing
+
+import numpy as np
 
 from repro.simulator.engine import Simulator
 from repro.simulator.events import Event
@@ -37,16 +47,30 @@ from repro.storage.disk import Disk
 _COMPACT_THRESHOLD = 512
 
 
-class _PlacedChunk:
-    """A logical chunk plus the per-disk blocks it occupies."""
+class StoredChunk:
+    """One chunk stored in a :class:`StripedExtent`."""
 
-    __slots__ = ("data", "placement", "extent", "alive")
+    __slots__ = ("keys", "n_blocks", "placement", "extent", "alive")
 
-    def __init__(self, data: DataChunk, placement: list[tuple[Disk, float]], extent):
-        self.data = data
+    def __init__(
+        self,
+        keys: np.ndarray,
+        n_blocks: float,
+        placement: list[tuple[Disk, float]],
+        extent: "StripedExtent",
+    ):
+        self.keys = keys
+        self.n_blocks = n_blocks
         self.placement = placement
         self.extent = extent
         self.alive = True
+
+
+def _proportional(
+    disks: list[Disk], n_blocks: float, total_free: float
+) -> list[tuple[Disk, float]]:
+    """Split ``n_blocks`` over ``disks`` in proportion to their free space."""
+    return [(d, n_blocks * d.free_blocks / total_free) for d in disks if d.free_blocks > 0]
 
 
 class StripedExtent:
@@ -56,14 +80,14 @@ class StripedExtent:
         self.array = array
         self.name = name
         self.disks = list(disks)
-        self.chunks: list[_PlacedChunk] = []
+        self.chunks: list[StoredChunk] = []
         self.n_blocks = 0.0
         self._n_dead = 0
         self._rr = 0
 
     # -- chunk bookkeeping -----------------------------------------------------
 
-    def live_chunks(self) -> typing.Iterator[_PlacedChunk]:
+    def live_chunks(self) -> typing.Iterator[StoredChunk]:
         """All stored (non-tombstoned) chunks, oldest first."""
         return (pc for pc in self.chunks if pc.alive)
 
@@ -75,17 +99,18 @@ class StripedExtent:
     @property
     def n_tuples(self) -> int:
         """Total tuples currently stored in the extent."""
-        return sum(pc.data.n_tuples for pc in self.live_chunks())
+        return sum(len(chunk.keys) for chunk in self.live_chunks())
 
-    def _bury(self, placed: _PlacedChunk) -> None:
-        """Tombstone one chunk and release its disk space."""
-        if not placed.alive or placed.extent is not self:
-            raise ValueError(f"chunk not stored in extent {self.name!r}")
-        placed.alive = False
-        self._n_dead += 1
-        self.n_blocks -= placed.data.n_blocks
-        for disk, blocks in placed.placement:
-            disk._release(blocks)
+    def _bury(self, chunks: list[StoredChunk]) -> None:
+        """Tombstone ``chunks`` and release their disk space."""
+        for chunk in chunks:
+            if not chunk.alive or chunk.extent is not self:
+                raise ValueError(f"chunk not stored in extent {self.name!r}")
+            chunk.alive = False
+            self._n_dead += 1
+            self.n_blocks -= chunk.n_blocks
+            for disk, blocks in chunk.placement:
+                disk._release(blocks)
         if self._n_dead >= _COMPACT_THRESHOLD and self._n_dead * 2 >= len(self.chunks):
             self.chunks = [pc for pc in self.chunks if pc.alive]
             self._n_dead = 0
@@ -101,55 +126,11 @@ class StripedExtent:
 
     def peek_all(self) -> DataChunk:
         """All content without consuming it."""
-        return DataChunk.concat([pc.data for pc in self.live_chunks()])
+        return DataChunk.concat(list(self.live_chunks()))
 
     def slice_range(self, offset_blocks: float, n_blocks: float) -> DataChunk:
         """Tuples in the logical block range [offset, offset + n_blocks)."""
-        return slice_chunks(
-            [pc.data for pc in self.live_chunks()], self.n_blocks, offset_blocks, n_blocks
-        )
-
-    def _place(self, n_blocks: float) -> list[tuple[Disk, float]]:
-        """Choose disks for a new chunk of ``n_blocks`` blocks.
-
-        Large chunks are split over all member disks (parallel transfer);
-        small chunks go whole to the disk with the most free space, which
-        both balances occupancy against the hard per-disk capacity and
-        alternates arms between successive writes — the "balance the
-        consumption of bandwidth and storage space" routine of Section 4.
-        """
-        threshold = self.array.stripe_threshold_blocks * len(self.disks)
-        if n_blocks >= threshold and len(self.disks) > 1:
-            share = n_blocks / len(self.disks)
-            if all(d.free_blocks + 1e-9 >= share for d in self.disks):
-                return [(disk, share) for disk in self.disks]
-            # Uneven occupancy: stripe proportionally to free space so a
-            # nearly-full member does not reject a chunk the array as a
-            # whole can hold.
-            total_free = sum(d.free_blocks for d in self.disks)
-            if total_free + 1e-9 >= n_blocks:
-                return [
-                    (d, n_blocks * d.free_blocks / total_free)
-                    for d in self.disks
-                    if d.free_blocks > 0
-                ]
-        n = len(self.disks)
-        start = self._rr % n
-        self._rr += 1
-        ordered = self.disks[start:] + self.disks[:start]
-        disk = max(ordered, key=lambda d: d.free_blocks)
-        if disk.free_blocks + 1e-9 >= n_blocks:
-            return [(disk, n_blocks)]
-        # No single disk can hold the chunk (free space is fragmented):
-        # split it proportionally to what each disk has left.
-        total_free = sum(d.free_blocks for d in self.disks)
-        if total_free <= 0:
-            return [(disk, n_blocks)]  # let the reserve raise DiskFullError
-        return [
-            (d, n_blocks * d.free_blocks / total_free)
-            for d in self.disks
-            if d.free_blocks > 0
-        ]
+        return slice_chunks(self.live_chunks(), self.n_blocks, offset_blocks, n_blocks)
 
 
 class DiskArray:
@@ -162,6 +143,8 @@ class DiskArray:
         self.disks = list(disks)
         self.stripe_threshold_blocks = stripe_threshold_blocks
         self.extents: dict[str, StripedExtent] = {}
+        #: Chunk handles stored so far (a program counter; see JoinStats).
+        self.chunks_placed = 0
 
     # -- aggregate statistics --------------------------------------------------
 
@@ -256,15 +239,85 @@ class DiskArray:
             return
         yield self._fan_out([(disk, extent, blocks, None) for disk, blocks in parts], kind)
 
+    def _store(
+        self, writes: list[tuple[StripedExtent, np.ndarray, float]], traffic: bool
+    ) -> tuple[list[StoredChunk], dict[Disk, tuple[StripedExtent, float, int]]]:
+        """Place and reserve each ``(extent, keys, n_blocks)`` write, in order.
+
+        The array's one placement rule, the "balance the consumption of
+        bandwidth and storage space" routine of Section 4: a chunk of at
+        least the stripe threshold per member disk is split evenly over
+        the extent's disks (in proportion to free space when a member is
+        short); any other chunk goes whole to the member with the most
+        free space, scanning from the extent's round-robin start so the
+        first maximum wins a tie, or is split proportionally when no
+        member can hold it.  Each write is reserved before the next is
+        placed, so a full disk raises
+        :class:`~repro.storage.disk.DiskFullError` at the chunk that
+        overflows it.  ``traffic`` counts the blocks as written.
+
+        Returns the handles, not yet in their extents, and per disk the
+        burst op ``(last extent, blocks, writes - 1)``.
+        """
+        threshold = self.stripe_threshold_blocks
+        stored = []
+        per_disk: dict[Disk, tuple[StripedExtent, float, int]] = {}
+        for extent, keys, n_blocks in writes:
+            disks = extent.disks
+            n = len(disks)
+            placement = None
+            if n > 1 and n_blocks >= threshold * n:
+                share = n_blocks / n
+                if all(d.free_blocks + 1e-9 >= share for d in disks):
+                    placement = [(disk, share) for disk in disks]
+                else:
+                    total_free = sum(d.free_blocks for d in disks)
+                    if total_free + 1e-9 >= n_blocks:
+                        placement = _proportional(disks, n_blocks, total_free)
+            if placement is None:
+                start = extent._rr % n
+                extent._rr += 1
+                best = disks[start]
+                most = best.capacity_blocks - best.used_blocks
+                for index in range(start + 1 - n, start):  # the rest, rotated
+                    disk = disks[index]
+                    free = disk.capacity_blocks - disk.used_blocks
+                    if free > most:
+                        best, most = disk, free
+                if most + 1e-9 >= n_blocks:
+                    placement = [(best, n_blocks)]
+                else:
+                    total_free = sum(d.free_blocks for d in disks)
+                    if total_free <= 0:
+                        placement = [(best, n_blocks)]  # the reserve raises
+                    else:
+                        placement = _proportional(disks, n_blocks, total_free)
+            for disk, blocks in placement:
+                disk._reserve(blocks)
+                if traffic:
+                    disk.write_blocks += blocks
+                _last, total, near = per_disk.get(disk, (extent, 0.0, -1))
+                per_disk[disk] = (extent, total + blocks, near + 1)
+            stored.append(StoredChunk(keys, n_blocks, placement, extent))
+        return stored, per_disk
+
+    def _keep(self, stored: list[StoredChunk]) -> None:
+        """Append placed chunks to their extents, in write order."""
+        for chunk in stored:
+            extent = chunk.extent
+            extent.chunks.append(chunk)
+            extent.n_blocks += chunk.n_blocks
+        self.chunks_placed += len(stored)
+
     def write(self, extent: StripedExtent, chunk: DataChunk) -> typing.Generator:
-        """Append ``chunk`` to the extent (placement per array policy)."""
-        placement = extent._place(chunk.n_blocks)
-        for disk, blocks in placement:
-            disk._reserve(blocks)
-            disk.write_blocks += blocks
-        yield from self._parallel_io(extent, placement, "disk-write")
-        extent.chunks.append(_PlacedChunk(chunk, placement, extent))
-        extent.n_blocks += chunk.n_blocks
+        """Append ``chunk`` to the extent (placement per array policy).
+
+        Returns the stored chunk's handle.
+        """
+        (stored,), _ = self._store([(extent, chunk.keys, chunk.n_blocks)], traffic=True)
+        yield from self._parallel_io(extent, stored.placement, "disk-write")
+        self._keep([stored])
+        return stored
 
     def install(self, extent: StripedExtent, chunk: DataChunk) -> None:
         """Place already-disk-resident content: space, but no I/O.
@@ -284,54 +337,43 @@ class DiskArray:
         share = chunk.n_blocks / len(extent.disks)
         if all(d.free_blocks + 1e-9 >= share for d in extent.disks):
             placement = [(disk, share) for disk in extent.disks]
+            for disk, blocks in placement:
+                disk._reserve(blocks)
+            stored = [StoredChunk(chunk.keys, chunk.n_blocks, placement, extent)]
         else:
-            placement = extent._place(chunk.n_blocks)
-        for disk, blocks in placement:
-            disk._reserve(blocks)
-        extent.chunks.append(_PlacedChunk(chunk, placement, extent))
-        extent.n_blocks += chunk.n_blocks
+            stored, _ = self._store([(extent, chunk.keys, chunk.n_blocks)], traffic=False)
+        self._keep(stored)
 
     def write_burst(
-        self, writes: list[tuple[StripedExtent, DataChunk]]
+        self, writes: list[tuple[StripedExtent, np.ndarray, float]]
     ) -> typing.Generator:
         """Append many small chunks (e.g. hash-bucket flushes) in one burst.
 
-        Each chunk is placed per the array policy; per disk, the burst is
+        ``writes`` holds ``(extent, keys, n_blocks)`` triples.  Each
+        chunk is placed per the array policy; per disk, the burst is
         simulated as one arm hold charging one full reposition plus a short
         reposition per additional request — the cost pattern of appending
-        to many bucket locations inside one region.  Returns the placed
+        to many bucket locations inside one region.  Returns the stored
         chunk handles in write order.
         """
-        per_disk: dict[Disk, tuple] = {}  # disk -> (last extent, blocks, near)
-        placed_by_write = []
-        for extent, chunk in writes:
-            placement = extent._place(chunk.n_blocks)
-            placed_by_write.append((extent, chunk, placement))
-            for disk, blocks in placement:
-                disk._reserve(blocks)
-                disk.write_blocks += blocks
-                _last, total, near = per_disk.get(disk, (None, 0.0, -1))
-                per_disk[disk] = (extent, total + blocks, near + 1)
+        stored, per_disk = self._store(writes, traffic=True)
         if per_disk:
             yield self._fan_out([(disk, *op) for disk, op in per_disk.items()], "disk-write")
-        placed_chunks = []
-        for extent, chunk, placement in placed_by_write:
-            placed = _PlacedChunk(chunk, placement, extent)
-            extent.chunks.append(placed)
-            extent.n_blocks += chunk.n_blocks
-            placed_chunks.append(placed)
-        return placed_chunks
+        self._keep(stored)
+        return stored
 
     def read_chunks(
         self,
         extent: StripedExtent,
-        placed_list: list[_PlacedChunk],
+        placed_list: list[StoredChunk],
         consume: bool = True,
     ) -> typing.Generator:
         """Read a specific set of stored chunks as one burst.
 
-        ``consume=False`` leaves the chunks (and their space) in place —
-        the bucket-overflow path re-reads an S bucket once per R piece.
+        The chunks are consumed only after the read succeeds, so a failed
+        read leaves every one of them in place.  ``consume=False`` leaves
+        them (and their space) in place regardless — the bucket-overflow
+        path re-reads an S bucket once per R piece.
         """
         per_disk: dict[Disk, tuple[StripedExtent, float, int]] = {}
         for placed in placed_list:
@@ -343,10 +385,9 @@ class DiskArray:
                 disk.read_blocks += blocks
         if per_disk:
             yield self._fan_out([(disk, *op) for disk, op in per_disk.items()], "disk-read")
-        data = DataChunk.concat([placed.data for placed in placed_list])
+        data = DataChunk.concat(placed_list)
         if consume:
-            for placed in placed_list:
-                extent._bury(placed)
+            extent._bury(placed_list)
         return data
 
     def discard_content(self, extent: StripedExtent) -> None:
@@ -368,10 +409,10 @@ class DiskArray:
         batch = []
         total = 0.0
         for placed in extent.live_chunks():
-            if batch and total + placed.data.n_blocks > max_blocks + 1e-9:
+            if batch and total + placed.n_blocks > max_blocks + 1e-9:
                 break
             batch.append(placed)
-            total += placed.data.n_blocks
+            total += placed.n_blocks
         if not batch:
             return DataChunk.empty()
         return (yield from self.read_chunks(extent, batch))
@@ -396,7 +437,7 @@ class DiskArray:
             return (yield from self.read_chunks(extent, [placed]))
         raise ValueError(f"striped extent {extent.name!r} is empty")
 
-    def read_chunk(self, extent: StripedExtent, placed: _PlacedChunk) -> typing.Generator:
+    def read_chunk(self, extent: StripedExtent, placed: StoredChunk) -> typing.Generator:
         """Read and consume one specific stored chunk."""
         return (yield from self.read_chunks(extent, [placed]))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import typing
+import weakref
 
 from repro.simulator.engine import Simulator
 from repro.simulator.events import Event
@@ -84,12 +85,20 @@ class TapeFile:
     """A contiguous file on a tape volume."""
 
     def __init__(self, volume: "TapeVolume", name: str, start_block: float):
-        self.volume = volume
+        # Weak, because the volume owns its files: a strong back-reference
+        # would make every volume a reference cycle, and a finished join's
+        # tape contents would wait for the cyclic garbage collector.
+        self._volume = weakref.ref(volume)
         self.name = name
         self.start_block = start_block
         self.chunks: list[DataChunk] = []
         self.n_blocks = 0.0
         self.closed = False
+
+    @property
+    def volume(self) -> "TapeVolume":
+        """The volume the file is on."""
+        return self._volume()
 
     @property
     def end_block(self) -> float:

@@ -61,7 +61,7 @@ def scale_from_dict(payload: dict) -> ExperimentScale:
 
 def stats_to_dict(stats: JoinStats) -> dict:
     """Serialize a :class:`JoinStats`, leaving out the observer, its
-    summary and the partition-cache counters."""
+    summary, the partition-cache counters and the chunk counter."""
     payload = {}
     for field in dataclasses.fields(JoinStats):
         # obs_summary is derived observability data; like the observer
@@ -70,10 +70,12 @@ def stats_to_dict(stats: JoinStats) -> dict:
         # counters stay out for the same reason: sweep tasks never carry
         # a live cache (a cached partition would make results depend on
         # task order), so the fields are always zero and serializing
-        # them would churn every existing cache entry.
+        # them would churn every existing cache entry.  ``chunks_placed``
+        # counts program work, not simulated work, and stays out too.
         if field.name in (
             "obs_summary",
             "observer",
+            "chunks_placed",
             "cache_hits",
             "cache_misses",
             "cache_saved_blocks",

@@ -22,6 +22,12 @@ def chunk_of(n_blocks, start=0):
     return DataChunk.from_keys(np.arange(start, start + round(n_blocks * 10)), 10)
 
 
+def burst_of(n_blocks, start=0):
+    """``chunk_of``'s keys and blocks, as a burst write carries them."""
+    chunk = chunk_of(n_blocks, start)
+    return chunk.keys, chunk.n_blocks
+
+
 def run(sim, gen):
     return sim.run(sim.process(gen))
 
@@ -49,7 +55,7 @@ class TestBasicFlow:
 
         def flow():
             yield from buffer.put_many(
-                0, [("a", chunk_of(1.0)), ("b", chunk_of(2.0, start=50))]
+                0, [("a", *burst_of(1.0)), ("b", *burst_of(2.0, start=50))]
             )
             assert buffer.has_pending(0, "a") and buffer.has_pending(0, "b")
             a = yield from buffer.pop_coalesced(0, "a", max_blocks=10.0)
@@ -79,7 +85,7 @@ class TestBasicFlow:
 
         def flow():
             yield from buffer.put_many(
-                0, [("s", chunk_of(2.0, start=i * 100)) for i in range(5)]
+                0, [("s", *burst_of(2.0, start=i * 100)) for i in range(5)]
             )
             first = yield from buffer.pop_coalesced(0, "s", max_blocks=5.0)
             assert first.n_blocks == pytest.approx(4.0)

@@ -14,9 +14,10 @@ def staged_buckets(keys: np.ndarray, n_buckets: int, buckets) -> dict[int, np.nd
     """Stage ``keys`` through a filtered stager; the flushed bucket keys."""
     flushed: dict[int, np.ndarray] = {}
 
-    def flush_burst(pairs):
-        for bucket, chunk in pairs:
-            flushed[bucket] = chunk.keys
+    def flush_burst(writes):
+        for bucket, keys, n_blocks in writes:
+            assert n_blocks == len(keys) / 4
+            flushed[bucket] = keys
         return
         yield  # pragma: no cover - generator shape
 
@@ -33,7 +34,8 @@ def staged_buckets(keys: np.ndarray, n_buckets: int, buckets) -> dict[int, np.nd
 def expected_buckets(keys: np.ndarray, n_buckets: int, buckets) -> dict[int, np.ndarray]:
     """The filter rule as a set lookup: keep keys whose bucket is wanted."""
     kept = keys[np.isin(bucket_ids(keys, n_buckets), sorted(buckets))]
-    parts = partition_keys(kept, n_buckets)
+    pool, ends = partition_keys(kept, n_buckets)
+    parts = [pool[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
     return {bucket: part for bucket, part in enumerate(parts) if len(part)}
 
 

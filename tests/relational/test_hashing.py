@@ -60,10 +60,25 @@ class TestBucketIds:
         assert counts.max() <= expected + 6 * sigma + 1
 
 
+def bucket_parts(keys, n_buckets):
+    """``partition_keys``' sorted pool cut at its bucket ends."""
+    sorted_keys, ends = partition_keys(keys, n_buckets)
+    return [sorted_keys[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
+
+
 class TestPartitionKeys:
+    def test_returns_sorted_pool_and_bucket_ends(self):
+        keys = np.random.default_rng(1).integers(0, 1000, size=200)
+        sorted_keys, ends = partition_keys(keys, 6)
+        assert isinstance(ends, list) and len(ends) == 6
+        assert all(isinstance(end, int) for end in ends)
+        assert ends == sorted(ends) and ends[-1] == len(keys) == len(sorted_keys)
+        ids = bucket_ids(sorted_keys, 6)
+        assert (np.diff(ids) >= 0).all()  # grouped by bucket, in bucket order
+
     def test_partition_is_a_partition(self):
         keys = np.random.default_rng(0).integers(0, 1000, size=500)
-        parts = partition_keys(keys, 8)
+        parts = bucket_parts(keys, 8)
         assert len(parts) == 8
         merged = np.concatenate(parts)
         np.testing.assert_array_equal(np.sort(merged), np.sort(keys))
@@ -71,17 +86,17 @@ class TestPartitionKeys:
     def test_parts_agree_with_bucket_ids(self):
         keys = np.arange(300)
         ids = bucket_ids(keys, 5)
-        parts = partition_keys(keys, 5)
+        parts = bucket_parts(keys, 5)
         for bucket, part in enumerate(parts):
             np.testing.assert_array_equal(np.sort(part), np.sort(keys[ids == bucket]))
 
     def test_order_within_bucket_preserved(self):
         keys = np.array([10, 20, 10, 30, 10])
-        parts = partition_keys(keys, 4)
+        parts = bucket_parts(keys, 4)
         bucket = int(bucket_ids(np.array([10]), 4)[0])
         tens = parts[bucket][parts[bucket] == 10]
         assert len(tens) == 3
 
     def test_empty_buckets_allowed(self):
-        parts = partition_keys(np.array([1]), 10)
+        parts = bucket_parts(np.array([1]), 10)
         assert sum(len(p) for p in parts) == 1

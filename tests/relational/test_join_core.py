@@ -80,10 +80,11 @@ class TestHashJoin:
         full join."""
         whole = hash_join(r, s)
         acc = JoinAccumulator()
-        r_parts = partition_keys(r, n_buckets) if len(r) else [r] * n_buckets
-        s_parts = partition_keys(s, n_buckets) if len(s) else [s] * n_buckets
-        for r_part, s_part in zip(r_parts, s_parts):
-            acc.add(hash_join(r_part, s_part))
+        r_pool, r_ends = partition_keys(r, n_buckets)
+        s_pool, s_ends = partition_keys(s, n_buckets)
+        r_starts, s_starts = [0, *r_ends[:-1]], [0, *s_ends[:-1]]
+        for r_lo, r_hi, s_lo, s_hi in zip(r_starts, r_ends, s_starts, s_ends):
+            acc.add(hash_join(r_pool[r_lo:r_hi], s_pool[s_lo:s_hi]))
         assert acc.result() == whole
 
     def test_checksum_distinguishes_results_of_equal_size(self):

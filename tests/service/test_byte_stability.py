@@ -112,6 +112,40 @@ NB_MB_SCHEDULE_BASELINES = {
     ("obs", True): "6a87e67b3ed94ad213ff53193df1cd6b7b4e9ef291c057f38872b1966b1f9051",
 }
 
+#: sha256(json.dumps(stats_to_dict(stats), sort_keys=True)) of every
+#: paper method on the uniform ``small_r``/``small_s`` pair at M=10,
+#: D=520 under :data:`RETRY_PLAN`, in registry order.  At that rate every
+#: method retries disk or tape reads (2, 10, 15, 48, 52, 52 and 43
+#: retries), which the ``FaultPlan.uniform(0.002, seed=3)`` pins above
+#: never reach.  Recorded on the commit before a hash-bucket flush
+#: became one batch.
+RETRY_PLAN_FIELDS = dict(
+    seed=3, disk_error_rate=0.05, tape_read_error_rate=0.05, stall_rate=0.05
+)
+RETRY_PATH_BASELINES = {
+    "DT-NB": "f645105fba4d5401b641f3dd3b6c58a7d686a79101495cd6b1a450b166226238",
+    "CDT-NB/MB": "6c508981ebb9e0715e5cc11690a510fbf5b15db8ffacef8415c422260d3eaa86",
+    "CDT-NB/DB": "4bf07b8a88b3242e541d5d489aaa661b6abdeaf02d466232d6664d1b02a12462",
+    "DT-GH": "c4572dbd4515a3bcbfbdd7764540d0be877768b402e7f69b282962801fe66c11",
+    "CDT-GH": "a0ddd49d8957d25df9a71e724f5d7c732770ee6380656a7b43eb578c1544e717",
+    "CTT-GH": "6b92da8958c66c81e47a12f5f49108fe1c450e5d2e8bd43b678f9c0f686c2b84",
+    "TT-GH": "7c4c8b57c4d73bac6ccc4ef8a557e48a22226d28b459037b8dd70d9775d29f19",
+}
+
+#: The same digests of the four ``RIGGED`` runs of
+#: ``tests/faults/test_checkpoint_restart.py`` (seed 7, rate 0.02,
+#: Step II only, fail-fast retry policy): every injected error restarts
+#: a bucket (10, 10, 9 and 12 restarts), so these reach the
+#: restore-on-failure of a popped S batch and the consume-after-read of
+#: ``read_chunks``.  Recorded on the same commit as
+#: ``RETRY_PATH_BASELINES``.
+RESTART_PATH_BASELINES = {
+    "DT-GH": "81938dc34076c5166993bb47e34bae5a1b98614c5bbb46e4f678d41d4ee01e1b",
+    "CDT-GH": "d7dac760e59708c20828bd95bc8d6a7337814f0b31add3279577549b3ddc422a",
+    "CTT-GH": "89ee60eca5b933d9c2af99f67222889fa41f94af46661d202033327e3b0ce88f",
+    "TT-GH": "a24b2cb19e23b16e1640c541b337d5f2e2c700e4032b4158d792008f7e5c3e39",
+}
+
 #: sha256(json.dumps(report.to_dict(), sort_keys=True)) of service runs
 #: at scale 0.05.  ``WorkloadReport.to_dict()`` carries the merged
 #: ``device_utilization`` that the exp5 and exp6 artifacts leave out.
@@ -340,6 +374,33 @@ def test_nb_mb_schedule_bytes(faulty, small_r, small_s, tmp_path):
         NB_MB_SCHEDULE_BASELINES[("trace", faulty)]
     )
     assert digest(stats.obs_summary) == NB_MB_SCHEDULE_BASELINES[("obs", faulty)]
+
+
+@pytest.mark.parametrize("symbol", list(RETRY_PATH_BASELINES))
+def test_retry_path_bytes(symbol, small_r, small_s):
+    from repro.api import run_join
+    from repro.faults.plan import FaultPlan
+    from repro.sweep.serialize import stats_to_dict
+
+    spec = uniform_spec(small_r, small_s, fault_plan=FaultPlan(**RETRY_PLAN_FIELDS))
+    stats = run_join(spec, method=symbol)
+    assert stats.fault_retries > 0  # the pin must keep reaching a retry
+    assert digest(stats_to_dict(stats)) == RETRY_PATH_BASELINES[symbol]
+
+
+@pytest.mark.parametrize("symbol", list(RESTART_PATH_BASELINES))
+def test_restart_path_bytes(symbol, small_r, small_s):
+    from repro.faults.plan import FaultPlan
+    from repro.sweep.serialize import stats_to_dict
+    from tests.faults.test_checkpoint_restart import FAIL_FAST, RIGGED, run_method
+
+    _symbol, rate_field, kinds = next(row for row in RIGGED if row[0] == symbol)
+    plan = FaultPlan(seed=7, kinds=kinds, step2_only=True, **{rate_field: 0.02})
+    stats = run_method(
+        symbol, small_r, small_s, fault_plan=plan, retry_policy=FAIL_FAST
+    )
+    assert stats.bucket_restarts > 0  # the pin must keep reaching a restart
+    assert digest(stats_to_dict(stats)) == RESTART_PATH_BASELINES[symbol]
 
 
 def service_report_digests() -> dict:

@@ -151,6 +151,7 @@ def striped_read(rig):
 def write_burst(rig):
     extents = [rig.array.allocate(f"bucket{i}") for i in range(2)]
     writes = [(extents[i % 2], chunk_of(1.0, start=100 * i)) for i in range(5)]
+    writes = [(extent, chunk.keys, chunk.n_blocks) for extent, chunk in writes]
     yield from rig.array.write_burst(writes)
 
 

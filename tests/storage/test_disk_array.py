@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulator.engine import Simulator
 from repro.storage.block import BlockSpec, DataChunk
@@ -25,6 +27,12 @@ def run(sim, gen):
 
 def chunk_of(n_blocks, tpb=10, start=0):
     return DataChunk.from_keys(np.arange(start, start + round(n_blocks * tpb)), tpb)
+
+
+def burst_of(n_blocks, tpb=10, start=0):
+    """``chunk_of``'s keys and blocks, as a burst write carries them."""
+    chunk = chunk_of(n_blocks, tpb, start)
+    return chunk.keys, chunk.n_blocks
 
 
 class TestPlacement:
@@ -122,7 +130,7 @@ class TestBurstsAndChunks:
         a, b = array.allocate("a"), array.allocate("b")
         placed = run(
             sim,
-            array.write_burst([(a, chunk_of(1.0)), (b, chunk_of(2.0, start=50))]),
+            array.write_burst([(a, *burst_of(1.0)), (b, *burst_of(2.0, start=50))]),
         )
         assert len(placed) == 2
         assert placed[0].extent is a
@@ -135,7 +143,7 @@ class TestBurstsAndChunks:
         placed = run(
             sim,
             array.write_burst(
-                [(extent, chunk_of(1.0, start=i * 100)) for i in range(4)]
+                [(extent, *burst_of(1.0, start=i * 100)) for i in range(4)]
             ),
         )
         data = run(sim, array.read_chunks(extent, [placed[1], placed[3]]))
@@ -145,7 +153,7 @@ class TestBurstsAndChunks:
 
     def test_read_chunk_twice_raises(self, sim, array):
         extent = array.allocate("data")
-        placed = run(sim, array.write_burst([(extent, chunk_of(1.0))]))
+        placed = run(sim, array.write_burst([(extent, *burst_of(1.0))]))
         run(sim, array.read_chunk(extent, placed[0]))
         with pytest.raises(Exception):
             run(sim, array.read_chunk(extent, placed[0]))
@@ -155,7 +163,7 @@ class TestBurstsAndChunks:
         run(
             sim,
             array.write_burst(
-                [(extent, chunk_of(2.0, start=i * 100)) for i in range(5)]
+                [(extent, *burst_of(2.0, start=i * 100)) for i in range(5)]
             ),
         )
         piece = run(sim, array.read_coalesced(extent, max_blocks=5.0))
@@ -164,7 +172,7 @@ class TestBurstsAndChunks:
 
     def test_read_coalesced_takes_at_least_one(self, sim, array):
         extent = array.allocate("data")
-        run(sim, array.write_burst([(extent, chunk_of(4.0))]))
+        run(sim, array.write_burst([(extent, *burst_of(4.0))]))
         piece = run(sim, array.read_coalesced(extent, max_blocks=1.0))
         assert piece.n_blocks == pytest.approx(4.0)
 
@@ -182,7 +190,7 @@ class TestBurstsAndChunks:
                 sim,
                 array.write_burst(
                     [
-                        (extent, chunk_of(0.1, tpb=100, start=round_index * 1000 + j))
+                        (extent, *burst_of(0.1, tpb=100, start=round_index * 1000 + j))
                         for j in range(30)
                     ]
                 ),
@@ -201,3 +209,145 @@ class TestBurstsAndChunks:
         assert array.used_blocks == pytest.approx(0.0)
         with pytest.raises(ValueError):
             array.free(extent)
+
+
+# -- burst placement against a reference copy of the placement rule ----------
+
+_EPS = 1e-9
+
+
+class _ReferenceDisks:
+    """Per-disk used, peak and written floats, advanced the way
+    ``Disk._reserve`` and a burst write advance them."""
+
+    def __init__(self, capacities, used):
+        self.cap = list(capacities)
+        self.used = list(used)
+        self.peak = list(used)
+        self.written = [0.0] * len(capacities)
+
+    def free(self, i):
+        return self.cap[i] - self.used[i]
+
+
+def _proportional(ref, disks, n_blocks, total_free):
+    return [(i, n_blocks * ref.free(i) / total_free) for i in disks if ref.free(i) > 0]
+
+
+def _reference_place(ref, disks, rr, n_blocks, threshold_blocks):
+    """The disk array's placement rule for one chunk, as first written:
+    even stripe for large chunks (proportional when a member is short),
+    else the member with the most free space, scanning from the extent's
+    round-robin start so the first maximum wins a tie.  Returns the
+    placement and the extent's next round-robin counter."""
+    if n_blocks >= threshold_blocks * len(disks) and len(disks) > 1:
+        share = n_blocks / len(disks)
+        if all(ref.free(i) + _EPS >= share for i in disks):
+            return [(i, share) for i in disks], rr
+        total_free = sum(ref.free(i) for i in disks)
+        if total_free + _EPS >= n_blocks:
+            return _proportional(ref, disks, n_blocks, total_free), rr
+    start = rr % len(disks)
+    ordered = disks[start:] + disks[:start]
+    best = max(ordered, key=ref.free)
+    if ref.free(best) + _EPS >= n_blocks:
+        return [(best, n_blocks)], rr + 1
+    total_free = sum(ref.free(i) for i in disks)
+    if total_free <= 0:
+        return [(best, n_blocks)], rr + 1
+    return _proportional(ref, disks, n_blocks, total_free), rr + 1
+
+
+def _reference_burst(ref, extents, rr, burst, threshold_blocks):
+    """Placements of ``burst`` and the failing (chunk, disk), if any."""
+    placements = []
+    for index, (extent, n_blocks) in enumerate(burst):
+        placement, rr[extent] = _reference_place(
+            ref, extents[extent], rr[extent], n_blocks, threshold_blocks
+        )
+        placements.append(placement)
+        for i, blocks in placement:
+            if ref.used[i] + blocks > ref.cap[i] + _EPS:
+                return placements, (index, i)
+            ref.used[i] += blocks
+            ref.peak[i] = max(ref.peak[i], ref.used[i])
+            ref.written[i] += blocks
+    return placements, None
+
+
+def _burst(array, writes):
+    """``write_burst``'s argument for ``(extent, n_blocks)`` writes."""
+    return array.write_burst(
+        [(extent, np.empty(0, dtype=np.int64), n_blocks) for extent, n_blocks in writes]
+    )
+
+
+_FULLNESS = st.one_of(
+    st.floats(0.0, 0.5), st.floats(0.0, 1.0), st.floats(0.9, 1.0), st.just(1.0)
+)
+
+
+@st.composite
+def _placement_cases(draw):
+    n_disks = draw(st.integers(1, 4))
+    capacities = draw(st.lists(st.floats(10.0, 120.0), min_size=n_disks, max_size=n_disks))
+    used = [cap * draw(_FULLNESS) for cap in capacities]
+    extents = draw(st.lists(
+        st.permutations(range(n_disks)).flatmap(
+            lambda order: st.integers(1, len(order)).map(lambda k: list(order[:k]))
+        ),
+        min_size=1, max_size=3,
+    ))
+    # Chunk sizes straddle the stripe threshold (8 blocks per member disk).
+    sizes = st.one_of(st.floats(0.01, 8.0), st.floats(8.0, 40.0), st.sampled_from([8.0, 16.0]))
+    bursts = draw(st.lists(
+        st.lists(st.tuples(st.integers(0, len(extents) - 1), sizes), min_size=1, max_size=8),
+        min_size=1, max_size=3,
+    ))
+    return capacities, used, extents, bursts
+
+
+@given(case=_placement_cases())
+@settings(max_examples=300, deadline=None)
+def test_burst_placement_matches_the_reference_rule(case):
+    from repro.simulator.process import ProcessCrash
+    from repro.storage.disk import DiskFullError
+
+    capacities, used, extent_disks, bursts = case
+    sim = Simulator()
+    bus = Bus(sim, "scsi")
+    disks = [
+        Disk(sim, f"d{i}", bus, BlockSpec(), capacity_blocks=cap)
+        for i, cap in enumerate(capacities)
+    ]
+    for disk, blocks in zip(disks, used):
+        disk.used_blocks = disk.peak_used_blocks = blocks
+    array = DiskArray(sim, disks, stripe_threshold_blocks=8.0)
+    extents = [
+        array.allocate(f"e{k}", disks=[disks[i] for i in members])
+        for k, members in enumerate(extent_disks)
+    ]
+    ref = _ReferenceDisks(capacities, used)
+    rr = [0] * len(extents)
+    for burst in bursts:
+        expected, failure = _reference_burst(ref, extent_disks, rr, burst, 8.0)
+        writes = [(extents[extent], n_blocks) for extent, n_blocks in burst]
+        if failure is None:
+            placed = run(sim, _burst(array, writes))
+            assert [
+                [(disks.index(disk), blocks) for disk, blocks in handle.placement]
+                for handle in placed
+            ] == expected
+        else:
+            with pytest.raises((DiskFullError, ProcessCrash)) as caught:
+                run(sim, _burst(array, writes))
+            error = caught.value
+            if isinstance(error, ProcessCrash):
+                error = error.__cause__
+            assert isinstance(error, DiskFullError)
+            assert str(error).startswith(f"disk d{failure[1]}:")
+        assert [d.used_blocks for d in disks] == ref.used
+        assert [d.peak_used_blocks for d in disks] == ref.peak
+        assert [d.write_blocks for d in disks] == ref.written
+        if failure is not None:
+            break

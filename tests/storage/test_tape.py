@@ -90,6 +90,24 @@ class TestTapeVolume:
         with pytest.raises(RuntimeError, match="closed"):
             first._append(chunk_of(1.0))
 
+    def test_dropped_volume_frees_its_files_without_the_collector(self):
+        import gc
+        import weakref
+
+        volume = TapeVolume("v", capacity_blocks=100.0)
+        tape_file = volume.create_file("a")
+        tape_file._append(chunk_of(10.0))
+        assert tape_file.volume is volume
+        content = weakref.ref(tape_file.chunks[0].keys)
+        del volume, tape_file
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert content() is None  # no volume/file reference cycle
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_written_after_measures_scratch(self, volume):
         data = volume.create_file("data")
         data._append(chunk_of(100.0))
