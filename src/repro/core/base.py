@@ -188,14 +188,14 @@ def scan_disk_and_join(
     (issued as at least :data:`MIN_DISK_REQUEST_BLOCKS`-block requests) and
     folds each piece's mini-join into the environment's accumulator.
     """
-    held = BuildSide(held_keys)
+    held = env.build(held_keys)
     piece = max(buffer_blocks, MIN_DISK_REQUEST_BLOCKS)
     offset = 0.0
     total = extent.n_blocks
     while offset < total - 1e-9:
         step = min(piece, total - offset)
         data = yield from env.array.read_range(extent, offset, step)
-        env.accumulator.add(held.probe(data.keys))
+        env.probe(held, data.keys)
         offset += step
     env.count_r_scan()
 
@@ -264,43 +264,86 @@ def extent_reader(array, extent, consume: bool = False) -> typing.Callable:
     return read
 
 
+class RBucket:
+    """One R bucket of a Grace-Hash Step II: its reader, size and build.
+
+    ``read(offset, n_blocks)`` reads part of the bucket (a generator
+    returning a :class:`~repro.storage.block.DataChunk`); ``n_blocks`` is
+    its size.  R does not change during Step II, so the bucket's
+    :class:`BuildSide` is built on its first read of the join (whole, or
+    gathered from the spill path's pieces) and reused by every later
+    iteration and every restarted attempt.  Each read still moves the
+    data and charges its device time and memory.
+    """
+
+    __slots__ = ("read", "n_blocks", "_built")
+
+    def __init__(
+        self, read: typing.Callable[[float, float], typing.Generator], n_blocks: float
+    ):
+        self.read = read
+        self.n_blocks = n_blocks
+        self._built: BuildSide | None = None
+
+    def build(self, env: JoinEnvironment, keys: np.ndarray) -> BuildSide:
+        """The bucket's build side, grouped from ``keys`` the first time."""
+        if self._built is None:
+            self._built = env.build(keys)
+        return self._built
+
+
 def probe_resident(
-    env: JoinEnvironment, r_keys: np.ndarray, s_bucket, probe_blocks: float
+    env: JoinEnvironment, held: BuildSide, s_bucket, probe_blocks: float
 ) -> typing.Generator:
-    """Pop an S bucket piece by piece past memory-resident R keys."""
-    held = BuildSide(r_keys)
-    while True:
+    """Pop an S bucket piece by piece past a memory-resident R bucket.
+
+    Each pop reads and consumes at most ``probe_blocks``, so device ops
+    and memory are exactly those of a probe per piece; the popped keys
+    are probed against ``held`` together, once.  If an exception escapes
+    a pop, the ``finally`` probes what was popped before it: those
+    pieces are consumed and a restarted unit never sees them again,
+    while a failed pop consumed nothing.  Each piece counts exactly once.
+    """
+    pieces = []
+    try:
         piece = yield from s_bucket.pop(probe_blocks)
-        if piece is None:
-            return
-        env.accumulator.add(held.probe(piece.keys))
+        while piece is not None:
+            pieces.append(piece.keys)
+            piece = yield from s_bucket.pop(probe_blocks)
+    finally:
+        if pieces:
+            env.probe(held, np.concatenate(pieces))
 
 
 def join_bucket(
     env: JoinEnvironment,
     layout: "GraceHashLayout",
-    read_r_range: typing.Callable[[float, float], typing.Generator],
-    r_total_blocks: float,
+    r_bucket: RBucket,
     s_bucket,
 ) -> typing.Generator:
     """Join one R bucket with its S bucket (one Grace-Hash Step II unit).
 
-    ``read_r_range(offset, n_blocks)`` reads part of the R bucket;
     ``s_bucket`` has ``pop``/``peek``/``discard`` (:class:`DiskBucket`,
-    :class:`BufferedBucket`, TT-GH's tape bucket).  The normal path holds
-    the whole R bucket in memory and pops the S bucket past it.  If the R
-    bucket outgrows the free memory (skewed keys — the paper assumes
-    uniform hash values and has no such path), the *spill* path joins it
-    in memory-sized pieces, re-reading the S bucket once per piece and
-    discarding it at the end.
+    :class:`BufferedBucket`, TT-GH's tape bucket).  The normal path
+    reads the whole R bucket into memory and pops the S bucket past it
+    with :func:`probe_resident`.  If the R bucket outgrows the free
+    memory (skewed keys, or hash variance over few tuples — the paper
+    assumes uniform hash values and has no such path), the *spill* path
+    reads it in memory-sized pieces, re-reads the S bucket once per
+    piece and discards it at the end.  Either way the unit probes once
+    against the build side ``r_bucket`` keeps for the whole join: the
+    spill path probes the S keys of one rescan after the last piece,
+    which gives the sum of the per-piece joins.
     """
     probe = layout.probe_blocks
     available = env.memory.free_blocks - probe
+    r_total_blocks = r_bucket.n_blocks
     if r_total_blocks <= available + 1e-9:
-        r_data = yield from read_r_range(0.0, r_total_blocks)
+        r_data = yield from r_bucket.read(0.0, r_total_blocks)
         env.memory.take(r_data.n_blocks, "R bucket")
         try:
-            yield from probe_resident(env, r_data.keys, s_bucket, probe)
+            held = r_bucket.build(env, r_data.keys)
+            yield from probe_resident(env, held, s_bucket, probe)
         finally:
             # A media error mid-stream must not leak the bucket's memory:
             # the checkpointed restart re-takes it on the next attempt.
@@ -309,21 +352,28 @@ def join_bucket(
 
     env.count_overflow_bucket()
     piece_blocks = max(available, probe, 1.0)
+    r_pieces: list[np.ndarray] = []
+    s_pieces: list[np.ndarray] = []
     offset = 0.0
     while offset < r_total_blocks - 1e-9:
         step = min(piece_blocks, r_total_blocks - offset)
-        r_piece = yield from read_r_range(offset, step)
+        r_piece = yield from r_bucket.read(offset, step)
         env.memory.take(r_piece.n_blocks, "R bucket piece")
-        held = BuildSide(r_piece.keys)
         try:
+            # Every rescan reads the same, unconsumed S bucket.
+            s_pieces = []
             piece, cursor = yield from s_bucket.peek(None, probe)
             while piece is not None:
-                env.accumulator.add(held.probe(piece.keys))
+                s_pieces.append(piece.keys)
                 piece, cursor = yield from s_bucket.peek(cursor, probe)
         finally:
             env.memory.give(r_piece.n_blocks)
+        r_pieces.append(r_piece.keys)
         offset += step
     s_bucket.discard()
+    if s_pieces:
+        held = r_bucket.build(env, np.concatenate(r_pieces))
+        env.probe(held, np.concatenate(s_pieces))
 
 
 def hash_tape_range(
@@ -360,14 +410,15 @@ def concurrent_step2(
     env: JoinEnvironment,
     layout: "GraceHashLayout",
     d: float,
-    r_bucket: typing.Callable[[int], tuple[typing.Callable, float]],
+    r_buckets: list[RBucket],
 ) -> typing.Generator:
     """Step II of CDT-GH and CTT-GH: a hash process and a join process.
 
     The hash process hashes ``d`` blocks of S per iteration from tape
     into an interleaved double-buffered disk region while the join
-    process joins the previous iteration's buckets.  ``r_bucket(b)``
-    gives R bucket *b*'s ``(read_r_range, r_total_blocks)``.
+    process joins the previous iteration's buckets against
+    ``r_buckets``, whose build sides carry over from one iteration to
+    the next.
     """
     spec, sim = env.spec, env.sim
     tuples_per_block = spec.relation_s.tuples_per_block
@@ -398,7 +449,7 @@ def concurrent_step2(
                 if not sbuf.has_pending(iteration, bucket):
                     continue
                 unit = functools.partial(
-                    join_bucket, env, layout, *r_bucket(bucket),
+                    join_bucket, env, layout, r_buckets[bucket],
                     BufferedBucket(sbuf, iteration, bucket),
                 )
                 key = f"II.{iteration}.b{bucket}"
@@ -421,8 +472,8 @@ def guard_overflow_restart(
     """Escalate media errors hitting a bucket's overflow (spill) path.
 
     The spill path rescans the same S bucket once per R piece through a
-    peek cursor, so its partial work cannot be checkpointed: a restart
-    would re-join pieces already accumulated.  Wrapping the unit factory
+    peek cursor, outside the consume-on-read discipline that makes a
+    unit restartable, so it is not replayed.  Wrapping the unit factory
     with this guard turns a :class:`MediaError` raised after the unit
     entered the spill path into a terminal :class:`NonRestartableError`
     that :func:`repro.faults.checkpoint.run_unit` does not catch.

@@ -29,6 +29,7 @@ from repro.core.base import (
     BucketStager,
     DiskBucket,
     GraceHashLayout,
+    RBucket,
     TertiaryJoinMethod,
     align_blocks_to_tuples,
     extent_reader,
@@ -39,7 +40,6 @@ from repro.core.base import (
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import NB_R_SCAN_FRACTION, ResourceRequirements
 from repro.core.spec import JoinSpec
-from repro.relational.join_core import BuildSide
 
 
 class StagedDiskJoin(TertiaryJoinMethod):
@@ -129,10 +129,11 @@ class StagedDiskJoin(TertiaryJoinMethod):
             for r_extent, s_extent in zip(r_buckets, s_buckets):
                 if s_extent.n_blocks <= 0 or r_extent.n_blocks <= 0:
                     continue
+                r_bucket = RBucket(
+                    extent_reader(env.array, r_extent, consume=True), r_extent.n_blocks
+                )
                 yield from join_bucket(
-                    env, layout,
-                    extent_reader(env.array, r_extent, consume=True),
-                    r_extent.n_blocks, DiskBucket(env.array, s_extent),
+                    env, layout, r_bucket, DiskBucket(env.array, s_extent)
                 )
             env.count_r_scan()
             env.count_iteration()
@@ -182,8 +183,8 @@ class NaiveTapeNestedLoop(TertiaryJoinMethod):
                 r_data = yield from env.drive_r.read_range(env.file_r, offset, step)
                 offset += step
 
-                def probe_s(data, held=BuildSide(r_data.keys)):
-                    env.accumulator.add(held.probe(data.keys))
+                def probe_s(data, held=env.build(r_data.keys)):
+                    env.probe(held, data.keys)
                     return
                     yield  # pragma: no cover - generator shape
 

@@ -14,7 +14,7 @@ from repro.faults.checkpoint import JoinCheckpoint
 from repro.faults.injector import FaultInjector
 from repro.hsm.cache import PartitionSetKey
 from repro.obs.recorder import JoinObserver
-from repro.relational.join_core import JoinAccumulator
+from repro.relational.join_core import BuildSide, JoinAccumulator
 from repro.simulator.engine import Simulator
 from repro.storage.hierarchy import StorageConfig, StorageSystem
 from repro.storage.tape import TapeVolume
@@ -85,6 +85,10 @@ class JoinEnvironment:
         self.cache_misses = 0
         self.cache_saved_blocks = 0.0
         self.cache_saved_s = 0.0
+        # Data-plane program counters (see JoinStats.builds).
+        self.builds = 0
+        self.probes = 0
+        self.probed_keys = 0
         # Partition sets pinned on behalf of this join; released when the
         # join finalizes, so the cache never evicts in-flight buckets.
         self._cache_pins = []
@@ -133,6 +137,20 @@ class JoinEnvironment:
     def count_overflow_bucket(self) -> None:
         """Record one hash bucket processed via the spill (overflow) path."""
         self.overflow_buckets += 1
+
+    # -- data plane -------------------------------------------------------------------
+
+    def build(self, keys) -> BuildSide:
+        """Group held keys into a :class:`BuildSide`, counting the build."""
+        self.builds += 1
+        return BuildSide(keys)
+
+    def probe(self, held: BuildSide, keys) -> None:
+        """Probe ``keys`` against ``held`` and fold the result into the
+        join's accumulator, counting the probe and its keys."""
+        self.probes += 1
+        self.probed_keys += len(keys)
+        self.accumulator.add(held.probe(keys))
 
     # -- partition cache (repro.hsm) ------------------------------------------------
 
@@ -247,6 +265,9 @@ class JoinEnvironment:
             cache_saved_blocks=self.cache_saved_blocks,
             cache_saved_s=self.cache_saved_s,
             chunks_placed=self.array.chunks_placed,
+            builds=self.builds,
+            probes=self.probes,
+            probed_keys=self.probed_keys,
             obs_summary=obs_summary,
             observer=self.observer,
         )

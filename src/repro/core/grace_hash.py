@@ -21,6 +21,7 @@ import typing
 from repro.core.base import (
     DiskBucket,
     GraceHashLayout,
+    RBucket,
     TertiaryJoinMethod,
     align_blocks_to_tuples,
     concurrent_step2,
@@ -106,6 +107,10 @@ class DiskTapeGraceHash(_GraceHashBase):
             self._s_chunk_blocks(spec), spec.relation_s.tuples_per_block
         )
         s_buckets = [env.array.allocate(f"S.b{b}") for b in range(layout.n_buckets)]
+        r_sides = [
+            RBucket(extent_reader(env.array, extent), extent.n_blocks)
+            for extent in r_buckets
+        ]
         offset = 0.0
         total = spec.size_s_blocks
         with env.memory.hold(
@@ -124,14 +129,12 @@ class DiskTapeGraceHash(_GraceHashBase):
                 # media error restarts only the bucket it hit, not the
                 # iteration.
                 iteration = env.iterations
-                pairs = enumerate(zip(r_buckets, s_buckets))
-                for bucket, (r_extent, s_extent) in pairs:
+                for bucket, (r_bucket, s_extent) in enumerate(zip(r_sides, s_buckets)):
                     if s_extent.n_blocks <= 1e-9:
                         env.array.discard_content(s_extent)
                         continue
                     unit = functools.partial(
-                        join_bucket, env, layout,
-                        extent_reader(env.array, r_extent), r_extent.n_blocks,
+                        join_bucket, env, layout, r_bucket,
                         DiskBucket(env.array, s_extent),
                     )
                     key = f"II.{iteration}.b{bucket}"
@@ -165,11 +168,10 @@ class ConcurrentGraceHash(_GraceHashBase):
         d = align_blocks_to_tuples(
             self._s_chunk_blocks(spec), spec.relation_s.tuples_per_block
         )
-
-        def r_bucket(bucket):
-            extent = r_buckets[bucket]
-            return functools.partial(env.array.read_range, extent), extent.n_blocks
-
-        yield from concurrent_step2(env, layout, d, r_bucket)
+        r_sides = [
+            RBucket(functools.partial(env.array.read_range, extent), extent.n_blocks)
+            for extent in r_buckets
+        ]
+        yield from concurrent_step2(env, layout, d, r_sides)
         for extent in r_buckets:
             env.array.free(extent)

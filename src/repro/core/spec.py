@@ -228,6 +228,13 @@ class JoinStats:
     #: a program counter of how much per-chunk bookkeeping the run did,
     #: not a simulated quantity, so it is neither serialized nor compared.
     chunks_placed: int = dataclasses.field(default=0, compare=False)
+    #: Data-plane program counters, neither serialized nor compared, like
+    #: ``chunks_placed``: held key sets grouped for probing (a
+    #: :class:`~repro.relational.join_core.BuildSide` each), probes of
+    #: streamed keys against them, and the keys those probes carried.
+    builds: int = dataclasses.field(default=0, compare=False)
+    probes: int = dataclasses.field(default=0, compare=False)
+    probed_keys: int = dataclasses.field(default=0, compare=False)
     #: Compact derived metrics from the observability layer (device
     #: utilization, overlap fractions, queue depths) — present only when
     #: the run was traced; never the raw trace itself.

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.base import (
     GraceHashLayout,
+    RBucket,
     TertiaryJoinMethod,
     align_blocks_to_tuples,
     concurrent_step2,
@@ -71,6 +72,13 @@ def read_files_range(
         if base >= end:
             break
     return DataChunk.concat(pieces)
+
+
+def tape_r_bucket(drive: TapeDrive, files: list[TapeFile]) -> RBucket:
+    """An R bucket read from its hashed tape fragments on ``drive``."""
+    return RBucket(
+        functools.partial(read_files_range, drive, files), sum(f.n_blocks for f in files)
+    )
 
 
 class TapeBucket:
@@ -261,10 +269,8 @@ class ConcurrentTapeTapeGraceHash(_TapeTapeBase):
         # Step II: like CDT-GH, with R buckets streamed from tape and the
         # entire disk budget double-buffering S.
         d = align_blocks_to_tuples(spec.disk_blocks, spec.relation_s.tuples_per_block)
-        yield from concurrent_step2(env, layout, d, lambda b: (
-            functools.partial(read_files_range, env.drive_r, r_files[b]),
-            sum(f.n_blocks for f in r_files[b]),
-        ))
+        r_sides = [tape_r_bucket(env.drive_r, r_files[b]) for b in range(layout.n_buckets)]
+        yield from concurrent_step2(env, layout, d, r_sides)
 
 
 class TapeTapeGraceHash(_TapeTapeBase):
@@ -312,11 +318,11 @@ class TapeTapeGraceHash(_TapeTapeBase):
         buckets = [
             b for b in range(layout.n_buckets) if r_files[b] and s_files[b]
         ]
-        r_blocks = {b: sum(f.n_blocks for f in r_files[b]) for b in buckets}
+        r_sides = {b: tape_r_bucket(env.drive_s, r_files[b]) for b in buckets}
         budget = spec.memory_blocks + 1e-9
         prefetch_after = {
             b: c for b, c in zip(buckets, buckets[1:])
-            if r_blocks[b] + r_blocks[c] <= budget
+            if r_sides[b].n_blocks + r_sides[c].n_blocks <= budget
         }
 
         def fetch_r_bucket(bucket):
@@ -350,25 +356,22 @@ class TapeTapeGraceHash(_TapeTapeBase):
             if following is not None and following not in pending:
                 pending[following] = spawn(following)
             try:
-                yield from probe_resident(env, r_keys, s_bucket, layout.probe_blocks)
+                held = r_sides[bucket].build(env, r_keys)
+                yield from probe_resident(env, held, s_bucket, layout.probe_blocks)
             finally:
                 env.memory.give(taken)
 
-        if buckets and r_blocks[buckets[0]] <= budget:
+        if buckets and r_sides[buckets[0]].n_blocks <= budget:
             pending[buckets[0]] = spawn(buckets[0])
         for bucket in buckets:
             # The S bucket is read from tape without consuming it; its
             # cursor survives a unit restart, so a restarted unit does not
             # re-join pieces it already joined.
             s_bucket = TapeBucket(env.drive_r, s_files[bucket])
-            if r_blocks[bucket] <= budget:
+            if r_sides[bucket].n_blocks <= budget:
                 unit = functools.partial(join_resident, bucket, s_bucket)
             else:
-                unit = functools.partial(
-                    join_bucket, env, layout,
-                    functools.partial(read_files_range, env.drive_s, r_files[bucket]),
-                    r_blocks[bucket], s_bucket,
-                )
+                unit = functools.partial(join_bucket, env, layout, r_sides[bucket], s_bucket)
             key = f"II.b{bucket}"
             yield from run_unit(env, key, guard_overflow_restart(env, key, unit))
             env.count_iteration()

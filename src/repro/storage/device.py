@@ -31,8 +31,9 @@ class Device:
         self.unit = Unit(sim)
         self.read_blocks = 0.0
         self.write_blocks = 0.0
-        #: Where the device is: the extent a disk arm last served, the head
-        #: block of a tape drive.
+        #: Where the device is: the region a disk arm last served (see
+        #: ``repro.storage.disk_array.Region``), the head block of a tape
+        #: drive.
         self.position = None
         self._last_op_end = 0.0
         #: Optional fault injector (``repro.faults``); None = fault-free,

@@ -16,9 +16,12 @@ placement of disk blocks and usage of disk arms".  This array provides it:
 Content lives only here, tracked logically per extent; a
 :class:`~repro.storage.disk.Disk` holds no content, only space and an arm.
 Space and time are accounted physically per disk, so occupancy and traffic
-remain exact.  The :class:`StripedExtent` object is also the positioning
-identity on each member disk: an arm that last served the extent streams
-on without a seek.
+remain exact.  Each :class:`StripedExtent` has its own :class:`Region`,
+the positioning identity on each member disk: an arm that last served
+the extent streams on without a seek.  A disk keeps the region, not the
+extent, and an extent keeps no reference to its array, so a finished
+join's disks, extents and array form no reference cycle and are freed
+without the cyclic collector.
 
 Each stored chunk is one :class:`StoredChunk` handle: its keys (for a
 bucket flush, a view into the flush's sorted pool), its block count, the
@@ -73,17 +76,41 @@ def _proportional(
     return [(d, n_blocks * d.free_blocks / total_free) for d in disks if d.free_blocks > 0]
 
 
-class StripedExtent:
-    """A named allocation spanning the disks of a :class:`DiskArray`."""
+class Region:
+    """Where an extent lies on its disks: the arm position a disk keeps.
 
-    def __init__(self, array: "DiskArray", name: str, disks: list[Disk]):
-        self.array = array
+    Disks compare positions by identity, so each extent has its own
+    region.  It holds only the extent's name, so a disk's position keeps
+    no extent, chunk or disk alive.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
         self.name = name
+
+
+class StripedExtent:
+    """A named allocation spanning the disks of a :class:`DiskArray`.
+
+    :meth:`slice_range` remembers its last result: a Grace-Hash Step II
+    reads the same whole R bucket on every iteration, and the memo hands
+    back the same :class:`~repro.storage.block.DataChunk` without
+    walking the chunks again.  Every content change (:meth:`_bury`,
+    :meth:`_clear`, ``DiskArray._keep``) drops the memo, so a read never
+    sees stale content.
+    """
+
+    def __init__(self, name: str, disks: list[Disk]):
+        self.name = name
+        self.region = Region(name)
         self.disks = list(disks)
         self.chunks: list[StoredChunk] = []
         self.n_blocks = 0.0
         self._n_dead = 0
         self._rr = 0
+        #: ``((offset_blocks, n_blocks), data)`` of the last slice, or None.
+        self._memo: tuple[tuple[float, float], DataChunk] | None = None
 
     # -- chunk bookkeeping -----------------------------------------------------
 
@@ -103,6 +130,7 @@ class StripedExtent:
 
     def _bury(self, chunks: list[StoredChunk]) -> None:
         """Tombstone ``chunks`` and release their disk space."""
+        self._memo = None
         for chunk in chunks:
             if not chunk.alive or chunk.extent is not self:
                 raise ValueError(f"chunk not stored in extent {self.name!r}")
@@ -117,6 +145,7 @@ class StripedExtent:
 
     def _clear(self) -> None:
         """Drop every chunk, releasing all space."""
+        self._memo = None
         for pc in self.live_chunks():
             for disk, blocks in pc.placement:
                 disk._release(blocks)
@@ -129,8 +158,19 @@ class StripedExtent:
         return DataChunk.concat(list(self.live_chunks()))
 
     def slice_range(self, offset_blocks: float, n_blocks: float) -> DataChunk:
-        """Tuples in the logical block range [offset, offset + n_blocks)."""
-        return slice_chunks(self.live_chunks(), self.n_blocks, offset_blocks, n_blocks)
+        """Tuples in the logical block range [offset, offset + n_blocks).
+
+        A repeat of the last slice, with no content change between,
+        returns the same chunk object, whose keys are read-only.
+        """
+        span = (offset_blocks, n_blocks)
+        memo = self._memo
+        if memo is not None and memo[0] == span:
+            return memo[1]
+        data = slice_chunks(self.live_chunks(), self.n_blocks, offset_blocks, n_blocks)
+        data.keys.flags.writeable = False  # every repeat shares these keys
+        self._memo = (span, data)
+        return data
 
 
 class DiskArray:
@@ -184,7 +224,7 @@ class DiskArray:
         """Create a striped extent on ``disks`` (default: all members)."""
         if name in self.extents:
             raise ValueError(f"striped extent {name!r} already exists")
-        extent = StripedExtent(self, name, disks or self.disks)
+        extent = StripedExtent(name, disks or self.disks)
         self.extents[name] = extent
         return extent
 
@@ -235,13 +275,15 @@ class DiskArray:
         """Run one I/O on each (disk, blocks) pair concurrently."""
         if len(parts) == 1:
             disk, blocks = parts[0]
-            yield from disk._io(extent, blocks, kind)
+            yield from disk._io(extent.region, blocks, kind)
             return
-        yield self._fan_out([(disk, extent, blocks, None) for disk, blocks in parts], kind)
+        yield self._fan_out(
+            [(disk, extent.region, blocks, None) for disk, blocks in parts], kind
+        )
 
     def _store(
         self, writes: list[tuple[StripedExtent, np.ndarray, float]], traffic: bool
-    ) -> tuple[list[StoredChunk], dict[Disk, tuple[StripedExtent, float, int]]]:
+    ) -> tuple[list[StoredChunk], dict[Disk, tuple[Region, float, int]]]:
         """Place and reserve each ``(extent, keys, n_blocks)`` write, in order.
 
         The array's one placement rule, the "balance the consumption of
@@ -257,11 +299,11 @@ class DiskArray:
         overflows it.  ``traffic`` counts the blocks as written.
 
         Returns the handles, not yet in their extents, and per disk the
-        burst op ``(last extent, blocks, writes - 1)``.
+        burst op ``(last extent's region, blocks, writes - 1)``.
         """
         threshold = self.stripe_threshold_blocks
         stored = []
-        per_disk: dict[Disk, tuple[StripedExtent, float, int]] = {}
+        per_disk: dict[Disk, tuple[Region, float, int]] = {}
         for extent, keys, n_blocks in writes:
             disks = extent.disks
             n = len(disks)
@@ -296,8 +338,8 @@ class DiskArray:
                 disk._reserve(blocks)
                 if traffic:
                     disk.write_blocks += blocks
-                _last, total, near = per_disk.get(disk, (extent, 0.0, -1))
-                per_disk[disk] = (extent, total + blocks, near + 1)
+                _last, total, near = per_disk.get(disk, (extent.region, 0.0, -1))
+                per_disk[disk] = (extent.region, total + blocks, near + 1)
             stored.append(StoredChunk(keys, n_blocks, placement, extent))
         return stored, per_disk
 
@@ -305,6 +347,7 @@ class DiskArray:
         """Append placed chunks to their extents, in write order."""
         for chunk in stored:
             extent = chunk.extent
+            extent._memo = None
             extent.chunks.append(chunk)
             extent.n_blocks += chunk.n_blocks
         self.chunks_placed += len(stored)
@@ -375,13 +418,13 @@ class DiskArray:
         them (and their space) in place regardless — the bucket-overflow
         path re-reads an S bucket once per R piece.
         """
-        per_disk: dict[Disk, tuple[StripedExtent, float, int]] = {}
+        per_disk: dict[Disk, tuple[Region, float, int]] = {}
         for placed in placed_list:
             if not placed.alive or placed.extent is not extent:
                 raise ValueError(f"chunk not stored in extent {extent.name!r}")
             for disk, blocks in placed.placement:
-                _extent, total, near = per_disk.get(disk, (extent, 0.0, -1))
-                per_disk[disk] = (extent, total + blocks, near + 1)
+                _region, total, near = per_disk.get(disk, (extent.region, 0.0, -1))
+                per_disk[disk] = (extent.region, total + blocks, near + 1)
                 disk.read_blocks += blocks
         if per_disk:
             yield self._fan_out([(disk, *op) for disk, op in per_disk.items()], "disk-read")

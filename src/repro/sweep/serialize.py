@@ -61,7 +61,7 @@ def scale_from_dict(payload: dict) -> ExperimentScale:
 
 def stats_to_dict(stats: JoinStats) -> dict:
     """Serialize a :class:`JoinStats`, leaving out the observer, its
-    summary, the partition-cache counters and the chunk counter."""
+    summary, the partition-cache counters and the program counters."""
     payload = {}
     for field in dataclasses.fields(JoinStats):
         # obs_summary is derived observability data; like the observer
@@ -71,11 +71,15 @@ def stats_to_dict(stats: JoinStats) -> dict:
         # a live cache (a cached partition would make results depend on
         # task order), so the fields are always zero and serializing
         # them would churn every existing cache entry.  ``chunks_placed``
-        # counts program work, not simulated work, and stays out too.
+        # and the data-plane counters count program work, not simulated
+        # work, and stay out too.
         if field.name in (
             "obs_summary",
             "observer",
             "chunks_placed",
+            "builds",
+            "probes",
+            "probed_keys",
             "cache_hits",
             "cache_misses",
             "cache_saved_blocks",
