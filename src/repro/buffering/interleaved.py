@@ -179,32 +179,6 @@ class InterleavedDiskBuffer:
         self._free.put(total)
         self._record()
 
-    def pop_chunk(self, iteration: int, tag: object) -> typing.Generator:
-        """Read and release the next chunk of ``tag`` (None when exhausted).
-
-        Streaming path for consumers that must not materialize a whole
-        bucket in memory.
-        """
-        group = self._pending.get(iteration, {}).get(tag)
-        if not group:
-            self._pending.get(iteration, {}).pop(tag, None)
-            return None
-        placed = group.pop(0)
-        if not group:
-            self._pending.get(iteration, {}).pop(tag, None)
-        try:
-            data = yield from self.array.read_chunk(self.extent, placed)
-        except BaseException:
-            # A failed read must not lose the chunk: put it back at the
-            # front so a checkpointed restart resumes exactly here.
-            restored = self._pending.setdefault(iteration, {}).setdefault(tag, [])
-            restored.insert(0, placed)
-            raise
-        self._occupancy[iteration] -= data.n_blocks
-        yield self._free.put(data.n_blocks)
-        self._record()
-        return data
-
     def pop_coalesced(
         self, iteration: int, tag: object, max_blocks: float
     ) -> typing.Generator:
@@ -213,6 +187,7 @@ class InterleavedDiskBuffer:
         Returns ``None`` once the tag is exhausted.  This is the streaming
         probe path: the consumer bounds its memory by ``max_blocks`` while
         the scattered flush fragments of one bucket are fetched together.
+        A batch holds at least one chunk, so ``max_blocks=0`` pops one.
         """
         group = self._pending.get(iteration, {}).get(tag)
         if not group:

@@ -23,7 +23,6 @@ from repro.core.requirements import (
     ResourceRequirements,
 )
 from repro.core.spec import InfeasibleJoinError, JoinSpec, JoinStats, ceil_div
-from repro.faults.errors import MediaError, NonRestartableError
 from repro.storage.block import DataChunk
 from repro.storage.tape import TapeDrive, TapeFile
 
@@ -333,7 +332,10 @@ def join_bucket(
     piece and discards it at the end.  Either way the unit probes once
     against the build side ``r_bucket`` keeps for the whole join: the
     spill path probes the S keys of one rescan after the last piece,
-    which gives the sum of the per-piece joins.
+    which gives the sum of the per-piece joins.  :func:`run_unit`
+    restarts a spilled unit exactly like a resident one: the spill path
+    consumes nothing before its final ``discard`` and probes only after
+    its last read, so a replay joins each tuple once.
     """
     probe = layout.probe_blocks
     available = env.memory.free_blocks - probe
@@ -350,7 +352,6 @@ def join_bucket(
             env.memory.give(r_data.n_blocks)
         return
 
-    env.count_overflow_bucket()
     piece_blocks = max(available, probe, 1.0)
     r_pieces: list[np.ndarray] = []
     s_pieces: list[np.ndarray] = []
@@ -370,6 +371,8 @@ def join_bucket(
             env.memory.give(r_piece.n_blocks)
         r_pieces.append(r_piece.keys)
         offset += step
+    # Counted after the last rescan: a restarted unit counts once.
+    env.count_overflow_bucket()
     s_bucket.discard()
     if s_pieces:
         held = r_bucket.build(env, np.concatenate(r_pieces))
@@ -452,8 +455,7 @@ def concurrent_step2(
                     join_bucket, env, layout, r_buckets[bucket],
                     BufferedBucket(sbuf, iteration, bucket),
                 )
-                key = f"II.{iteration}.b{bucket}"
-                yield from run_unit(env, key, guard_overflow_restart(env, key, unit))
+                yield from run_unit(env, f"II.{iteration}.b{bucket}", unit)
             env.count_r_scan()
             env.count_iteration()
             sbuf.finish_iteration(iteration)
@@ -462,36 +464,6 @@ def concurrent_step2(
         [sim.process(hasher(), name="hash"), sim.process(joiner(), name="join")]
     )
     sbuf.close()
-
-
-def guard_overflow_restart(
-    env: JoinEnvironment,
-    key: str,
-    factory: typing.Callable[[], typing.Generator],
-) -> typing.Callable[[], typing.Generator]:
-    """Escalate media errors hitting a bucket's overflow (spill) path.
-
-    The spill path rescans the same S bucket once per R piece through a
-    peek cursor, outside the consume-on-read discipline that makes a
-    unit restartable, so it is not replayed.  Wrapping the unit factory
-    with this guard turns a :class:`MediaError` raised after the unit
-    entered the spill path into a terminal :class:`NonRestartableError`
-    that :func:`repro.faults.checkpoint.run_unit` does not catch.
-    """
-
-    def guarded() -> typing.Generator:
-        before = env.overflow_buckets
-        try:
-            return (yield from factory())
-        except MediaError as exc:
-            if env.overflow_buckets > before:
-                raise NonRestartableError(
-                    f"unit {key}: media error on the bucket-overflow (spill) "
-                    f"path; its repeated S rescans cannot be checkpointed"
-                ) from exc
-            raise
-
-    return guarded
 
 
 class GraceHashLayout:

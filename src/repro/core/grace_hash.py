@@ -26,7 +26,6 @@ from repro.core.base import (
     align_blocks_to_tuples,
     concurrent_step2,
     extent_reader,
-    guard_overflow_restart,
     hash_tape_range,
     join_bucket,
     write_buckets,
@@ -137,10 +136,7 @@ class DiskTapeGraceHash(_GraceHashBase):
                         join_bucket, env, layout, r_bucket,
                         DiskBucket(env.array, s_extent),
                     )
-                    key = f"II.{iteration}.b{bucket}"
-                    yield from run_unit(
-                        env, key, guard_overflow_restart(env, key, unit)
-                    )
+                    yield from run_unit(env, f"II.{iteration}.b{bucket}", unit)
                 env.count_r_scan()
                 env.count_iteration()
         for extent in r_buckets + s_buckets:

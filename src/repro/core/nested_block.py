@@ -234,7 +234,7 @@ class ConcurrentNestedBlockDisk(_NestedBlockBase):
                     pieces = []
                     taken = 0.0
                     while True:
-                        data = yield from sbuf.pop_chunk(iteration, "s")
+                        data = yield from sbuf.pop_coalesced(iteration, "s", 0.0)
                         if data is None:
                             break
                         pieces.append(data)

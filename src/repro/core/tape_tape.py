@@ -30,7 +30,6 @@ from repro.core.base import (
     TertiaryJoinMethod,
     align_blocks_to_tuples,
     concurrent_step2,
-    guard_overflow_restart,
     hash_tape_range,
     join_bucket,
     probe_resident,
@@ -372,7 +371,6 @@ class TapeTapeGraceHash(_TapeTapeBase):
                 unit = functools.partial(join_resident, bucket, s_bucket)
             else:
                 unit = functools.partial(join_bucket, env, layout, r_sides[bucket], s_bucket)
-            key = f"II.b{bucket}"
-            yield from run_unit(env, key, guard_overflow_restart(env, key, unit))
+            yield from run_unit(env, f"II.b{bucket}", unit)
             env.count_iteration()
         env.count_r_scan()

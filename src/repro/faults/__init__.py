@@ -27,7 +27,6 @@ from repro.faults.errors import (
     DiskTransientError,
     ErrorBudgetExceededError,
     MediaError,
-    NonRestartableError,
     RetryExhaustedError,
     TapeSoftReadError,
     TapeWriteError,
@@ -45,7 +44,6 @@ __all__ = [
     "JoinCheckpoint",
     "MAX_UNIT_RESTARTS",
     "MediaError",
-    "NonRestartableError",
     "OP_KINDS",
     "RetryExhaustedError",
     "TapeSoftReadError",

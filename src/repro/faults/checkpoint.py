@@ -6,13 +6,14 @@ when a :class:`~repro.faults.errors.MediaError` escapes the unit, the
 unit alone is restarted — already-completed buckets are never redone, so
 a mid-join media failure costs one bucket's work, not the whole join.
 
-Restart safety relies on the consume-on-read discipline of the buffer
-layer: pieces of an S bucket are popped (and their space released) only
-*after* their disk read succeeds, so a restarted unit resumes with
-exactly the unconsumed remainder and never double-joins a piece.  The
-skewed-bucket spill path violates that discipline (it re-reads buffered
-data with a cursor); units detect it and escalate via
-:class:`~repro.faults.errors.NonRestartableError` instead of replaying.
+Every unit restarts the same way.  On the resident path, pieces of an
+S bucket are popped (and their space released) only *after* their disk
+read succeeds, and the popped pieces are probed even when the unit
+fails, so a restarted unit resumes with exactly the unconsumed
+remainder.  The skewed-bucket spill path consumes nothing before its
+final discard and probes only after its last read, so a restarted spill
+unit simply replays from the start.  Either way each tuple is joined
+exactly once.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ MAX_UNIT_RESTARTS = 5
 
 @dataclasses.dataclass
 class JoinCheckpoint:
-    """Per-join record of completed units and restart costs."""
+    """Per-join record of unit restart costs."""
 
-    #: Keys of units that ran to completion.
-    completed: set = dataclasses.field(default_factory=set)
     #: Unit restarts performed over the whole join.
     restarts: int = 0
     #: Simulated seconds of unit work discarded by restarts.
@@ -45,20 +44,16 @@ def run_unit(
     env: "JoinEnvironment",
     key: str,
     factory: typing.Callable[[], typing.Generator],
-    max_restarts: int = MAX_UNIT_RESTARTS,
 ) -> typing.Generator:
     """Run one restartable unit of join work.
 
     ``factory`` builds a fresh generator per attempt.  On a
     :class:`MediaError` the elapsed attempt time is recorded as lost and
-    the unit re-runs, up to ``max_restarts`` times.  Without a fault
+    the unit re-runs, up to :data:`MAX_UNIT_RESTARTS` times.  Without a fault
     layer installed the unit body runs exactly once with no wrapping —
     the zero-rate code path stays byte-identical.
     """
-    checkpoint = env.checkpoint
-    # getattr: unit tests drive run_unit with stub environments that may
-    # predate the observability layer.
-    observer = getattr(env, "observer", None)
+    checkpoint, observer = env.checkpoint, env.observer
     if env.faults is None:
         if observer is None:
             return (yield from factory())
@@ -78,13 +73,12 @@ def run_unit(
             if observer is not None:
                 observer.span(key, started, env.sim.now, "unit-retry")
                 observer.count("unit_restarts")
-            if attempt > max_restarts:
+            if attempt > MAX_UNIT_RESTARTS:
                 raise UnitRestartLimitError(
                     f"unit {key!r} failed {attempt} times "
-                    f"(limit {max_restarts}); giving up: {exc}"
+                    f"(limit {MAX_UNIT_RESTARTS}); giving up: {exc}"
                 ) from exc
             continue
-        checkpoint.completed.add(key)
         if observer is not None:
             observer.span(key, started, env.sim.now, "unit")
         return result

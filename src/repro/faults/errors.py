@@ -9,9 +9,9 @@ The hierarchy encodes what a join method may do about a failure:
   checkpointed Grace Hash join catches them and restarts the failed
   bucket from its last completed unit of work.
 * Everything else (:class:`ErrorBudgetExceededError`,
-  :class:`NonRestartableError`, :class:`UnitRestartLimitError`) is
-  terminal for the join: restarting a bucket cannot help when the device
-  itself is deemed broken or the failed work cannot be replayed.
+  :class:`UnitRestartLimitError`) is terminal for the join: restarting a
+  bucket cannot help when the device itself is deemed broken or the
+  bucket keeps failing.
 """
 
 from __future__ import annotations
@@ -68,12 +68,6 @@ class ErrorBudgetExceededError(RuntimeError):
         self.device = device
         self.errors = errors
         self.budget = budget
-
-
-class NonRestartableError(RuntimeError):
-    """A media error hit a code path whose side effects cannot be replayed
-    (e.g. the skewed-bucket spill path, which re-reads buffered data with
-    a cursor instead of consuming it)."""
 
 
 class UnitRestartLimitError(RuntimeError):

@@ -32,7 +32,6 @@ from repro.faults.errors import (
 )
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
-from repro.simulator.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.engine import Simulator
@@ -159,28 +158,20 @@ class FaultInjector:
         lead_in_s: float,
         device: str,
         kind: str,
-        done: typing.Callable[[BaseException | None], None] | None = None,
-    ) -> Event | None:
+        done: typing.Callable[[BaseException | None], None],
+    ) -> None:
         """Run one bus transfer under the plan's faults and the policy.
 
-        Returns an event that settles, with no queue hop, at the instant
-        the last attempt (or its detection) ends.  A "stall" verdict
-        stretches the transfer's lead-in.  An "error" verdict means the
-        transfer's simulated time is wasted: detection and backoff are
-        charged, and the operation is retried until the policy gives up
-        — then the event fails with a :class:`RetryExhaustedError` whose
-        ``__cause__`` is the typed device fault.
-
-        Given ``done`` (a device op's completion), no event is built:
-        ``done`` is called at that instant with None or the failure, and
-        None is returned.  The attempts and the backoff pauses are
-        callbacks either way.
+        ``done`` (a device op's completion) is called, with no queue hop,
+        at the instant the last attempt (or its detection) ends, with None
+        or the failure.  A "stall" verdict stretches the transfer's
+        lead-in.  An "error" verdict means the transfer's simulated time
+        is wasted: detection and backoff are charged, and the operation
+        is retried until the policy gives up — then ``done`` gets a
+        :class:`RetryExhaustedError` whose ``__cause__`` is the typed
+        device fault.  The attempts and the backoff pauses are callbacks.
         """
         sim, plan, policy, stats = self.sim, self.plan, self.policy, self.stats
-        event = None
-        if done is None:
-            event = Event(sim)
-            done = event._settle
 
         def attempt(number: int) -> None:
             verdict = self.decide(device, kind)
@@ -249,4 +240,3 @@ class FaultInjector:
                 resume()
 
         attempt(0)
-        return event

@@ -64,7 +64,7 @@ class TestBasicFlow:
 
         run(sim, flow())
 
-    def test_pop_chunk_streams_until_none(self, sim, array):
+    def test_single_chunk_pops_stream_until_none(self, sim, array):
         buffer = InterleavedDiskBuffer(sim, array, "buf", 10.0)
 
         def flow():
@@ -72,7 +72,7 @@ class TestBasicFlow:
                 yield from buffer.put(0, "s", chunk_of(1.0, start=i * 100))
             starts = []
             while True:
-                data = yield from buffer.pop_chunk(0, "s")
+                data = yield from buffer.pop_coalesced(0, "s", 0.0)
                 if data is None:
                     break
                 starts.append(int(data.keys[0]))
@@ -171,7 +171,7 @@ class TestBackpressureAndSharing:
                 yield buffer.wait_iteration(i)
                 yield sim.timeout(10.0)  # simulate slow joining
                 while True:
-                    data = yield from buffer.pop_chunk(i, "s")
+                    data = yield from buffer.pop_coalesced(i, "s", 0.0)
                     if data is None:
                         break
                 buffer.finish_iteration(i)

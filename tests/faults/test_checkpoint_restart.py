@@ -4,17 +4,21 @@ The end-to-end tests inject permanent device errors into Step II of
 every Grace Hash method (``max_retries=0`` turns each injected error
 into a :class:`RetryExhaustedError` immediately) and assert that the
 join restarts the failed buckets, records the recovery in its stats, and
-still produces exactly the reference join result.
+still produces exactly the reference join result — on the resident path
+and on the bucket-overflow (spill) path alike.
 """
 
 import pytest
 
 from repro import api
-from repro.core.base import guard_overflow_restart
-from repro.experiments.config import ExperimentScale
+from repro.core.requirements import clamp_gh_memory
+from repro.experiments.config import (
+    EXPERIMENT2_R_MB,
+    EXPERIMENT2_S_MB,
+    ExperimentScale,
+)
 from repro.faults import (
     JoinCheckpoint,
-    NonRestartableError,
     RetryExhaustedError,
     UnitRestartLimitError,
     run_unit,
@@ -42,13 +46,15 @@ def media_error(message="t0: boom"):
 
 
 class StubEnv:
-    """Just enough JoinEnvironment for run_unit: sim, checkpoint, faults."""
+    """Just enough JoinEnvironment for run_unit: sim, checkpoint, faults,
+    and no observer."""
+
+    observer = None
 
     def __init__(self, with_faults=True):
         self.sim = Simulator()
         self.checkpoint = JoinCheckpoint()
         self.faults = object() if with_faults else None
-        self.overflow_buckets = 0
 
 
 def drive(env, gen):
@@ -74,9 +80,9 @@ class TestRunUnit:
         assert len(attempts) == 3
         assert env.checkpoint.restarts == 2
         assert env.checkpoint.lost_s == pytest.approx(6.0)
-        assert "II.b0" in env.checkpoint.completed
 
-    def test_restart_limit_gives_up(self):
+    def test_restart_limit_gives_up(self, monkeypatch):
+        monkeypatch.setattr("repro.faults.checkpoint.MAX_UNIT_RESTARTS", 2)
         env = StubEnv()
 
         def factory():
@@ -86,7 +92,7 @@ class TestRunUnit:
             return unit()
 
         with pytest.raises(ProcessCrash) as exc_info:
-            drive(env, run_unit(env, "II.b7", factory, max_restarts=2))
+            drive(env, run_unit(env, "II.b7", factory))
         cause = exc_info.value.__cause__
         assert isinstance(cause, UnitRestartLimitError)
         assert "II.b7" in str(cause)
@@ -106,7 +112,7 @@ class TestRunUnit:
         assert drive(env, run_unit(env, "II.b0", factory)) == 42
         assert calls == [1]
         # The inert path must not even record bookkeeping.
-        assert env.checkpoint.completed == set()
+        assert env.checkpoint == JoinCheckpoint()
 
     def test_non_media_errors_propagate(self):
         env = StubEnv()
@@ -122,19 +128,8 @@ class TestRunUnit:
         assert env.checkpoint.restarts == 0
 
 
-class TestOverflowGuard:
-    def test_media_error_after_spill_is_non_restartable(self):
-        env = StubEnv()
-
-        def body():
-            env.overflow_buckets += 1  # the unit spilled mid-attempt
-            yield env.sim.timeout(1.0)
-            raise media_error()
-
-        guarded = guard_overflow_restart(env, "II.b3", body)
-        with pytest.raises(ProcessCrash) as exc_info:
-            drive(env, guarded())
-        assert isinstance(exc_info.value.__cause__, NonRestartableError)
+class TestOverflowRestart:
+    """A unit on the bucket-overflow (spill) path restarts like any other."""
 
     def test_media_error_without_spill_stays_restartable(self):
         env = StubEnv()
@@ -147,11 +142,39 @@ class TestOverflowGuard:
                 raise media_error()
             return "ok"
 
-        result = drive(
-            env, run_unit(env, "II.b3", guard_overflow_restart(env, "II.b3", body))
-        )
+        result = drive(env, run_unit(env, "II.b3", body))
         assert result == "ok"
         assert env.checkpoint.restarts == 1
+
+    @pytest.fixture(scope="class")
+    def fig5_frame(self):
+        """Figure 5's frame at D = 1.25|R|: hash variance alone sends
+        many CDT-GH and DT-GH units (and some CTT-GH ones) down the
+        spill path."""
+        scale = ExperimentScale(scale=0.05, tuple_bytes=8192, seed=1)
+        relation_r, relation_s = scale.relations(EXPERIMENT2_R_MB, EXPERIMENT2_S_MB)
+        r_blocks = scale.relation_blocks(EXPERIMENT2_R_MB)
+        return scale, relation_r, relation_s, r_blocks
+
+    @pytest.mark.parametrize("symbol", ["DT-GH", "CDT-GH", "CTT-GH"])
+    def test_faults_mid_spill_restart_the_unit(self, symbol, fig5_frame):
+        scale, relation_r, relation_s, r_blocks = fig5_frame
+
+        def run(**options):
+            spec = scale.join_spec(
+                relation_r, relation_s,
+                memory_blocks=clamp_gh_memory(0.1 * r_blocks, r_blocks),
+                disk_blocks=1.25 * r_blocks, **options,
+            )
+            return api.run_join(spec, method=symbol, verify=True)
+
+        plan = FaultPlan(seed=0, kinds=("disk-read",), step2_only=True,
+                         disk_error_rate=0.02)
+        stats = run(fault_plan=plan, retry_policy=FAIL_FAST)
+        assert stats.bucket_restarts > 0
+        # A replayed spill unit is counted once, when it completes.
+        assert stats.overflow_buckets > 0
+        assert stats.overflow_buckets == run().overflow_buckets
 
 
 #: (method, plan field, faulted kind): disk faults for the disk-staged

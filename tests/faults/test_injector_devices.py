@@ -12,6 +12,7 @@ from repro.faults import (
 )
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
+from repro.simulator.events import Event
 from repro.storage.block import MB, BlockSpec
 from repro.storage.bus import Bus
 
@@ -27,7 +28,9 @@ def run(sim, gen):
 
 def transfer_1s(injector, bus, device="t0", kind="tape-read", lead_in=0.5):
     """One guarded transfer taking lead_in + 1.0 simulated seconds."""
-    return (yield injector.guarded_transfer(bus, MB, MB, lead_in, device, kind))
+    event = Event(injector.sim)
+    injector.guarded_transfer(bus, MB, MB, lead_in, device, kind, event._settle)
+    return (yield event)
 
 
 def catching(gen, exc_type):
