@@ -1,11 +1,11 @@
-"""Sweep engine wall-clock: cold vs. warm cache, sequential vs. --jobs 4.
+"""Sweep engine wall-clock: cold vs. warm cache, sequential vs. --jobs 2 and 4.
 
 Times ``python -m repro.experiments all --scale 0.3`` through the real
-CLI three ways — sequential without a cache, ``--jobs 4`` filling a cold
-cache, and ``--jobs 4`` against the warm cache — asserts all three JSON
-artifacts are byte-identical, and records the timings in
-``BENCH_sweep.json`` at the repository root so future PRs can track the
-perf trajectory.
+CLI four ways — sequential without a cache, ``--jobs 2`` without a
+cache, ``--jobs 4`` filling a cold cache, and ``--jobs 4`` against the
+warm cache — asserts all four JSON artifacts are byte-identical, and
+records the timings in ``BENCH_sweep.json`` at the repository root so
+future PRs can track the perf trajectory.
 
 The warm-cache speedup is hardware-independent (cached points skip
 simulation entirely) and is asserted unconditionally.  The cold parallel
@@ -50,6 +50,9 @@ def run_cli(tmp_path: pathlib.Path, label: str, *flags: str) -> tuple[float, byt
 def test_bench_sweep_cold_vs_warm(tmp_path):
     cache = tmp_path / "cache"
     cold_seq_s, seq_bytes = run_cli(tmp_path, "cold_seq", "--no-cache")
+    cold_jobs2_s, jobs2_bytes = run_cli(
+        tmp_path, "cold_jobs2", "--jobs", "2", "--no-cache"
+    )
     cold_par_s, par_bytes = run_cli(
         tmp_path, "cold_par", "--jobs", "4", "--cache-dir", str(cache)
     )
@@ -59,6 +62,7 @@ def test_bench_sweep_cold_vs_warm(tmp_path):
 
     # The artifact-parity contract: parallel and cached runs are
     # byte-identical to the sequential run.
+    assert jobs2_bytes == seq_bytes
     assert par_bytes == seq_bytes
     assert warm_bytes == seq_bytes
 
@@ -67,6 +71,7 @@ def test_bench_sweep_cold_vs_warm(tmp_path):
         "command": f"python -m repro.experiments all --scale {SCALE}",
         "cpu_cores": cores,
         "cold_sequential_s": round(cold_seq_s, 3),
+        "cold_jobs2_s": round(cold_jobs2_s, 3),
         "cold_jobs4_s": round(cold_par_s, 3),
         "warm_jobs4_s": round(warm_s, 3),
         "warm_speedup_vs_cold_sequential": round(cold_seq_s / warm_s, 2),

@@ -42,7 +42,6 @@ from repro.sweep.runner import SweepRunner
 from repro.sweep.tasks import (
     SweepTask,
     assumption_task,
-    figure4_task,
     join_task,
     service_task,
 )
@@ -120,8 +119,8 @@ def sweep(
     """Run sweep tasks (cached, optionally multi-process), in order.
 
     ``cache_dir=None`` disables the content-addressed result cache.
-    Build tasks with :func:`join_task`, :func:`figure4_task`,
-    :func:`assumption_task` or :func:`service_task`.
+    Build tasks with :func:`join_task` (``trace=True`` adds the Figure 4
+    buffer series), :func:`assumption_task` or :func:`service_task`.
     """
     cache = SweepCache(cache_dir) if cache_dir else None
     runner = SweepRunner(jobs=jobs, cache=cache, progress=progress)
@@ -218,7 +217,6 @@ __all__ = [
     "SweepTask",
     "WorkloadReport",
     "assumption_task",
-    "figure4_task",
     "join_task",
     "plan",
     "run_join",

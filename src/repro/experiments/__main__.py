@@ -19,34 +19,67 @@ as machine-readable data for plotting.  The sweep/fault/tracing flags
 (``--jobs``, ``--cache-dir``, ``--no-cache``, ``--fault-rate``,
 ``--fault-seed``, ``--trace-out``) come from the shared parent parser in
 :mod:`repro.experiments.cli`, so they behave identically across exp1–exp5.
+
+Every wanted artifact is a :class:`~repro.sweep.runner.Sweep` from
+:data:`SWEEPS`.  Their tasks go to the sweep runner in one submission,
+in argument order: one process pool, no barrier between artifacts, and
+a task two artifacts share (table3's Join III is fig4's traced join)
+runs once.  Each artifact is then assembled from its slice of the
+results and printed, in argument order.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import itertools
 import json
-import math
 import os
 import sys
-import time
+import typing
 
 from repro.core.requirements import clamp_gh_memory
 from repro.experiments.analytical import figure1, figure2, figure3
-from repro.experiments.assumptions import run_assumption_checks
+from repro.experiments.assumptions import assumption_sweep
 from repro.experiments.cli import report_sweep_usage, runner_from_args, sweep_options
 from repro.experiments.config import TAPE_SPEEDS, ExperimentScale, ScaleTooSmallError
-from repro.experiments.exp1 import run_experiment1, run_figure4
-from repro.experiments.exp2 import run_experiment2
-from repro.experiments.exp3 import run_experiment3
-from repro.experiments.exp4_faults import run_experiment4
-from repro.experiments.exp5_service import EXPERIMENT5_POLICIES, run_experiment5
-from repro.experiments.exp6_hsm import run_experiment6
-from repro.storage.block import BlockSpec
-from repro.sweep.runner import SweepRunner
+from repro.experiments.exp1 import experiment1_sweep, figure4_sweep
+from repro.experiments.exp2 import experiment2_sweep
+from repro.experiments.exp3 import experiment3_sweep
+from repro.experiments.exp4_faults import experiment4_sweep
+from repro.experiments.exp5_service import EXPERIMENT5_POLICIES, experiment5_sweep
+from repro.experiments.exp6_hsm import experiment6_sweep
+from repro.sweep.runner import Sweep
 
-ARTIFACTS = ("fig1", "fig2", "fig3", "table3", "fig4", "fig5", "exp3",
-             "assumptions", "exp4", "exp5", "exp6", "all")
+
+def _scale(args: argparse.Namespace, **fields) -> ExperimentScale:
+    return ExperimentScale(scale=args.scale, **fields)
+
+
+#: Each artifact's sweep, built from the parsed command line.  Every
+#: assembled artifact has ``render()`` and ``to_dict()``.
+SWEEPS: dict[str, typing.Callable[[argparse.Namespace], Sweep]] = {
+    "fig1": lambda args: Sweep([], lambda _: figure1()),
+    "fig2": lambda args: Sweep([], lambda _: figure2()),
+    "fig3": lambda args: Sweep([], lambda _: figure3()),
+    "table3": lambda args: experiment1_sweep(_scale(args, tuple_bytes=8192)),
+    "fig4": lambda args: figure4_sweep(_scale(args, tuple_bytes=8192)),
+    "fig5": lambda args: experiment2_sweep(_scale(args)),
+    "exp3": lambda args: experiment3_sweep(args.tape, _scale(args)),
+    "assumptions": lambda args: assumption_sweep(),
+    "exp4": lambda args: experiment4_sweep(
+        _scale(args),
+        max_rate=0.01 if args.fault_rate is None else args.fault_rate,
+        fault_seed=args.fault_seed,
+    ),
+    "exp5": lambda args: experiment5_sweep(
+        _scale(args),
+        policies=EXPERIMENT5_POLICIES if args.policy == "all" else (args.policy,),
+        max_jobs=args.workload_jobs,
+        fault_rate=0.0 if args.fault_rate is None else args.fault_rate,
+        fault_seed=args.fault_seed,
+    ),
+    "exp6": lambda args: experiment6_sweep(_scale(args), cache_policy=args.cache_policy),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -58,7 +91,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "artifacts",
         nargs="+",
-        choices=ARTIFACTS,
+        choices=(*SWEEPS, "all"),
         help="which artifacts to regenerate ('all' for everything)",
     )
     parser.add_argument(
@@ -102,122 +135,32 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_assumptions(runner: SweepRunner) -> tuple[str, dict]:
-    exchange, positioning, locate = run_assumption_checks(runner)
-    text = "\n".join(
-        [
-            "Section 3.2 assumption checks:",
-            f"  media exchanges over full cartridges: {100 * exchange.share:.2f} % "
-            f"of a {exchange.n_volumes}-volume scan",
-            f"  disk positioning at 30-block requests: {100 * positioning.share:.2f} % "
-            "of a worst-case scan",
-            f"  distance-based locate model moves CTT-GH by "
-            f"{100 * locate.relative_change:+.2f} %",
-        ]
-    )
-    data = {
-        "media_exchange": dataclasses.asdict(exchange),
-        "disk_positioning": dataclasses.asdict(positioning),
-        "locate_sensitivity": dataclasses.asdict(locate),
-    }
-    return text, data
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    wanted = list(ARTIFACTS[:-1]) if "all" in args.artifacts else args.artifacts
-    runner = runner_from_args(args)
+    wanted = list(dict.fromkeys(SWEEPS if "all" in args.artifacts else args.artifacts))
     try:
-        collected = _regenerate(wanted, args, runner)
+        sweeps = [SWEEPS[artifact](args) for artifact in wanted]
     except ScaleTooSmallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    runner = runner_from_args(args)
+    results = iter(runner.run([task for sweep in sweeps for task in sweep.tasks]))
+    collected: dict[str, object] = {}
+    for artifact, sweep in zip(wanted, sweeps):
+        result = sweep.assemble(list(itertools.islice(results, len(sweep.tasks))))
+        print(result.render(), end="\n\n")
+        collected[artifact] = result.to_dict()
+        if args.trace_out and sweep.trace is not None:
+            sweep.trace(args.trace_out)
+
     if args.json:
         _write_json_atomic(args.json, collected)
         print(f"wrote {args.json}")
-    if args.trace_out and any(artifact not in ("exp5", "exp6") for artifact in wanted):
+    if args.trace_out and any(sweep.trace is None for sweep in sweeps):
         _run_trace_pass(args.trace_out, args.scale, args.tape)
     report_sweep_usage(runner)
     return 0
-
-
-def _regenerate(
-    wanted: list[str], args: argparse.Namespace, runner: SweepRunner
-) -> dict[str, object]:
-    """Run and print each wanted artifact; return their JSON forms."""
-    scale = ExperimentScale(scale=args.scale)
-    scale_exp1 = ExperimentScale(scale=args.scale, tuple_bytes=8192)
-    block_spec = BlockSpec()
-    collected: dict[str, object] = {}
-
-    for artifact in dict.fromkeys(wanted):  # preserve order, drop dupes
-        started = time.perf_counter()
-        if artifact in ("fig1", "fig2", "fig3"):
-            result = {"fig1": figure1, "fig2": figure2, "fig3": figure3}[artifact]()
-            print(result.render())
-            collected[artifact] = {
-                "ratios": list(result.ratios),
-                "curves": {
-                    symbol: [None if math.isinf(v) else v for v in series]
-                    for symbol, series in result.curves.items()
-                },
-            }
-        elif artifact == "table3":
-            result = run_experiment1(scale=scale_exp1, runner=runner)
-            print(result.render())
-            collected[artifact] = result.to_dict()
-        elif artifact == "fig4":
-            result = run_figure4(scale=scale_exp1, runner=runner)
-            print(result.render())
-            collected[artifact] = result.to_dict()
-        elif artifact == "fig5":
-            result = run_experiment2(scale=scale, runner=runner)
-            print(result.render())
-            collected[artifact] = result.to_dict()
-        elif artifact == "exp3":
-            result = run_experiment3(args.tape, scale=scale, runner=runner)
-            print(result.render(block_spec))
-            collected[artifact] = result.to_dict(block_spec)
-        elif artifact == "assumptions":
-            text, data = _run_assumptions(runner)
-            print(text)
-            collected[artifact] = data
-        elif artifact == "exp4":
-            result = run_experiment4(
-                scale=scale,
-                max_rate=0.01 if args.fault_rate is None else args.fault_rate,
-                fault_seed=args.fault_seed,
-                runner=runner,
-            )
-            print(result.render())
-            collected[artifact] = result.to_dict()
-        elif artifact == "exp5":
-            policies = (
-                EXPERIMENT5_POLICIES if args.policy == "all" else (args.policy,)
-            )
-            result = run_experiment5(
-                scale=scale,
-                policies=policies,
-                max_jobs=args.workload_jobs,
-                fault_rate=0.0 if args.fault_rate is None else args.fault_rate,
-                fault_seed=args.fault_seed,
-                runner=runner,
-                trace_out=args.trace_out,
-            )
-            print(result.render())
-            collected[artifact] = result.to_dict()
-        elif artifact == "exp6":
-            result = run_experiment6(
-                scale=scale,
-                cache_policy=args.cache_policy,
-                runner=runner,
-                trace_out=args.trace_out,
-            )
-            print(result.render())
-            collected[artifact] = result.to_dict()
-        print(f"[{artifact} regenerated in {time.perf_counter() - started:.1f}s]\n")
-    return collected
 
 
 def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:

@@ -10,6 +10,7 @@ the chart (rendered as ``-``).
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.core.registry import symbols
@@ -38,6 +39,16 @@ class FigureCurves:
         title = f"{self.figure}: response time relative to tape read time of S"
         body = format_series(self.x_label, list(self.ratios), self.curves)
         return f"{title}\n{body}"
+
+    def to_dict(self) -> dict:
+        """JSON-serializable form; infeasible (``inf``) points become None."""
+        return {
+            "ratios": list(self.ratios),
+            "curves": {
+                symbol: [None if math.isinf(v) else v for v in series]
+                for symbol, series in self.curves.items()
+            },
+        }
 
 
 def _figure(name: str, ratios: typing.Sequence[float], setup: AnalyticalSetup | None) -> FigureCurves:

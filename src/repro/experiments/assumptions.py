@@ -21,6 +21,7 @@ hardware, so the claims become checkable artifacts:
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 from repro.core.registry import method_by_symbol
 from repro.core.requirements import clamp_gh_memory
@@ -32,6 +33,8 @@ from repro.storage.disk import DiskParameters
 from repro.storage.hierarchy import StorageConfig, StorageSystem
 from repro.storage.library import TapeLibrary
 from repro.storage.tape import TapeDriveParameters, TapeVolume
+from repro.sweep.runner import Sweep, SweepRunner
+from repro.sweep.tasks import assumption_task
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,30 +163,54 @@ def locate_model_sensitivity(
     return LocateSensitivity(constant, distance)
 
 
-def run_assumption_checks(
-    runner=None,
-) -> tuple[ExchangeShare, PositioningShare, LocateSensitivity]:
-    """All three Section 3.2 measurements, through the sweep engine.
+class AssumptionChecks(typing.NamedTuple):
+    """The three Section 3.2 measurements, in the order listed above."""
 
-    Each check is one ``assumption`` sweep task, so checks are cached and
-    parallelized like any other sweep point.
-    """
-    # Imported here, not at module top: repro.sweep's worker tasks import
-    # this module lazily, and keeping both edges lazy makes the absence of
-    # an import cycle obvious.
-    from repro.sweep.runner import SweepRunner
-    from repro.sweep.tasks import assumption_task
+    exchange: ExchangeShare
+    positioning: PositioningShare
+    locate: LocateSensitivity
 
-    runner = runner or SweepRunner()
-    results = runner.run(
+    def render(self) -> str:
+        """One line per check."""
+        return "\n".join(
+            [
+                "Section 3.2 assumption checks:",
+                f"  media exchanges over full cartridges: "
+                f"{100 * self.exchange.share:.2f} % "
+                f"of a {self.exchange.n_volumes}-volume scan",
+                f"  disk positioning at 30-block requests: "
+                f"{100 * self.positioning.share:.2f} % of a worst-case scan",
+                f"  distance-based locate model moves CTT-GH by "
+                f"{100 * self.locate.relative_change:+.2f} %",
+            ]
+        )
+
+    def to_dict(self) -> dict:
+        """JSON-serializable form: each measurement's fields."""
+        return {
+            "media_exchange": dataclasses.asdict(self.exchange),
+            "disk_positioning": dataclasses.asdict(self.positioning),
+            "locate_sensitivity": dataclasses.asdict(self.locate),
+        }
+
+
+def assumption_sweep() -> Sweep:
+    """The three measurements as ``assumption`` sweep tasks, so checks
+    are cached and parallelized like any other sweep point."""
+    return Sweep(
         [
             assumption_task("media_exchange"),
             assumption_task("disk_positioning"),
             assumption_task("locate_sensitivity"),
-        ]
+        ],
+        lambda results: AssumptionChecks(
+            ExchangeShare(**results[0]["data"]),
+            PositioningShare(**results[1]["data"]),
+            LocateSensitivity(**results[2]["data"]),
+        ),
     )
-    return (
-        ExchangeShare(**results[0]["data"]),
-        PositioningShare(**results[1]["data"]),
-        LocateSensitivity(**results[2]["data"]),
-    )
+
+
+def run_assumption_checks(runner: SweepRunner | None = None) -> AssumptionChecks:
+    """All three Section 3.2 measurements, through the sweep engine."""
+    return assumption_sweep().run(runner)

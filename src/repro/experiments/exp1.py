@@ -17,7 +17,6 @@ import dataclasses
 import typing
 
 from repro.core.requirements import clamp_gh_memory
-from repro.core.spec import InfeasibleJoinError
 from repro.experiments.config import (
     BASE_TAPE,
     DISK_1996,
@@ -26,9 +25,12 @@ from repro.experiments.config import (
     ExperimentScale,
 )
 from repro.experiments.report import format_table
-from repro.sweep.runner import SweepRunner
-from repro.sweep.tasks import figure4_task, join_task
-from repro.sweep.serialize import stats_from_dict
+from repro.sweep.runner import Sweep, SweepRunner
+from repro.sweep.serialize import join_stats
+from repro.sweep.tasks import SweepTask, join_task
+
+#: The join whose Step II buffer occupancy Figure 4 plots.
+FIGURE4_JOIN = EXPERIMENT1_JOINS[2]  # Join III
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,59 +95,72 @@ class Table3Result:
         }
 
 
-def run_experiment1(
+def _ctt_gh_task(join: Experiment1Join, scale: ExperimentScale, **options) -> SweepTask:
+    """The sweep task of one Experiment 1 join (CTT-GH, M clamped)."""
+    return join_task(
+        "CTT-GH",
+        join.r_mb,
+        join.s_mb,
+        memory_blocks=clamp_gh_memory(
+            scale.blocks(join.m_mb), scale.relation_blocks(join.r_mb)
+        ),
+        disk_blocks=scale.blocks(join.d_mb),
+        tape=BASE_TAPE,
+        disk_params=DISK_1996,
+        scale=scale,
+        **options,
+    )
+
+
+def experiment1_sweep(
     scale: ExperimentScale | None = None,
     joins: typing.Sequence[Experiment1Join] = EXPERIMENT1_JOINS,
     verify: bool = False,
-    runner: SweepRunner | None = None,
     fault_plan=None,
     retry_policy=None,
-) -> Table3Result:
-    """Run the four CTT-GH joins of Table 3.
+) -> Sweep:
+    """Table 3's four CTT-GH joins as one sweep.
 
+    Join III runs traced, so its task is the one :func:`figure4_sweep`
+    builds and a submission holding both runs it once.
     ``fault_plan``/``retry_policy`` thread fault injection through the
     sweep; a rate-0 plan exercises the guarded device paths and must
     reproduce the fault-free artifact byte for byte (the parity tests
     hold the repo to that).
     """
     scale = scale or ExperimentScale(tuple_bytes=8192)
-    runner = runner or SweepRunner()
     tasks = [
-        join_task(
-            "CTT-GH",
-            join.r_mb,
-            join.s_mb,
-            memory_blocks=clamp_gh_memory(
-                scale.blocks(join.m_mb), scale.relation_blocks(join.r_mb)
-            ),
-            disk_blocks=scale.blocks(join.d_mb),
-            tape=BASE_TAPE,
-            disk_params=DISK_1996,
-            scale=scale,
-            verify=verify,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
+        _ctt_gh_task(
+            join, scale, trace=join == FIGURE4_JOIN, verify=verify,
+            fault_plan=fault_plan, retry_policy=retry_policy,
         )
         for join in joins
     ]
-    rows = []
-    for join, result in zip(joins, runner.run(tasks)):
-        if result["infeasible"]:
-            raise InfeasibleJoinError(result["error"])
-        stats = stats_from_dict(result["stats"])
-        rows.append(
-            Table3Row(
-                name=join.name,
-                s_mb=scale.mb(join.s_mb),
-                r_mb=scale.mb(join.r_mb),
-                d_mb=scale.mb(join.d_mb),
-                bare_read_s=stats.bare_read_s,
-                step1_s=stats.step1_s,
-                total_s=stats.response_s,
-                relative_cost=stats.relative_cost,
+
+    def assemble(results: list[dict]) -> Table3Result:
+        rows = []
+        for join, result in zip(joins, results):
+            stats = join_stats(result, required=True)
+            rows.append(
+                Table3Row(
+                    name=join.name,
+                    s_mb=scale.mb(join.s_mb),
+                    r_mb=scale.mb(join.r_mb),
+                    d_mb=scale.mb(join.d_mb),
+                    bare_read_s=stats.bare_read_s,
+                    step1_s=stats.step1_s,
+                    total_s=stats.response_s,
+                    relative_cost=stats.relative_cost,
+                )
             )
-        )
-    return Table3Result(tuple(rows), scale.scale)
+        return Table3Result(tuple(rows), scale.scale)
+
+    return Sweep(tasks, assemble)
+
+
+def run_experiment1(*args, runner: SweepRunner | None = None, **kwargs) -> Table3Result:
+    """Run :func:`experiment1_sweep` (same arguments) through ``runner``."""
+    return experiment1_sweep(*args, **kwargs).run(runner)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,37 +203,28 @@ class Figure4Result:
         }
 
 
-def run_figure4(
-    scale: ExperimentScale | None = None,
-    join: Experiment1Join | None = None,
-    runner: SweepRunner | None = None,
-) -> Figure4Result:
-    """Trace Join III's Step II buffer occupancy (Figure 4).
+def figure4_sweep(
+    scale: ExperimentScale | None = None, join: Experiment1Join | None = None
+) -> Sweep:
+    """Join III's Step II buffer occupancy (Figure 4) as a one-task sweep.
 
-    The traced run executes as a ``figure4`` sweep task: the buffer traces
-    themselves stay in the worker and only the derived utilization series
-    comes back (and is what the cache stores).
+    The task is a traced ``join`` task: the buffer traces stay in the
+    worker and only the derived utilization series comes back (and is
+    what the cache stores).
     """
     scale = scale or ExperimentScale(tuple_bytes=8192)
-    join = join or EXPERIMENT1_JOINS[2]  # Join III
-    runner = runner or SweepRunner()
-    task = figure4_task(
-        join.r_mb,
-        join.s_mb,
-        memory_blocks=clamp_gh_memory(
-            scale.blocks(join.m_mb), scale.relation_blocks(join.r_mb)
-        ),
-        disk_blocks=scale.blocks(join.d_mb),
-        tape=BASE_TAPE,
-        disk_params=DISK_1996,
-        scale=scale,
-    )
-    data = runner.run([task])[0]
-    return Figure4Result(
-        data["times_s"],
-        data["total_pct"],
-        data["even_pct"],
-        data["odd_pct"],
-        (data["step2_window_s"][0], data["step2_window_s"][1]),
-        data["mean_total_pct"],
-    )
+
+    def assemble(results: list[dict]) -> Figure4Result:
+        (result,) = results
+        join_stats(result, required=True)  # an infeasible join has no series
+        data = result["buffer"]
+        return Figure4Result(
+            **dict(data, step2_window_s=tuple(data["step2_window_s"]))
+        )
+
+    return Sweep([_ctt_gh_task(join or FIGURE4_JOIN, scale, trace=True)], assemble)
+
+
+def run_figure4(*args, runner: SweepRunner | None = None, **kwargs) -> Figure4Result:
+    """Run :func:`figure4_sweep` (same arguments) through ``runner``."""
+    return figure4_sweep(*args, **kwargs).run(runner)

@@ -24,9 +24,9 @@ from repro.experiments.config import (
     ScaleTooSmallError,
 )
 from repro.experiments.report import format_series
-from repro.sweep.runner import SweepRunner
+from repro.sweep.runner import Sweep, SweepRunner
+from repro.sweep.serialize import join_stats
 from repro.sweep.tasks import join_task
-from repro.sweep.serialize import stats_from_dict
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,17 +73,16 @@ class Figure5Result:
         }
 
 
-def run_experiment2(
+def experiment2_sweep(
     scale: ExperimentScale | None = None,
     d_fractions: typing.Sequence[float] = EXPERIMENT2_D_FRACTIONS,
     s_mb: float = EXPERIMENT2_S_MB,
     r_mb: float = EXPERIMENT2_R_MB,
     methods: typing.Sequence[str] = ("CDT-GH", "CTT-GH"),
-    runner: SweepRunner | None = None,
-) -> Figure5Result:
-    """Sweep D for the two hash methods (Figure 5)."""
+) -> Sweep:
+    """The D sweep of the two hash methods (Figure 5); a scale too small
+    for Grace Hash's memory floor raises :class:`ScaleTooSmallError`."""
     scale = scale or ExperimentScale()
-    runner = runner or SweepRunner()
     r_blocks = scale.relation_blocks(r_mb)
     # M = 0.1|R| as in the paper, clamped to Grace Hash's sqrt(|R|) floor
     # (relation sizes scale linearly, the floor does not).  0.1|R| is below
@@ -109,15 +108,24 @@ def run_experiment2(
                 )
             )
             points.append((d_mb, symbol))
-    series: dict[str, list[Figure5Point]] = {symbol: [] for symbol in methods}
-    for (d_mb, symbol), result in zip(points, runner.run(tasks)):
-        if result["infeasible"]:
-            point = Figure5Point(d_mb, None, None)
-        else:
-            stats = stats_from_dict(result["stats"])
-            point = Figure5Point(d_mb, stats.response_s, stats.r_scans)
-        series[symbol].append(point)
-    return Figure5Result(tuple(d_values), series, scale.mb(r_mb))
+
+    def assemble(results: list[dict]) -> Figure5Result:
+        series: dict[str, list[Figure5Point]] = {symbol: [] for symbol in methods}
+        for (d_mb, symbol), result in zip(points, results):
+            stats = join_stats(result)
+            series[symbol].append(
+                Figure5Point(d_mb, None, None)
+                if stats is None
+                else Figure5Point(d_mb, stats.response_s, stats.r_scans)
+            )
+        return Figure5Result(tuple(d_values), series, scale.mb(r_mb))
+
+    return Sweep(tasks, assemble)
+
+
+def run_experiment2(*args, runner: SweepRunner | None = None, **kwargs) -> Figure5Result:
+    """Run :func:`experiment2_sweep` (same arguments) through ``runner``."""
+    return experiment2_sweep(*args, **kwargs).run(runner)
 
 
 def _min_scale(scale: ExperimentScale, r_mb: float) -> float:

@@ -27,9 +27,10 @@ from repro.experiments.config import (
     ExperimentScale,
 )
 from repro.experiments.report import format_series
-from repro.sweep.runner import SweepRunner
+from repro.storage.block import BlockSpec
+from repro.sweep.runner import Sweep, SweepRunner
+from repro.sweep.serialize import join_stats
 from repro.sweep.tasks import join_task
-from repro.sweep.serialize import stats_from_dict
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,7 +67,7 @@ class Experiment3Result:
         """Relative join overhead in percent (Figures 9/10/11)."""
         return self._series(lambda st: 100.0 * st.join_overhead)
 
-    def render(self, block_spec) -> str:
+    def render(self, block_spec: BlockSpec = BlockSpec()) -> str:
         """All four figure tables for this tape speed."""
         xs = list(self.memory_fractions)
         parts = [
@@ -83,7 +84,7 @@ class Experiment3Result:
         ]
         return "\n".join(parts)
 
-    def to_dict(self, block_spec) -> dict:
+    def to_dict(self, block_spec: BlockSpec = BlockSpec()) -> dict:
         """JSON-serializable form of all four figure series."""
         return {
             "tape_speed": self.tape_speed,
@@ -97,7 +98,7 @@ class Experiment3Result:
         }
 
 
-def run_experiment3(
+def experiment3_sweep(
     tape_speed: str = "base",
     scale: ExperimentScale | None = None,
     memory_fractions: typing.Sequence[float] = EXPERIMENT3_M_FRACTIONS,
@@ -105,14 +106,12 @@ def run_experiment3(
     s_mb: float = EXPERIMENT3_S_MB,
     r_mb: float = EXPERIMENT3_R_MB,
     d_mb: float = EXPERIMENT3_D_MB,
-    runner: SweepRunner | None = None,
-) -> Experiment3Result:
-    """Sweep memory size for the disk–tape methods at one tape speed."""
+) -> Sweep:
+    """The memory sweep of the disk–tape methods at one tape speed."""
     if tape_speed not in TAPE_SPEEDS:
         known = ", ".join(sorted(TAPE_SPEEDS))
         raise KeyError(f"unknown tape speed {tape_speed!r}; known: {known}")
     scale = scale or ExperimentScale()
-    runner = runner or SweepRunner()
     tape = TAPE_SPEEDS[tape_speed]
     r_blocks = scale.relation_blocks(r_mb)
     disk = scale.blocks(d_mb)
@@ -127,11 +126,20 @@ def run_experiment3(
                 )
             )
             owners.append(symbol)
-    stats: dict[str, list[JoinStats | None]] = {symbol: [] for symbol in methods}
-    for symbol, result in zip(owners, runner.run(tasks)):
-        stats[symbol].append(
-            None if result["infeasible"] else stats_from_dict(result["stats"])
+
+    def assemble(results: list[dict]) -> Experiment3Result:
+        stats: dict[str, list[JoinStats | None]] = {symbol: [] for symbol in methods}
+        for symbol, result in zip(owners, results):
+            stats[symbol].append(join_stats(result))
+        return Experiment3Result(
+            tape_speed, tuple(memory_fractions), stats, scale.mb(r_mb), scale.mb(d_mb)
         )
-    return Experiment3Result(
-        tape_speed, tuple(memory_fractions), stats, scale.mb(r_mb), scale.mb(d_mb)
-    )
+
+    return Sweep(tasks, assemble)
+
+
+def run_experiment3(
+    *args, runner: SweepRunner | None = None, **kwargs
+) -> Experiment3Result:
+    """Run :func:`experiment3_sweep` (same arguments) through ``runner``."""
+    return experiment3_sweep(*args, **kwargs).run(runner)

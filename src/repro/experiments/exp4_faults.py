@@ -33,9 +33,9 @@ from repro.experiments.config import (
 from repro.experiments.report import format_series
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
-from repro.sweep.runner import SweepRunner
+from repro.sweep.runner import Sweep, SweepRunner
+from repro.sweep.serialize import join_stats
 from repro.sweep.tasks import join_task
-from repro.sweep.serialize import stats_from_dict
 
 #: M as a fraction of |R| — mid-range, feasible for all seven methods.
 EXPERIMENT4_M_FRACTION = 0.5
@@ -107,7 +107,7 @@ class Experiment4Result:
         }
 
 
-def run_experiment4(
+def experiment4_sweep(
     scale: ExperimentScale | None = None,
     max_rate: float = 0.01,
     fault_seed: int = 0,
@@ -115,12 +115,10 @@ def run_experiment4(
     r_mb: float = EXPERIMENT3_R_MB,
     d_mb: float = EXPERIMENT3_D_MB,
     methods: typing.Sequence[str] = EXPERIMENT4_METHODS,
-    runner: SweepRunner | None = None,
     retry_policy: RetryPolicy | None = None,
-) -> Experiment4Result:
-    """Sweep the soft-error rate across all methods."""
+) -> Sweep:
+    """The soft-error-rate sweep across all methods."""
     scale = scale or ExperimentScale()
-    runner = runner or SweepRunner()
     policy = retry_policy or RetryPolicy()
     r_blocks = scale.relation_blocks(r_mb)
     memory = EXPERIMENT4_M_FRACTION * r_blocks
@@ -141,32 +139,42 @@ def run_experiment4(
             )
             points.append((symbol, rate))
 
-    series: dict[str, list[Experiment4Point]] = {symbol: [] for symbol in methods}
-    baselines: dict[str, float] = {}
-    for (symbol, rate), result in zip(points, runner.run(tasks)):
-        if result["infeasible"]:
+    def assemble(results: list[dict]) -> Experiment4Result:
+        series: dict[str, list[Experiment4Point]] = {symbol: [] for symbol in methods}
+        baselines: dict[str, float] = {}
+        for (symbol, rate), result in zip(points, results):
+            stats = join_stats(result)
+            if stats is None:
+                series[symbol].append(
+                    Experiment4Point(rate, None, None, None, None, None, None)
+                )
+                continue
+            if rate == 0.0:
+                baselines[symbol] = stats.response_s
+            baseline = baselines.get(symbol)
+            degradation = (
+                None
+                if baseline is None or baseline == 0
+                else 100.0 * (stats.response_s / baseline - 1.0)
+            )
             series[symbol].append(
-                Experiment4Point(rate, None, None, None, None, None, None)
+                Experiment4Point(
+                    rate,
+                    stats.response_s,
+                    degradation,
+                    stats.fault_events,
+                    stats.fault_retries,
+                    stats.bucket_restarts,
+                    stats.fault_recovery_s + stats.restart_lost_s,
+                )
             )
-            continue
-        stats = stats_from_dict(result["stats"])
-        if rate == 0.0:
-            baselines[symbol] = stats.response_s
-        baseline = baselines.get(symbol)
-        degradation = (
-            None
-            if baseline is None or baseline == 0
-            else 100.0 * (stats.response_s / baseline - 1.0)
-        )
-        series[symbol].append(
-            Experiment4Point(
-                rate,
-                stats.response_s,
-                degradation,
-                stats.fault_events,
-                stats.fault_retries,
-                stats.bucket_restarts,
-                stats.fault_recovery_s + stats.restart_lost_s,
-            )
-        )
-    return Experiment4Result(rates, series, fault_seed)
+        return Experiment4Result(rates, series, fault_seed)
+
+    return Sweep(tasks, assemble)
+
+
+def run_experiment4(
+    *args, runner: SweepRunner | None = None, **kwargs
+) -> Experiment4Result:
+    """Run :func:`experiment4_sweep` (same arguments) through ``runner``."""
+    return experiment4_sweep(*args, **kwargs).run(runner)

@@ -31,7 +31,7 @@ import typing
 from repro.experiments.config import ExperimentScale
 from repro.experiments.report import format_series
 from repro.service.requests import JoinRequest, ServiceConfig
-from repro.sweep.runner import SweepRunner
+from repro.sweep.runner import Sweep, SweepRunner
 from repro.sweep.tasks import service_task
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -162,24 +162,21 @@ def workload_sizes(max_jobs: int) -> tuple[int, ...]:
     return tuple(range(2, max_jobs + 1, 2))
 
 
-def run_experiment5(
+def experiment5_sweep(
     scale: ExperimentScale | None = None,
     policies: typing.Sequence[str] = EXPERIMENT5_POLICIES,
     max_jobs: int = 10,
     fault_rate: float = 0.0,
     fault_seed: int = 0,
-    runner: SweepRunner | None = None,
-    trace_out: str | None = None,
-) -> Experiment5Result:
-    """Sweep (policy x workload size) through the service scheduler.
+) -> Sweep:
+    """(policy x workload size) through the service scheduler.
 
-    With ``trace_out``, each policy's largest workload is additionally
-    re-run in process with the observer attached and exported as
+    Its trace step re-runs each policy's largest workload in process
+    with the observer attached and exports it as
     ``service-<policy>.jsonl`` / ``.trace.json`` (sweep workers return
     serialized reports, which cannot carry observers).
     """
     scale = scale or ExperimentScale()
-    runner = runner or SweepRunner()
     config = experiment5_config(scale)
     sizes = workload_sizes(max_jobs)
 
@@ -194,6 +191,7 @@ def run_experiment5(
         retry_policy = RetryPolicy()
         estimator = "simulated"
 
+    points = [(policy, n) for policy in policies for n in sizes]
     tasks = [
         service_task(
             policy,
@@ -203,34 +201,26 @@ def run_experiment5(
             fault_plan=fault_plan,
             retry_policy=retry_policy,
         )
-        for policy in policies
-        for n in sizes
+        for policy, n in points
     ]
-    results = runner.run(tasks)
 
-    series: dict[str, list[Experiment5Point]] = {}
-    cursor = iter(results)
-    for policy in policies:
-        points = []
-        for n in sizes:
-            report = next(cursor)
-            points.append(
+    def assemble(results: list[dict]) -> Experiment5Result:
+        series: dict[str, list[Experiment5Point]] = {policy: [] for policy in policies}
+        for (policy, n), report in zip(points, results):
+            outcomes = report["outcomes"]
+            series[policy].append(
                 Experiment5Point(
                     n_jobs=n,
                     makespan_s=report["makespan_s"],
                     mean_latency_s=report["mean_latency_s"],
                     p95_latency_s=report["p95_latency_s"],
                     exchanges=report["exchanges"],
-                    rejected=sum(
-                        1
-                        for outcome in report["outcomes"]
-                        if outcome["status"] == "rejected"
-                    ),
+                    rejected=sum(entry["status"] == "rejected" for entry in outcomes),
                 )
             )
-        series[policy] = points
+        return Experiment5Result(sizes, series, estimator, fault_rate, fault_seed)
 
-    if trace_out:
+    def trace(trace_out: str) -> None:
         from repro.api import run_service
 
         for policy in policies:
@@ -244,10 +234,12 @@ def run_experiment5(
                 trace_out=trace_out,
             )
 
-    return Experiment5Result(
-        sizes=sizes,
-        series=series,
-        estimator=estimator,
-        fault_rate=fault_rate,
-        fault_seed=fault_seed,
-    )
+    return Sweep(tasks, assemble, trace)
+
+
+def run_experiment5(
+    *args, runner: SweepRunner | None = None, trace_out: str | None = None, **kwargs
+) -> Experiment5Result:
+    """Run :func:`experiment5_sweep` (same arguments) through ``runner``;
+    with ``trace_out``, then write its traces there."""
+    return experiment5_sweep(*args, **kwargs).run(runner, trace_out)

@@ -33,7 +33,7 @@ from repro.experiments.config import ExperimentScale
 from repro.experiments.report import format_series
 from repro.hsm.cache import CacheConfig
 from repro.service.requests import JoinRequest, ServiceConfig
-from repro.sweep.runner import SweepRunner
+from repro.sweep.runner import Sweep, SweepRunner
 from repro.sweep.tasks import service_task
 
 #: Swept cache capacities in paper MB; 0 disables the cache (baseline).
@@ -190,7 +190,7 @@ class Experiment6Result:
         }
 
 
-def run_experiment6(
+def experiment6_sweep(
     scale: ExperimentScale | None = None,
     cache_sizes: typing.Sequence[float] = EXPERIMENT6_CACHE_MB,
     skews: typing.Sequence[float] = EXPERIMENT6_SKEWS,
@@ -198,39 +198,31 @@ def run_experiment6(
     seed: int = 0,
     policy: str = "fifo",
     cache_policy: str = "lru",
-    runner: SweepRunner | None = None,
-    trace_out: str | None = None,
-) -> Experiment6Result:
-    """Sweep (cache size x skew) through the cache-aware service.
+) -> Sweep:
+    """(cache size x skew) through the cache-aware service.
 
-    With ``trace_out``, the highest-skew workload at the largest cache
-    size is re-run in process with the observer attached and exported
-    as ``service-<policy>.jsonl`` / ``.trace.json`` (its cache spans and
-    counters land in the trace; sweep workers return serialized reports,
-    which cannot carry observers).
+    Its trace step re-runs the highest-skew workload at the largest
+    cache size in process with the observer attached and exports it as
+    ``service-<policy>.jsonl`` / ``.trace.json`` (its cache spans and
+    counters land in the trace; sweep workers return serialized
+    reports, which cannot carry observers).
     """
     scale = scale or ExperimentScale()
-    runner = runner or SweepRunner()
-
+    points = [(skew, cache_mb) for skew in skews for cache_mb in cache_sizes]
     tasks = [
         service_task(
             policy,
             zipfian_workload(n_jobs, skew, seed),
             experiment6_config(scale, cache_mb, cache_policy),
         )
-        for skew in skews
-        for cache_mb in cache_sizes
+        for skew, cache_mb in points
     ]
-    results = runner.run(tasks)
 
-    series: dict[float, list[Experiment6Point]] = {}
-    cursor = iter(results)
-    for skew in skews:
-        points = []
-        for cache_mb in cache_sizes:
-            report = next(cursor)
+    def assemble(results: list[dict]) -> Experiment6Result:
+        series: dict[float, list[Experiment6Point]] = {skew: [] for skew in skews}
+        for (skew, cache_mb), report in zip(points, results):
             cache = report.get("cache") or {}
-            points.append(
+            series[skew].append(
                 Experiment6Point(
                     cache_mb=cache_mb,
                     skew=skew,
@@ -241,9 +233,11 @@ def run_experiment6(
                     evictions=cache.get("evictions", 0),
                 )
             )
-        series[skew] = points
+        return Experiment6Result(
+            tuple(cache_sizes), tuple(skews), series, policy, cache_policy, n_jobs, seed
+        )
 
-    if trace_out:
+    def trace(trace_out: str) -> None:
         from repro.api import run_service
 
         run_service(
@@ -253,12 +247,12 @@ def run_experiment6(
             trace_out=trace_out,
         )
 
-    return Experiment6Result(
-        cache_sizes=tuple(cache_sizes),
-        skews=tuple(skews),
-        series=series,
-        policy=policy,
-        cache_policy=cache_policy,
-        n_jobs=n_jobs,
-        seed=seed,
-    )
+    return Sweep(tasks, assemble, trace)
+
+
+def run_experiment6(
+    *args, runner: SweepRunner | None = None, trace_out: str | None = None, **kwargs
+) -> Experiment6Result:
+    """Run :func:`experiment6_sweep` (same arguments) through ``runner``;
+    with ``trace_out``, then write its traces there."""
+    return experiment6_sweep(*args, **kwargs).run(runner, trace_out)

@@ -21,6 +21,7 @@ declaring the pool wedged and reclaiming its work the same way.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import time
 import typing
 
@@ -303,3 +304,26 @@ class SweepRunner:
             # A broken progress callback must never abort a sweep that is
             # otherwise computing fine; drop it and carry on silently.
             self.progress = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Sweep:
+    """One artifact as sweep work: its tasks, the function that builds the
+    artifact from their results (in task order), and optionally a step
+    that writes the artifact's device traces to a directory afterwards.
+
+    Artifacts built this way can share one :meth:`SweepRunner.run` call:
+    concatenate their tasks and hand each ``assemble`` its slice.
+    """
+
+    tasks: list[SweepTask]
+    assemble: typing.Callable[[list[dict]], typing.Any]
+    trace: typing.Callable[[str], None] | None = None
+
+    def run(self, runner: SweepRunner | None = None, trace_out: str | None = None):
+        """Assemble the artifact from ``runner`` (default: sequential, no
+        cache); with ``trace_out``, then write its traces there."""
+        artifact = self.assemble((runner or SweepRunner()).run(self.tasks))
+        if trace_out and self.trace is not None:
+            self.trace(trace_out)
+        return artifact

@@ -4,7 +4,7 @@ Floats survive JSON round-trips exactly (``json`` emits ``repr`` which
 round-trips bit-for-bit), so a :class:`JoinStats` reconstructed from a
 cache entry renders byte-identical artifacts to a freshly simulated one.
 The observer is the one exception: it is not serialized, so cached stats
-carry ``observer=None`` (the figure4 task caches the derived buffer
+carry ``observer=None`` (a traced join task caches the derived buffer
 series instead).
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.core.spec import JoinStats
+from repro.core.spec import InfeasibleJoinError, JoinStats
 from repro.relational.join_core import JoinResult
 from repro.storage.block import BlockSpec
 from repro.storage.disk import DiskParameters
@@ -104,3 +104,13 @@ def stats_from_dict(payload: dict) -> JoinStats:
         output=JoinResult(int(output["n_pairs"]), int(output["checksum"])),
         **fields,
     )
+
+
+def join_stats(result: dict, required: bool = False) -> JoinStats | None:
+    """Decode a ``join`` task's result: its stats, or None when the join
+    was infeasible (raised as :class:`InfeasibleJoinError` if ``required``)."""
+    if not result["infeasible"]:
+        return stats_from_dict(result["stats"])
+    if required:
+        raise InfeasibleJoinError(result["error"])
+    return None

@@ -10,9 +10,9 @@ determines the result.
 Task kinds:
 
 * ``join`` — run one method on one configuration, returning serialized
-  :class:`~repro.core.spec.JoinStats` (or an infeasibility marker);
-* ``figure4`` — run one traced CTT-GH join and return the derived disk
-  buffer-utilization series (traces themselves are not cacheable);
+  :class:`~repro.core.spec.JoinStats` (or an infeasibility marker); a
+  traced join also returns the Figure 4 buffer-utilization series
+  derived from its trace (traces themselves are not cacheable);
 * ``assumption`` — one of the Section 3.2 assumption measurements;
 * ``service`` — run one multi-join workload through the scheduler
   service (``repro.service``) under one policy, returning the
@@ -67,6 +67,7 @@ def join_task(
     verify: bool = False,
     fault_plan=None,
     retry_policy=None,
+    trace: bool = False,
 ) -> SweepTask:
     """A task running ``symbol`` on one configuration.
 
@@ -74,7 +75,11 @@ def join_task(
     both relations from the scale's seeded generator parameters.  A
     ``fault_plan`` (``repro.faults``) rides along in the payload — and
     therefore in the fingerprint — only when one is given, so fault-free
-    tasks keep their original fingerprints.
+    tasks keep their original fingerprints.  ``trace`` likewise adds a
+    key only when set: the worker then runs with device tracing and
+    returns the occupancy of the method's interleaved S buffer as a
+    share of D (the Figure 4 series) as ``"buffer"`` beside the stats.
+    Tracing changes no simulated time.
     """
     payload = {
         "symbol": symbol,
@@ -92,31 +97,9 @@ def join_task(
             "plan": fault_plan.to_dict(),
             "policy": None if retry_policy is None else retry_policy.to_dict(),
         }
+    if trace:
+        payload["trace"] = True
     return SweepTask("join", payload)
-
-
-def figure4_task(
-    r_mb: float,
-    s_mb: float,
-    memory_blocks: float,
-    disk_blocks: float,
-    tape: "TapeDriveParameters",
-    disk_params: "DiskParameters",
-    scale: ExperimentScale,
-) -> SweepTask:
-    """A task tracing one CTT-GH join's Step II buffer utilization."""
-    return SweepTask(
-        "figure4",
-        {
-            "r_mb": r_mb,
-            "s_mb": s_mb,
-            "memory_blocks": memory_blocks,
-            "disk_blocks": disk_blocks,
-            "tape": tape_to_dict(tape),
-            "disk_params": disk_to_dict(disk_params),
-            "scale": scale_to_dict(scale),
-        },
-    )
 
 
 def assumption_task(check: str, **kwargs) -> SweepTask:
@@ -218,6 +201,7 @@ _ASSUMPTION_DEFAULTS = {
 def _run_join_task(payload: dict) -> dict:
     from repro.api import run_join
     from repro.core.spec import InfeasibleJoinError
+    from repro.obs.metrics import buffer_utilization
 
     scale = scale_from_dict(payload["scale"])
     relation_r, relation_s = scale.cached_relations(payload["r_mb"], payload["s_mb"])
@@ -234,6 +218,7 @@ def _run_join_task(payload: dict) -> dict:
         disk_params=disk_from_dict(payload["disk_params"]),
         fault_plan=fault_plan,
         retry_policy=retry_policy,
+        trace_devices=payload.get("trace", False),
     )
     try:
         stats = run_join(
@@ -241,7 +226,13 @@ def _run_join_task(payload: dict) -> dict:
         )
     except InfeasibleJoinError as exc:
         return {"infeasible": True, "error": str(exc)}
-    return {"infeasible": False, "stats": stats_to_dict(stats)}
+    result = {"infeasible": False, "stats": stats_to_dict(stats)}
+    if payload.get("trace"):
+        result["buffer"] = buffer_utilization(
+            stats.observer, "s_buffer", payload["disk_blocks"],
+            (stats.step1_s, stats.response_s),
+        )
+    return result
 
 
 def _faults_from_payload(faults: dict):
@@ -274,31 +265,6 @@ def _run_service_task(payload: dict) -> dict:
         retry_policy=retry_policy,
     )
     return report.to_dict()
-
-
-def _run_figure4_task(payload: dict) -> dict:
-    # The derivation lives in the generic observability layer now; the
-    # task is just a traced run plus one metrics call, and the result
-    # dict (and therefore cached figure4 entries) is unchanged.
-    from repro.api import run_join
-    from repro.obs.metrics import buffer_utilization
-
-    scale = scale_from_dict(payload["scale"])
-    relation_r, relation_s = scale.cached_relations(payload["r_mb"], payload["s_mb"])
-    capacity = payload["disk_blocks"]
-    spec = scale.join_spec(
-        relation_r,
-        relation_s,
-        memory_blocks=payload["memory_blocks"],
-        disk_blocks=capacity,
-        tape=tape_from_dict(payload["tape"]),
-        disk_params=disk_from_dict(payload["disk_params"]),
-        trace_devices=True,
-    )
-    stats = run_join(spec, method="CTT-GH")
-    return buffer_utilization(
-        stats.observer, "s_buffer", capacity, (stats.step1_s, stats.response_s)
-    )
 
 
 def _run_assumption_task(payload: dict) -> dict:
@@ -361,7 +327,6 @@ def _run_selftest_task(payload: dict) -> dict:
 
 _EXECUTORS: dict[str, typing.Callable[[dict], dict]] = {
     "join": _run_join_task,
-    "figure4": _run_figure4_task,
     "assumption": _run_assumption_task,
     "selftest": _run_selftest_task,
     "service": _run_service_task,

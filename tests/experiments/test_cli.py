@@ -1,5 +1,9 @@
 """The python -m repro.experiments command line."""
 
+import contextlib
+import io
+from unittest import mock
+
 import pytest
 
 from repro.experiments.__main__ import main
@@ -151,7 +155,7 @@ class TestSweepProfileLine:
         runner.timings = [
             {"kind": kind, "symbol": symbol, "source": "inline", "queue_s": 0.0, "run_s": run_s}
             for kind, symbol, run_s in [
-                ("join", "DT-NB", 0.6), ("join", "CTT-GH", 9.0), ("figure4", None, 20.0),
+                ("join", "DT-NB", 0.6), ("join", "CTT-GH", 9.0), ("assumption", None, 20.0),
                 ("join", "CDT-GH", 11.4), ("join", "CTT-GH", 7.0), ("join", "DT-GH", 2.4),
             ]
         ]
@@ -161,12 +165,57 @@ class TestSweepProfileLine:
         assert line.endswith(
             "; CTT-GH 16.0s (2 task(s)); CDT-GH 11.4s (1 task(s)); DT-GH 2.4s (1 task(s))"
         )
-        assert "DT-NB" not in line and "figure4" not in line
+        assert "DT-NB" not in line and "assumption" not in line
 
     def test_no_join_tasks_names_no_method(self, capsys):
         runner = SweepRunner()
         runner.timings = [
-            {"kind": "figure4", "symbol": None, "source": "inline", "queue_s": 0.0, "run_s": 1.0}
+            {"kind": "assumption", "symbol": None, "source": "inline", "queue_s": 0.0, "run_s": 1.0}
         ]
         report_sweep_usage(runner)
         assert capsys.readouterr().err.strip().endswith("store 0.00s")
+
+
+@contextlib.contextmanager
+def recorded_runs():
+    """Record every ``SweepRunner.run`` call as (runner, tasks)."""
+    calls = []
+    real_run = SweepRunner.run
+
+    def run(self, tasks):
+        calls.append((self, list(tasks)))
+        return real_run(self, tasks)
+
+    with mock.patch.object(SweepRunner, "run", run):
+        yield calls
+
+
+class TestOneSubmission:
+    """All wanted artifacts go to the runner as one submission."""
+
+    ARGV = ["table3", "fig4", "fig5", "--scale", "0.01", "--no-cache"]
+
+    @staticmethod
+    def run_cli(argv, json_path):
+        with recorded_runs() as calls, contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--json", str(json_path)]) == 0
+        return calls, json_path.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def sequential(self, tmp_path_factory):
+        return self.run_cli(self.ARGV, tmp_path_factory.mktemp("cli") / "jobs1.json")
+
+    def test_one_run_call_runs_join_iii_once(self, sequential):
+        calls, _ = sequential
+        ((runner, tasks),) = calls
+        traced = [task for task in tasks if task.payload.get("trace")]
+        # table3's Join III is fig4's traced join: the same task, run once.
+        assert len(traced) == 2 and traced[0] == traced[1]
+        assert runner.profile()["executed"] == len(tasks) - 1
+
+    def test_jobs2_json_matches_jobs1_from_one_pool(self, sequential, tmp_path):
+        calls, pooled = self.run_cli([*self.ARGV, "--jobs", "2"], tmp_path / "jobs2.json")
+        assert pooled == sequential[1]
+        ((runner, _),) = calls
+        # No artifact is left with a lone task that bypasses the pool.
+        assert {timing["source"] for timing in runner.timings} == {"pool"}

@@ -57,6 +57,7 @@ class TestTaskFingerprint:
             {"scale": ExperimentScale(scale=0.1, seed=8)},
             {"scale": ExperimentScale(scale=0.1, n_disks=3)},
             {"verify": True},
+            {"trace": True},
         ],
     )
     def test_any_parameter_change_invalidates(self, override):
@@ -66,9 +67,9 @@ class TestTaskFingerprint:
         )
 
     def test_kind_is_part_of_the_hash(self):
-        task = make_task()
+        task = make_task(trace=True)
         assert task_fingerprint("join", task.payload) != task_fingerprint(
-            "figure4", task.payload
+            "assumption", task.payload
         )
 
     def test_salt_change_invalidates(self):
