@@ -145,7 +145,7 @@ def scan_tape(
         # keeps its own (possibly failed) completion from crashing the
         # kernel.  Awaited failures still throw into this generator.
         pending.defused = True
-        sim.defer(lambda _arg: drive.read_range(file, chunk_start, step, done=pending))
+        sim._schedule(lambda _arg: drive.read_range(file, chunk_start, step, done=pending), None)
         return pending
 
     pending = prefetch(*bounds[0])

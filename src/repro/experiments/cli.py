@@ -105,7 +105,7 @@ def report_sweep_usage(runner: SweepRunner) -> None:
         print(
             f"sweep profile: {profile['executed']} task(s) executed "
             f"({profile['cached']} cached) in {profile['wall_s']:.1f}s wall; "
-            f"run {profile['run_s']:.1f}s, queue {profile['queue_s']:.1f}s, "
+            f"run {profile['run_s']:.1f}s, idle {profile['idle_s']:.1f}s, "
             f"cache load {profile['cache_load_s']:.2f}s / "
             f"store {profile['cache_store_s']:.2f}s{methods}",
             file=sys.stderr,

@@ -15,12 +15,17 @@ class Relation:
     represented by the schema's tuple width, which determines how many
     tuples occupy one block and therefore the relation's size in blocks —
     the quantity the paper's cost model is expressed in.
+
+    ``keys`` is a read-only view: device reads hand out views of it, and
+    one relation is shared by many joins, so nothing may write into it.
+    Build the key array completely before making the relation.
     """
 
     def __init__(self, name: str, schema: Schema, keys: np.ndarray, spec: BlockSpec):
         self.name = name
         self.schema = schema
-        self.keys = np.ascontiguousarray(keys, dtype=np.int64)
+        self.keys = np.ascontiguousarray(keys, dtype=np.int64).view()
+        self.keys.flags.writeable = False
         self.spec = spec
         self.tuples_per_block = schema.tuples_per_block(spec.block_bytes)
         if len(self.keys) == 0:

@@ -84,6 +84,8 @@ class ResourceBroker:
             TapeDrive(sim, f"drive{i}", Bus(sim, f"drive{i}.bus"), spec, drive_params)
             for i in range(n_drives)
         ]
+        for drive in self.drives:
+            drive.bus.wire([drive])  # each drive has a bus of its own
         self.robot = Unit(sim)
         self.memory = Container(sim, capacity=memory_blocks, init=memory_blocks)
         self.disk = Container(sim, capacity=disk_blocks, init=disk_blocks)

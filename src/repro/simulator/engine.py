@@ -67,6 +67,9 @@ class Simulator:
         requests exactly where a process would have.  Device models use
         the delay form for their internal timers: nothing waits on them,
         so they need no :class:`Event`.
+
+        The kernel and the device models make their own zero-delay hops
+        through :meth:`_schedule`, where the delay check is vacuous.
         """
         if not 0 <= delay < _INF:
             raise ValueError(f"defer delay must be finite and non-negative, got {delay}")
@@ -98,28 +101,30 @@ class Simulator:
     def run(self, until: float | Event | None = None):
         """Run until the queue drains, time ``until`` passes, or an event fires.
 
-        Returns the event's value when ``until`` is an event.
+        Returns the event's value when ``until`` is an event.  The loops
+        take heap entries exactly as :meth:`step` does, inline: the loop
+        is the kernel's hottest code, and a call per entry is most of it.
         """
-        step = self.step  # hot loop: one bound-method lookup, not millions
+        queue = self._queue
         if isinstance(until, Event):
             stop = until
             while stop._state != PROCESSED:
-                try:
-                    step()
-                except EmptySchedule:
+                if not queue:
                     raise RuntimeError(
                         "simulation ran out of events before the awaited "
                         f"event triggered: {stop!r}"
-                    ) from None
+                    )
+                self._now, _seq, fn, arg = heappop(queue)
+                fn(arg)
             return stop.value
         horizon = float("inf") if until is None else float(until)
         if horizon != horizon:
             raise ValueError("cannot run until NaN")
         if horizon != float("inf") and horizon < self._now:
             raise ValueError(f"cannot run until {horizon} < now {self._now}")
-        queue = self._queue
         while queue and queue[0][0] <= horizon:
-            step()
+            self._now, _seq, fn, arg = heappop(queue)
+            fn(arg)
         if horizon != float("inf"):
             self._now = horizon
         return None

@@ -14,7 +14,8 @@ class ProcessCrash(RuntimeError):
     """Raised by the simulator when a process dies on an unhandled error."""
 
 
-#: Event lifecycle states.
+#: Event lifecycle states.  Kernel code tests ``_state`` directly (any
+#: non-zero state is triggered) rather than through the properties.
 PENDING = 0
 TRIGGERED = 1
 PROCESSED = 2
@@ -73,7 +74,7 @@ class Event:
 
     def succeed(self, value=None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._state:
             raise RuntimeError(f"{self!r} already triggered")
         self._value = value
         self._state = TRIGGERED
@@ -84,7 +85,7 @@ class Event:
         """Trigger the event with a failure."""
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        if self.triggered:
+        if self._state:
             raise RuntimeError(f"{self!r} already triggered")
         self._exception = exception
         self._state = TRIGGERED
@@ -113,7 +114,7 @@ class Event:
         completion timer's callback); the waiters run immediately instead
         of after one more queue round-trip.
         """
-        if self.triggered:
+        if self._state:
             raise RuntimeError(f"{self!r} already triggered")
         self._value = value
         callbacks, self.callbacks = self.callbacks, []
@@ -123,7 +124,7 @@ class Event:
 
     def _fail_now(self, exception: BaseException) -> None:
         """:meth:`_succeed_now` for a failure, which the waiters handle."""
-        if self.triggered:
+        if self._state:
             raise RuntimeError(f"{self!r} already triggered")
         self._exception = exception
         self._succeed_now()
@@ -177,15 +178,15 @@ class AllOf(Event):
             self.succeed({})
             return
         for event in self.events:
-            if event.processed:
+            if event._state == PROCESSED:
                 self._on_child(event)
             else:
                 event.callbacks.append(self._on_child)
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._state:
             return
-        if not event.ok:
+        if event._exception is not None:
             event.defused = True
             self.fail(event.exception)
             return

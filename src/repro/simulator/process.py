@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.simulator.events import Event, ProcessCrash
+from repro.simulator.events import PROCESSED, Event, ProcessCrash
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.engine import Simulator
@@ -34,9 +34,8 @@ class Process(Event):
         # is observable: it decides same-time ordering of resource
         # requests, and with it arm hand-off and positioning charges.
         # Device fan-outs that start their ops without a process keep the
-        # same hop (one ``Simulator.defer`` for all their ops) for that
-        # reason.
-        sim.defer(self._resume)
+        # same hop (one kernel hop for all their ops) for that reason.
+        sim._schedule(self._resume, None)
 
     def _resume(self, event: Event | None) -> None:
         """Advance the generator with the outcome of ``event`` (None: start it)."""
@@ -73,7 +72,7 @@ class Process(Event):
             if target.sim is not self.sim:
                 raise ValueError("yielded event belongs to a different simulator")
 
-            if target.processed:
+            if target._state == PROCESSED:
                 # Already resolved: loop immediately without rescheduling.
                 event = target
                 continue

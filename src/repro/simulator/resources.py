@@ -53,7 +53,7 @@ class Unit:
         if not self.busy:
             raise RuntimeError("releasing a unit that is not held")
         if self.queue:
-            self.sim.defer(self.queue.popleft())
+            self.sim._schedule(self.queue.popleft(), None)
         else:
             self.busy = False
 

@@ -5,6 +5,12 @@ fixes the block size and provides unit conversions; a :class:`DataChunk` is
 the payload actually moved by device operations — a numpy array of join keys
 plus the number of blocks it occupies on media.
 
+A read that takes its keys from one stored piece — a tape file holds its
+relation as one chunk, and many disk reads fetch one stored chunk —
+returns a read-only view of that piece's keys, not a copy.  Relations'
+keys are read-only too, so no consumer of a read can write into data that
+other reads share.
+
 Block counts are floats throughout: the transfer-only cost model charges
 per block transferred, and fractional trailing blocks keep the accounting
 smooth (the paper's formulas do the same by working in block counts).
@@ -64,6 +70,12 @@ class BlockSpec:
 _EMPTY_KEYS = np.empty(0, dtype=np.int64)
 
 
+def _read_only(keys: np.ndarray) -> np.ndarray:
+    """``keys``, a view nobody else holds, made read-only."""
+    keys.flags.writeable = False
+    return keys
+
+
 class DataChunk:
     """A contiguous run of tuples occupying ``n_blocks`` blocks of media.
 
@@ -108,10 +120,14 @@ class DataChunk:
         """Concatenate chunks, summing their block footprints.
 
         Takes anything with ``keys`` and ``n_blocks``: data chunks or
-        the disk array's stored-chunk handles.
+        the disk array's stored-chunk handles.  One chunk's keys come back
+        as a read-only view, not a copy.
         """
         if not chunks:
             return cls.empty()
+        if len(chunks) == 1:
+            (chunk,) = chunks
+            return cls._of(_read_only(chunk.keys[:]), float(chunk.n_blocks))
         keys = np.concatenate([c.keys for c in chunks])
         return cls._of(keys, float(sum(c.n_blocks for c in chunks)))
 
@@ -148,7 +164,8 @@ def slice_chunks(
     Keys are mapped proportionally within each chunk, which is exact for
     densely packed relation data.  Shared by disk extents (stored-chunk
     handles) and tape files (data chunks): it reads only each chunk's
-    ``keys`` and ``n_blocks``.
+    ``keys`` and ``n_blocks``.  A range within one chunk returns a
+    read-only view of that chunk's keys.
     """
     if offset_blocks < 0 or n_blocks < 0:
         raise ValueError("offset and length must be non-negative")
@@ -175,4 +192,6 @@ def slice_chunks(
             break
     if not pieces:
         return DataChunk.empty()
+    if len(pieces) == 1:
+        return DataChunk._of(_read_only(pieces[0]), blocks)
     return DataChunk._of(np.concatenate(pieces), blocks)

@@ -6,22 +6,32 @@ max-min fair sharing: each active transfer proceeds at its device's nominal
 rate unless the sum of nominal rates exceeds the bus bandwidth, in which
 case rates are scaled by water-filling.
 
-Two scheduling regimes keep this cheap.  While the nominal rates fit in
-the bus bandwidth — which is always the case for the paper's device mix
-(10 MB/s bus, devices of at most 3.5 MB/s) — every flow runs at its
-nominal rate, so each transfer is exactly one scheduled completion event
-and no per-arrival replanning is needed (the *fast* regime).  The moment
-an arrival would oversubscribe the bus, in-flight work is settled and the
+Three scheduling regimes keep this cheap.  The wiring that attaches
+devices to a bus declares them (:meth:`Bus.wire`).  A device's unit
+serves one request at a time, so at most one transfer per device is in
+flight; when the devices' nominal rates sum within the bandwidth — as for
+the paper's device mix (10 MB/s bus, one tape drive of at most 3 MB/s and
+one disk of 3.5 MB/s) — the bus can never be oversubscribed and is
+*uncontended*: each transfer is one completion timer that calls the
+caller's completion itself, and the bus tracks no flow.  Any other bus
+(a narrow one, or one driven directly) keeps a list of flows.  While
+their nominal rates fit in the bandwidth, every flow runs at its nominal
+rate, so each transfer is still one scheduled completion and no
+per-arrival replanning is needed (the *fast* regime).  The moment an
+arrival would oversubscribe the bus, in-flight work is settled and the
 bus switches to the *managed* regime: whenever a transfer starts or
 completes, remaining work is settled at the old rates and rates are
 recomputed — a small fluid-flow scheduler.  Once the load drops back
-under the bandwidth, the bus returns to the fast regime.
+under the bandwidth, the bus returns to the fast regime.  An uncontended
+bus with an observer attached runs the flow path too, which samples its
+queue depth; in the fast regime that costs the same single timer, so the
+simulated times are identical either way.
 
 Transfers may carry a ``lead_in_s`` delay (device positioning time before
 the data moves); the lead-in is folded into the same completion timer, so
 a reposition-then-stream tape request costs one heap entry, not two.  The
-timers are plain simulator callbacks (``Simulator.defer``): nothing waits
-on them, so they allocate no :class:`~repro.simulator.events.Event`.
+timers are plain simulator callbacks: nothing waits on them, so they
+allocate no :class:`~repro.simulator.events.Event`.
 """
 
 from __future__ import annotations
@@ -79,7 +89,10 @@ class Bus:
         self.bandwidth = float(bandwidth_bytes_per_s)
         self.bytes_moved = 0.0
         self._flows: list[_Flow] = []
-        self._last_update = sim.now
+        self._last_update = sim._now
+        #: True once :meth:`wire` has found that the attached devices can
+        #: never oversubscribe the bus; each transfer is then one timer.
+        self.uncontended = False
         #: Invalidates the managed regime's next-completion timer.
         self._timer_token = 0
         self._fast = True
@@ -94,16 +107,25 @@ class Bus:
         self.observer = None
         self._busy_since: float | None = None
 
+    def wire(self, devices: typing.Iterable[typing.Any]) -> None:
+        """Declare ``devices`` the only users of this bus, before any transfer.
+
+        Each device's unit serves one request at a time, so at most one
+        transfer per device is in flight.  If the devices' nominal rates
+        (``rate_bytes_s``) sum within the bandwidth, the bus can never be
+        oversubscribed, and it becomes :attr:`uncontended`.
+        """
+        self.uncontended = sum(device.rate_bytes_s for device in devices) <= self.bandwidth
+
     def _observe(self) -> None:
         """Sample the flow count; open/close the bus-active busy span.
 
-        Called whenever the flow list changes.  Back-to-back transfers
-        close and reopen the span at the same timestamp; the interval
-        tracker merges such adjacent intervals when queried.
+        Called, with an observer attached, whenever the flow list
+        changes.  Back-to-back transfers close and reopen the span at the
+        same timestamp; the interval tracker merges such adjacent
+        intervals when queried.
         """
-        if self.observer is None:
-            return
-        now = self.sim.now
+        now = self.sim._now
         self.observer.queue_depth(self.name, now, len(self._flows))
         if self._flows and self._busy_since is None:
             self._busy_since = now
@@ -121,6 +143,9 @@ class Bus:
         effective rate is reduced whenever the bus is oversubscribed.
         ``lead_in_s`` delays the start of the byte movement (the caller's
         positioning time) without costing a separate scheduled event.
+        On an :attr:`uncontended` bus with no observer, the completion is
+        pushed as the one timer the fast regime would push, with the same
+        delay, and no flow is tracked.
 
         Given ``done`` (a device op's completion), no event is built:
         ``done(None)`` is called at the instant the event would settle,
@@ -136,28 +161,38 @@ class Bus:
             raise ValueError(f"lead-in must be finite and >= 0, got {lead_in_s}")
         if self.fault_hook is not None:
             lead_in_s += self.fault_hook(self)
+        sim = self.sim
         event = None
         if done is None:
-            event = Event(self.sim)
+            event = Event(sim)
             done = event._succeed_now
         self.bytes_moved += n_bytes
         if n_bytes <= _EPS_BYTES:
             if lead_in_s > 0:
-                self.sim.defer(done, None, lead_in_s)
+                sim.defer(done, None, lead_in_s)
             elif event is not None:
                 event.succeed()  # triggered now, its waiters run one hop on
             else:
-                self.sim.defer(done)
+                sim._schedule(done, None)
+            return event
+        now = sim._now
+        active_from = now + lead_in_s
+        if self.uncontended and self.observer is None:
+            delay = (active_from - now) + n_bytes / nominal_rate_bytes_s
+            if not delay < math.inf:
+                raise ValueError(f"transfer of {n_bytes} bytes never completes")
+            sim._schedule(done, None, max(delay, 1e-9, now * 1e-12))
             return event
         flow = _Flow(n_bytes, nominal_rate_bytes_s, done)
-        flow.active_from = self.sim.now + lead_in_s
+        flow.active_from = active_from
         if self._fast:
             if self._nominal_sum + nominal_rate_bytes_s <= self.bandwidth:
                 self._nominal_sum += nominal_rate_bytes_s
                 flow.rate = nominal_rate_bytes_s
                 self._flows.append(flow)
                 self._schedule_fast_done(flow)
-                self._observe()
+                if self.observer is not None:
+                    self._observe()
                 return event
             self._to_managed()
         else:
@@ -165,17 +200,22 @@ class Bus:
         self._nominal_sum += nominal_rate_bytes_s
         self._flows.append(flow)
         self._replan()
-        self._observe()
+        if self.observer is not None:
+            self._observe()
         return event
 
     # -- fast regime ----------------------------------------------------------
 
     def _schedule_fast_done(self, flow: _Flow) -> None:
-        """One absolute completion timer: lead-in plus transfer at nominal."""
-        now = self.sim.now
+        """One absolute completion timer: lead-in plus transfer at nominal.
+
+        An uncontended transfer pushes its completion with this delay.
+        """
+        now = self.sim._now
         delay = (flow.active_from - now) + flow.remaining / flow.rate
-        delay = max(delay, 1e-9, now * 1e-12)
-        self.sim.defer(self._fast_done, flow, delay)
+        if not delay < math.inf:
+            raise ValueError(f"transfer of {flow.remaining} bytes never completes")
+        self.sim._schedule(self._fast_done, flow, max(delay, 1e-9, now * 1e-12))
 
     def _fast_done(self, flow: _Flow) -> None:
         if flow.retired:
@@ -184,7 +224,8 @@ class Bus:
         self._nominal_sum -= flow.nominal
         if not self._flows:
             self._nominal_sum = 0.0  # shed float dust while idle
-        self._observe()
+        if self.observer is not None:
+            self._observe()
         flow.done(None)
 
     def _to_managed(self) -> None:
@@ -195,7 +236,7 @@ class Bus:
         the bus returns to the fast regime, while the old one still sits
         in the heap.
         """
-        now = self.sim.now
+        now = self.sim._now
         flows = []
         for flow in self._flows:
             elapsed = now - flow.active_from
@@ -213,11 +254,11 @@ class Bus:
 
     def _settle(self) -> None:
         """Advance all flows' remaining work to the current time."""
-        elapsed = self.sim.now - self._last_update
+        elapsed = self.sim._now - self._last_update
         if elapsed > 0:
             for flow in self._flows:
                 flow.remaining = max(0.0, flow.remaining - flow.rate * elapsed)
-        self._last_update = self.sim.now
+        self._last_update = self.sim._now
 
     def _replan(self) -> None:
         """Recompute rates and schedule the next completion or activation."""
@@ -229,7 +270,7 @@ class Bus:
         if self._nominal_sum <= self.bandwidth:
             self._to_fast()
             return
-        now = self.sim.now
+        now = self.sim._now
         active, next_done = [], math.inf
         for flow in self._flows:
             flow.rate = 0.0  # lead-in flows move no bytes until active
@@ -249,7 +290,7 @@ class Bus:
     def _to_fast(self) -> None:
         """Return to per-flow completion timers (load fits the bandwidth)."""
         self._fast = True
-        now = self.sim.now
+        now = self.sim._now
         for flow in self._flows:
             flow.rate = flow.nominal
             if flow.active_from < now:
@@ -263,7 +304,8 @@ class Bus:
         finished = [f for f in self._flows if f.remaining <= _EPS_BYTES]
         if finished:
             self._flows = [f for f in self._flows if f.remaining > _EPS_BYTES]
-            self._observe()
+            if self.observer is not None:
+                self._observe()
         for flow in finished:
             self._nominal_sum -= flow.nominal
             flow.done(None)

@@ -27,6 +27,10 @@ class Device:
         self.bus = bus
         self.spec = spec
         self.params = params
+        #: The nominal transfer rate and block size, read once from the
+        #: frozen parameters and block geometry: every op needs both.
+        self.rate_bytes_s = params.rate_bytes_s
+        self._block_bytes = spec.block_bytes
         #: The disk arm or the tape drive mechanism.
         self.unit = Unit(sim)
         self.read_blocks = 0.0
@@ -53,7 +57,7 @@ class Device:
 
     def _finish(self, start: float, kind: str) -> None:
         """Close an op: stamp its end, record its busy span, release the unit."""
-        now = self.sim.now
+        now = self.sim._now
         self._last_op_end = now
         if self.observer is not None:
             self.observer.device_busy(self.name, start, now, kind)
@@ -77,9 +81,9 @@ class Device:
         """
 
         def granted(_arg=None) -> None:
-            start = self.sim.now
+            start = self.sim._now
             lead_in, after = self._lead_in(where, n_blocks, near)
-            rate, n_bytes = self.params.rate_bytes_s, self.spec.bytes_from_blocks(n_blocks)
+            rate, n_bytes = self.rate_bytes_s, n_blocks * self._block_bytes
 
             def complete(failure: BaseException | None) -> None:
                 if failure is None:
@@ -96,7 +100,7 @@ class Device:
 
         taken = self.unit.acquire(granted)
         if self.observer is not None:
-            self.observer.queue_depth(self.name, self.sim.now, len(self.unit.queue))
+            self.observer.queue_depth(self.name, self.sim._now, len(self.unit.queue))
         if taken:
             granted()
 

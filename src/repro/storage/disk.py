@@ -74,6 +74,8 @@ class Disk(Device):
         if capacity_blocks <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_blocks}")
         super().__init__(sim, name, bus, spec, params or DiskParameters())
+        self._positioning_s = self.params.positioning_s
+        self._near_positioning_s = self.params.near_positioning_s
         self.capacity_blocks = float(capacity_blocks)
         self.used_blocks = 0.0
         self.peak_used_blocks = 0.0
@@ -108,10 +110,10 @@ class Disk(Device):
         grant on, even if the transfer then fails.
         """
         if near is not None:
-            lead_in = self.params.positioning_s + near * self.params.near_positioning_s
+            lead_in = self._positioning_s + near * self._near_positioning_s
         elif self.position is extent:
             lead_in = 0.0
         else:
-            lead_in = self.params.positioning_s
+            lead_in = self._positioning_s
         self.position = extent
         return lead_in, extent

@@ -258,15 +258,15 @@ class DiskArray:
                 left = left - 1 if failure is None else 0
                 if not left:
                     if failure is None:
-                        sim.defer(done.succeed)
+                        sim._schedule(done.succeed, None)
                     else:
-                        sim.defer(done.fail, failure)
+                        sim._schedule(done.fail, failure)
 
         def start(_arg) -> None:
             for disk, where, blocks, near in ops:
                 disk._start_io(where, blocks, kind, near, op_done)
 
-        sim.defer(start)
+        sim._schedule(start, None)
         return done
 
     def _parallel_io(

@@ -86,6 +86,8 @@ class StorageSystem:
         )
         #: Every disk and tape drive, listed once for fault and observer wiring.
         self.devices = [self.drive_r, self.drive_s, *self.disks]
+        for bus in self.buses:
+            bus.wire([device for device in self.devices if device.bus is bus])
 
     @property
     def spec(self) -> BlockSpec:

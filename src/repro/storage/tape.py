@@ -236,7 +236,7 @@ class TapeDrive(Device):
             self.repositions += 1
         elif (
             self.params.stop_start_penalty_s > 0
-            and self.sim.now - self._last_op_end > 1e-9
+            and self.sim._now - self._last_op_end > 1e-9
         ):
             penalty += self.params.stop_start_penalty_s
         return penalty, target_block if reverse else target_block + n_blocks

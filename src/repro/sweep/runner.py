@@ -57,7 +57,7 @@ def _timing(task: SweepTask, source: str, queue_s: float, run_s: float) -> dict:
 
 
 def _empty_group() -> dict:
-    return {"tasks": 0, "run_s": 0.0, "queue_s": 0.0}
+    return {"tasks": 0, "run_s": 0.0}
 
 
 class SweepRunner:
@@ -89,6 +89,8 @@ class SweepRunner:
         #: (None for other kinds), source ("inline"/"pool"), ``queue_s``
         #: waiting for a worker and ``run_s`` executing.
         self.timings: list[dict] = []
+        #: Worker-seconds the pools spent not running a task (see profile()).
+        self._idle_s = 0.0
         self._cache_load_s = 0.0
         self._cache_store_s = 0.0
         self._cache_hits = 0
@@ -196,8 +198,15 @@ class SweepRunner:
     def _drain_pool(
         self, indices, workers: int, tasks, fingerprints, results, done: int, total: int
     ) -> tuple[list[int], int]:
-        """Run ``indices`` through one pool; returns (lost indices, done)."""
+        """Run ``indices`` through one pool; returns (lost indices, done).
+
+        Adds the pool's idle worker-seconds to the profile: ``workers``
+        times the pool's wall time, less the run time of the tasks it
+        completed (a lost task's time counts as idle).
+        """
         survivors: list[int] = []
+        pool_started = time.perf_counter()
+        ran_s = 0.0
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         futures: dict[concurrent.futures.Future, int] = {}
         submitted: dict[concurrent.futures.Future, float] = {}
@@ -233,6 +242,7 @@ class SweepRunner:
                         continue
                     total_s = time.perf_counter() - submitted[future]
                     run_s = envelope["run_s"]
+                    ran_s += run_s
                     self.timings.append(
                         _timing(tasks[index], "pool", max(0.0, total_s - run_s), run_s)
                     )
@@ -245,6 +255,8 @@ class SweepRunner:
                     futures.clear()
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
+            pool_s = time.perf_counter() - pool_started
+            self._idle_s += max(0.0, workers * pool_s - ran_s)
         return survivors, done
 
     # -- bookkeeping -----------------------------------------------------------
@@ -270,8 +282,12 @@ class SweepRunner:
 
         Totals plus a per-kind and a per-method breakdown (``by_method``
         covers join tasks only); the raw per-task records stay on
-        :attr:`timings`.  All numbers are host wall-clock seconds —
-        simulated time never appears here.
+        :attr:`timings`.  ``idle_s`` is the worker-seconds the process
+        pools held but spent on no task: per pool, its workers times its
+        wall time less the run time of the tasks it completed (start-up,
+        the tail where fewer tasks than workers remain, lost work); 0 for
+        inline runs.  All numbers are host wall-clock seconds — simulated
+        time never appears here.
         """
         by_kind: dict[str, dict] = {}
         by_method: dict[str, dict] = {}
@@ -282,13 +298,12 @@ class SweepRunner:
             for entry in groups:
                 entry["tasks"] += 1
                 entry["run_s"] += timing["run_s"]
-                entry["queue_s"] += timing["queue_s"]
         return {
             "wall_s": self._wall_s,
             "executed": len(self.timings),
             "cached": self._cache_hits,
             "run_s": sum(t["run_s"] for t in self.timings),
-            "queue_s": sum(t["queue_s"] for t in self.timings),
+            "idle_s": self._idle_s,
             "cache_load_s": self._cache_load_s,
             "cache_store_s": self._cache_store_s,
             "by_kind": by_kind,

@@ -35,6 +35,11 @@ def disk_blocks(symbol, default):
     return 1000.0 if symbol == "STAGE-GH" else default
 
 
+def rebuilt(relation, keys):
+    """``relation`` with new ``keys``: a relation's own keys are read-only."""
+    return Relation(relation.name, relation.schema, keys, relation.spec)
+
+
 def hot_key_pair():
     """R with a hot key holding ~30 % of its tuples — one bucket is far
     larger than the 0.5 M share."""
@@ -45,8 +50,9 @@ def hot_key_pair():
     r = Relation("R", Schema("t", 2048), keys, BlockSpec())
     s = uniform_relation("S", 20.0, tuple_bytes=2048, seed=82, key_space=4 * n)
     # Make sure some S tuples hit the hot key too.
-    s.keys[:50] = 7_777
-    return r, s
+    s_keys = s.keys.copy()
+    s_keys[:50] = 7_777
+    return r, rebuilt(s, s_keys)
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +126,11 @@ class TestTapeTapePrefetch:
         hot = int(4.5 * r.tuples_per_block)  # 4.5 of M=8 blocks each
         keys[:hot] = first
         keys[hot:2 * hot] = second
-        s.keys[:20] = first
-        s.keys[20:40] = second
+        r = rebuilt(r, keys)
+        s_keys = s.keys.copy()
+        s_keys[:20] = first
+        s_keys[20:40] = second
+        s = rebuilt(s, s_keys)
         spec = JoinSpec(r, s, memory_blocks=8.0, disk_blocks=140.0)
         stats = method_by_symbol("TT-GH").run(spec)
         assert stats.output == reference_join(r, s)

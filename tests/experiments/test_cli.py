@@ -162,6 +162,7 @@ class TestSweepProfileLine:
         report_sweep_usage(runner)
         line = capsys.readouterr().err.strip()
         assert line.startswith("sweep profile: 6 task(s) executed")
+        assert "; run 50.4s, idle 0.0s, " in line  # inline tasks leave no worker idle
         assert line.endswith(
             "; CTT-GH 16.0s (2 task(s)); CDT-GH 11.4s (1 task(s)); DT-GH 2.4s (1 task(s))"
         )
@@ -174,6 +175,17 @@ class TestSweepProfileLine:
         ]
         report_sweep_usage(runner)
         assert capsys.readouterr().err.strip().endswith("store 0.00s")
+
+    def test_reports_pool_idle_worker_seconds(self, capsys):
+        runner = SweepRunner(jobs=2)
+        runner.timings = [
+            {"kind": "assumption", "symbol": None, "source": "pool", "queue_s": 40.0, "run_s": 1.0}
+        ]
+        runner._idle_s = 3.5
+        report_sweep_usage(runner)
+        line = capsys.readouterr().err.strip()
+        assert "; run 1.0s, idle 3.5s, " in line
+        assert "queue" not in line  # the per-task waits are not summed
 
 
 @contextlib.contextmanager

@@ -43,6 +43,14 @@ class TestRelation:
         with pytest.raises(ValueError, match="no tuples"):
             self._relation(0)
 
+    def test_keys_are_read_only_and_the_callers_array_is_not(self):
+        keys = np.arange(100, dtype=np.int64)
+        relation = Relation("r", Schema("r", 2048), keys, BlockSpec())
+        with pytest.raises(ValueError, match="read-only"):
+            relation.keys[0] = 7
+        keys[1] = 7  # the caller's own array stays writable
+        assert keys.flags.writeable
+
     def test_as_chunk_holds_everything(self):
         relation = self._relation(100)
         chunk = relation.as_chunk()

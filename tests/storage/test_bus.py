@@ -1,6 +1,7 @@
 """Fluid-flow bus sharing."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -153,3 +154,95 @@ class TestBusTransfers:
         lower = total_mb / 4.0  # capacity-bound
         upper = total_mb / 2.0 + 1e-3  # fully serialized at nominal
         assert lower - 1e-3 <= sim.now <= upper
+
+
+class TestUncontendedBus:
+    """A bus whose wired devices fit its bandwidth: one timer per transfer."""
+
+    def test_standalone_bus_is_not_uncontended(self, sim):
+        assert not Bus(sim, "b", 10 * MBPS).uncontended
+
+    def test_wire_compares_the_devices_rates_with_the_bandwidth(self, sim):
+        bus = Bus(sim, "b", 10 * MBPS)
+        bus.wire([SimpleNamespace(rate_bytes_s=4 * MBPS)] * 2)
+        assert bus.uncontended
+        bus.wire([SimpleNamespace(rate_bytes_s=4 * MBPS)] * 3)
+        assert not bus.uncontended
+
+    def test_service_drive_buses_are_uncontended(self, sim):
+        from repro.service.broker import ResourceBroker
+
+        broker = ResourceBroker(sim, n_drives=2, memory_blocks=10.0, disk_blocks=10.0)
+        assert all(drive.bus.uncontended for drive in broker.drives)
+
+    def test_timer_transfer_tracks_no_flow(self, sim):
+        bus = Bus(sim, "b", 10 * MBPS)
+        bus.wire([SimpleNamespace(rate_bytes_s=2 * MBPS)])
+        done = bus.transfer(2 * MBPS, 4 * MBPS, lead_in_s=0.5)
+        assert bus._flows == []
+        sim.run()
+        assert done.processed and sim.now == pytest.approx(2.5)
+
+    @staticmethod
+    def _finishes(devices, start_s, bandwidth, wired, events):
+        """``(finish time, device, transfer)`` in callback order.
+
+        Each device issues its chain of ``(gap, MB, lead-in)`` transfers
+        one at a time, as a device's unit does, the next ``gap`` seconds
+        after the previous one finishes.
+        """
+        sim = Simulator(start_time=start_s)
+        bus = Bus(sim, "b", bandwidth)
+        if wired:
+            bus.wire([SimpleNamespace(rate_bytes_s=rate) for rate, _chain in devices])
+        log = []
+
+        def issue(op):
+            device, index = op
+            rate, chain = devices[device]
+            _gap, mb, lead_in = chain[index]
+
+            def finished(_value):
+                log.append((sim.now, device, index))
+                if index + 1 < len(chain):
+                    sim.defer(issue, (device, index + 1), chain[index + 1][0])
+
+            if events:
+                bus.transfer(rate, mb * MBPS, lead_in).callbacks.append(
+                    lambda event: finished(event.value)
+                )
+            else:
+                bus.transfer(rate, mb * MBPS, lead_in, done=finished)
+
+        for device, (_rate, chain) in enumerate(devices):
+            sim.defer(issue, (device, 0), chain[0][0])
+        sim.run()
+        return log
+
+    @given(
+        devices=st.lists(
+            st.tuples(
+                st.floats(min_value=0.1, max_value=4.0).map(lambda mb_s: mb_s * MBPS),
+                st.lists(
+                    st.tuples(
+                        st.floats(min_value=0.0, max_value=2.0),   # gap before
+                        st.floats(min_value=0.0, max_value=6.0),   # MB
+                        st.floats(min_value=0.0, max_value=1.0),   # lead-in
+                    ),
+                    min_size=1, max_size=5,
+                ),
+            ),
+            min_size=1, max_size=4,
+        ),
+        start_s=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
+        headroom=st.one_of(st.just(math.inf), st.floats(min_value=1.01, max_value=3.0)),
+        events=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_timer_bus_finishes_like_the_flow_path(self, devices, start_s, headroom, events):
+        """Every completion instant and the callback order, to the bit."""
+        bandwidth = sum(rate for rate, _chain in devices) * headroom
+        timer = self._finishes(devices, start_s, bandwidth, wired=True, events=events)
+        flows = self._finishes(devices, start_s, bandwidth, wired=False, events=events)
+        assert timer == flows
+        assert len(timer) == sum(len(chain) for _rate, chain in devices)

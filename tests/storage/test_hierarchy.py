@@ -44,6 +44,17 @@ class TestStorageSystem:
         system = StorageSystem(sim, StorageConfig(n_buses=1))
         assert system.drive_r.bus is system.drive_s.bus
 
+    def test_default_buses_are_uncontended(self, sim):
+        # One tape drive (2 MB/s) and one disk (3.5 MB/s) per 10 MB/s bus:
+        # the wired devices can never oversubscribe it.
+        system = StorageSystem(sim, StorageConfig())
+        assert [bus.uncontended for bus in system.buses] == [True, True]
+
+    def test_narrow_shared_bus_keeps_the_flow_scheduler(self, sim):
+        # Two drives and two disks (11 MB/s together) on one 5 MB/s bus.
+        system = StorageSystem(sim, StorageConfig(n_buses=1, bus_bandwidth_mb_s=5.0))
+        assert not system.buses[0].uncontended
+
     def test_traffic_totals_start_at_zero(self, sim):
         system = StorageSystem(sim, StorageConfig())
         assert system.array.read_blocks + system.array.write_blocks == 0.0

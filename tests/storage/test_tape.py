@@ -156,6 +156,15 @@ class TestTapeDriveIO:
         piece = run(sim, drive.read_range(data, 5.0, 2.0))
         np.testing.assert_array_equal(piece.keys, np.arange(50, 70))
 
+    def test_read_keys_are_read_only(self, sim, drive, volume):
+        # A read within one stored chunk is a view of that chunk's keys:
+        # a consumer must not be able to write into the tape's content.
+        data = self._load(drive, volume)
+        piece = run(sim, drive.read_range(data, 5.0, 2.0))
+        with pytest.raises(ValueError, match="read-only"):
+            piece.keys[0] = -1
+        np.testing.assert_array_equal(data.peek_all().keys[50:52], [50, 51])
+
     def test_read_file_reads_everything(self, sim, drive, volume):
         data = self._load(drive, volume, n_blocks=30.0)
         whole = run(sim, drive.read_file(data))

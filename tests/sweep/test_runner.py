@@ -93,13 +93,8 @@ class TestProfiling:
         assert profile["executed"] == 2
         assert profile["cached"] == 0
         assert profile["wall_s"] > 0.0
-        assert profile["by_kind"] == {
-            "stub": {
-                "tasks": 2,
-                "run_s": profile["run_s"],
-                "queue_s": 0.0,
-            }
-        }
+        assert profile["idle_s"] == 0.0  # no pool, no idle workers
+        assert profile["by_kind"] == {"stub": {"tasks": 2, "run_s": profile["run_s"]}}
 
     def test_cache_hits_are_profiled_not_timed(self, monkeypatch, tmp_path):
         monkeypatch.setattr(runner_mod, "execute_task", tracking_execute([]))
@@ -138,6 +133,10 @@ class TestProfiling:
         assert profile["by_kind"]["selftest"]["tasks"] == 3
         # A pooled task's wall time is at least its pure run time.
         assert profile["wall_s"] > 0.0
+        # Two workers held the pool: their busy and idle seconds together
+        # are twice the pool's wall time, which is within the run's.
+        assert profile["idle_s"] > 0.0
+        assert profile["idle_s"] + profile["run_s"] <= 2 * profile["wall_s"] + 1e-6
 
     def test_join_timings_carry_their_method(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "execute_task", tracking_execute([]))
