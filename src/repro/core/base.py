@@ -12,7 +12,8 @@ import numpy as np
 from repro.buffering.interleaved import InterleavedDiskBuffer
 from repro.core.environment import JoinEnvironment
 from repro.faults.checkpoint import run_unit
-from repro.relational.hashing import bucket_ids, partition_keys
+from repro.relational.hashing import BucketIndex
+from repro.relational.relation import Relation
 from repro.relational.join_core import BuildSide
 from repro.core.requirements import (
     GH_BUCKET_FRACTION,
@@ -23,7 +24,7 @@ from repro.core.requirements import (
     ResourceRequirements,
 )
 from repro.core.spec import InfeasibleJoinError, JoinSpec, JoinStats, ceil_div
-from repro.storage.block import DataChunk
+from repro.storage.block import DataChunk, tuple_range
 from repro.storage.tape import TapeDrive, TapeFile
 
 
@@ -92,6 +93,26 @@ class TertiaryJoinMethod(abc.ABC):
 _SCAN_EPS = 1e-9
 
 
+def scan_bounds(
+    start_block: float, n_blocks: float, chunk_blocks: float, reverse: bool = False
+) -> list[tuple[float, float]]:
+    """The ``(start, n_blocks)`` reads of :func:`scan_tape`, in scan order."""
+    if chunk_blocks <= 0:
+        raise ValueError(f"chunk_blocks must be positive, got {chunk_blocks}")
+    # A range within the chunk loop's tolerance holds no chunk (the
+    # ``ceil_div`` slack can leave a last iteration that small): it is
+    # empty in both modes.
+    bounds: list[tuple[float, float]] = []
+    offset = 0.0
+    while offset < n_blocks - _SCAN_EPS:
+        step = min(chunk_blocks, n_blocks - offset)
+        bounds.append((start_block + offset, step))
+        offset += step
+    if reverse:
+        bounds.reverse()
+    return bounds
+
+
 def scan_tape(
     env: JoinEnvironment,
     drive: TapeDrive,
@@ -116,21 +137,9 @@ def scan_tape(
     repositioning (footnote 2 of the paper; the join algorithms are
     independent of the order in which tuples are scanned).
     """
-    if chunk_blocks <= 0:
-        raise ValueError(f"chunk_blocks must be positive, got {chunk_blocks}")
-    # A range within the chunk loop's tolerance holds no chunk (the
-    # ``ceil_div`` slack can leave a last iteration that small): it is
-    # empty in both modes.
-    if n_blocks <= _SCAN_EPS:
+    bounds = scan_bounds(start_block, n_blocks, chunk_blocks, reverse)
+    if not bounds:
         return
-    bounds: list[tuple[float, float]] = []
-    offset = 0.0
-    while offset < n_blocks - _SCAN_EPS:
-        step = min(chunk_blocks, n_blocks - offset)
-        bounds.append((start_block + offset, step))
-        offset += step
-    if reverse:
-        bounds.reverse()
     if not overlap:
         for chunk_start, step in bounds:
             data = yield from drive.read_range(file, chunk_start, step)
@@ -381,20 +390,28 @@ def join_bucket(
 
 def hash_tape_range(
     env: JoinEnvironment, layout: "GraceHashLayout", drive: TapeDrive,
-    file: TapeFile, offset: float, n_blocks: float, tuples_per_block: int,
+    file: TapeFile, offset: float, n_blocks: float, relation: Relation,
     flush_burst: typing.Callable, *, chunk_blocks: float, overlap: bool,
     reverse: bool = False, **stager_options,
 ) -> typing.Generator:
-    """Scan a tape range and hash its keys into buckets.
+    """Scan a range of ``relation``'s tape file and hash it into buckets.
 
-    A :class:`BucketStager` (``stager_options``: ``buckets``,
-    ``threshold_blocks``) hands each full staging burst to
+    A :class:`BucketStager` over the join's bucket index of
+    ``relation`` (``stager_options``: ``buckets``, ``threshold_blocks``)
+    takes each read's tuple range, hands each full staging burst to
     ``flush_burst`` and drains at the end; the caller holds the memory.
     """
-    stager = BucketStager(layout, tuples_per_block, flush_burst, **stager_options)
+    reads = scan_bounds(offset, n_blocks, chunk_blocks, reverse)
+    stager = BucketStager(
+        layout, env.bucket_index(relation, layout.n_buckets),
+        relation.tuples_per_block, flush_burst,
+        [tuple_range(file.chunks, start, step) for start, step in reads],
+        **stager_options,
+    )
 
-    def consume(data):
-        yield from stager.add_keys(data.keys)
+    def consume(_data):
+        # scan_tape hands over its reads in the order of scan_bounds.
+        yield from stager.add_read()
 
     yield from scan_tape(
         env, drive, file, offset, n_blocks, chunk_blocks, consume, overlap, reverse
@@ -439,7 +456,7 @@ def concurrent_step2(
                 target = min(d, spec.size_s_blocks - offset)
                 yield from hash_tape_range(
                     env, layout, env.drive_s, env.file_s, offset, target,
-                    tuples_per_block, functools.partial(sbuf.put_many, iteration),
+                    spec.relation_s, functools.partial(sbuf.put_many, iteration),
                     chunk_blocks=layout.scan_chunk_blocks, overlap=True,
                 )
                 sbuf.end_iteration(iteration)
@@ -491,7 +508,7 @@ class GraceHashLayout:
 class BucketStager:
     """Per-bucket in-memory staging for hash partitioning.
 
-    Partitioned keys accumulate per bucket inside the method's write
+    Scanned tuples accumulate per bucket inside the method's write
     staging share of M.  When the share fills, every non-empty bucket is
     flushed together through ``flush_burst`` — "the buffer allows for
     larger disk writes which help reduce the seek penalty" (Section 6).
@@ -499,52 +516,71 @@ class BucketStager:
     random I/O, which is exactly the small-memory degradation of
     Figures 8–9.
 
-    A flush is one batch: the staged pool is sorted by bucket once
-    (:func:`~repro.relational.hashing.partition_keys`) and
-    ``flush_burst`` (a generator) receives one ``(bucket, keys,
+    Every scan reads a relation in order, so the stager is given the
+    tuple range ``[first, last)`` of each of the scan's ``reads``, in
+    scan order, and ``index`` (the join's
+    :class:`~repro.relational.hashing.BucketIndex` of the relation)
+    already holds the keys grouped by bucket.  One ``searchsorted``
+    (:meth:`~repro.relational.hashing.BucketIndex.cuts`) finds, at every
+    read edge, where each bucket's slice of the index begins; a read's
+    kept tuples are the difference of two prefix counts.  A flush is one
+    batch: ``flush_burst`` (a generator) receives one ``(bucket, keys,
     n_blocks)`` triple per non-empty bucket, in bucket order, where
-    ``keys`` is a view into the sorted pool and ``n_blocks`` its dense
-    footprint at ``tuples_per_block``.
+    ``keys`` holds the bucket's staged tuples in scan order — a view into
+    the index when the staged reads adjoin (a forward scan), their slices
+    concatenated in staged order otherwise (a reverse scan) — and
+    ``n_blocks`` is their dense footprint at ``tuples_per_block``.
     """
 
     def __init__(
         self,
         layout: GraceHashLayout,
+        index: BucketIndex,
         tuples_per_block: int,
         flush_burst: typing.Callable[
             [list[tuple[int, np.ndarray, float]]], typing.Generator
         ],
+        reads: list[tuple[int, int]],
         buckets: typing.Iterable[int] | None = None,
         threshold_blocks: float | None = None,
     ):
         if tuples_per_block <= 0:
             raise ValueError("tuples_per_block must be positive")
-        self.layout = layout
+        self.index = index
         self.tuples_per_block = tuples_per_block
         self.flush_burst = flush_burst
-        self.wanted = None
-        if buckets is not None:
-            self.wanted = np.zeros(layout.n_buckets, dtype=bool)
-            self.wanted[list(buckets)] = True
-        self._staged: list[np.ndarray] = []
+        self._buckets = (
+            list(range(layout.n_buckets)) if buckets is None else sorted(set(buckets))
+        )
+        edges = sorted({position for read in reads for position in read})
+        edge_of = {position: number for number, position in enumerate(edges)}
+        #: Each read as its (first, last) edge numbers, in scan order.
+        self._reads = [(edge_of[first], edge_of[last]) for first, last in reads]
+        self._cuts = index.cuts(self._buckets, edges)
+        self._kept_before = self._cuts.sum(axis=1).tolist()
+        self._next_read = 0
+        #: Staged edge spans in staging order; adjoining reads merge.
+        self._staged: list[list[int]] = []
         self._total_tuples = 0
         if threshold_blocks is None:
             threshold_blocks = layout.write_staging_blocks
         self._threshold_tuples = max(1, round(threshold_blocks * tuples_per_block))
 
-    def add_keys(self, keys: np.ndarray) -> typing.Generator:
-        """Stage raw keys; partition and flush once staging fills.
+    def add_read(self) -> typing.Generator:
+        """Stage the scan's next read; flush once staging fills.
 
-        With a ``buckets`` filter, keys routed to other buckets are
-        discarded immediately (the hash-to-tape scans keep only the
-        current group's buckets) and do not count against staging.
+        With a ``buckets`` filter only those buckets' tuples are kept
+        (the hash-to-tape scans keep only the current group's buckets),
+        and only they count against staging.
         """
-        if self.wanted is not None:
-            keys = keys[self.wanted[bucket_ids(keys, self.layout.n_buckets)]]
-        if len(keys) == 0:
-            return
-        self._staged.append(keys)
-        self._total_tuples += len(keys)
+        first, last = self._reads[self._next_read]
+        self._next_read += 1
+        staged = self._staged
+        if staged and staged[-1][1] == first:
+            staged[-1][1] = last  # a forward scan's reads adjoin
+        else:
+            staged.append([first, last])
+        self._total_tuples += self._kept_before[last] - self._kept_before[first]
         if self._total_tuples >= self._threshold_tuples:
             yield from self._flush_all()
 
@@ -554,15 +590,27 @@ class BucketStager:
             yield from self._flush_all()
 
     def _flush_all(self) -> typing.Generator:
-        pool = self._staged[0] if len(self._staged) == 1 else np.concatenate(self._staged)
+        staged = self._staged
         self._staged = []
         self._total_tuples = 0
-        sorted_keys, ends = partition_keys(pool, self.layout.n_buckets)
+        keys = self.index.keys
+        cuts = self._cuts
         tuples_per_block = self.tuples_per_block
         writes = []
-        lo = 0
-        for bucket, hi in enumerate(ends):
-            if hi > lo:
-                writes.append((bucket, sorted_keys[lo:hi], (hi - lo) / tuples_per_block))
-                lo = hi
+        if len(staged) == 1:
+            (first, last), = staged
+            for bucket, lo, hi in zip(
+                self._buckets, cuts[first].tolist(), cuts[last].tolist()
+            ):
+                if hi > lo:
+                    writes.append((bucket, keys[lo:hi], (hi - lo) / tuples_per_block))
+        else:
+            # A reverse scan: each bucket's slices in staged order.
+            starts = cuts[[first for first, _ in staged]].T.tolist()
+            ends = cuts[[last for _, last in staged]].T.tolist()
+            for bucket, los, his in zip(self._buckets, starts, ends):
+                parts = [keys[lo:hi] for lo, hi in zip(los, his) if hi > lo]
+                if parts:
+                    joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                    writes.append((bucket, joined, len(joined) / tuples_per_block))
         yield from self.flush_burst(writes)

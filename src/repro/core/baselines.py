@@ -34,12 +34,14 @@ from repro.core.base import (
     align_blocks_to_tuples,
     extent_reader,
     join_bucket,
+    scan_bounds,
     scan_tape,
     write_buckets,
 )
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import NB_R_SCAN_FRACTION, ResourceRequirements
 from repro.core.spec import JoinSpec
+from repro.storage.block import tuple_range
 
 
 class StagedDiskJoin(TertiaryJoinMethod):
@@ -105,25 +107,28 @@ class StagedDiskJoin(TertiaryJoinMethod):
         r_buckets = [env.array.allocate(f"R.b{b}") for b in range(layout.n_buckets)]
         s_buckets = [env.array.allocate(f"S.b{b}") for b in range(layout.n_buckets)]
 
-        def partition(extent, buckets, tuples_per_block):
+        def partition(extent, relation, buckets):
+            # The staged copy holds the relation in order, so each read's
+            # tuple range names its tuples in the join's bucket index.
+            reads = scan_bounds(0.0, extent.n_blocks, max(layout.read_staging_blocks, 1.0))
+            chunks = list(extent.live_chunks())
             stager = BucketStager(
-                layout, tuples_per_block, write_buckets(env, buckets)
+                layout, env.bucket_index(relation, layout.n_buckets),
+                relation.tuples_per_block, write_buckets(env, buckets),
+                [tuple_range(chunks, offset, step) for offset, step in reads],
             )
-            staged = DiskBucket(env.array, extent)
-            piece = max(layout.read_staging_blocks, 1.0)
-            data, cursor = yield from staged.peek(None, piece)
-            while data is not None:
-                yield from stager.add_keys(data.keys)
-                data, cursor = yield from staged.peek(cursor, piece)
+            for offset, step in reads:
+                yield from env.array.read_range(extent, offset, step)
+                yield from stager.add_read()
             yield from stager.drain()
 
         with env.memory.hold(
             layout.read_staging_blocks + layout.write_staging_blocks, "partitioning"
         ):
-            yield from partition(r_copy, r_buckets, spec.relation_r.tuples_per_block)
+            yield from partition(r_copy, spec.relation_r, r_buckets)
             env.array.free(r_copy)
             env.count_r_scan()
-            yield from partition(s_copy, s_buckets, spec.relation_s.tuples_per_block)
+            yield from partition(s_copy, spec.relation_s, s_buckets)
             env.array.free(s_copy)
 
             for r_extent, s_extent in zip(r_buckets, s_buckets):

@@ -14,6 +14,7 @@ from repro.faults.checkpoint import JoinCheckpoint
 from repro.faults.injector import FaultInjector
 from repro.hsm.cache import PartitionSetKey
 from repro.obs.recorder import JoinObserver
+from repro.relational.hashing import BucketIndex
 from repro.relational.join_core import BuildSide, JoinAccumulator
 from repro.simulator.engine import Simulator
 from repro.storage.hierarchy import StorageConfig, StorageSystem
@@ -92,6 +93,8 @@ class JoinEnvironment:
         # Partition sets pinned on behalf of this join; released when the
         # join finalizes, so the cache never evicts in-flight buckets.
         self._cache_pins = []
+        # (relation, n_buckets) -> BucketIndex, built on first use.
+        self._bucket_indexes: dict = {}
 
     # -- convenient device handles ------------------------------------------------
 
@@ -144,6 +147,21 @@ class JoinEnvironment:
         """Group held keys into a :class:`BuildSide`, counting the build."""
         self.builds += 1
         return BuildSide(keys)
+
+    def bucket_index(self, relation, n_buckets: int) -> BucketIndex:
+        """``relation``'s keys grouped into ``n_buckets`` hash buckets.
+
+        Built once per relation and bucket count, on first use, and kept
+        until the join is dropped: every scan that hashes the relation
+        (Step I, each Step II iteration, each hash-to-tape group scan)
+        looks its buckets up here, and the flushed bucket chunks are
+        views into it.
+        """
+        key = (relation, n_buckets)
+        index = self._bucket_indexes.get(key)
+        if index is None:
+            index = self._bucket_indexes[key] = BucketIndex(relation.keys, n_buckets)
+        return index
 
     def probe(self, held: BuildSide, keys) -> None:
         """Probe ``keys`` against ``held`` and fold the result into the

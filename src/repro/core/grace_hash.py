@@ -78,7 +78,7 @@ class _GraceHashBase(TertiaryJoinMethod):
         ):
             yield from hash_tape_range(
                 env, layout, env.drive_r, env.file_r, 0.0, spec.size_r_blocks,
-                spec.relation_r.tuples_per_block, write_buckets(env, r_buckets),
+                spec.relation_r, write_buckets(env, r_buckets),
                 chunk_blocks=layout.scan_chunk_blocks, overlap=overlap,
             )
         env.count_r_scan()
@@ -119,7 +119,7 @@ class DiskTapeGraceHash(_GraceHashBase):
                 target = min(d, total - offset)
                 yield from hash_tape_range(
                     env, layout, env.drive_s, env.file_s, offset, target,
-                    spec.relation_s.tuples_per_block, write_buckets(env, s_buckets),
+                    spec.relation_s, write_buckets(env, s_buckets),
                     chunk_blocks=layout.read_staging_blocks, overlap=False,
                 )
                 offset += target

@@ -39,7 +39,7 @@ from repro.core.environment import JoinEnvironment
 from repro.core.requirements import ResourceRequirements
 from repro.core.spec import JoinSpec
 from repro.faults.checkpoint import run_unit
-from repro.relational.hashing import bucket_ids
+from repro.relational.hashing import BucketIndex
 from repro.relational.relation import Relation
 from repro.storage.tape import TapeDrive, TapeFile
 
@@ -114,11 +114,9 @@ class TapeBucket:
         """Tape fragments stay where they are."""
 
 
-def bucket_sizes_blocks(relation: Relation, n_buckets: int) -> np.ndarray:
-    """Exact size of each hash bucket of ``relation``, in blocks."""
-    ids = bucket_ids(relation.keys, n_buckets)
-    counts = np.bincount(ids, minlength=n_buckets)
-    return counts / relation.tuples_per_block
+def bucket_sizes_blocks(index: BucketIndex, tuples_per_block: int) -> np.ndarray:
+    """Exact size of each hash bucket of an indexed relation, in blocks."""
+    return index.counts() / tuples_per_block
 
 
 def pack_bucket_groups(sizes: np.ndarray, capacity_blocks: float) -> list[list[int]]:
@@ -169,7 +167,7 @@ class _TapeTapeBase(TertiaryJoinMethod):
         spec = env.spec
         tpb = relation.tuples_per_block
         n_buckets = layout.n_buckets
-        sizes = bucket_sizes_blocks(relation, n_buckets)
+        sizes = bucket_sizes_blocks(env.bucket_index(relation, n_buckets), tpb)
         # A flush burst must always fit beside the assembled buckets, so
         # the staging pool is capped by the disk budget and dumps trigger
         # with one burst of headroom left (a burst may overshoot the pool
@@ -222,7 +220,7 @@ class _TapeTapeBase(TertiaryJoinMethod):
             ):
                 yield from hash_tape_range(
                     env, layout, read_drive, source_file, 0.0, relation.n_blocks,
-                    tpb, flush, chunk_blocks=layout.scan_chunk_blocks,
+                    relation, flush, chunk_blocks=layout.scan_chunk_blocks,
                     overlap=overlap, reverse=reverse, buckets=group,
                     threshold_blocks=staging_pool,
                 )

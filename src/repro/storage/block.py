@@ -153,6 +153,37 @@ def tuple_index(position: float) -> int:
     return int(math.floor(position + 0.5 + 1e-6))
 
 
+def tuple_range(
+    chunks: typing.Iterable[typing.Any], offset_blocks: float, n_blocks: float
+) -> tuple[int, int]:
+    """Positions ``[first, last)`` of the tuples :func:`slice_chunks`
+    returns for the same block range, counted across ``chunks`` in order.
+
+    The same ``tuple_index`` arithmetic on each chunk, so a scan of a
+    relation's in-order copy can name the tuples a read returns without
+    looking at its keys.  An empty range gives ``(0, 0)``.
+    """
+    end = offset_blocks + n_blocks
+    first = last = 0
+    touched = False
+    seen = 0
+    base = 0.0
+    for chunk in chunks:
+        lo = max(offset_blocks, base)
+        hi = min(end, base + chunk.n_blocks)
+        if hi > lo and chunk.n_blocks > 0:
+            density = len(chunk.keys) / chunk.n_blocks
+            if not touched:
+                first = seen + tuple_index((lo - base) * density)
+                touched = True
+            last = seen + tuple_index((hi - base) * density)
+        seen += len(chunk.keys)
+        base += chunk.n_blocks
+        if base >= end:
+            break
+    return first, last
+
+
 def slice_chunks(
     chunks: typing.Iterable[typing.Any],
     total_blocks: float,

@@ -24,14 +24,15 @@ join's disks, extents and array form no reference cycle and are freed
 without the cyclic collector.
 
 Each stored chunk is one :class:`StoredChunk` handle: its keys (for a
-bucket flush, a view into the flush's sorted pool), its block count, the
-per-disk blocks it occupies, its extent and an ``alive`` flag.  A burst is
-placed in one loop (:meth:`DiskArray._store`), and its handles join their
-extents once the write completes.  Consuming a chunk tombstones its handle
-(``alive`` turns False) and releases its space; an extent's chunk list is
-compacted lazily, since experiments create hundreds of thousands of bucket
-fragments and eager list removal would be quadratic.  Callers such as the
-interleaved buffer hold handles, which compaction leaves valid.
+bucket flush, usually a view into the join's bucket index), its block
+count, the per-disk blocks it occupies, its extent and an ``alive`` flag.
+A burst is placed in one loop (:meth:`DiskArray._store`), and its
+handles join their extents once the write completes.  Consuming a chunk
+tombstones its handle (``alive`` turns False) and releases its space; an
+extent's chunk list is compacted lazily, since experiments create
+hundreds of thousands of bucket fragments and eager list removal would
+be quadratic.  Callers such as the interleaved buffer hold handles,
+which compaction leaves valid.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import BucketStager
-from repro.relational.hashing import bucket_ids, partition_keys
+from repro.relational.hashing import BucketIndex, bucket_ids, partition_keys
 
 
 def staged_buckets(keys: np.ndarray, n_buckets: int, buckets) -> dict[int, np.ndarray]:
@@ -22,9 +22,14 @@ def staged_buckets(keys: np.ndarray, n_buckets: int, buckets) -> dict[int, np.nd
         yield  # pragma: no cover - generator shape
 
     layout = types.SimpleNamespace(n_buckets=n_buckets)
-    stager = BucketStager(layout, 4, flush_burst, buckets=buckets, threshold_blocks=1e9)
-    for piece in np.array_split(keys, 3):
-        for _ in stager.add_keys(piece):
+    cuts = [0, len(keys) // 3, 2 * len(keys) // 3, len(keys)]
+    reads = list(zip(cuts, cuts[1:]))
+    stager = BucketStager(
+        layout, BucketIndex(keys, n_buckets), 4, flush_burst, reads,
+        buckets=buckets, threshold_blocks=1e9,
+    )
+    for _ in reads:
+        for _ in stager.add_read():
             pass
     for _ in stager.drain():
         pass
@@ -34,7 +39,7 @@ def staged_buckets(keys: np.ndarray, n_buckets: int, buckets) -> dict[int, np.nd
 def expected_buckets(keys: np.ndarray, n_buckets: int, buckets) -> dict[int, np.ndarray]:
     """The filter rule as a set lookup: keep keys whose bucket is wanted."""
     kept = keys[np.isin(bucket_ids(keys, n_buckets), sorted(buckets))]
-    pool, ends = partition_keys(kept, n_buckets)
+    pool, ends, _ = partition_keys(kept, n_buckets)
     parts = [pool[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
     return {bucket: part for bucket, part in enumerate(parts) if len(part)}
 

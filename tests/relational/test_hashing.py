@@ -37,6 +37,26 @@ class TestBucketIds:
         assert len(set(ids[:3])) == 1
         assert len(set(ids[3:])) == 1
 
+    @given(
+        keys=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=50),
+        n_buckets=st.one_of(
+            st.integers(1, 70_000),
+            st.sampled_from([2**16, 2**16 + 1, 2**32 - 1, 2**32, 2**32 + 3, 2**40]),
+        ),
+        salt=st.sampled_from([0, 1, 12345, 2**63]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_remainder_formula(self, keys, n_buckets, salt):
+        """The bucket is the top 32 bits of the salted multiplicative
+        hash, modulo the bucket count, computed however is fastest."""
+        hashed = np.array(keys, dtype=np.int64).astype(np.uint64)
+        hashed += np.uint64(salt)
+        hashed *= np.uint64(0x9E3779B97F4A7C15)
+        expected = (hashed >> np.uint64(32)) % np.uint64(n_buckets)
+        actual = bucket_ids(np.array(keys, dtype=np.int64), n_buckets, salt)
+        assert actual.dtype == np.int64
+        np.testing.assert_array_equal(actual, expected.astype(np.int64))
+
     def test_sequential_keys_are_balanced(self):
         """The paper assumes hash buckets are equal-sized; our
         multiplicative hash must spread even sequential keys evenly."""
@@ -62,14 +82,15 @@ class TestBucketIds:
 
 def bucket_parts(keys, n_buckets):
     """``partition_keys``' sorted pool cut at its bucket ends."""
-    sorted_keys, ends = partition_keys(keys, n_buckets)
+    sorted_keys, ends, _order = partition_keys(keys, n_buckets)
     return [sorted_keys[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
 
 
 class TestPartitionKeys:
     def test_returns_sorted_pool_and_bucket_ends(self):
         keys = np.random.default_rng(1).integers(0, 1000, size=200)
-        sorted_keys, ends = partition_keys(keys, 6)
+        sorted_keys, ends, order = partition_keys(keys, 6)
+        np.testing.assert_array_equal(keys[order], sorted_keys)
         assert isinstance(ends, list) and len(ends) == 6
         assert all(isinstance(end, int) for end in ends)
         assert ends == sorted(ends) and ends[-1] == len(keys) == len(sorted_keys)

@@ -80,8 +80,8 @@ class TestHashJoin:
         full join."""
         whole = hash_join(r, s)
         acc = JoinAccumulator()
-        r_pool, r_ends = partition_keys(r, n_buckets)
-        s_pool, s_ends = partition_keys(s, n_buckets)
+        r_pool, r_ends, _ = partition_keys(r, n_buckets)
+        s_pool, s_ends, _ = partition_keys(s, n_buckets)
         r_starts, s_starts = [0, *r_ends[:-1]], [0, *s_ends[:-1]]
         for r_lo, r_hi, s_lo, s_hi in zip(r_starts, r_ends, s_starts, s_ends):
             acc.add(hash_join(r_pool[r_lo:r_hi], s_pool[s_lo:s_hi]))
