@@ -24,6 +24,7 @@ from repro.core.requirements import (
     ResourceRequirements,
 )
 from repro.core.spec import InfeasibleJoinError, JoinSpec, JoinStats, ceil_div
+from repro.costmodel.parameters import SystemParameters
 from repro.storage.block import DataChunk, tuple_range
 from repro.storage.tape import TapeDrive, TapeFile
 
@@ -51,30 +52,39 @@ class TertiaryJoinMethod(abc.ABC):
     cacheable_step1: bool = False
 
     @abc.abstractmethod
-    def requirements(self, spec: JoinSpec) -> ResourceRequirements:
-        """Minimum resources this method needs for ``spec`` (Table 2 row)."""
+    def requirements(self, p: SystemParameters) -> ResourceRequirements:
+        """Minimum resources for a join of ``p``'s |R| and |S| at ``p``'s M
+        (Table 2 row).  Only those sizes are read, so a
+        :class:`~repro.core.spec.JoinSpec` serves as well."""
 
     @abc.abstractmethod
     def _execute(self, env: JoinEnvironment) -> typing.Generator:
         """The method's main simulation process."""
 
+    def infeasibility(self, p: SystemParameters) -> str | None:
+        """Why Table 2 rules this method out under ``p``'s M, D, T_R and
+        T_S, or None when it fits.
+
+        The one feasibility rule: :meth:`validate` and the cost model's
+        :func:`~repro.costmodel.formulas.estimate` both ask it.
+        """
+        req = self.requirements(p)
+        budgets = (p.memory_blocks, p.disk_blocks, p.scratch_r_blocks, p.scratch_s_blocks)
+        if req.fits(*budgets):
+            return None
+        return (
+            f"{self.symbol} needs M>={req.memory_blocks:.1f}, "
+            f"D>={req.disk_blocks:.1f}, T_R>={req.tape_scratch_r_blocks:.1f}, "
+            f"T_S>={req.tape_scratch_s_blocks:.1f} blocks; got "
+            f"M={p.memory_blocks:.1f}, D={p.disk_blocks:.1f}, "
+            f"T_R={p.scratch_r_blocks:.1f}, T_S={p.scratch_s_blocks:.1f}"
+        )
+
     def validate(self, spec: JoinSpec) -> None:
         """Raise :class:`InfeasibleJoinError` if the spec cannot support us."""
-        req = self.requirements(spec)
-        if not req.fits(
-            spec.memory_blocks,
-            spec.disk_blocks,
-            spec.effective_scratch_r(),
-            spec.effective_scratch_s(),
-        ):
-            raise InfeasibleJoinError(
-                f"{self.symbol} needs M>={req.memory_blocks:.1f}, "
-                f"D>={req.disk_blocks:.1f}, T_R>={req.tape_scratch_r_blocks:.1f}, "
-                f"T_S>={req.tape_scratch_s_blocks:.1f} blocks; got "
-                f"M={spec.memory_blocks:.1f}, D={spec.disk_blocks:.1f}, "
-                f"T_R={spec.effective_scratch_r():.1f}, "
-                f"T_S={spec.effective_scratch_s():.1f}"
-            )
+        reason = self.infeasibility(SystemParameters.from_spec(spec))
+        if reason is not None:
+            raise InfeasibleJoinError(reason)
 
     def run(self, spec: JoinSpec) -> JoinStats:
         """Validate, build an environment, simulate to completion."""
@@ -489,10 +499,11 @@ class GraceHashLayout:
     ``n_buckets`` is chosen so one R bucket fits in the
     :data:`GH_BUCKET_FRACTION` share of M (the paper's B = |R|/M with the
     staging buffers "included in M"); the remaining memory is split between
-    tape-read staging and per-bucket write staging.
+    tape-read staging and per-bucket write staging.  The cost model builds
+    one from :class:`SystemParameters` to price TT-GH's B bucket passes.
     """
 
-    def __init__(self, spec: JoinSpec):
+    def __init__(self, spec: JoinSpec | SystemParameters):
         memory = spec.memory_blocks
         self.bucket_memory_blocks = GH_BUCKET_FRACTION * memory
         self.n_buckets = max(

@@ -40,7 +40,7 @@ from repro.core.base import (
 )
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import NB_R_SCAN_FRACTION, ResourceRequirements
-from repro.core.spec import JoinSpec
+from repro.costmodel.parameters import SystemParameters
 from repro.storage.block import tuple_range
 
 
@@ -63,13 +63,13 @@ class StagedDiskJoin(TertiaryJoinMethod):
     concurrent = False
     family = "baseline"
 
-    def requirements(self, spec: JoinSpec) -> ResourceRequirements:
+    def requirements(self, p: SystemParameters) -> ResourceRequirements:
         """Needs sqrt(|R|) memory and ~2(|R| + |S|) blocks of disk."""
         import math
 
-        staged = spec.size_r_blocks + spec.size_s_blocks
+        staged = p.size_r_blocks + p.size_s_blocks
         return ResourceRequirements(
-            memory_blocks=math.sqrt(spec.size_r_blocks),
+            memory_blocks=math.sqrt(p.size_r_blocks),
             disk_blocks=2 * staged,
             tape_scratch_r_blocks=0.0,
             tape_scratch_s_blocks=0.0,
@@ -159,7 +159,7 @@ class NaiveTapeNestedLoop(TertiaryJoinMethod):
     concurrent = False
     family = "baseline"
 
-    def requirements(self, spec: JoinSpec) -> ResourceRequirements:
+    def requirements(self, p: SystemParameters) -> ResourceRequirements:
         """Any memory, no disk, no scratch."""
         return ResourceRequirements(
             memory_blocks=1.0,
@@ -167,10 +167,6 @@ class NaiveTapeNestedLoop(TertiaryJoinMethod):
             tape_scratch_r_blocks=0.0,
             tape_scratch_s_blocks=0.0,
         )
-
-    def validate(self, spec: JoinSpec) -> None:
-        """No disk demands — the base checks always pass for D > 0."""
-        super().validate(spec)
 
     def _execute(self, env: JoinEnvironment) -> typing.Generator:
         spec = env.spec

@@ -32,31 +32,25 @@ from repro.core.base import (
 )
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import ResourceRequirements
-from repro.core.spec import InfeasibleJoinError, JoinSpec
+from repro.core.spec import JoinSpec
+from repro.costmodel.parameters import SystemParameters
 from repro.faults.checkpoint import run_unit
 
 
 class _GraceHashBase(TertiaryJoinMethod):
-    """Shared Step I (partition R onto disk) and memory checks."""
+    """Shared Step I (partition R onto disk) and Table 2 row."""
 
     family = "grace-hash"
     cacheable_step1 = True
 
-    def requirements(self, spec: JoinSpec) -> ResourceRequirements:
+    def requirements(self, p: SystemParameters) -> ResourceRequirements:
+        """Table 2 row: M = sqrt(|R|), D = |R| + |S_i|, with |S_i| >= 1."""
         return ResourceRequirements(
-            memory_blocks=math.sqrt(spec.size_r_blocks),
-            disk_blocks=spec.size_r_blocks + 1.0,
+            memory_blocks=math.sqrt(p.size_r_blocks),
+            disk_blocks=p.size_r_blocks + 1.0,
             tape_scratch_r_blocks=0.0,
             tape_scratch_s_blocks=0.0,
         )
-
-    def validate(self, spec: JoinSpec) -> None:
-        super().validate(spec)
-        if spec.disk_blocks <= spec.size_r_blocks:
-            raise InfeasibleJoinError(
-                f"{self.symbol}: D={spec.disk_blocks:.1f} leaves no room to "
-                f"buffer S beside the R partition of {spec.size_r_blocks:.1f} blocks"
-            )
 
     def _partition_r(
         self, env: JoinEnvironment, layout: GraceHashLayout, overlap: bool
@@ -86,8 +80,9 @@ class _GraceHashBase(TertiaryJoinMethod):
         env.offer_r_partition(layout.n_buckets, r_buckets)
         return r_buckets
 
-    def _s_chunk_blocks(self, spec: JoinSpec) -> float:
-        """|S_i| = d = D - |R|: the S piece consumed per iteration."""
+    def _s_chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
+        """|S_i| = d = D - |R|: the S piece consumed per iteration (the
+        cost model's d too)."""
         return spec.disk_blocks - spec.size_r_blocks
 
 

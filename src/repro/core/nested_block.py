@@ -32,7 +32,8 @@ from repro.core.base import (
 )
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import NB_R_SCAN_FRACTION, ResourceRequirements
-from repro.core.spec import InfeasibleJoinError, JoinSpec, ceil_div
+from repro.core.spec import JoinSpec, ceil_div
+from repro.costmodel.parameters import SystemParameters
 
 
 class _NestedBlockBase(TertiaryJoinMethod):
@@ -40,24 +41,16 @@ class _NestedBlockBase(TertiaryJoinMethod):
 
     family = "nested-block"
 
-    def _r_scan_blocks(self, spec: JoinSpec) -> float:
+    def _r_scan_blocks(self, spec: JoinSpec | SystemParameters) -> float:
         return NB_R_SCAN_FRACTION * spec.memory_blocks
 
-    def _s_buffer_blocks(self, spec: JoinSpec) -> float:
+    def _s_buffer_blocks(self, spec: JoinSpec | SystemParameters) -> float:
         """Total memory available for buffering S (M minus the R window)."""
         return spec.memory_blocks - self._r_scan_blocks(spec)
 
-    def _chunk_blocks(self, spec: JoinSpec) -> float:
+    def _chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
         """|S_i|: the piece of S consumed per iteration."""
         raise NotImplementedError
-
-    def validate(self, spec: JoinSpec) -> None:
-        super().validate(spec)
-        if self._chunk_blocks(spec) <= 0:
-            raise InfeasibleJoinError(
-                f"{self.symbol}: memory of {spec.memory_blocks} blocks leaves "
-                "no room to buffer S"
-            )
 
     def _copy_r_to_disk(self, env: JoinEnvironment, overlap: bool) -> typing.Generator:
         """Step I: copy relation R from tape to a disk extent."""
@@ -86,14 +79,14 @@ class DiskTapeNestedBlock(_NestedBlockBase):
     name = "Disk-Tape Nested Block Join"
     concurrent = False
 
-    def _chunk_blocks(self, spec: JoinSpec) -> float:
+    def _chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
         return self._s_buffer_blocks(spec)
 
-    def requirements(self, spec: JoinSpec) -> ResourceRequirements:
+    def requirements(self, p: SystemParameters) -> ResourceRequirements:
         """Table 2 row: M = |S_i| (any memory works), D = |R|."""
         return ResourceRequirements(
             memory_blocks=1.0,
-            disk_blocks=spec.size_r_blocks,
+            disk_blocks=p.size_r_blocks,
             tape_scratch_r_blocks=0.0,
             tape_scratch_s_blocks=0.0,
         )
@@ -130,14 +123,14 @@ class ConcurrentNestedBlockMemory(_NestedBlockBase):
     name = "Concurrent Disk-Tape Nested Block Join with Memory Buffering"
     concurrent = True
 
-    def _chunk_blocks(self, spec: JoinSpec) -> float:
+    def _chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
         return self._s_buffer_blocks(spec) / 2
 
-    def requirements(self, spec: JoinSpec) -> ResourceRequirements:
+    def requirements(self, p: SystemParameters) -> ResourceRequirements:
         """Table 2 row: M = 2|S_i| (two buffers), D = |R|."""
         return ResourceRequirements(
             memory_blocks=2.0,
-            disk_blocks=spec.size_r_blocks,
+            disk_blocks=p.size_r_blocks,
             tape_scratch_r_blocks=0.0,
             tape_scratch_s_blocks=0.0,
         )
@@ -184,14 +177,14 @@ class ConcurrentNestedBlockDisk(_NestedBlockBase):
     #: outside the M ledger, as in the paper's analysis.
     SPEED_MATCH_BLOCKS = 4.0
 
-    def _chunk_blocks(self, spec: JoinSpec) -> float:
+    def _chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
         return self._s_buffer_blocks(spec)
 
-    def requirements(self, spec: JoinSpec) -> ResourceRequirements:
+    def requirements(self, p: SystemParameters) -> ResourceRequirements:
         """Table 2 row: M = |S_i|, D = |R| + |S_i| (the disk buffer)."""
         return ResourceRequirements(
             memory_blocks=1.0,
-            disk_blocks=spec.size_r_blocks + self._chunk_blocks(spec),
+            disk_blocks=p.size_r_blocks + self._chunk_blocks(p),
             tape_scratch_r_blocks=0.0,
             tape_scratch_s_blocks=0.0,
         )

@@ -53,11 +53,8 @@ def plan_join(spec: JoinSpec) -> JoinPlan:
     ranked: list[RankedMethod] = []
     rejected: list[tuple[str, str]] = []
     for method in ALL_METHODS:
-        try:
-            method.validate(spec)
-        except InfeasibleJoinError as exc:
-            rejected.append((method.symbol, str(exc)))
-            continue
+        # The estimate's feasibility is the method's own Table 2 check:
+        # what ``method.validate(spec)`` would raise is its reason.
         breakdown = estimate(method.symbol, params)
         if not breakdown.feasible:
             rejected.append((method.symbol, breakdown.reason))

@@ -37,7 +37,7 @@ from repro.core.base import (
 )
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import ResourceRequirements
-from repro.core.spec import JoinSpec
+from repro.costmodel.parameters import SystemParameters
 from repro.faults.checkpoint import run_unit
 from repro.relational.hashing import BucketIndex
 from repro.relational.relation import Relation
@@ -239,7 +239,7 @@ class ConcurrentTapeTapeGraceHash(_TapeTapeBase):
     name = "Concurrent Tape-Tape Grace Hash Join"
     concurrent = True
 
-    def requirements(self, spec: JoinSpec) -> ResourceRequirements:
+    def requirements(self, p: SystemParameters) -> ResourceRequirements:
         """Table 2 row: M = sqrt(|R|), D = |S_i|, T_R = |R|.
 
         Table 2 lists D = |S_i| (whatever is granted buffers S); the
@@ -247,9 +247,9 @@ class ConcurrentTapeTapeGraceHash(_TapeTapeBase):
         the small memory-proportional floor.
         """
         return ResourceRequirements(
-            memory_blocks=math.sqrt(spec.size_r_blocks),
-            disk_blocks=0.35 * spec.memory_blocks + 1.0,
-            tape_scratch_r_blocks=spec.size_r_blocks,
+            memory_blocks=math.sqrt(p.size_r_blocks),
+            disk_blocks=0.35 * p.memory_blocks + 1.0,
+            tape_scratch_r_blocks=p.size_r_blocks,
             tape_scratch_s_blocks=0.0,
         )
 
@@ -277,17 +277,17 @@ class TapeTapeGraceHash(_TapeTapeBase):
     name = "Tape-Tape Grace Hash Join"
     concurrent = False
 
-    def requirements(self, spec: JoinSpec) -> ResourceRequirements:
+    def requirements(self, p: SystemParameters) -> ResourceRequirements:
         """Table 2 row: M = sqrt(|R|), D = any, T_R = |S|, T_S = |R|.
 
         "Any" disk physically still means the assembly area must absorb
         one staging flush, hence the memory-proportional floor.
         """
         return ResourceRequirements(
-            memory_blocks=math.sqrt(spec.size_r_blocks),
-            disk_blocks=0.35 * spec.memory_blocks + 1.0,
-            tape_scratch_r_blocks=spec.size_s_blocks,
-            tape_scratch_s_blocks=spec.size_r_blocks,
+            memory_blocks=math.sqrt(p.size_r_blocks),
+            disk_blocks=0.35 * p.memory_blocks + 1.0,
+            tape_scratch_r_blocks=p.size_s_blocks,
+            tape_scratch_s_blocks=p.size_r_blocks,
         )
 
     def _execute(self, env: JoinEnvironment) -> typing.Generator:

@@ -4,9 +4,20 @@ Derived from the method descriptions in Section 5 under the paper's
 transfer-only cost model (Section 3.2): response time is I/O time; disk
 positioning is negligible for multi-block requests; concurrent methods pay
 ``max`` of the overlapped device times per iteration, sequential methods
-pay the sum.  Memory split fractions are imported from
-:mod:`repro.core.requirements` so the model and the executable methods
-cannot drift apart.
+pay the sum.
+
+The model takes what the executable methods decide from them, so the
+two cannot drift: feasibility is the method's Table 2 check
+(:meth:`~repro.core.base.TertiaryJoinMethod.infeasibility`, which
+``validate`` also raises from), DT-GH's and CDT-GH's d = D − |R| is the
+methods' ``_s_chunk_blocks``, TT-GH's B is
+:class:`~repro.core.base.GraceHashLayout`'s, and counts round with
+:func:`~repro.core.spec.ceil_div`.  The registry is imported on first use
+because :mod:`repro.core.planner` imports this module.  Only the
+nested-block |S_i| is kept here as well: the model's ``(1 − 0.1)·M``
+differs from the methods' ``M − 0.1·M`` in the last bit, and the pinned
+Figure 1–3, planner and Experiment 3 hashes were recorded with each side
+as it is.
 
 Notation in the derivations below: ``x_t`` = tape blocks/s, ``x_d`` =
 aggregate disk blocks/s, ``Ms`` = |S_i| (the S piece per iteration),
@@ -17,9 +28,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 
-from repro.core.requirements import GH_BUCKET_TARGET_FRACTION, NB_R_SCAN_FRACTION
+from repro.core.requirements import NB_R_SCAN_FRACTION
+from repro.core.spec import ceil_div
 from repro.costmodel.parameters import SystemParameters
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.core.base import TertiaryJoinMethod
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,131 +67,99 @@ class CostBreakdown:
         return self.total_s / p.optimum_join_s - 1.0
 
 
-def _iters(total: float, chunk: float) -> int:
-    return max(1, math.ceil(total / chunk - 1e-9))
-
-
-def _infeasible(symbol: str, reason: str) -> CostBreakdown:
-    return CostBreakdown(symbol=symbol, feasible=False, reason=reason)
-
-
 def _nb_chunk(p: SystemParameters, halved: bool) -> float:
     chunk = (1.0 - NB_R_SCAN_FRACTION) * p.memory_blocks
     return chunk / 2 if halved else chunk
 
 
-def dt_nb(p: SystemParameters) -> CostBreakdown:
+def dt_nb(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     """DT-NB: sequential copy, then N sequential (read S_i, scan R) pairs.
 
     ``t = |R|/x_t + |R|/x_d  +  |S|/x_t + N * |R|/x_d`` with N = ⌈|S|/Ms⌉.
     """
-    if p.disk_blocks + 1e-9 < p.size_r_blocks:
-        return _infeasible("DT-NB", "D < |R|: R does not fit on disk")
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
     chunk = min(_nb_chunk(p, halved=False), p.size_s_blocks)
-    n = _iters(p.size_s_blocks, chunk)
+    n = ceil_div(p.size_s_blocks, chunk)
     step1 = p.size_r_blocks / p.rate_tape_r + p.size_r_blocks / x_d
     step2 = p.size_s_blocks / x_t + n * p.size_r_blocks / x_d
     return CostBreakdown(
-        "DT-NB", True, step1, step2, n, 1.0 + n,
+        method.symbol, True, step1, step2, n, 1.0 + n,
         disk_traffic_blocks=p.size_r_blocks * (1 + n),
     )
 
 
-def cdt_nb_mb(p: SystemParameters) -> CostBreakdown:
+def cdt_nb_mb(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     """CDT-NB/MB: two half-size S buffers; iterations pay max(tape, disk).
 
     ``t = max(|R|/x_t, |R|/x_d) + Ms/x_t + N * max(Ms/x_t, |R|/x_d)``
     with Ms halved, so N doubles relative to DT-NB.
     """
-    if p.disk_blocks + 1e-9 < p.size_r_blocks:
-        return _infeasible("CDT-NB/MB", "D < |R|: R does not fit on disk")
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
     chunk = min(_nb_chunk(p, halved=True), p.size_s_blocks)
-    n = _iters(p.size_s_blocks, chunk)
+    n = ceil_div(p.size_s_blocks, chunk)
     step1 = max(p.size_r_blocks / p.rate_tape_r, p.size_r_blocks / x_d)
     step2 = chunk / x_t + n * max(chunk / x_t, p.size_r_blocks / x_d)
     return CostBreakdown(
-        "CDT-NB/MB", True, step1, step2, n, 1.0 + n,
+        method.symbol, True, step1, step2, n, 1.0 + n,
         disk_traffic_blocks=p.size_r_blocks * (1 + n),
     )
 
 
-def cdt_nb_db(p: SystemParameters) -> CostBreakdown:
+def cdt_nb_db(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     """CDT-NB/DB: full-size chunk refilled through a disk double buffer.
 
     Per-iteration disk work is ``2Ms + |R|`` (refill write, chunk read,
     R scan); ``t = max(|R|/x_t, |R|/x_d) + Ms/x_t +
     N * max(Ms/x_t, (2Ms+|R|)/x_d)``.
     """
-    chunk = min(_nb_chunk(p, halved=False), p.size_s_blocks)
-    if p.disk_blocks + 1e-9 < p.size_r_blocks + chunk:
-        return _infeasible("CDT-NB/DB", "D < |R| + |S_i|")
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
-    n = _iters(p.size_s_blocks, chunk)
+    chunk = min(_nb_chunk(p, halved=False), p.size_s_blocks)
+    n = ceil_div(p.size_s_blocks, chunk)
     step1 = max(p.size_r_blocks / p.rate_tape_r, p.size_r_blocks / x_d)
     step2 = chunk / x_t + n * max(chunk / x_t, (2 * chunk + p.size_r_blocks) / x_d)
     return CostBreakdown(
-        "CDT-NB/DB", True, step1, step2, n, 1.0 + n,
+        method.symbol, True, step1, step2, n, 1.0 + n,
         disk_traffic_blocks=p.size_r_blocks * (1 + n) + 2 * p.size_s_blocks,
     )
 
 
-def _gh_common(p: SystemParameters, symbol: str) -> str | None:
-    if p.memory_blocks + 1e-9 < math.sqrt(p.size_r_blocks):
-        return f"M < sqrt(|R|): too little memory for {symbol}"
-    return None
-
-
-def dt_gh(p: SystemParameters) -> CostBreakdown:
+def dt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     """DT-GH: sequential Grace hash with the R partition on disk.
 
     d = D − |R|; per iteration: read d of S from tape, write d of buckets,
     read back |R| + d; ``t = |R|/x_t + |R|/x_d + |S|/x_t +
     (2|S| + N|R|)/x_d``.
     """
-    reason = _gh_common(p, "DT-GH")
-    if reason:
-        return _infeasible("DT-GH", reason)
-    d = p.disk_blocks - p.size_r_blocks
-    if d <= 0:
-        return _infeasible("DT-GH", "D <= |R|: no room to buffer S")
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
-    chunk = min(d, p.size_s_blocks)
-    n = _iters(p.size_s_blocks, chunk)
+    chunk = min(method._s_chunk_blocks(p), p.size_s_blocks)
+    n = ceil_div(p.size_s_blocks, chunk)
     step1 = p.size_r_blocks / p.rate_tape_r + p.size_r_blocks / x_d
     step2 = p.size_s_blocks / x_t + (2 * p.size_s_blocks + n * p.size_r_blocks) / x_d
     return CostBreakdown(
-        "DT-GH", True, step1, step2, n, 1.0 + n,
+        method.symbol, True, step1, step2, n, 1.0 + n,
         disk_traffic_blocks=p.size_r_blocks * (1 + n) + 2 * p.size_s_blocks,
     )
 
 
-def cdt_gh(p: SystemParameters) -> CostBreakdown:
+def cdt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     """CDT-GH: DT-GH with the hash and join processes overlapped.
 
     ``t = max(|R|/x_t, |R|/x_d) + d/x_t + N * max(d/x_t, (2d+|R|)/x_d)``.
     """
-    reason = _gh_common(p, "CDT-GH")
-    if reason:
-        return _infeasible("CDT-GH", reason)
-    d = p.disk_blocks - p.size_r_blocks
-    if d <= 0:
-        return _infeasible("CDT-GH", "D <= |R|: no room to buffer S")
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
-    chunk = min(d, p.size_s_blocks)
-    n = _iters(p.size_s_blocks, chunk)
+    chunk = min(method._s_chunk_blocks(p), p.size_s_blocks)
+    n = ceil_div(p.size_s_blocks, chunk)
     step1 = max(p.size_r_blocks / p.rate_tape_r, p.size_r_blocks / x_d)
     step2 = chunk / x_t + n * max(
         chunk / x_t, (2 * chunk + p.size_r_blocks) / x_d
     )
     return CostBreakdown(
-        "CDT-GH", True, step1, step2, n, 1.0 + n,
+        method.symbol, True, step1, step2, n, 1.0 + n,
         disk_traffic_blocks=p.size_r_blocks * (1 + n) + 2 * p.size_s_blocks,
     )
 
 
-def ctt_gh(p: SystemParameters) -> CostBreakdown:
+def ctt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     """CTT-GH: hash R tape→tape, then CDT-GH-style Step II with |S_i| = D.
 
     Step I makes ⌈|R|/D⌉ scans of R plus one write pass:
@@ -183,15 +167,9 @@ def ctt_gh(p: SystemParameters) -> CostBreakdown:
     Step II overlaps three devices per iteration:
     ``t2 = D/x_t + N * max(D/x_t_S, |R|/x_t_R, 2D/x_d)``.
     """
-    reason = _gh_common(p, "CTT-GH")
-    if reason:
-        return _infeasible("CTT-GH", reason)
-    if p.scratch_r_blocks + 1e-9 < p.size_r_blocks:
-        return _infeasible("CTT-GH", "T_R < |R|: no tape scratch for hashed R")
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
     x_tr = p.rate_tape_r
-    scans = math.ceil(p.size_r_blocks / p.disk_blocks - 1e-9)
-    scans = max(1, scans)
+    scans = ceil_div(p.size_r_blocks, p.disk_blocks)
     # Per scan: a full read of R overlapped with writing+reading back the
     # |R|/scans blocks assembled that scan, then the tape append pass.
     assembled = p.size_r_blocks / scans
@@ -200,17 +178,17 @@ def ctt_gh(p: SystemParameters) -> CostBreakdown:
         + p.size_r_blocks / x_tr
     )
     chunk = min(p.disk_blocks, p.size_s_blocks)
-    n = _iters(p.size_s_blocks, chunk)
+    n = ceil_div(p.size_s_blocks, chunk)
     step2 = chunk / x_t + n * max(
         chunk / x_t, p.size_r_blocks / x_tr, 2 * chunk / x_d
     )
     return CostBreakdown(
-        "CTT-GH", True, step1, step2, n, scans + n,
+        method.symbol, True, step1, step2, n, scans + n,
         disk_traffic_blocks=2 * p.size_r_blocks + 2 * p.size_s_blocks,
     )
 
 
-def tt_gh(p: SystemParameters) -> CostBreakdown:
+def tt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     """TT-GH: hash both relations tape→tape, then a bucket-wise merge pass.
 
     Each hashing pass reads its source ⌈size/D⌉ times and appends one full
@@ -219,28 +197,18 @@ def tt_gh(p: SystemParameters) -> CostBreakdown:
     concurrently: ``t1 = ⌈|R|/D⌉|R|/x_t + |R|/x_t + ⌈|S|/D⌉|S|/x_t +
     |S|/x_t``; ``t2 = max(|R|/x_t, |S|/x_t)``.
     """
-    reason = _gh_common(p, "TT-GH")
-    if reason:
-        return _infeasible("TT-GH", reason)
-    if p.scratch_r_blocks + 1e-9 < p.size_s_blocks:
-        return _infeasible("TT-GH", "T_R < |S|: no tape scratch for hashed S")
-    if p.scratch_s_blocks + 1e-9 < p.size_r_blocks:
-        return _infeasible("TT-GH", "T_S < |R|: no tape scratch for hashed R")
-    x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
-    x_tr = p.rate_tape_r
-    scans_r = max(1, math.ceil(p.size_r_blocks / p.disk_blocks - 1e-9))
-    scans_s = max(1, math.ceil(p.size_s_blocks / p.disk_blocks - 1e-9))
+    from repro.core.base import GraceHashLayout
+
+    x_t, x_tr = p.tape_rate_blocks_s, p.rate_tape_r
+    scans_r = ceil_div(p.size_r_blocks, p.disk_blocks)
+    scans_s = ceil_div(p.size_s_blocks, p.disk_blocks)
     hash_r = scans_r * p.size_r_blocks / x_tr + p.size_r_blocks / x_t
     hash_s = scans_s * p.size_s_blocks / x_t + p.size_s_blocks / x_tr
     step1 = hash_r + hash_s
     step2 = max(p.size_r_blocks / x_t, p.size_s_blocks / x_tr)
-    # Step II proceeds bucket by bucket; B follows the Grace layout.
-    n_buckets = max(
-        1,
-        math.ceil(p.size_r_blocks / (GH_BUCKET_TARGET_FRACTION * p.memory_blocks)),
-    )
+    # Step II proceeds bucket by bucket, one iteration per bucket.
     return CostBreakdown(
-        "TT-GH", True, step1, step2, n_buckets, scans_r + 1,
+        method.symbol, True, step1, step2, GraceHashLayout(p).n_buckets, scans_r + 1,
         disk_traffic_blocks=2 * p.size_r_blocks + 2 * p.size_s_blocks,
     )
 
@@ -257,15 +225,20 @@ _FORMULAS = {
 
 
 def estimate(symbol: str, p: SystemParameters) -> CostBreakdown:
-    """Analytical cost of one method under parameters ``p``."""
-    try:
-        formula = _FORMULAS[symbol]
-    except KeyError:
-        known = ", ".join(sorted(_FORMULAS))
-        raise KeyError(f"unknown method {symbol!r}; known: {known}") from None
-    return formula(p)
+    """Analytical cost of one method under parameters ``p``.
+
+    A method whose Table 2 requirements ``p`` does not meet comes back
+    with ``feasible=False`` and the method's own reason.
+    """
+    from repro.core.registry import method_by_symbol
+
+    method = method_by_symbol(symbol)
+    reason = method.infeasibility(p)
+    if reason is not None:
+        return CostBreakdown(symbol, False, reason=reason)
+    return _FORMULAS[symbol](p, method)
 
 
 def estimate_all(p: SystemParameters) -> dict[str, CostBreakdown]:
     """Analytical costs of all seven methods, keyed by symbol."""
-    return {symbol: formula(p) for symbol, formula in _FORMULAS.items()}
+    return {symbol: estimate(symbol, p) for symbol in _FORMULAS}

@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.registry import method_by_symbol
 from repro.costmodel.formulas import estimate, estimate_all
 from repro.costmodel.parameters import SystemParameters
 
@@ -57,12 +60,41 @@ class TestHandComputedValues:
             estimate("XX", params())
 
 
+@st.composite
+def system_parameters(draw):
+    """Sizes, M, D, T_R and T_S around every Table 2 threshold."""
+    size_r = draw(st.floats(1.0, 1000.0))
+    scratch = st.one_of(st.just(math.inf), st.floats(0.0, 30.0 * size_r))
+    return params(
+        size_r_blocks=size_r,
+        size_s_blocks=size_r * draw(st.floats(1.0, 20.0)),
+        memory_blocks=draw(st.floats(0.1, 2.0 * size_r)),
+        disk_blocks=draw(st.floats(0.1, 3.0 * size_r)),
+        scratch_r_blocks=draw(scratch),
+        scratch_s_blocks=draw(scratch),
+    )
+
+
 class TestFeasibility:
+    @given(p=system_parameters())
+    @example(p=params(disk_blocks=100.5))  # DT-GH, CDT-GH: D < |R| + 1
+    @example(p=params(disk_blocks=5.0))  # CTT-GH, TT-GH: D < 0.35M + 1
+    @example(p=params(memory_blocks=1.5))  # CDT-NB/MB: M < 2
+    @settings(max_examples=300, deadline=None)
+    def test_model_feasibility_is_table2(self, p):
+        """The model rules a method out exactly where its Table 2
+        requirements do."""
+        budgets = (p.memory_blocks, p.disk_blocks, p.scratch_r_blocks, p.scratch_s_blocks)
+        for symbol in ALL:
+            fits = method_by_symbol(symbol).requirements(p).fits(*budgets)
+            assert estimate(symbol, p).feasible == fits, symbol
+
     def test_nb_needs_r_on_disk(self):
         cost = estimate("DT-NB", params(disk_blocks=50.0))
         assert not cost.feasible
         assert math.isinf(cost.total_s)
-        assert "D < |R|" in cost.reason
+        assert cost.reason.startswith("DT-NB needs ")
+        assert "D>=100.0" in cost.reason
 
     def test_gh_needs_sqrt_memory(self):
         cost = estimate("CDT-GH", params(memory_blocks=5.0))

@@ -31,6 +31,12 @@ BASELINES = {
     # its class name; recorded on the commit before the checks took their
     # tape drive from ``StorageSystem``.
     "assumptions": "69e885f28f9e19db122b7a420461bcafba9afb759b3660c38585800c1c8b7feb",
+    # The analytical Figures 1-3, ``figureN().to_dict()``; recorded on the
+    # commit before the cost model took feasibility, d and B from the
+    # join methods.
+    "fig1": "3bc42c7d04660b8270d2ae75f59a91f81805407a6bd8dc387430630f94645f80",
+    "fig2": "9e8265a1c70393e9ed4da9d8679d8a4003a68c13f1488f509ff3e4f229070d28",
+    "fig3": "28e1fcfdce9a90b12fe6ad2cd0d64e341a55482598fdf08a984cc69cf60fb2bf",
 }
 
 #: sha256(json.dumps(stats_to_dict(stats), sort_keys=True)) of single
@@ -190,6 +196,19 @@ CACHE_PATH_BASELINES = {
 TAPE_OPTION_BASELINES = {
     "CTT-GH": "f27c7823e6f2b34a4a17e6c20ca46c1f2e773afd4085e68d2b427b376559eac7",
     "TT-GH": "6cf8751ca4c811decc1912f0d28b44b5ba9c8cc17ceae53a40b2a132f7610658",
+}
+
+#: sha256 of :func:`planner_payload` over the planner's verdicts: on the
+#: four ``tests/costmodel/test_model_vs_sim.py`` configurations of the
+#: ``small_r``/``small_s`` pair (``"grid"``) and on the Experiment 3 frame
+#: at scale 0.03 over its nine M fractions (``"exp3"``).  The payload
+#: holds the chosen method, every ranked method's symbol, estimate,
+#: Step I and II seconds, iterations and R scans, and every rejected
+#: method's symbol and reason.  Recorded on the same commit as the
+#: Figure 1-3 hashes.
+PLANNER_BASELINES = {
+    "grid": "ecd8aea4b9a6c0ac465db7af7d86e044c4a9b78977bb8033bde9c0ab844de675",
+    "exp3": "222b45024cbcca4bfdb8a02c49b7c897040b11f78cbb52cfa5eb838c9dff4a04",
 }
 
 #: ``examples/tape_query.py``'s Q1-Q4 as (value, join method, passes),
@@ -502,6 +521,75 @@ def test_cache_path_bytes(run, label, cache_digests):
 @pytest.mark.parametrize("symbol", sorted(TAPE_OPTION_BASELINES))
 def test_tape_option_stats_bytes(symbol, small_r, small_s):
     assert tape_option_digest(symbol, small_r, small_s) == TAPE_OPTION_BASELINES[symbol]
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+def test_analytical_figure_bytes(name):
+    from repro.experiments import analytical
+
+    figure = {"fig1": analytical.figure1, "fig2": analytical.figure2,
+              "fig3": analytical.figure3}[name]
+    assert digest(figure().to_dict()) == BASELINES[name]
+
+
+def planner_payload(specs) -> list:
+    """What ``plan_join`` decides for each spec, as JSON-ready lists."""
+    from repro.core.planner import plan_join
+    from repro.core.spec import InfeasibleJoinError
+
+    payload = []
+    for spec in specs:
+        try:
+            plan = plan_join(spec)
+        except InfeasibleJoinError as exc:
+            payload.append({"error": str(exc)})
+            continue
+        payload.append({
+            "chosen": plan.chosen,
+            "ranked": [
+                [rm.symbol, rm.estimated_s, rm.breakdown.step1_s,
+                 rm.breakdown.step2_s, rm.breakdown.iterations, rm.breakdown.r_scans]
+                for rm in plan.ranked
+            ],
+            "rejected": [list(pair) for pair in plan.rejected],
+        })
+    return payload
+
+
+def planner_specs(frame, small_r, small_s) -> list:
+    from repro.core.spec import JoinSpec
+    from repro.experiments.config import (
+        DISK_LIGHTNING,
+        EXPERIMENT3_D_MB,
+        EXPERIMENT3_M_FRACTIONS,
+        EXPERIMENT3_R_MB,
+        EXPERIMENT3_S_MB,
+    )
+
+    if frame == "grid":
+        configs = [(10.0, 130.0), (25.0, 130.0), (45.0, 160.0), (10.0, 60.0)]
+        return [
+            JoinSpec(small_r, small_s, memory_blocks=memory, disk_blocks=disk)
+            for memory, disk in configs
+        ]
+    scale = ExperimentScale(scale=0.03, tuple_bytes=256)
+    relation_r, relation_s = scale.relations(EXPERIMENT3_R_MB, EXPERIMENT3_S_MB)
+    r_blocks = scale.relation_blocks(EXPERIMENT3_R_MB)
+    return [
+        JoinSpec(
+            relation_r, relation_s, memory_blocks=fraction * r_blocks,
+            disk_blocks=scale.blocks(EXPERIMENT3_D_MB), n_disks=scale.n_disks,
+            disk_params=DISK_LIGHTNING, tape_params_r=BASE_TAPE,
+            tape_params_s=BASE_TAPE,
+        )
+        for fraction in EXPERIMENT3_M_FRACTIONS
+    ]
+
+
+@pytest.mark.parametrize("frame", sorted(PLANNER_BASELINES))
+def test_planner_bytes(frame, small_r, small_s):
+    payload = planner_payload(planner_specs(frame, small_r, small_s))
+    assert digest({"plans": payload}) == PLANNER_BASELINES[frame]
 
 
 def test_assumption_checks_bytes():
