@@ -44,7 +44,6 @@ class JoinEnvironment:
             tape_params_s=spec.tape_params_s,
             n_buses=spec.n_buses,
             bus_bandwidth_mb_s=spec.bus_bandwidth_mb_s,
-            stripe_threshold_blocks=spec.stripe_threshold_blocks,
         )
         self.storage = StorageSystem(self.sim, config)
         self.memory = MemoryManager(spec.memory_blocks)

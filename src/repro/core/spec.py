@@ -54,7 +54,6 @@ class JoinSpec:
     tape_params_s: TapeDriveParameters = dataclasses.field(default_factory=TapeDriveParameters)
     n_buses: int = 2
     bus_bandwidth_mb_s: float = 10.0
-    stripe_threshold_blocks: float = 8.0
     #: Record per-device busy intervals, queue depths, buffer and memory
     #: occupancy (the Figure 4 series) and phase spans into a
     #: :class:`~repro.obs.recorder.JoinObserver` (``repro.obs``).

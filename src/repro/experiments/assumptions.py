@@ -1,8 +1,9 @@
 """Validation of the cost model's simplifying assumptions (Section 3.2).
 
 The paper's transfer-only model rests on three claims it asserts rather
-than measures.  Each function here measures one of them on the simulated
-hardware, so the claims become checkable artifacts:
+than measures.  Each function here checks one of them against the
+simulated hardware's parameters, so the claims become checkable
+artifacts:
 
 * :func:`media_exchange_share` — "tape switch delays (roughly 30 seconds
   per media exchange) [are] negligible compared to the transfer time of a
@@ -10,8 +11,9 @@ hardware, so the claims become checkable artifacts:
   robot and report the fraction of time spent exchanging media.
 * :func:`disk_positioning_share` — "disk seeks and rotational latency
   play a relatively minor role compared to transfer cost when disk
-  requests are at least moderately large [>= 30 blocks]": scan a disk
-  extent at several request sizes and report the positioning share.
+  requests are at least moderately large [>= 30 blocks]": the
+  positioning share of a worst-case scan at one request size, computed
+  in closed form from the ``DiskParameters`` (no disk is simulated).
 * :func:`locate_model_sensitivity` — the constant-locate simplification:
   run CTT-GH with a distance-based locate model and report how much the
   response moves (the join's tape pattern is mostly sequential, so it
@@ -108,18 +110,19 @@ class PositioningShare:
 def disk_positioning_share(
     scan_mb: float = 100.0,
     request_blocks: float = 30.0,
-    params: DiskParameters | None = None,
+    params: DiskParameters = DiskParameters(),
 ) -> PositioningShare:
-    """Scan ``scan_mb`` in fixed-size requests with a seek before each one.
+    """Price a scan of ``scan_mb`` in fixed-size requests with a full
+    positioning delay before each one.
 
     Models the worst case for the paper's claim: every request pays a full
-    reposition (as interleaved workloads force), so the measured share is
-    an upper bound for sequential scans.
+    reposition (as interleaved workloads force), so the share is an upper
+    bound for sequential scans.  The result is closed-form from
+    ``params``; no simulated disk runs.
     """
     if request_blocks <= 0:
         raise ValueError("request size must be positive")
     spec = BlockSpec()
-    params = params or DiskParameters()
     n_requests = spec.blocks_from_mb(scan_mb) / request_blocks
     transfer_s = scan_mb * 1024 * 1024 / params.rate_bytes_s
     positioning_s = n_requests * params.positioning_s
@@ -141,10 +144,9 @@ class LocateSensitivity:
 
 def locate_model_sensitivity(
     locate_s_per_gb: float = 10.0,
-    scale: ExperimentScale | None = None,
+    scale: ExperimentScale = ExperimentScale(scale=0.25, tuple_bytes=8192),
 ) -> LocateSensitivity:
     """Run a scaled CTT-GH join under both locate models."""
-    scale = scale or ExperimentScale(scale=0.25, tuple_bytes=8192)
     r, s = scale.relations(500.0, 1000.0)
     memory = clamp_gh_memory(scale.blocks(16.0), r.n_blocks)
     disk = scale.blocks(100.0)
@@ -161,6 +163,15 @@ def locate_model_sensitivity(
         dataclasses.replace(BASE_TAPE, locate_s_per_gb=locate_s_per_gb)
     )
     return LocateSensitivity(constant, distance)
+
+
+#: The Section 3.2 checks by ``assumption`` task name, in the order
+#: listed above.  Each signature holds the check's defaults.
+CHECKS = {
+    "media_exchange": media_exchange_share,
+    "disk_positioning": disk_positioning_share,
+    "locate_sensitivity": locate_model_sensitivity,
+}
 
 
 class AssumptionChecks(typing.NamedTuple):
@@ -198,11 +209,7 @@ def assumption_sweep() -> Sweep:
     """The three measurements as ``assumption`` sweep tasks, so checks
     are cached and parallelized like any other sweep point."""
     return Sweep(
-        [
-            assumption_task("media_exchange"),
-            assumption_task("disk_positioning"),
-            assumption_task("locate_sensitivity"),
-        ],
+        [assumption_task(check) for check in CHECKS],
         lambda results: AssumptionChecks(
             ExchangeShare(**results[0]["data"]),
             PositioningShare(**results[1]["data"]),

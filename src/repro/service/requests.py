@@ -2,7 +2,7 @@
 
 A :class:`JoinRequest` names what a client wants joined — the dimension
 (R) and fact (S) tape volumes with their paper-scale sizes in MB — plus
-service constraints (priority, deadline, arrival).  A
+service constraints (deadline, arrival).  A
 :class:`ServiceConfig` describes the hardware every request competes
 for: the drive pool, the disk array and memory budgets, and the media
 exchange latency charged by the library robot.
@@ -70,7 +70,6 @@ class JoinRequest:
     disk_mb: float | None = None
     scratch_r_mb: float | None = None
     scratch_s_mb: float | None = None
-    priority: int = 0
     deadline_s: float | None = None
     arrival_s: float = 0.0
     method: str | None = None
@@ -120,8 +119,6 @@ class JoinRequest:
             value = getattr(self, field)
             if value is not None:
                 payload[field] = value
-        if self.priority:
-            payload["priority"] = self.priority
         if self.arrival_s:
             payload["arrival_s"] = self.arrival_s
         return payload
@@ -192,8 +189,6 @@ class ServiceConfig:
 
     def to_dict(self) -> dict:
         """JSON-serializable form, stable under cache fingerprinting."""
-        from repro.sweep.serialize import disk_to_dict, scale_to_dict, tape_to_dict
-
         payload = {
             "n_drives": self.n_drives,
             "memory_mb": self.memory_mb,
@@ -202,9 +197,9 @@ class ServiceConfig:
             "disk_total_mb": self.pool_disk_mb,
             "exchange_s": self.exchange_s,
             "clamp_memory_floor": self.clamp_memory_floor,
-            "scale": scale_to_dict(self.scale),
-            "tape": tape_to_dict(self.tape),
-            "disk_params": disk_to_dict(self.disk_params),
+            "scale": dataclasses.asdict(self.scale),
+            "tape": dataclasses.asdict(self.tape),
+            "disk_params": dataclasses.asdict(self.disk_params),
         }
         # Present only when a cache is configured, so cache-less service
         # fingerprints (and every pre-HSM sweep cache entry) are stable.
@@ -215,14 +210,19 @@ class ServiceConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "ServiceConfig":
         """Inverse of :meth:`to_dict`."""
-        from repro.sweep.serialize import disk_from_dict, scale_from_dict, tape_from_dict
+        from repro.experiments.config import ExperimentScale
+        from repro.hsm.cache import CacheConfig
+        from repro.storage.disk import DiskParameters
+        from repro.storage.tape import TapeDriveParameters
+        from repro.sweep.serialize import rebuild
 
         payload = dict(payload)
-        payload["scale"] = scale_from_dict(payload["scale"])
-        payload["tape"] = tape_from_dict(payload["tape"])
-        payload["disk_params"] = disk_from_dict(payload["disk_params"])
-        if payload.get("cache") is not None:
-            from repro.hsm.cache import CacheConfig
-
-            payload["cache"] = CacheConfig.from_dict(payload["cache"])
+        for name, kind in (
+            ("scale", ExperimentScale),
+            ("tape", TapeDriveParameters),
+            ("disk_params", DiskParameters),
+            ("cache", CacheConfig),
+        ):
+            if payload.get(name) is not None:
+                payload[name] = rebuild(kind, payload[name])
         return cls(**payload)

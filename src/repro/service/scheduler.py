@@ -159,15 +159,13 @@ class JoinService:
         if request.scratch_s_mb is not None:
             scratch["scratch_s_blocks"] = scale.blocks(request.scratch_s_mb)
         try:
-            spec = JoinSpec(
+            spec = scale.join_spec(
                 relation_r,
                 relation_s,
                 memory_blocks=memory,
                 disk_blocks=disk,
-                n_disks=scale.n_disks,
+                tape=config.tape,
                 disk_params=config.disk_params,
-                tape_params_r=config.tape,
-                tape_params_s=config.tape,
                 **scratch,
             )
             plan = plan_join(spec)

@@ -36,7 +36,6 @@ class StorageConfig:
     tape_params_s: TapeDriveParameters = dataclasses.field(default_factory=TapeDriveParameters)
     n_buses: int = 2
     bus_bandwidth_mb_s: float = 10.0
-    stripe_threshold_blocks: float = 8.0
 
     def __post_init__(self):
         if self.n_disks < 1:
@@ -48,11 +47,6 @@ class StorageConfig:
         if self.bus_bandwidth_mb_s <= 0:
             raise ValueError(
                 f"bus bandwidth must be positive, got {self.bus_bandwidth_mb_s} MB/s"
-            )
-        if self.stripe_threshold_blocks < 0:
-            raise ValueError(
-                "stripe threshold must be non-negative, got "
-                f"{self.stripe_threshold_blocks} blocks"
             )
 
 
@@ -77,7 +71,7 @@ class StorageSystem:
             )
             for i in range(config.n_disks)
         ]
-        self.array = DiskArray(sim, self.disks, config.stripe_threshold_blocks)
+        self.array = DiskArray(sim, self.disks)
         # One tape drive per bus, as in the paper's testbed; with a single
         # bus both drives share it.
         self.drive_r = TapeDrive(sim, "tape_r", self.buses[0], spec, config.tape_params_r)

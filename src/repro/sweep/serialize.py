@@ -15,48 +15,22 @@ import typing
 
 from repro.core.spec import InfeasibleJoinError, JoinStats
 from repro.relational.join_core import JoinResult
-from repro.storage.block import BlockSpec
-from repro.storage.disk import DiskParameters
-from repro.storage.tape import TapeDriveParameters
-
-if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    # Imported lazily at runtime: repro.experiments pulls in the sweep
-    # package, so a module-level import here would be circular.
-    from repro.experiments.config import ExperimentScale
 
 
-def tape_to_dict(params: TapeDriveParameters) -> dict:
-    """Plain-dict form of tape drive parameters."""
-    return dataclasses.asdict(params)
+def rebuild(cls, payload: dict):
+    """Call ``cls`` on a payload made by :func:`dataclasses.asdict`.
 
-
-def tape_from_dict(payload: dict) -> TapeDriveParameters:
-    """Rebuild tape drive parameters from their dict form."""
-    return TapeDriveParameters(**payload)
-
-
-def disk_to_dict(params: DiskParameters) -> dict:
-    """Plain-dict form of disk parameters."""
-    return dataclasses.asdict(params)
-
-
-def disk_from_dict(payload: dict) -> DiskParameters:
-    """Rebuild disk parameters from their dict form."""
-    return DiskParameters(**payload)
-
-
-def scale_to_dict(scale: ExperimentScale) -> dict:
-    """Plain-dict form of an experiment scale (block spec nested)."""
-    return dataclasses.asdict(scale)
-
-
-def scale_from_dict(payload: dict) -> ExperimentScale:
-    """Rebuild an :class:`ExperimentScale` from its dict form."""
-    from repro.experiments.config import ExperimentScale
-
-    fields = dict(payload)
-    fields["block_spec"] = BlockSpec(**fields["block_spec"])
-    return ExperimentScale(**fields)
+    ``cls`` is a parameter dataclass or a function of them.  Every
+    argument annotated with a dataclass is rebuilt from its dict first,
+    so nested values (an :class:`ExperimentScale`'s ``BlockSpec``) come
+    back as objects.
+    """
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(payload)
+    for name, value in payload.items():
+        if dataclasses.is_dataclass(hints.get(name)):
+            kwargs[name] = rebuild(hints[name], value)
+    return cls(**kwargs)
 
 
 def stats_to_dict(stats: JoinStats) -> dict:

@@ -24,17 +24,10 @@ Task kinds:
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import typing
 
-from repro.sweep.serialize import (
-    disk_from_dict,
-    disk_to_dict,
-    scale_from_dict,
-    scale_to_dict,
-    stats_to_dict,
-    tape_from_dict,
-    tape_to_dict,
-)
+from repro.sweep.serialize import rebuild, stats_to_dict
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     # repro.experiments imports the sweep package; resolve the reverse
@@ -87,16 +80,13 @@ def join_task(
         "s_mb": s_mb,
         "memory_blocks": memory_blocks,
         "disk_blocks": disk_blocks,
-        "tape": tape_to_dict(tape),
-        "disk_params": disk_to_dict(disk_params),
-        "scale": scale_to_dict(scale),
+        "tape": dataclasses.asdict(tape),
+        "disk_params": dataclasses.asdict(disk_params),
+        "scale": dataclasses.asdict(scale),
         "verify": verify,
     }
     if fault_plan is not None:
-        payload["faults"] = {
-            "plan": fault_plan.to_dict(),
-            "policy": None if retry_policy is None else retry_policy.to_dict(),
-        }
+        payload["faults"] = _faults_to_payload(fault_plan, retry_policy)
     if trace:
         payload["trace"] = True
     return SweepTask("join", payload)
@@ -105,18 +95,22 @@ def join_task(
 def assumption_task(check: str, **kwargs) -> SweepTask:
     """A task running one Section 3.2 assumption measurement.
 
-    ``check`` is one of ``media_exchange``, ``disk_positioning`` or
-    ``locate_sensitivity``; keyword arguments override the measurement's
-    defaults and are resolved here so the fingerprint captures them.
+    ``check`` names one of :data:`repro.experiments.assumptions.CHECKS`;
+    keyword arguments override the measurement's defaults, which are read
+    from its signature here so the fingerprint captures them.
     """
-    if check not in _ASSUMPTION_DEFAULTS:
-        known = ", ".join(sorted(_ASSUMPTION_DEFAULTS))
+    from repro.experiments.assumptions import CHECKS
+
+    if check not in CHECKS:
+        known = ", ".join(sorted(CHECKS))
         raise KeyError(f"unknown assumption check {check!r}; known: {known}")
-    payload = {"check": check, "kwargs": dict(_ASSUMPTION_DEFAULTS[check]())}
-    payload["kwargs"].update(kwargs)
-    for key, value in payload["kwargs"].items():
-        payload["kwargs"][key] = _encode_param(value)
-    return SweepTask("assumption", payload)
+    parameters = inspect.signature(CHECKS[check]).parameters
+    values = {name: parameter.default for name, parameter in parameters.items()}
+    values.update(kwargs)
+    for name, value in values.items():
+        if dataclasses.is_dataclass(value):
+            values[name] = dataclasses.asdict(value)
+    return SweepTask("assumption", {"check": check, "kwargs": values})
 
 
 def service_task(
@@ -149,50 +143,8 @@ def service_task(
         "config": config.to_dict(),
     }
     if fault_plan is not None:
-        payload["faults"] = {
-            "plan": fault_plan.to_dict(),
-            "policy": None if retry_policy is None else retry_policy.to_dict(),
-        }
+        payload["faults"] = _faults_to_payload(fault_plan, retry_policy)
     return SweepTask("service", payload)
-
-
-def _encode_param(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
-    return value
-
-
-def _assumption_defaults_media() -> dict:
-    from repro.experiments.config import BASE_TAPE
-
-    return {
-        "relation_mb": 40960.0,
-        "n_volumes": 2,
-        "exchange_s": 30.0,
-        "tape": BASE_TAPE,
-    }
-
-
-def _assumption_defaults_positioning() -> dict:
-    from repro.storage.disk import DiskParameters
-
-    return {"scan_mb": 100.0, "request_blocks": 30.0, "params": DiskParameters()}
-
-
-def _assumption_defaults_locate() -> dict:
-    from repro.experiments.config import ExperimentScale
-
-    return {
-        "locate_s_per_gb": 10.0,
-        "scale": ExperimentScale(scale=0.25, tuple_bytes=8192),
-    }
-
-
-_ASSUMPTION_DEFAULTS = {
-    "media_exchange": _assumption_defaults_media,
-    "disk_positioning": _assumption_defaults_positioning,
-    "locate_sensitivity": _assumption_defaults_locate,
-}
 
 
 # -- executors (worker side) --------------------------------------------------
@@ -201,9 +153,12 @@ _ASSUMPTION_DEFAULTS = {
 def _run_join_task(payload: dict) -> dict:
     from repro.api import run_join
     from repro.core.spec import InfeasibleJoinError
+    from repro.experiments.config import ExperimentScale
     from repro.obs.metrics import buffer_utilization
+    from repro.storage.disk import DiskParameters
+    from repro.storage.tape import TapeDriveParameters
 
-    scale = scale_from_dict(payload["scale"])
+    scale = rebuild(ExperimentScale, payload["scale"])
     relation_r, relation_s = scale.cached_relations(payload["r_mb"], payload["s_mb"])
     fault_plan = retry_policy = None
     faults = payload.get("faults")
@@ -214,8 +169,8 @@ def _run_join_task(payload: dict) -> dict:
         relation_s,
         memory_blocks=payload["memory_blocks"],
         disk_blocks=payload["disk_blocks"],
-        tape=tape_from_dict(payload["tape"]),
-        disk_params=disk_from_dict(payload["disk_params"]),
+        tape=rebuild(TapeDriveParameters, payload["tape"]),
+        disk_params=rebuild(DiskParameters, payload["disk_params"]),
         fault_plan=fault_plan,
         retry_policy=retry_policy,
         trace_devices=payload.get("trace", False),
@@ -233,6 +188,13 @@ def _run_join_task(payload: dict) -> dict:
             (stats.step1_s, stats.response_s),
         )
     return result
+
+
+def _faults_to_payload(fault_plan, retry_policy) -> dict:
+    return {
+        "plan": fault_plan.to_dict(),
+        "policy": None if retry_policy is None else retry_policy.to_dict(),
+    }
 
 
 def _faults_from_payload(faults: dict):
@@ -270,21 +232,10 @@ def _run_service_task(payload: dict) -> dict:
 def _run_assumption_task(payload: dict) -> dict:
     # Imported lazily: repro.experiments.assumptions imports repro.sweep
     # at module level, so a top-level import here would be circular.
-    from repro.experiments import assumptions
+    from repro.experiments.assumptions import CHECKS
 
-    kwargs = dict(payload["kwargs"])
     check = payload["check"]
-    if check == "media_exchange":
-        kwargs["tape"] = tape_from_dict(kwargs["tape"])
-        result = assumptions.media_exchange_share(**kwargs)
-    elif check == "disk_positioning":
-        kwargs["params"] = disk_from_dict(kwargs["params"])
-        result = assumptions.disk_positioning_share(**kwargs)
-    elif check == "locate_sensitivity":
-        kwargs["scale"] = scale_from_dict(kwargs["scale"])
-        result = assumptions.locate_model_sensitivity(**kwargs)
-    else:  # pragma: no cover - builders reject unknown checks
-        raise KeyError(f"unknown assumption check {check!r}")
+    result = rebuild(CHECKS[check], payload["kwargs"])
     return {"check": check, "data": dataclasses.asdict(result)}
 
 

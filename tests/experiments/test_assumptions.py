@@ -9,7 +9,7 @@ from repro.experiments.assumptions import (
     locate_model_sensitivity,
     media_exchange_share,
 )
-from repro.experiments.config import BASE_TAPE
+from repro.experiments.config import BASE_TAPE, DISK_LIGHTNING, SLOW_TAPE
 from repro.storage.tape import TapeDriveParameters
 
 
@@ -88,3 +88,33 @@ class TestLocateModel:
         base_cost = params.reposition_s + 1.0 * 100 * 1024 / params.rate_bytes_s
         distance_gb = (19000 + 20 - 1) * 100 * 1024 / (1024**3)
         assert elapsed == pytest.approx(base_cost + 100.0 * distance_gb, rel=1e-3)
+
+
+class TestAssumptionTasks:
+    """A check's overrides travel through a sweep payload as plain dicts
+    and come back as the parameter objects the check was called with."""
+
+    @pytest.mark.parametrize(
+        "check,kwargs",
+        [
+            ("disk_positioning", dict(request_blocks=8.0, params=DISK_LIGHTNING)),
+            ("media_exchange", dict(relation_mb=100.0, n_volumes=3, tape=SLOW_TAPE)),
+        ],
+    )
+    def test_overrides_survive_the_payload(self, check, kwargs):
+        import json
+
+        from repro.experiments.assumptions import CHECKS
+        from repro.sweep import execute_task
+        from repro.sweep.tasks import assumption_task
+
+        task = assumption_task(check, **kwargs)
+        payload = json.loads(json.dumps(task.payload))
+        result = execute_task(task.kind, payload)
+        assert result["data"] == dataclasses.asdict(CHECKS[check](**kwargs))
+
+    def test_unknown_check_is_rejected(self):
+        from repro.sweep.tasks import assumption_task
+
+        with pytest.raises(KeyError, match="locate_sensitivity"):
+            assumption_task("seek_time")

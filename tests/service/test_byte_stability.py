@@ -242,6 +242,23 @@ SERVICE_TASK_FINGERPRINT = (
     "9fb0a898377a229829b028baf07158a102f01ff3a0201ba50e9e2a48928314a2"
 )
 
+#: Fingerprints of the three default ``assumption`` tasks, of a join task
+#: carrying a fault plan and a retry policy, and of a service task whose
+#: config has a partition cache.  Recorded on the commit before the sweep
+#: payloads lost their per-class dict codecs, so every cache entry written
+#: before it stays addressable.
+ASSUMPTION_TASK_FINGERPRINTS = {
+    "media_exchange": "9220ba1544f9864e6f2f08f1b5bc03779d9914842798ad2b7b92db997d823c86",
+    "disk_positioning": "7042327a22c8dddb09bea46e134a114c29ff3cfaae08715e9f520103d6e8d965",
+    "locate_sensitivity": "c624344674ed2f7f0976829e58d0cfa5a8c07148a3d3f0d5744767e1925084ef",
+}
+FAULTED_JOIN_TASK_FINGERPRINT = (
+    "80c02c94f988afac226b02d3d0f9cbb8be6f4b9d7feef2eff65ca2db701ea5da"
+)
+CACHED_SERVICE_TASK_FINGERPRINT = (
+    "3dbc6ae79391199d87a5ad61164ce0a69569b51d3840fb732651be106073ac26"
+)
+
 
 def duplicate_pair():
     """R and S sized like ``small_r``/``small_s``, every key ~8 times."""
@@ -649,6 +666,44 @@ class TestCacheAddressing:
         assert "cache" not in config.to_dict()
         task = service_task("fifo", service_workload(4), config)
         assert task_fingerprint(task.kind, task.payload) == SERVICE_TASK_FINGERPRINT
+
+    @pytest.mark.parametrize("check", sorted(ASSUMPTION_TASK_FINGERPRINTS))
+    def test_assumption_task_fingerprint_is_unchanged(self, check):
+        from repro.sweep import task_fingerprint
+        from repro.sweep.tasks import assumption_task
+
+        task = assumption_task(check)
+        fingerprint = task_fingerprint(task.kind, task.payload)
+        assert fingerprint == ASSUMPTION_TASK_FINGERPRINTS[check]
+
+    def test_faulted_join_task_fingerprint_is_unchanged(self, scale_8k):
+        from repro.faults.plan import FaultPlan
+        from repro.faults.policy import RetryPolicy
+        from repro.sweep import task_fingerprint
+        from repro.sweep.tasks import join_task
+
+        task = join_task(
+            "CTT-GH", 500.0, 1000.0, memory_blocks=100.0, disk_blocks=120.0,
+            tape=BASE_TAPE, disk_params=DISK_1996, scale=scale_8k,
+            fault_plan=FaultPlan.uniform(0.002, seed=3),
+            retry_policy=RetryPolicy(max_retries=2),
+        )
+        fingerprint = task_fingerprint(task.kind, task.payload)
+        assert fingerprint == FAULTED_JOIN_TASK_FINGERPRINT
+
+    def test_cached_service_task_fingerprint_is_unchanged(self, scale_2k):
+        from repro.experiments.exp5_service import service_workload
+        from repro.hsm.cache import CacheConfig
+        from repro.service.requests import ServiceConfig
+        from repro.sweep import task_fingerprint
+        from repro.sweep.tasks import service_task
+
+        config = ServiceConfig(
+            scale=scale_2k, cache=CacheConfig(capacity_mb=200.0, policy="cost")
+        )
+        task = service_task("fifo", service_workload(4), config)
+        fingerprint = task_fingerprint(task.kind, task.payload)
+        assert fingerprint == CACHED_SERVICE_TASK_FINGERPRINT
 
     def test_cacheless_stats_serialization_has_no_cache_keys(self, scale_2k):
         from repro.api import run_join

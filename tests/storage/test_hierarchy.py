@@ -20,8 +20,6 @@ class TestStorageConfig:
             StorageConfig(disk_capacity_blocks=0.0)
         with pytest.raises(ValueError, match=r"got -3.0 MB/s"):
             StorageConfig(bus_bandwidth_mb_s=-3.0)
-        with pytest.raises(ValueError, match="stripe threshold"):
-            StorageConfig(stripe_threshold_blocks=-1.0)
 
 
 class TestStorageSystem:

@@ -17,7 +17,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 DEVICE_CLASSES = {"Bus", "TapeDrive", "Disk", "DiskArray"}
 
 #: The service broker still wires its drive pool by hand.  This exception
-#: goes away with the ROADMAP item "One execution model for the service",
+#: goes away with the ROADMAP item "One simulation per service run",
 #: which runs the service on ``StorageSystem``.
 ALLOWED = {"service/broker.py"}
 
