@@ -29,7 +29,7 @@ import typing
 
 from repro.core.planner import JoinPlan, plan_join
 from repro.core.registry import method_by_symbol
-from repro.core.spec import InfeasibleJoinError, JoinSpec, JoinStats
+from repro.core.spec import InfeasibleJoinError, JoinSpec, JoinStats, JoinVerificationError
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.hsm.cache import CacheConfig, CacheReport, PartitionCache
@@ -45,9 +45,6 @@ from repro.sweep.tasks import (
     join_task,
     service_task,
 )
-
-class JoinVerificationError(AssertionError):
-    """A method produced a different result than the reference join."""
 
 
 def plan(spec: JoinSpec) -> JoinPlan:
@@ -93,17 +90,7 @@ def run_join(
         spec = dataclasses.replace(spec, **updates)
     stats = method_by_symbol(method).run(spec)
     if verify:
-        from repro.relational.join_core import reference_join
-
-        expected = reference_join(spec.relation_r, spec.relation_s)
-        if (expected.n_pairs, expected.checksum) != (
-            stats.output.n_pairs,
-            stats.output.checksum,
-        ):
-            raise JoinVerificationError(
-                f"{method} produced {stats.output} but the reference join "
-                f"is {expected}"
-            )
+        stats.verify(spec)
     if trace_out:
         trace(stats, trace_out)
     return stats

@@ -89,7 +89,10 @@ class TertiaryJoinMethod(abc.ABC):
     def run(self, spec: JoinSpec) -> JoinStats:
         """Validate, build an environment, simulate to completion."""
         self.validate(spec)
-        env = JoinEnvironment(spec)
+        return self.simulate(JoinEnvironment(spec))
+
+    def simulate(self, env: JoinEnvironment) -> JoinStats:
+        """Run the join in ``env`` from its clock to completion, unvalidated."""
         main = env.sim.process(self._execute(env), name=self.symbol)
         env.sim.run(main)
         env.sim.run()  # drain any same-time stragglers

@@ -3,7 +3,8 @@
 Builds the simulator and storage hierarchy for a :class:`JoinSpec`, places
 the relations on their tape volumes (pre-loaded into the drives, as the
 paper assumes), and collects the statistics that become a
-:class:`JoinStats` when the join finishes.
+:class:`JoinStats` when the join finishes.  A join can also run on a
+caller's storage, from tape files already mounted there.
 """
 
 from __future__ import annotations
@@ -18,34 +19,64 @@ from repro.relational.hashing import BucketIndex
 from repro.relational.join_core import BuildSide, JoinAccumulator
 from repro.simulator.engine import Simulator
 from repro.storage.hierarchy import StorageConfig, StorageSystem
-from repro.storage.tape import TapeVolume
+from repro.storage.tape import TapeFile, TapeVolume
+
+
+def storage_config(spec: JoinSpec) -> StorageConfig:
+    """The devices a join of ``spec`` runs on, with D as the disk space."""
+    # Iteration boundaries are tuple-aligned, but rounding at chunk
+    # boundaries can shift a tuple between adjacent iterations; a
+    # two-tuple slack on D absorbs that without materially relaxing
+    # the budget.
+    slack = 2.0 / min(
+        spec.relation_r.tuples_per_block, spec.relation_s.tuples_per_block
+    )
+    return StorageConfig(
+        spec=spec.block_spec,
+        n_disks=spec.n_disks,
+        disk_capacity_blocks=spec.disk_blocks + slack + 1e-6,
+        disk_params=spec.effective_disk_params(),
+        tape_params_r=spec.tape_params_r,
+        tape_params_s=spec.tape_params_s,
+        n_buses=spec.n_buses,
+        bus_bandwidth_mb_s=spec.bus_bandwidth_mb_s,
+    )
 
 
 class JoinEnvironment:
-    """Simulator, devices, relation placement and counters for one join."""
+    """Simulator, devices, relation placement and counters for one join.
 
-    def __init__(self, spec: JoinSpec):
+    Given a caller's ``storage`` and the files ``file_r`` and ``file_s``
+    mounted on its two drives, the join runs there from the clock t at
+    which the environment is built, and its times, spans and device
+    traffic count from t.  Given only ``spec``, it builds its own.
+    """
+
+    def __init__(self, spec: JoinSpec, storage: StorageSystem | None = None,
+                 file_r: TapeFile | None = None, file_s: TapeFile | None = None):
         self.spec = spec
-        self.sim = Simulator()
+        if storage is None:
+            storage = StorageSystem(Simulator(), storage_config(spec))
+            vol_r = TapeVolume(
+                "vol_r", spec.size_r_blocks + spec.effective_scratch_r(), requirement="T_R"
+            )
+            file_r = vol_r.record("R", spec.relation_r.as_chunk())
+            storage.drive_r.load(vol_r)
+            vol_s = TapeVolume(
+                "vol_s", spec.size_s_blocks + spec.effective_scratch_s(), requirement="T_S"
+            )
+            file_s = vol_s.record("S", spec.relation_s.as_chunk())
+            storage.drive_s.load(vol_s)
+        self.storage, self.sim, self.array = storage, storage.sim, storage.array
+        self.file_r, self.file_s = file_r, file_s
+        #: The tape drives holding R's and S's volumes.
+        holders = {drive.volume: drive for drive in (storage.drive_r, storage.drive_s)}
+        self.drive_r, self.drive_s = holders.get(file_r.volume), holders.get(file_s.volume)
+        if None in (self.drive_r, self.drive_s) or self.drive_r is self.drive_s:
+            raise ValueError("R and S must be mounted on two different drives")
+        self._data_end_r = file_r.volume.end_block
+        self._data_end_s = file_s.volume.end_block
         self.observer = JoinObserver() if spec.trace_devices else None
-        # Iteration boundaries are tuple-aligned, but rounding at chunk
-        # boundaries can shift a tuple between adjacent iterations; a
-        # two-tuple slack on D absorbs that without materially relaxing
-        # the budget.
-        slack = 2.0 / min(
-            spec.relation_r.tuples_per_block, spec.relation_s.tuples_per_block
-        )
-        config = StorageConfig(
-            spec=spec.block_spec,
-            n_disks=spec.n_disks,
-            disk_capacity_blocks=spec.disk_blocks + slack + 1e-6,
-            disk_params=spec.effective_disk_params(),
-            tape_params_r=spec.tape_params_r,
-            tape_params_s=spec.tape_params_s,
-            n_buses=spec.n_buses,
-            bus_bandwidth_mb_s=spec.bus_bandwidth_mb_s,
-        )
-        self.storage = StorageSystem(self.sim, config)
         self.memory = MemoryManager(spec.memory_blocks)
         self.accumulator = JoinAccumulator()
         # The injector is installed whenever a plan is present — even one
@@ -62,22 +93,10 @@ class JoinEnvironment:
             if self.faults is not None:
                 self.faults.observer = self.observer
 
-        vol_r = TapeVolume(
-            "vol_r", spec.size_r_blocks + spec.effective_scratch_r(), requirement="T_R"
-        )
-        self.file_r = vol_r.create_file("R")
-        self.file_r._append(spec.relation_r.as_chunk())
-        vol_s = TapeVolume(
-            "vol_s", spec.size_s_blocks + spec.effective_scratch_s(), requirement="T_S"
-        )
-        self.file_s = vol_s.create_file("S")
-        self.file_s._append(spec.relation_s.as_chunk())
-        self.drive_r.load(vol_r)
-        self.drive_s.load(vol_s)
-        self._data_end_r = vol_r.end_block
-        self._data_end_s = vol_s.end_block
-
-        self.step1_end_s = 0.0
+        #: The clock t when the join starts.
+        self.start_s = self.sim.now
+        self._traffic_at_start = self._traffic()
+        self.step1_end_s = self.start_s
         self.iterations = 0
         self.r_scans = 0.0
         self.overflow_buckets = 0
@@ -95,24 +114,21 @@ class JoinEnvironment:
         # (relation, n_buckets) -> BucketIndex, built on first use.
         self._bucket_indexes: dict = {}
 
-    # -- convenient device handles ------------------------------------------------
-
-    @property
-    def drive_r(self):
-        """The tape drive holding relation R's volume."""
-        return self.storage.drive_r
-
-    @property
-    def drive_s(self):
-        """The tape drive holding relation S's volume."""
-        return self.storage.drive_s
-
-    @property
-    def array(self):
-        """The disk array (D blocks total)."""
-        return self.storage.array
-
     # -- bookkeeping ----------------------------------------------------------------
+
+    def _traffic(self) -> dict:
+        """The storage's running device counters, as :class:`JoinStats` fields."""
+        array, r, s = self.array, self.drive_r, self.drive_s
+        return dict(
+            disk_read_blocks=array.read_blocks,
+            disk_write_blocks=array.write_blocks,
+            tape_r_read_blocks=r.read_blocks,
+            tape_r_write_blocks=r.write_blocks,
+            tape_s_read_blocks=s.read_blocks,
+            tape_s_write_blocks=s.write_blocks,
+            tape_repositions=r.repositions + s.repositions,
+            chunks_placed=array.chunks_placed,
+        )
 
     def _record_memory(self, used_blocks: float) -> None:
         """Sample the memory ledger into the observer's memory series."""
@@ -234,9 +250,11 @@ class JoinEnvironment:
     def finalize(self, method_name: str, method_symbol: str) -> JoinStats:
         """Snapshot all counters into a :class:`JoinStats`."""
         spec = self.spec
-        drive_r, drive_s = self.drive_r, self.drive_s
-        vol_r, vol_s = drive_r.volume, drive_s.volume
-        response = self.sim.now
+        vol_r, vol_s = self.file_r.volume, self.file_s.volume
+        start, step1_end = self.start_s, self.step1_end_s
+        response, step1 = self.sim.now - start, step1_end - start
+        start_traffic = self._traffic_at_start
+        traffic = {name: n - start_traffic[name] for name, n in self._traffic().items()}
         if spec.partition_cache is not None:
             for key in self._cache_pins:
                 spec.partition_cache.unpin(key)
@@ -245,25 +263,18 @@ class JoinEnvironment:
         if self.observer is not None:
             from repro.obs.metrics import summarize
 
-            self.observer.span("Step I", 0.0, self.step1_end_s, "step")
-            self.observer.span("Step II", self.step1_end_s, response, "step")
-            obs_summary = summarize(self.observer, response, self.step1_end_s)
+            self.observer.span("Step I", start, step1_end, "step")
+            self.observer.span("Step II", step1_end, self.sim.now, "step")
+            obs_summary = summarize(self.observer, response, step1, start_s=start)
         return JoinStats(
             method=method_name,
             symbol=method_symbol,
             response_s=response,
-            step1_s=self.step1_end_s,
-            step2_s=response - self.step1_end_s,
+            step1_s=step1,
+            step2_s=response - step1,
             iterations=self.iterations,
             r_scans=self.r_scans,
             overflow_buckets=self.overflow_buckets,
-            disk_read_blocks=self.array.read_blocks,
-            disk_write_blocks=self.array.write_blocks,
-            tape_r_read_blocks=drive_r.read_blocks,
-            tape_r_write_blocks=drive_r.write_blocks,
-            tape_s_read_blocks=drive_s.read_blocks,
-            tape_s_write_blocks=drive_s.write_blocks,
-            tape_repositions=drive_r.repositions + drive_s.repositions,
             output=self.accumulator.result(),
             peak_memory_blocks=self.memory.peak_used_blocks,
             peak_disk_blocks=self.array.peak_used_blocks,
@@ -281,10 +292,10 @@ class JoinEnvironment:
             cache_misses=self.cache_misses,
             cache_saved_blocks=self.cache_saved_blocks,
             cache_saved_s=self.cache_saved_s,
-            chunks_placed=self.array.chunks_placed,
             builds=self.builds,
             probes=self.probes,
             probed_keys=self.probed_keys,
             obs_summary=obs_summary,
             observer=self.observer,
+            **traffic,
         )

@@ -14,6 +14,7 @@ import dataclasses
 import math
 import typing
 
+from repro.relational import join_core
 from repro.relational.join_core import JoinResult
 from repro.relational.relation import Relation
 from repro.storage.block import BlockSpec
@@ -29,6 +30,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
 
 class InfeasibleJoinError(RuntimeError):
     """Raised when a join method cannot run within the given resources."""
+
+
+class JoinVerificationError(AssertionError):
+    """A method produced a different result than the reference join."""
 
 
 @dataclasses.dataclass
@@ -242,6 +247,15 @@ class JoinStats:
     #: intervals, time series, counters and spans) for in-process export;
     #: it is never serialized.
     observer: "JoinObserver | None" = None
+
+    def verify(self, spec: JoinSpec) -> None:
+        """Raise :class:`JoinVerificationError` unless :attr:`output` is the
+        in-memory reference join of ``spec``'s relations."""
+        expected = join_core.reference_join(spec.relation_r, spec.relation_s)
+        if self.output != expected:
+            raise JoinVerificationError(
+                f"{self.symbol} produced {self.output} but the reference join is {expected}"
+            )
 
     @property
     def disk_traffic_blocks(self) -> float:

@@ -77,7 +77,7 @@ def media_exchange_share(
     segment = uniform_relation("seg", relation_mb / n_volumes, tuple_bytes=8192, spec=spec)
     for index in range(n_volumes):
         volume = TapeVolume(f"part{index}", segment_blocks + 1.0)
-        volume.create_file("data")._append(segment.as_chunk())
+        volume.record("data", segment.as_chunk())
         library.add_volume(volume)
 
     exchange_time = [0.0]

@@ -16,7 +16,6 @@ with different plans can never share cache entries.
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 #: Operation kinds the injector distinguishes.  ``kinds`` filters in a
 #: plan restrict injection to a subset (used by targeted tests).
@@ -109,18 +108,3 @@ class FaultPlan:
         if kind in ("disk-read", "disk-write"):
             return self.disk_error_rate
         return 0.0
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (participates in task fingerprints)."""
-        payload = dataclasses.asdict(self)
-        if payload["kinds"] is not None:
-            payload["kinds"] = list(payload["kinds"])
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: typing.Mapping) -> "FaultPlan":
-        """Rebuild a plan from its dict form."""
-        fields = dict(payload)
-        if fields.get("kinds") is not None:
-            fields["kinds"] = tuple(fields["kinds"])
-        return cls(**fields)

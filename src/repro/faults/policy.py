@@ -9,7 +9,6 @@ like any other I/O cost.
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,12 +44,3 @@ class RetryPolicy:
     def backoff_for(self, attempt: int) -> float:
         """Backoff pause before retry number ``attempt`` (0-based)."""
         return min(self.backoff_s * self.backoff_factor**attempt, self.max_backoff_s)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (participates in task fingerprints)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: typing.Mapping) -> "RetryPolicy":
-        """Rebuild a policy from its dict form."""
-        return cls(**payload)

@@ -131,15 +131,6 @@ class CacheConfig:
             )
         _check_policy(self.policy)
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form, stable under cache fingerprinting."""
-        return {"capacity_mb": self.capacity_mb, "policy": self.policy}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CacheConfig":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**payload)
-
 
 @dataclasses.dataclass(frozen=True)
 class CacheReport:

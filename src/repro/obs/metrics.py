@@ -174,20 +174,22 @@ def buffer_utilization(
     }
 
 
-def summarize(observer: "JoinObserver", response_s: float, step1_s: float) -> dict:
+def summarize(
+    observer: "JoinObserver", response_s: float, step1_s: float, start_s: float = 0.0
+) -> dict:
     """Compact, JSON-serializable metrics summary for one join.
 
     This is what rides on ``JoinStats.obs_summary`` — derived numbers
     only, never the raw trace, so artifacts stay small and sweep results
-    stay cacheable.
+    stay cacheable.  Both times count from the join's start, ``start_s``.
     """
-    run: Window = (0.0, response_s)
-    step2: Window = (step1_s, response_s)
+    run: Window = (start_s, start_s + response_s)
+    step2: Window = (start_s + step1_s, run[1])
     devices = observer.devices()
     tapes = [d for d in devices if d.startswith("tape")]
     disks = [d for d in devices if d.startswith("disk")]
     summary = {
-        "window_s": [0.0, response_s],
+        "window_s": list(run),
         "device_utilization": device_utilization(observer, run)
         if response_s > 0.0
         else {},

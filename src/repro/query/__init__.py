@@ -6,9 +6,9 @@ with high selectivity".  This package provides that surrounding machinery:
 logical plans (scan / filter / join / aggregate), an executor that charges
 simulated tape time for every pass over the data, and integration with the
 join planner so an equi-join inside a query picks its tertiary join method
-the same way a standalone join does.  The filters under one join input
-cost one tape pass, and every join runs through :func:`repro.api.run_join`
-and is verified against the reference join.
+the same way a standalone join does.  A query is one simulation: a join
+input's filters cost one tape pass to a scratch tape, which the join then
+reads, and the join is verified against the reference join.
 
 Example::
 

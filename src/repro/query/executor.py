@@ -1,28 +1,26 @@
 """Query execution over the simulated tape hierarchy.
 
-Execution semantics, chosen to stay honest about what tapes can do:
+A query is one simulation: its passes run in turn on one simulator and one
+:class:`~repro.storage.hierarchy.StorageSystem`, each plan input on its own
+cartridge, mounted when needed (instantly: the paper's tapes are pre-loaded).
+Each of ``QueryResult.passes`` is a clock advance; ``simulated_s`` is the end.
 
 * A *scan pipeline* (filters/aggregate over one relation) reads the tape
   once; filters and aggregates are applied to the stream for free, as the
   paper assumes for high-selectivity consumers of a join.
 * The *filters feeding a join input* are materialized first, all in one
-  pass: the input tape is read end to end in chunks, and after each read
-  the chunk's survivors of every predicate are appended to a scratch
-  tape on the other drive.  Reads and writes alternate, so the pass is
-  charged the sum of both.  Tapes have no indices, so the read cost is
-  unavoidable; the pay-off is that the join then runs on the smaller
-  relation — often switching to a cheaper method via the planner.
-* The *join* itself is planned with :func:`repro.core.planner.plan_join`,
-  executed by the chosen tertiary join method through
-  :func:`repro.api.run_join` and verified against the reference join.
+  pass: after each chunk read from the input tape, the chunk's survivors
+  are appended to a scratch tape on the other drive, so the pass is
+  charged every read plus every write.  Tapes have no indices, so the
+  read cost is unavoidable; the pay-off is that the join then runs on the
+  smaller relation — often switching to a cheaper method via the planner.
+* The *join* is planned with :func:`repro.core.planner.plan_join`, run on
+  the query's storage (a filtered input is read from the scratch tape
+  where its filter left it) and verified against the reference join.
 * ``Aggregate(Join, "count")`` is the join's verified output cardinality.
   Other aggregates over a join would require materializing the join
   output, which the paper's model deliberately pipelines away; they are
   rejected with :class:`UnsupportedPlanError`.
-
-Every pass runs on its own :class:`~repro.storage.hierarchy.StorageSystem`:
-the input is read on ``drive_r`` and a filter's scratch volume sits on
-``drive_s``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,10 @@ import typing
 
 import numpy as np
 
-from repro import api
+from repro.core.base import scan_bounds
+from repro.core.environment import JoinEnvironment, storage_config
+from repro.core.planner import plan_join
+from repro.core.registry import method_by_symbol
 from repro.core.spec import JoinSpec
 from repro.query.plan import Aggregate, Filter, Join, PlanNode, TapeScan
 from repro.query.predicates import Predicate
@@ -41,8 +42,8 @@ from repro.relational.relation import Relation
 from repro.simulator.engine import Simulator
 from repro.storage.block import DataChunk
 from repro.storage.disk import DiskParameters
-from repro.storage.hierarchy import StorageConfig, StorageSystem
-from repro.storage.tape import TapeDriveParameters, TapeVolume
+from repro.storage.hierarchy import StorageSystem
+from repro.storage.tape import TapeDrive, TapeDriveParameters, TapeFile, TapeVolume
 
 #: Blocks a filter pass reads before it writes that chunk's survivors.
 FILTER_CHUNK_BLOCKS = 16.0
@@ -75,93 +76,107 @@ class QueryResult:
     passes: tuple[tuple[str, float], ...]
 
 
-def _tape_pass(
-    relation: Relation, machine: Machine, predicates: list[Predicate]
-) -> tuple[float, np.ndarray]:
-    """One pass over ``relation``'s tape: simulated seconds and the keys.
-
-    Without predicates the pass is a scan, one read of the whole file.
-    With predicates it is a filter pass: the file is read in chunks of
-    :data:`FILTER_CHUNK_BLOCKS`, each chunk's survivors are appended to a
-    scratch file, and the keys returned are that file's content.  Each
-    write starts after its chunk's read, so the pass is charged every read
-    plus every write.
-    """
-    sim = Simulator()
-    storage = StorageSystem(
-        sim,
-        StorageConfig(
-            spec=relation.spec,
-            tape_params_r=machine.tape_params,
-            tape_params_s=machine.tape_params,
-        ),
-    )
-    source = TapeVolume("source", relation.n_blocks + 1.0)
-    data = source.create_file("data")
-    data._append(relation.as_chunk())
-    storage.drive_r.load(source)
-    scratch = TapeVolume("scratch", relation.n_blocks + 1.0)
-    filtered = scratch.create_file("filtered")
-    storage.drive_s.load(scratch)
-    step = FILTER_CHUNK_BLOCKS if predicates else data.n_blocks
-
-    def run():
-        offset = 0.0
-        while offset < data.n_blocks - 1e-9:
-            n_blocks = min(step, data.n_blocks - offset)
-            piece = yield from storage.drive_r.read_range(data, offset, n_blocks)
-            offset += n_blocks
-            keys = piece.keys
-            for predicate in predicates:
-                keys = predicate.apply(keys)
-            if predicates and len(keys):
-                chunk = DataChunk.from_keys(keys, relation.tuples_per_block)
-                yield from storage.drive_s.append(filtered, chunk)
-
-    sim.run(sim.process(run()))
-    return sim.now, filtered.peek_all().keys if predicates else relation.keys
-
-
-def _resolve_join_input(
-    node: PlanNode, machine: Machine, passes: list
-) -> Relation | None:
-    """Reduce a join input to a relation, charging one pass for its filters.
-
-    Returns ``None`` when the filters eliminated every tuple (the join is
-    then empty without running).
-    """
-    relation, predicates = _resolve_stream(node)
-    if not predicates:
-        return relation
-    seconds, keys = _tape_pass(relation, machine, predicates)
-    passes.append(
-        (f"filter {relation.name} ({len(keys)}/{relation.n_tuples} kept)", seconds)
-    )
-    if len(keys) == 0:
-        return None
-    return Relation(f"{relation.name}'", relation.schema, keys, relation.spec)
-
-
-def _execute_join(node: Join, machine: Machine, passes: list):
-    left = _resolve_join_input(node.left, machine, passes)
-    right = _resolve_join_input(node.right, machine, passes)
-    if left is None or right is None:
-        return JoinResult.zero(), None
-    if left.n_blocks > right.n_blocks:
-        left, right = right, left  # equi-joins are symmetric; R is smaller
-    spec = JoinSpec(
-        left,
-        right,
-        memory_blocks=min(machine.memory_blocks, left.n_blocks * 0.95),
+def _join_spec(r: Relation, s: Relation, machine: Machine) -> JoinSpec:
+    """The join of ``r`` (the smaller input) and ``s`` on ``machine``."""
+    return JoinSpec(
+        r,
+        s,
+        memory_blocks=min(machine.memory_blocks, r.n_blocks * 0.95),
         disk_blocks=machine.disk_blocks,
         n_disks=machine.n_disks,
         disk_params=machine.disk_params,
         tape_params_r=machine.tape_params,
         tape_params_s=machine.tape_params,
     )
-    stats = api.run_join(spec, verify=True)
-    passes.append((f"join via {stats.symbol}", stats.response_s))
-    return stats.output, stats.symbol
+
+
+class _Tapes:
+    """One query's simulation: its clock, storage, cartridges and passes."""
+
+    def __init__(self, machine: Machine, relations: list[Relation]):
+        self.machine, self.sim = machine, Simulator()
+        ordered = sorted(relations, key=lambda relation: relation.n_blocks)
+        # Filtering keeps tuple size and block geometry, so the storage
+        # built for the unfiltered inputs is the one their join gets.
+        config = storage_config(_join_spec(ordered[0], ordered[-1], machine))
+        self.storage = StorageSystem(self.sim, config)
+        #: Room after each cartridge's data: a join spec's default scratch
+        #: allowance, |S| + 1, for the largest S the plan can join.
+        self.scratch_blocks = ordered[-1].n_blocks + 1.0
+        self.passes: list[tuple[str, float]] = []
+        # A tape file holds its volume weakly; the query holds them all.
+        self._volumes: list[TapeVolume] = []
+
+    def _cartridge(self, relation: Relation) -> TapeVolume:
+        """A new cartridge with room for ``relation`` and a join's scratch."""
+        volume = TapeVolume(relation.name, relation.n_blocks + self.scratch_blocks)
+        self._volumes.append(volume)
+        return volume
+
+    def _mount(self, tape_file: TapeFile, keep: TapeFile | None = None) -> TapeDrive:
+        """The drive holding ``tape_file``; if none does, its volume goes
+        on the drive that does not hold ``keep``'s."""
+        drives = [self.storage.drive_r, self.storage.drive_s]
+        for drive in drives:
+            if drive.volume is tape_file.volume:
+                return drive
+        keep_on_r = keep is not None and drives[0].volume is keep.volume
+        drive = drives[1] if keep_on_r else drives[0]
+        if drive.volume is not None:
+            drive.unload()
+        drive.load(tape_file.volume)
+        return drive
+
+    def scan(self, relation: Relation) -> None:
+        """One read of ``relation``'s whole tape."""
+        data = self._cartridge(relation).record("data", relation.as_chunk())
+        start = self.sim.now
+        self.sim.run(self.sim.process(self._mount(data).read_file(data)))
+        self.passes.append((f"scan {relation.name}", self.sim.now - start))
+
+    def join_input(self, relation: Relation, predicates: list[Predicate]):
+        """A join input and its tape file: the relation's own, or the
+        scratch file of its filter pass; ``None`` if no tuple survives."""
+        data = self._cartridge(relation).record("data", relation.as_chunk())
+        if not predicates:
+            return relation, data
+        kept = self._cartridge(relation).create_file("filtered")
+        source, sink = self._mount(data), self._mount(kept, keep=data)
+
+        def run():
+            for offset, n_blocks in scan_bounds(0.0, data.n_blocks, FILTER_CHUNK_BLOCKS):
+                piece = yield from source.read_range(data, offset, n_blocks)
+                keys = piece.keys
+                for predicate in predicates:
+                    keys = predicate.apply(keys)
+                if len(keys):
+                    chunk = DataChunk.from_keys(keys, relation.tuples_per_block)
+                    yield from sink.append(kept, chunk)
+
+        start = self.sim.now
+        self.sim.run(self.sim.process(run()))
+        label = f"filter {relation.name} ({kept.n_tuples}/{relation.n_tuples} kept)"
+        self.passes.append((label, self.sim.now - start))
+        if kept.n_tuples == 0:
+            return None
+        keys = kept.peek_all().keys
+        return Relation(f"{relation.name}'", relation.schema, keys, relation.spec), kept
+
+    def join(self, streams: list) -> tuple[JoinResult, str | None]:
+        """Plan the join of two inputs and run it where they lie on tape."""
+        inputs = [self.join_input(*stream) for stream in streams]
+        if None in inputs:
+            return JoinResult.zero(), None
+        # Equi-joins are symmetric; R is the smaller input.
+        (r, file_r), (s, file_s) = sorted(inputs, key=lambda side: side[0].n_blocks)
+        spec = _join_spec(r, s, self.machine)
+        method = method_by_symbol(plan_join(spec).chosen)
+        self._mount(file_r, keep=file_s)
+        self._mount(file_s, keep=file_r)
+        stats = method.simulate(JoinEnvironment(spec, self.storage, file_r, file_s))
+        stats.verify(spec)
+        self.passes.append((f"join via {stats.symbol}", stats.response_s))
+        return stats.output, stats.symbol
 
 
 def _stream_aggregate(kind: str, keys: np.ndarray):
@@ -191,22 +206,23 @@ def _resolve_stream(node: PlanNode) -> tuple[Relation, list[Predicate]]:
 
 def execute(plan: PlanNode, machine: Machine) -> QueryResult:
     """Run a logical plan on ``machine`` and return its verified result."""
-    passes: list[tuple[str, float]] = []
-    if isinstance(plan, Aggregate) and isinstance(plan.child, Join):
-        if plan.kind != "count":
+    join = plan.child if isinstance(plan, Aggregate) else plan
+    if isinstance(join, Join):
+        if isinstance(plan, Aggregate) and plan.kind != "count":
             raise UnsupportedPlanError(
                 f"aggregate {plan.kind!r} over a join would materialize the "
                 "join output; the execution model pipelines it (only 'count' "
                 "is available)"
             )
-        output, method = _execute_join(plan.child, machine, passes)
-        value = output.n_pairs
-    elif isinstance(plan, Join):
-        value, method = _execute_join(plan, machine, passes)
+        streams = [_resolve_stream(join.left), _resolve_stream(join.right)]
+        tapes = _Tapes(machine, [relation for relation, _ in streams])
+        output, method = tapes.join(streams)
+        value = output.n_pairs if isinstance(plan, Aggregate) else output
     elif isinstance(plan, Aggregate):
         relation, predicates = _resolve_stream(plan.child)
-        seconds, keys = _tape_pass(relation, machine, [])
-        passes.append((f"scan {relation.name}", seconds))
+        tapes = _Tapes(machine, [relation])
+        tapes.scan(relation)
+        keys = relation.keys
         for predicate in predicates:
             keys = predicate.apply(keys)
         value, method = _stream_aggregate(plan.kind, keys), None
@@ -215,5 +231,4 @@ def execute(plan: PlanNode, machine: Machine) -> QueryResult:
             "a query must be an Aggregate or a Join at the root, got "
             f"{type(plan).__name__}"
         )
-    total = sum(seconds for _label, seconds in passes)
-    return QueryResult(value, total, method, tuple(passes))
+    return QueryResult(value, tapes.sim.now, method, tuple(tapes.passes))

@@ -53,9 +53,7 @@ class Aggregate(PlanNode):
     """Reduce the child's stream to a single value.
 
     Over a relation stream the aggregate applies to the join keys; over a
-    join it applies to the output *pairs* (``count`` = join cardinality,
-    ``sum``/``min``/``max`` = over the matched key values, counted once
-    per output pair).
+    join only ``count``, the join's cardinality, is available.
     """
 
     child: PlanNode

@@ -123,11 +123,6 @@ class JoinRequest:
             payload["arrival_s"] = self.arrival_s
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "JoinRequest":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**payload)
-
 
 @dataclasses.dataclass(frozen=True)
 class ServiceConfig:
@@ -204,7 +199,7 @@ class ServiceConfig:
         # Present only when a cache is configured, so cache-less service
         # fingerprints (and every pre-HSM sweep cache entry) are stable.
         if self.cache is not None:
-            payload["cache"] = self.cache.to_dict()
+            payload["cache"] = dataclasses.asdict(self.cache)
         return payload
 
     @classmethod

@@ -170,6 +170,13 @@ class TapeVolume:
         self._by_name[name] = tape_file
         return tape_file
 
+    def record(self, name: str, chunk: DataChunk) -> TapeFile:
+        """A new file holding ``chunk``, recorded before the simulation
+        starts: a pre-written cartridge, so no drive and no simulated time."""
+        tape_file = self.create_file(name)
+        tape_file._append(chunk)
+        return tape_file
+
     def written_after(self, position_block: float) -> float:
         """Blocks recorded at or after ``position_block`` (scratch usage)."""
         return max(0.0, self.end_block - position_block)

@@ -192,8 +192,8 @@ def _run_join_task(payload: dict) -> dict:
 
 def _faults_to_payload(fault_plan, retry_policy) -> dict:
     return {
-        "plan": fault_plan.to_dict(),
-        "policy": None if retry_policy is None else retry_policy.to_dict(),
+        "plan": dataclasses.asdict(fault_plan),
+        "policy": None if retry_policy is None else dataclasses.asdict(retry_policy),
     }
 
 
@@ -201,11 +201,11 @@ def _faults_from_payload(faults: dict):
     from repro.faults.plan import FaultPlan
     from repro.faults.policy import RetryPolicy
 
-    fault_plan = FaultPlan.from_dict(faults["plan"])
-    retry_policy = None
-    if faults.get("policy") is not None:
-        retry_policy = RetryPolicy.from_dict(faults["policy"])
-    return fault_plan, retry_policy
+    policy = faults.get("policy")
+    return (
+        rebuild(FaultPlan, faults["plan"]),
+        None if policy is None else rebuild(RetryPolicy, policy),
+    )
 
 
 def _run_service_task(payload: dict) -> dict:
@@ -219,7 +219,7 @@ def _run_service_task(payload: dict) -> dict:
     if faults is not None:
         fault_plan, retry_policy = _faults_from_payload(faults)
     report = run_service(
-        [JoinRequest.from_dict(entry) for entry in payload["requests"]],
+        [rebuild(JoinRequest, entry) for entry in payload["requests"]],
         config=ServiceConfig.from_dict(payload["config"]),
         policy=payload["policy"],
         estimator=payload.get("estimator", "analytical"),

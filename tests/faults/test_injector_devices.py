@@ -1,5 +1,7 @@
 """Injector runtime: stalls, retries, budgets — all charged in simulated time."""
 
+import dataclasses
+
 import pytest
 
 from repro.faults import (
@@ -15,6 +17,7 @@ from repro.faults.policy import RetryPolicy
 from repro.simulator.events import Event
 from repro.storage.block import MB, BlockSpec
 from repro.storage.bus import Bus
+from repro.sweep.serialize import rebuild
 
 
 @pytest.fixture
@@ -61,7 +64,7 @@ class TestRetryPolicy:
 
     def test_round_trip(self):
         policy = RetryPolicy(max_retries=2, backoff_s=0.25, device_error_budget=9)
-        assert RetryPolicy.from_dict(policy.to_dict()) == policy
+        assert rebuild(RetryPolicy, dataclasses.asdict(policy)) == policy
 
 
 class TestCleanTransfer:

@@ -31,30 +31,37 @@ def table3_json(fault_plan=None, retry_policy=None, jobs=1):
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
+@pytest.fixture(scope="module")
+def fault_free_table3():
+    """The reference artifact: Table 3 with no fault layer at all."""
+    return table3_json()
+
+
+@pytest.fixture(scope="module")
+def rate0_table3():
+    """Table 3 inline with a rate-0 plan installed (seed 0)."""
+    return table3_json(fault_plan=FaultPlan(seed=0))
+
+
 class TestRate0Parity:
-    def test_inline_artifact_is_byte_identical(self):
-        baseline = table3_json()
-        guarded = table3_json(fault_plan=FaultPlan(seed=0))
-        assert guarded == baseline
+    def test_inline_artifact_is_byte_identical(self, fault_free_table3, rate0_table3):
+        assert rate0_table3 == fault_free_table3
 
-    def test_pooled_artifact_is_byte_identical(self):
-        baseline = table3_json()
+    def test_pooled_artifact_is_byte_identical(self, fault_free_table3):
         guarded = table3_json(fault_plan=FaultPlan(seed=0), jobs=4)
-        assert guarded == baseline
+        assert guarded == fault_free_table3
 
-    def test_seed_is_irrelevant_at_rate_0(self):
+    def test_seed_is_irrelevant_at_rate_0(self, rate0_table3):
         # A rate-0 plan never draws from its streams, so the seed cannot
         # leak into the artifact.
-        assert table3_json(fault_plan=FaultPlan(seed=0)) == table3_json(
-            fault_plan=FaultPlan(seed=12345)
-        )
+        assert rate0_table3 == table3_json(fault_plan=FaultPlan(seed=12345))
 
-    def test_retry_policy_alone_is_inert(self):
+    def test_retry_policy_alone_is_inert(self, fault_free_table3):
         guarded = table3_json(
             fault_plan=FaultPlan(seed=0),
             retry_policy=RetryPolicy(max_retries=1, backoff_s=9.0),
         )
-        assert guarded == table3_json()
+        assert guarded == fault_free_table3
 
 
 class TestStatsAtRate0:

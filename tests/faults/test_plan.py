@@ -1,5 +1,6 @@
 """FaultPlan: validation, serialization, deterministic replay."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from repro.faults import OP_KINDS, FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.sweep.serialize import rebuild
 
 #: Verdict stream long enough to contain errors, stalls and clean ops.
 N_DRAWS = 200
@@ -75,15 +77,15 @@ class TestSerialization:
     def test_round_trip(self):
         plan = FaultPlan.uniform(0.05, seed=42, kinds=("disk-read", "bus"),
                                  step2_only=True, stall_s=3.0)
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        assert rebuild(FaultPlan, dataclasses.asdict(plan)) == plan
 
     def test_round_trip_survives_json(self):
         plan = FaultPlan.uniform(0.01, seed=7, kinds=("tape-read",))
-        rebuilt = FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
+        rebuilt = rebuild(FaultPlan, json.loads(json.dumps(dataclasses.asdict(plan))))
         assert rebuilt == plan
 
     def test_none_kinds_round_trips(self):
-        assert FaultPlan.from_dict(FaultPlan(seed=1).to_dict()).kinds is None
+        assert rebuild(FaultPlan, dataclasses.asdict(FaultPlan(seed=1))).kinds is None
 
 
 class TestDeterministicReplay:
@@ -110,14 +112,15 @@ class TestDeterministicReplay:
             "import json, sys\n"
             "from repro.faults import FaultInjector\n"
             "from repro.faults.plan import FaultPlan\n"
-            "plan = FaultPlan.from_dict(json.loads(sys.argv[1]))\n"
+            "from repro.sweep.serialize import rebuild\n"
+            "plan = rebuild(FaultPlan, json.loads(sys.argv[1]))\n"
             "inj = FaultInjector(None, plan)\n"
             f"out = [inj.decide('t0', 'tape-read') for _ in range({N_DRAWS})]\n"
             "print(json.dumps(out))\n"
         )
         runs = [
             subprocess.run(
-                [sys.executable, "-c", script, json.dumps(plan.to_dict())],
+                [sys.executable, "-c", script, json.dumps(dataclasses.asdict(plan))],
                 capture_output=True, text=True, check=True,
             ).stdout
             for _ in range(2)

@@ -1,11 +1,14 @@
 """Unit tests for the partition cache and its eviction policies."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.config import ExperimentScale
 from repro.hsm.cache import CacheConfig, PartitionCache, PartitionSetKey
 from repro.hsm.policy import EVICTION_POLICIES, CostAwarePolicy, LruPolicy
 from repro.relational.datagen import uniform_relation
+from repro.sweep.serialize import rebuild
 
 from tests.hsm.conftest import buckets, set_key
 
@@ -172,7 +175,7 @@ class TestCacheConfig:
 
     def test_round_trips_through_dict(self):
         config = CacheConfig(capacity_mb=250.0, policy="cost")
-        assert CacheConfig.from_dict(config.to_dict()) == config
+        assert rebuild(CacheConfig, dataclasses.asdict(config)) == config
 
     def test_from_config_scales_paper_mb_to_blocks(self, scale):
         cache = PartitionCache.from_config(CacheConfig(capacity_mb=500.0), scale)

@@ -7,6 +7,7 @@ from repro import api, query
 from repro.query.executor import UnsupportedPlanError
 from repro.relational.datagen import uniform_relation
 from repro.relational.join_core import hash_join
+from repro.simulator.engine import Simulator
 from repro.storage.tape import TapeDrive
 
 
@@ -187,6 +188,62 @@ class TestJoinQueries:
         monkeypatch.setattr(join_core, "reference_join", lambda r, s: wrong)
         with pytest.raises(api.JoinVerificationError, match="reference join"):
             query.execute(query.Join(query.TapeScan(r), query.TapeScan(s)), machine)
+
+
+class TestOneSimulation:
+    """Every pass of a plan runs on one clock and one pair of drives."""
+
+    PLANS = {
+        "scan": lambda r, s: query.Aggregate(query.TapeScan(s), "count"),
+        "join": lambda r, s: query.Join(query.TapeScan(r), query.TapeScan(s)),
+        "filter under join": lambda r, s: query.Aggregate(
+            query.Join(
+                query.Filter(query.TapeScan(r), query.KeyModulo(3, 0)),
+                query.TapeScan(s),
+            ),
+            "count",
+        ),
+        "filters under both sides": lambda r, s: query.Join(
+            query.Filter(query.TapeScan(r), query.KeyModulo(2, 0)),
+            query.Filter(query.TapeScan(s), query.KeyModulo(2, 1)),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_one_simulator_per_query(self, machine, r, s, name, monkeypatch):
+        built = []
+        init = Simulator.__init__
+
+        def counting_init(sim, *args, **kwargs):
+            built.append(sim)
+            init(sim, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "__init__", counting_init)
+        result = query.execute(self.PLANS[name](r, s), machine)
+        assert len(built) == 1
+        assert result.simulated_s == built[0].now
+        assert result.simulated_s == pytest.approx(
+            sum(seconds for _label, seconds in result.passes)
+        )
+
+    def test_the_join_reads_the_filtered_input_from_the_scratch_tape(
+        self, machine, r, s, monkeypatch
+    ):
+        read = []
+        take = TapeDrive._take
+
+        def recording_take(drive, tape_file, offset_blocks, n_blocks):
+            read.append(tape_file.name)
+            return take(drive, tape_file, offset_blocks, n_blocks)
+
+        monkeypatch.setattr(TapeDrive, "_take", recording_take)
+        plan = query.Join(
+            query.Filter(query.TapeScan(r), query.KeyModulo(3, 0)), query.TapeScan(s)
+        )
+        query.execute(plan, machine)
+        # The filter pass reads only its source; every read of the
+        # scratch file is the join's.
+        assert "filtered" in read
 
 
 class TestUnsupportedPlans:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.service.requests import JoinRequest, ServiceConfig
+from repro.sweep.serialize import rebuild
 
 
 class TestJoinRequest:
@@ -50,7 +51,7 @@ class TestJoinRequest:
             name="q1", r_mb=10.0, s_mb=40.0, r_volume="dim",
             memory_mb=4.0, deadline_s=1000.0, arrival_s=5.0,
         )
-        assert JoinRequest.from_dict(request.to_dict()) == request
+        assert rebuild(JoinRequest, request.to_dict()) == request
 
     def test_to_dict_drops_defaults(self):
         payload = JoinRequest(name="q1", r_mb=10.0, s_mb=40.0).to_dict()
