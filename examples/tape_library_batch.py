@@ -36,7 +36,7 @@ def night_batch_report(policy: str = "fifo") -> api.WorkloadReport:
         )
         for month, fact_mb in MONTHS
     ]
-    config = api.ServiceConfig(n_drives=2, memory_mb=16.0, disk_mb=160.0)
+    config = api.ServiceConfig(memory_mb=16.0, disk_mb=160.0)
     return api.run_service(requests, config=config, policy=policy)
 
 

@@ -173,8 +173,9 @@ def run_service(
     """Run a workload through the service in one call.
 
     ``options`` are those of :func:`repro.service.scheduler.run_service`
-    (``config=``, ``policy=``, ``estimator=``, ``fault_rate=`` /
-    ``fault_seed=``, ``fault_plan=``, ``retry_policy=``).  With
+    (``config=``, ``policy=``, ``fault_rate=`` / ``fault_seed=``,
+    ``fault_plan=``, ``retry_policy=``); a fault plan makes the service
+    profile its jobs by simulation.  With
     ``trace_out`` the run's observer is exported by :func:`trace` as
     ``service-<policy>.jsonl`` + ``.trace.json`` under that directory.
     """

@@ -182,14 +182,14 @@ def experiment5_sweep(
 
     fault_plan: "FaultPlan | None" = None
     retry_policy = None
-    estimator = "analytical"
     if fault_rate > 0:
         from repro.faults.plan import FaultPlan
         from repro.faults.policy import RetryPolicy
 
         fault_plan = FaultPlan.uniform(fault_rate, seed=fault_seed)
         retry_policy = RetryPolicy()
-        estimator = "simulated"
+    # A fault plan makes the service profile its jobs by simulation.
+    estimator = "analytical" if fault_plan is None else "simulated"
 
     points = [(policy, n) for policy in policies for n in sizes]
     tasks = [
@@ -197,7 +197,6 @@ def experiment5_sweep(
             policy,
             service_workload(n),
             config,
-            estimator=estimator,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
         )
@@ -228,7 +227,6 @@ def experiment5_sweep(
                 service_workload(max_jobs),
                 config=config,
                 policy=policy,
-                estimator=estimator,
                 fault_plan=fault_plan,
                 retry_policy=retry_policy,
                 trace_out=trace_out,

@@ -8,7 +8,8 @@ simulated tape time for every pass over the data, and integration with the
 join planner so an equi-join inside a query picks its tertiary join method
 the same way a standalone join does.  A query is one simulation: a join
 input's filters cost one tape pass to a scratch tape, which the join then
-reads, and the join is verified against the reference join.
+reads, a cartridge swap mid-plan is a robot exchange, and the join is
+verified against the reference join.
 
 Example::
 

@@ -2,8 +2,11 @@
 
 A query is one simulation: its passes run in turn on one simulator and one
 :class:`~repro.storage.hierarchy.StorageSystem`, each plan input on its own
-cartridge, mounted when needed (instantly: the paper's tapes are pre-loaded).
-Each of ``QueryResult.passes`` is a clock advance; ``simulated_s`` is the end.
+cartridge.  A cartridge placed in an empty drive costs nothing (the paper's
+tapes are pre-loaded); one that must displace another goes through the
+:class:`~repro.storage.library.TapeLibrary` robot, and that exchange is a
+pass of its own.  Each of ``QueryResult.passes`` is a clock advance;
+``simulated_s`` is the end.
 
 * A *scan pipeline* (filters/aggregate over one relation) reads the tape
   once; filters and aggregates are applied to the stream for free, as the
@@ -43,6 +46,7 @@ from repro.simulator.engine import Simulator
 from repro.storage.block import DataChunk
 from repro.storage.disk import DiskParameters
 from repro.storage.hierarchy import StorageSystem
+from repro.storage.library import TapeLibrary
 from repro.storage.tape import TapeDrive, TapeDriveParameters, TapeFile, TapeVolume
 
 #: Blocks a filter pass reads before it writes that chunk's survivors.
@@ -100,31 +104,42 @@ class _Tapes:
         # built for the unfiltered inputs is the one their join gets.
         config = storage_config(_join_spec(ordered[0], ordered[-1], machine))
         self.storage = StorageSystem(self.sim, config)
+        self.library = TapeLibrary(self.sim)
         #: Room after each cartridge's data: a join spec's default scratch
         #: allowance, |S| + 1, for the largest S the plan can join.
         self.scratch_blocks = ordered[-1].n_blocks + 1.0
         self.passes: list[tuple[str, float]] = []
         # A tape file holds its volume weakly; the query holds them all.
-        self._volumes: list[TapeVolume] = []
+        self._volumes: dict[str, TapeVolume] = {}
 
-    def _cartridge(self, relation: Relation) -> TapeVolume:
-        """A new cartridge with room for ``relation`` and a join's scratch."""
-        volume = TapeVolume(relation.name, relation.n_blocks + self.scratch_blocks)
-        self._volumes.append(volume)
+    def _cartridge(self, relation: Relation, name: str | None = None) -> TapeVolume:
+        """A new shelved cartridge with room for ``relation`` and a join's
+        scratch, named after ``relation`` unless ``name`` is given and
+        numbered if the plan reads one relation twice."""
+        name = name or relation.name
+        if name in self._volumes:
+            name = f"{name}#{len(self._volumes)}"
+        volume = TapeVolume(name, relation.n_blocks + self.scratch_blocks)
+        self._volumes[name] = self.library.add_volume(volume)
         return volume
 
     def _mount(self, tape_file: TapeFile, keep: TapeFile | None = None) -> TapeDrive:
         """The drive holding ``tape_file``; if none does, its volume goes
-        on the drive that does not hold ``keep``'s."""
+        on the drive that does not hold ``keep``'s: at once if that drive
+        is empty, else by a robot exchange, charged as its own pass."""
         drives = [self.storage.drive_r, self.storage.drive_s]
         for drive in drives:
             if drive.volume is tape_file.volume:
                 return drive
         keep_on_r = keep is not None and drives[0].volume is keep.volume
         drive = drives[1] if keep_on_r else drives[0]
-        if drive.volume is not None:
-            drive.unload()
-        drive.load(tape_file.volume)
+        name = tape_file.volume.name
+        if drive.volume is None:
+            drive.load(self.library.shelf.pop(name))
+            return drive
+        start = self.sim.now
+        self.sim.run(self.sim.process(self.library.mount(drive, name)))
+        self.passes.append((f"mount {name} on {drive.name}", self.sim.now - start))
         return drive
 
     def scan(self, relation: Relation) -> None:
@@ -140,7 +155,7 @@ class _Tapes:
         data = self._cartridge(relation).record("data", relation.as_chunk())
         if not predicates:
             return relation, data
-        kept = self._cartridge(relation).create_file("filtered")
+        kept = self._cartridge(relation, f"{relation.name}'").create_file("filtered")
         source, sink = self._mount(data), self._mount(kept, keep=data)
 
         def run():

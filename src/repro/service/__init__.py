@@ -2,8 +2,9 @@
 
 The paper models one ad hoc join on a dedicated two-drive system
 (Section 3).  This package serves a *queue* of joins against shared
-hardware: a :class:`~repro.service.broker.ResourceBroker` leases tape
-drives, disk blocks and memory to jobs (media exchanges charged via the
+hardware: a :class:`~repro.service.broker.ResourceBroker` leases the two
+tape drives of a :class:`~repro.storage.hierarchy.StorageSystem`, disk
+blocks and memory to jobs (media exchanges charged via the
 library robot); pluggable :mod:`~repro.service.policies` order the
 batch (FIFO, shortest-job-first on planner estimates, tape-affinity
 and cache-affinity batching); admission enforces Table 2 feasibility per job via

@@ -1,9 +1,10 @@
 """Resource broker: drive, disk and memory leases for service jobs.
 
-The broker owns the shared hardware — a :class:`~repro.storage.library.
-TapeLibrary` with one robot arm, ``n_drives`` tape drives, a disk-array
-block pool and a memory block pool — and hands it out under a deadlock-
-free discipline:
+The broker leases the two tape drives of a :class:`~repro.storage.
+hierarchy.StorageSystem` (the paper's two-drive machine, Section 3),
+with a :class:`~repro.storage.library.TapeLibrary` of one robot arm, a
+disk-array block pool and a memory block pool, and hands them out under
+a deadlock-free discipline:
 
 * One global acquisition order: memory, then disk, then drives.  Jobs
   acquire their memory/disk budget once, up front, and hold it to
@@ -27,13 +28,11 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.simulator.engine import Simulator
 from repro.simulator.events import Event
 from repro.simulator.resources import Container, Unit
-from repro.storage.block import BlockSpec
-from repro.storage.bus import Bus
+from repro.storage.hierarchy import StorageSystem
 from repro.storage.library import TapeLibrary
-from repro.storage.tape import TapeDrive, TapeDriveParameters, TapeVolume
+from repro.storage.tape import TapeDrive, TapeVolume
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.recorder import JoinObserver
@@ -55,8 +54,8 @@ class DriveLease:
 
     @property
     def name(self) -> str:
-        """The leased drive's device name (``drive0``, ``drive1``, ...)."""
-        return self.drive.name
+        """The leased drive's library slot (``drive0`` or ``drive1``)."""
+        return f"drive{self.index}"
 
 
 class ResourceBroker:
@@ -64,32 +63,21 @@ class ResourceBroker:
 
     def __init__(
         self,
-        sim: Simulator,
+        storage: StorageSystem,
         *,
-        n_drives: int,
         memory_blocks: float,
         disk_blocks: float,
         exchange_s: float = 30.0,
-        block_spec: BlockSpec | None = None,
-        drive_params: TapeDriveParameters | None = None,
         observer: "JoinObserver | None" = None,
     ):
-        if n_drives < 1:
-            raise ValueError("the broker needs at least one drive")
-        self.sim = sim
+        sim = self.sim = storage.sim
         self.observer = observer
         self.library = TapeLibrary(sim, exchange_s)
-        spec = block_spec or BlockSpec()
-        self.drives = [
-            TapeDrive(sim, f"drive{i}", Bus(sim, f"drive{i}.bus"), spec, drive_params)
-            for i in range(n_drives)
-        ]
-        for drive in self.drives:
-            drive.bus.wire([drive])  # each drive has a bus of its own
+        self.drives = [storage.drive_r, storage.drive_s]
         self.robot = Unit(sim)
         self.memory = Container(sim, capacity=memory_blocks, init=memory_blocks)
         self.disk = Container(sim, capacity=disk_blocks, init=disk_blocks)
-        self._free = list(range(n_drives))
+        self._free = list(range(len(self.drives)))
         self._waiters: collections.deque[tuple[tuple[str, ...], Event]] = (
             collections.deque()
         )

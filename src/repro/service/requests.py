@@ -4,48 +4,29 @@ A :class:`JoinRequest` names what a client wants joined — the dimension
 (R) and fact (S) tape volumes with their paper-scale sizes in MB — plus
 service constraints (deadline, arrival).  A
 :class:`ServiceConfig` describes the hardware every request competes
-for: the drive pool, the disk array and memory budgets, and the media
-exchange latency charged by the library robot.
+for: the two tape drives' model, the disk array and memory budgets, and
+the media exchange latency charged by the library robot.
 
-Both are plain frozen dataclasses with JSON round-trips so service
-workloads can travel through the sweep engine's content-addressed cache
-(see ``repro.sweep.tasks.service_task``).
+Both are plain frozen dataclasses: ``to_dict`` writes them into a sweep
+payload and :func:`repro.sweep.serialize.rebuild` reads them back, so
+service workloads can travel through the sweep engine's
+content-addressed cache (see ``repro.sweep.tasks.service_task``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import typing
 
-if typing.TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.experiments.config import ExperimentScale
-    from repro.hsm.cache import CacheConfig
-    from repro.storage.disk import DiskParameters
-    from repro.storage.tape import TapeDriveParameters
+from repro.experiments.config import BASE_TAPE, DISK_1996, ExperimentScale
+from repro.hsm.cache import CacheConfig
+from repro.storage.disk import DiskParameters
+from repro.storage.tape import TapeDriveParameters
 
 
 def _positive_finite(value: float) -> bool:
     """False for zero, negative, NaN and infinite sizes."""
     return value > 0 and math.isfinite(value)
-
-
-def _default_scale():
-    from repro.experiments.config import ExperimentScale
-
-    return ExperimentScale()
-
-
-def _default_tape():
-    from repro.experiments.config import BASE_TAPE
-
-    return BASE_TAPE
-
-
-def _default_disk():
-    from repro.experiments.config import DISK_1996
-
-    return DISK_1996
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,27 +120,24 @@ class ServiceConfig:
     :func:`~repro.core.requirements.clamp_gh_memory`.
     """
 
-    n_drives: int = 2
     memory_mb: float = 16.0
     disk_mb: float = 100.0
     memory_total_mb: float | None = None
     disk_total_mb: float | None = None
     exchange_s: float = 30.0
     clamp_memory_floor: bool = True
-    scale: "ExperimentScale" = dataclasses.field(default_factory=_default_scale)
-    tape: "TapeDriveParameters" = dataclasses.field(default_factory=_default_tape)
-    disk_params: "DiskParameters" = dataclasses.field(default_factory=_default_disk)
+    scale: ExperimentScale = dataclasses.field(default_factory=ExperimentScale)
+    tape: TapeDriveParameters = BASE_TAPE
+    disk_params: DiskParameters = DISK_1996
     #: Optional cross-job partition cache (``repro.hsm``).  None — the
     #: default — keeps the service byte-identical to builds without the
     #: HSM layer; a :class:`~repro.hsm.cache.CacheConfig` reserves a
     #: dedicated disk region (beyond the broker's per-job pool, so cached
     #: partitions never starve admissions) in which Grace-Hash Step I
     #: output is kept across jobs and across ``run()`` calls.
-    cache: "CacheConfig | None" = None
+    cache: CacheConfig | None = None
 
     def __post_init__(self):
-        if not self.n_drives >= 1:
-            raise ValueError("the service needs at least one tape drive")
         if not (_positive_finite(self.memory_mb) and _positive_finite(self.disk_mb)):
             raise ValueError(
                 "per-job memory and disk budgets must be positive and finite"
@@ -185,7 +163,6 @@ class ServiceConfig:
     def to_dict(self) -> dict:
         """JSON-serializable form, stable under cache fingerprinting."""
         payload = {
-            "n_drives": self.n_drives,
             "memory_mb": self.memory_mb,
             "disk_mb": self.disk_mb,
             "memory_total_mb": self.pool_memory_mb,
@@ -201,23 +178,3 @@ class ServiceConfig:
         if self.cache is not None:
             payload["cache"] = dataclasses.asdict(self.cache)
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServiceConfig":
-        """Inverse of :meth:`to_dict`."""
-        from repro.experiments.config import ExperimentScale
-        from repro.hsm.cache import CacheConfig
-        from repro.storage.disk import DiskParameters
-        from repro.storage.tape import TapeDriveParameters
-        from repro.sweep.serialize import rebuild
-
-        payload = dict(payload)
-        for name, kind in (
-            ("scale", ExperimentScale),
-            ("tape", TapeDriveParameters),
-            ("disk_params", DiskParameters),
-            ("cache", CacheConfig),
-        ):
-            if payload.get(name) is not None:
-                payload[name] = rebuild(kind, payload[name])
-        return cls(**payload)

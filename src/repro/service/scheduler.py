@@ -11,8 +11,10 @@ JoinRequest`\\ s and runs them end to end against shared hardware:
    broker).
 2. **Ordering** — a :class:`~repro.service.policies.SchedulingPolicy`
    reorders the admitted batch (FIFO / SJF / tape-affinity).
-3. **Execution** — a discrete-event run over the
-   :class:`~repro.service.broker.ResourceBroker`: each job leases its
+3. **Execution** — a discrete-event run on one
+   :class:`~repro.storage.hierarchy.StorageSystem` built from the
+   config, whose two drives the
+   :class:`~repro.service.broker.ResourceBroker` leases: each job leases its
    memory and disk budget, then mounts and streams.  Disk-based methods
    hold the R drive only for Step I and release it before Step II runs
    against the disk array — so the next job's tape-bound Step I
@@ -47,6 +49,7 @@ from repro.service.metrics import JobOutcome, WorkloadReport, percentile
 from repro.service.policies import SchedulingPolicy, policy_by_name
 from repro.service.requests import JoinRequest, ServiceConfig
 from repro.simulator.engine import Simulator
+from repro.storage.hierarchy import StorageConfig, StorageSystem
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
@@ -180,11 +183,6 @@ class JoinService:
                 f"{reasons.get(symbol, 'unknown method')}"
             )
         method = method_by_symbol(symbol)
-        if method.tape_step2 and config.n_drives < 2:
-            return None, (
-                f"method {symbol} joins tape-to-tape and needs two drives; "
-                f"the service has {config.n_drives}"
-            )
         entry = ranked[symbol]
         cache_key = None
         if self.cache is not None and method.cacheable_step1:
@@ -243,14 +241,23 @@ class JoinService:
         sim = Simulator()
         observer = JoinObserver()
         scale = config.scale
-        broker = ResourceBroker(
+        disk_blocks = scale.blocks(config.pool_disk_mb)
+        storage = StorageSystem(
             sim,
-            n_drives=config.n_drives,
+            StorageConfig(
+                spec=scale.block_spec,
+                n_disks=scale.n_disks,
+                disk_capacity_blocks=disk_blocks,
+                disk_params=config.disk_params,
+                tape_params_r=config.tape,
+                tape_params_s=config.tape,
+            ),
+        )
+        broker = ResourceBroker(
+            storage,
             memory_blocks=scale.blocks(config.pool_memory_mb),
-            disk_blocks=scale.blocks(config.pool_disk_mb),
+            disk_blocks=disk_blocks,
             exchange_s=config.exchange_s,
-            block_spec=scale.block_spec,
-            drive_params=config.tape,
             observer=observer,
         )
         for job in ordered:
@@ -437,30 +444,11 @@ class JoinService:
         )
 
 
-def _resolve_estimator(estimator, fault_plan, retry_policy):
-    """Map the estimator argument + fault knob onto an instance."""
-    if estimator is None:
-        estimator = "simulated" if fault_plan is not None else "analytical"
-    if isinstance(estimator, str):
-        if estimator == "analytical":
-            if fault_plan is not None:
-                raise ValueError(
-                    "fault injection needs simulated profiles; drop "
-                    "estimator='analytical' or the fault plan"
-                )
-            return AnalyticalEstimator()
-        if estimator == "simulated":
-            return SimulatedEstimator(fault_plan, retry_policy)
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return estimator
-
-
 def run_service(
     requests: typing.Iterable[JoinRequest],
     *,
     config: ServiceConfig | None = None,
     policy: str | SchedulingPolicy = "fifo",
-    estimator: str | AnalyticalEstimator | SimulatedEstimator | None = None,
     fault_rate: float = 0.0,
     fault_seed: int = 0,
     fault_plan: "FaultPlan | None" = None,
@@ -469,9 +457,10 @@ def run_service(
     """Run a workload through the service in one call.
 
     ``fault_rate`` > 0 builds a uniform
-    :class:`~repro.faults.plan.FaultPlan` (seeded by ``fault_seed``) and
-    switches to simulated profiles so injected faults stretch the
-    schedule; an explicit ``fault_plan`` takes precedence.  To export
+    :class:`~repro.faults.plan.FaultPlan` (seeded by ``fault_seed``); an
+    explicit ``fault_plan`` takes precedence.  A run with a plan takes
+    its job profiles from the simulator, so injected faults stretch the
+    schedule; a fault-free run reads them off the cost model.  To export
     the run's trace, use :func:`repro.api.run_service` with
     ``trace_out=``.
     """
@@ -479,9 +468,8 @@ def run_service(
         from repro.faults.plan import FaultPlan
 
         fault_plan = FaultPlan.uniform(fault_rate, seed=fault_seed)
-    service = JoinService(
-        config, estimator=_resolve_estimator(estimator, fault_plan, retry_policy)
-    )
+    estimator = None if fault_plan is None else SimulatedEstimator(fault_plan, retry_policy)
+    service = JoinService(config, estimator=estimator)
     for request in requests:
         service.submit(request)
     return service.run(policy=policy)

@@ -21,15 +21,18 @@ def rebuild(cls, payload: dict):
     """Call ``cls`` on a payload made by :func:`dataclasses.asdict`.
 
     ``cls`` is a parameter dataclass or a function of them.  Every
-    argument annotated with a dataclass is rebuilt from its dict first,
-    so nested values (an :class:`ExperimentScale`'s ``BlockSpec``) come
-    back as objects.
+    argument annotated with a dataclass, or with ``SomeDataclass | None``,
+    whose value is a dict is rebuilt from it first, so nested values (an
+    :class:`ExperimentScale`'s ``BlockSpec``, a service's optional
+    ``CacheConfig``) come back as objects.
     """
     hints = typing.get_type_hints(cls)
     kwargs = dict(payload)
     for name, value in payload.items():
-        if dataclasses.is_dataclass(hints.get(name)):
-            kwargs[name] = rebuild(hints[name], value)
+        hint = hints.get(name)
+        kinds = [k for k in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(k)]
+        if kinds and isinstance(value, dict):
+            kwargs[name] = rebuild(kinds[0], value)
     return cls(**kwargs)
 
 

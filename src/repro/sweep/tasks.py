@@ -117,7 +117,6 @@ def service_task(
     policy: str,
     requests: typing.Sequence,
     config,
-    estimator: str = "analytical",
     fault_plan=None,
     retry_policy=None,
 ) -> SweepTask:
@@ -127,18 +126,16 @@ def service_task(
     ``config`` a :class:`~repro.service.requests.ServiceConfig`; both
     serialize losslessly, so the fingerprint covers the whole workload.
     As with ``join`` tasks, the fault payload key exists only when a
-    plan is given — fault-free service fingerprints never change.
+    plan is given; a plan also makes the service profile its jobs by
+    simulation (:func:`~repro.service.scheduler.run_service`).
     ``config.cache`` (a :class:`~repro.hsm.cache.CacheConfig`) is part
     of the serialized config, so cache size and eviction policy are in
     the fingerprint.  Faults and the partition cache are not combined:
     a restarted Step I would have to drop its half-written cache
     entry.
     """
-    if fault_plan is not None:
-        estimator = "simulated"  # faults only surface in simulated profiles
     payload = {
         "policy": policy,
-        "estimator": estimator,
         "requests": [request.to_dict() for request in requests],
         "config": config.to_dict(),
     }
@@ -220,9 +217,8 @@ def _run_service_task(payload: dict) -> dict:
         fault_plan, retry_policy = _faults_from_payload(faults)
     report = run_service(
         [rebuild(JoinRequest, entry) for entry in payload["requests"]],
-        config=ServiceConfig.from_dict(payload["config"]),
+        config=rebuild(ServiceConfig, payload["config"]),
         policy=payload["policy"],
-        estimator=payload.get("estimator", "analytical"),
         fault_plan=fault_plan,
         retry_policy=retry_policy,
     )

@@ -246,6 +246,39 @@ class TestOneSimulation:
         assert "filtered" in read
 
 
+class TestCartridgeSwaps:
+    """Empty drives take their first cartridge for free; a swap is the
+    library robot's, on the query's clock, as a pass of its own."""
+
+    def test_first_placements_are_free(self, machine, r, s):
+        result = query.execute(query.Join(query.TapeScan(r), query.TapeScan(s)), machine)
+        assert [label for label, _s in result.passes] == [
+            f"join via {result.join_method}"
+        ]
+
+    def test_a_mid_plan_swap_pays_two_exchanges_and_a_load(self, machine, r, s):
+        plan = query.Join(
+            query.Filter(query.TapeScan(r), query.KeyModulo(3, 0)), query.TapeScan(s)
+        )
+        result = query.execute(plan, machine)
+        swap = 2 * 30.0 + machine.tape_params.load_s
+        assert [(label, seconds) for label, seconds in result.passes][1] == (
+            "mount S on tape_r", swap
+        )
+
+    def test_a_relation_read_twice_gets_two_cartridges(self, machine, r):
+        plan = query.Join(
+            query.Filter(query.TapeScan(r), query.KeyModulo(2, 0)),
+            query.Filter(query.TapeScan(r), query.KeyModulo(4, 0)),
+        )
+        result = query.execute(plan, machine)
+        mounts = [label for label, _s in result.passes if label.startswith("mount")]
+        assert mounts == ["mount R#2 on tape_r", "mount R'#3 on tape_s", "mount R' on tape_r"]
+        assert result.value == hash_join(
+            query.KeyModulo(2, 0).apply(r.keys), query.KeyModulo(4, 0).apply(r.keys)
+        )
+
+
 class TestUnsupportedPlans:
     def test_non_count_join_aggregate_rejected(self, machine, r, s):
         plan = query.Aggregate(query.Join(query.TapeScan(r), query.TapeScan(s)), "sum")

@@ -3,11 +3,17 @@
 import pytest
 
 from repro.service.broker import ResourceBroker
+from repro.storage.hierarchy import StorageConfig, StorageSystem
 
 
 @pytest.fixture
-def broker(sim):
-    b = ResourceBroker(sim, n_drives=2, memory_blocks=100.0, disk_blocks=100.0)
+def storage(sim):
+    return StorageSystem(sim, StorageConfig())
+
+
+@pytest.fixture
+def broker(storage):
+    b = ResourceBroker(storage, memory_blocks=100.0, disk_blocks=100.0)
     for volume in ("alpha", "beta", "gamma"):
         b.register_volume(volume)
     return b
@@ -18,6 +24,19 @@ def run(sim, gen):
 
 
 class TestLeasing:
+    def test_the_drives_are_the_storage_systems_own(self, storage, broker):
+        assert len(broker.drives) == 2
+        assert broker.drives[0] is storage.drive_r
+        assert broker.drives[1] is storage.drive_s
+
+    def test_leases_keep_the_library_slot_names(self, sim, broker):
+        def proc():
+            leases = yield broker.acquire(["alpha", "beta"])
+            assert [lease.name for lease in leases] == ["drive0", "drive1"]
+            broker.release(leases)
+
+        run(sim, proc())
+
     def test_uncontended_acquire_grants_distinct_drives(self, sim, broker):
         def proc():
             leases = yield broker.acquire(["alpha", "beta"])

@@ -90,10 +90,11 @@ class TestSweepIntegration:
 
     def test_fault_plan_forces_simulated_profiles(self, config):
         from repro.faults.plan import FaultPlan
+        from repro.sweep.tasks import execute_task
 
         task = service_task(
             "fifo", service_workload(2), config,
             fault_plan=FaultPlan.uniform(0.01, seed=2),
         )
-        assert task.payload["estimator"] == "simulated"
         assert task.payload["faults"]["plan"]["seed"] == 2
+        assert execute_task(task.kind, task.payload)["estimator"] == "simulated"

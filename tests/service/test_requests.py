@@ -1,7 +1,10 @@
 """JoinRequest / ServiceConfig validation and serialization."""
 
+import dataclasses
+
 import pytest
 
+from repro.hsm.cache import CacheConfig
 from repro.service.requests import JoinRequest, ServiceConfig
 from repro.sweep.serialize import rebuild
 
@@ -70,8 +73,8 @@ class TestServiceConfig:
         assert config.pool_memory_mb == 40.0
 
     @pytest.mark.parametrize(
-        "field", ["n_drives", "memory_mb", "disk_mb", "memory_total_mb",
-                  "disk_total_mb", "exchange_s"],
+        "field", ["memory_mb", "disk_mb", "memory_total_mb", "disk_total_mb",
+                  "exchange_s"],
     )
     def test_nan_budgets_are_rejected(self, field):
         with pytest.raises(ValueError):
@@ -83,9 +86,16 @@ class TestServiceConfig:
             ServiceConfig(**{field: float("inf")})
 
     def test_dict_round_trip(self, config):
-        restored = ServiceConfig.from_dict(config.to_dict())
+        restored = rebuild(ServiceConfig, config.to_dict())
         # Pools serialize resolved (explicit sizes fingerprint better), so
         # compare the resolved views rather than raw fields.
         assert restored.pool_memory_mb == config.pool_memory_mb
         assert restored.pool_disk_mb == config.pool_disk_mb
+        assert restored.cache is None
+        assert restored.to_dict() == config.to_dict()
+
+    def test_dict_round_trip_with_cache(self, config):
+        config = dataclasses.replace(config, cache=CacheConfig(50.0, "cost"))
+        restored = rebuild(ServiceConfig, config.to_dict())
+        assert restored.cache == config.cache
         assert restored.to_dict() == config.to_dict()

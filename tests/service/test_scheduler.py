@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro import api
+from repro.service.estimators import SimulatedEstimator
 from repro.service.requests import JoinRequest, ServiceConfig
 from repro.service.scheduler import JoinService, run_service
 
@@ -97,15 +98,6 @@ class TestAdmission:
         assert outcome.status == "rejected"
         assert outcome.reason
 
-    def test_forced_tape_tape_method_needs_two_drives(self, scale):
-        config = ServiceConfig(n_drives=1, scale=scale)
-        service = JoinService(config)
-        service.submit(name="ctt", r_mb=80.0, s_mb=800.0, method="CTT-GH")
-        report = service.run()
-        (outcome,) = report.outcomes
-        assert outcome.status == "rejected"
-        assert "two drives" in outcome.reason
-
     def test_duplicate_names_are_refused(self, config):
         service = JoinService(config)
         service.submit(name="q", r_mb=10.0, s_mb=40.0)
@@ -119,6 +111,14 @@ class TestAdmission:
             service.submit(name="b", r_mb=20.0, s_mb=40.0, r_volume="dim")
 
 
+def simulated_run(requests, config):
+    """A fault-free run on simulated job profiles."""
+    service = JoinService(config, estimator=SimulatedEstimator())
+    for request in requests:
+        service.submit(request)
+    return service.run()
+
+
 class TestFaultKnobs:
     def test_rate_zero_plan_is_inert(self, scale):
         """A zero-rate fault plan changes nothing in the report."""
@@ -129,28 +129,15 @@ class TestFaultKnobs:
             JoinRequest(name="a", r_mb=80.0, s_mb=400.0),
             JoinRequest(name="b", r_mb=64.0, s_mb=250.0),
         ]
-        plain = run_service(requests, config=config, estimator="simulated")
-        zeroed = run_service(
-            requests, config=config, estimator="simulated",
-            fault_plan=FaultPlan(seed=3),
-        )
+        plain = simulated_run(requests, config)
+        zeroed = run_service(requests, config=config, fault_plan=FaultPlan(seed=3))
         assert zeroed.fault_events == 0
         assert zeroed.to_dict() == plain.to_dict()
-
-    def test_analytical_estimator_refuses_fault_plans(self, config):
-        from repro.faults.plan import FaultPlan
-
-        with pytest.raises(ValueError, match="simulated"):
-            run_service(
-                [JoinRequest(name="a", r_mb=10.0, s_mb=40.0)],
-                config=config, estimator="analytical",
-                fault_plan=FaultPlan.uniform(0.01),
-            )
 
     def test_faulty_run_records_recovery(self, scale):
         config = ServiceConfig(scale=scale)
         requests = [JoinRequest(name="a", r_mb=80.0, s_mb=400.0)]
-        clean = run_service(requests, config=config, estimator="simulated")
+        clean = simulated_run(requests, config)
         faulty = run_service(
             requests, config=config, fault_rate=0.02, fault_seed=1,
         )

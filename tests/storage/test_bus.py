@@ -169,12 +169,6 @@ class TestUncontendedBus:
         bus.wire([SimpleNamespace(rate_bytes_s=4 * MBPS)] * 3)
         assert not bus.uncontended
 
-    def test_service_drive_buses_are_uncontended(self, sim):
-        from repro.service.broker import ResourceBroker
-
-        broker = ResourceBroker(sim, n_drives=2, memory_blocks=10.0, disk_blocks=10.0)
-        assert all(drive.bus.uncontended for drive in broker.drives)
-
     def test_timer_transfer_tracks_no_flow(self, sim):
         bus = Bus(sim, "b", 10 * MBPS)
         bus.wire([SimpleNamespace(rate_bytes_s=2 * MBPS)])

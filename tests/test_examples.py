@@ -68,7 +68,7 @@ def test_tape_library_batch_makespan_matches_fifo_service(capsys):
             )
             for month, fact_mb in namespace["MONTHS"]
         ],
-        config=api.ServiceConfig(n_drives=2, memory_mb=16.0, disk_mb=160.0),
+        config=api.ServiceConfig(memory_mb=16.0, disk_mb=160.0),
         policy="fifo",
     )
     assert direct.makespan_s == report.makespan_s

@@ -1,10 +1,10 @@
 """Structure checks that scan the source tree.
 
-Devices are built in one place: every join, query and assumption check
-gets its buses, disks and tape drives from
+Devices are built in one place: every join, query, assumption check and
+service run gets its buses, disks and tape drives from
 :class:`repro.storage.hierarchy.StorageSystem` (a query's passes and its
-join share one), and the scan fails if a device is constructed anywhere
-else.
+join share one; the service's broker leases its two drives), and the
+scan fails if a device is constructed anywhere else.
 
 A device op runs as events, faulty or not: nothing under ``storage/``
 and nothing in the fault injector spawns a simulation process.
@@ -20,11 +20,6 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 DEVICE_CLASSES = {"Bus", "TapeDrive", "Disk", "DiskArray"}
-
-#: The service broker still wires its drive pool by hand.  This exception
-#: goes away with the ROADMAP item "One simulation per service run",
-#: which runs the service on ``StorageSystem``.
-ALLOWED = {"service/broker.py"}
 
 
 def device_constructions(path: pathlib.Path) -> list[str]:
@@ -45,7 +40,6 @@ def test_devices_are_built_only_by_the_storage_hierarchy():
         hit
         for path in sorted(SRC.rglob("*.py"))
         if path.relative_to(SRC).parts[0] != "storage"
-        and path.relative_to(SRC).as_posix() not in ALLOWED
         for hit in device_constructions(path)
     ]
     assert offenders == []
