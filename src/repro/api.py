@@ -81,8 +81,7 @@ def run_join(
     updates: dict = {}
     if fault_rate > 0:
         updates["fault_plan"] = FaultPlan.uniform(fault_rate, seed=fault_seed)
-        updates["retry_policy"] = retry_policy or RetryPolicy()
-    elif retry_policy is not None:
+    if retry_policy is not None:
         updates["retry_policy"] = retry_policy
     if trace_out:
         updates["trace_devices"] = True

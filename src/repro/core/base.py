@@ -23,7 +23,7 @@ from repro.core.requirements import (
     GH_WRITE_STAGING_FRACTION,
     ResourceRequirements,
 )
-from repro.core.spec import InfeasibleJoinError, JoinSpec, JoinStats, ceil_div
+from repro.core.spec import InfeasibleJoinError, JoinSpec, JoinStats, scan_bounds
 from repro.costmodel.parameters import SystemParameters
 from repro.storage.block import DataChunk, tuple_range
 from repro.storage.tape import TapeDrive, TapeFile
@@ -100,30 +100,6 @@ class TertiaryJoinMethod(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.symbol}>"
-
-
-#: Tolerance of :func:`scan_tape`'s chunk loop, in blocks.
-_SCAN_EPS = 1e-9
-
-
-def scan_bounds(
-    start_block: float, n_blocks: float, chunk_blocks: float, reverse: bool = False
-) -> list[tuple[float, float]]:
-    """The ``(start, n_blocks)`` reads of :func:`scan_tape`, in scan order."""
-    if chunk_blocks <= 0:
-        raise ValueError(f"chunk_blocks must be positive, got {chunk_blocks}")
-    # A range within the chunk loop's tolerance holds no chunk (the
-    # ``ceil_div`` slack can leave a last iteration that small): it is
-    # empty in both modes.
-    bounds: list[tuple[float, float]] = []
-    offset = 0.0
-    while offset < n_blocks - _SCAN_EPS:
-        step = min(chunk_blocks, n_blocks - offset)
-        bounds.append((start_block + offset, step))
-        offset += step
-    if reverse:
-        bounds.reverse()
-    return bounds
 
 
 def scan_tape(
@@ -211,13 +187,9 @@ def scan_disk_and_join(
     """
     held = env.build(held_keys)
     piece = max(buffer_blocks, MIN_DISK_REQUEST_BLOCKS)
-    offset = 0.0
-    total = extent.n_blocks
-    while offset < total - 1e-9:
-        step = min(piece, total - offset)
+    for offset, step in scan_bounds(0.0, extent.n_blocks, piece):
         data = yield from env.array.read_range(extent, offset, step)
         env.probe(held, data.keys)
-        offset += step
     env.count_r_scan()
 
 
@@ -377,9 +349,7 @@ def join_bucket(
     piece_blocks = max(available, probe, 1.0)
     r_pieces: list[np.ndarray] = []
     s_pieces: list[np.ndarray] = []
-    offset = 0.0
-    while offset < r_total_blocks - 1e-9:
-        step = min(piece_blocks, r_total_blocks - offset)
+    for offset, step in scan_bounds(0.0, r_total_blocks, piece_blocks):
         r_piece = yield from r_bucket.read(offset, step)
         env.memory.take(r_piece.n_blocks, "R bucket piece")
         try:
@@ -392,7 +362,6 @@ def join_bucket(
         finally:
             env.memory.give(r_piece.n_blocks)
         r_pieces.append(r_piece.keys)
-        offset += step
     # Counted after the last rescan: a restarted unit counts once.
     env.count_overflow_bucket()
     s_bucket.discard()
@@ -457,26 +426,23 @@ def concurrent_step2(
     tuples_per_block = spec.relation_s.tuples_per_block
     capacity = d + 2.0 / tuples_per_block + 1e-6  # two tuples of packing slack
     sbuf = InterleavedDiskBuffer(sim, env.array, "s_buffer", capacity, env.observer)
-    n_iters = ceil_div(spec.size_s_blocks, d)
+    pieces = scan_bounds(0.0, spec.size_s_blocks, d)
 
     def hasher():
         with env.memory.hold(
             layout.read_staging_blocks + layout.write_staging_blocks,
             "hash staging",
         ):
-            offset = 0.0
-            for iteration in range(n_iters):
-                target = min(d, spec.size_s_blocks - offset)
+            for iteration, (offset, target) in enumerate(pieces):
                 yield from hash_tape_range(
                     env, layout, env.drive_s, env.file_s, offset, target,
                     spec.relation_s, functools.partial(sbuf.put_many, iteration),
                     chunk_blocks=layout.scan_chunk_blocks, overlap=True,
                 )
                 sbuf.end_iteration(iteration)
-                offset += target
 
     def joiner():
-        for iteration in range(n_iters):
+        for iteration in range(len(pieces)):
             yield sbuf.wait_iteration(iteration)
             for bucket in range(layout.n_buckets):
                 if not sbuf.has_pending(iteration, bucket):

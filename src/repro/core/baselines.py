@@ -34,12 +34,12 @@ from repro.core.base import (
     align_blocks_to_tuples,
     extent_reader,
     join_bucket,
-    scan_bounds,
     scan_tape,
     write_buckets,
 )
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import NB_R_SCAN_FRACTION, ResourceRequirements
+from repro.core.spec import scan_bounds
 from repro.costmodel.parameters import SystemParameters
 from repro.storage.block import tuple_range
 
@@ -176,13 +176,9 @@ class NaiveTapeNestedLoop(TertiaryJoinMethod):
         )
         probe = NB_R_SCAN_FRACTION * spec.memory_blocks
         env.mark_step1_done()  # there is no setup phase
-        offset = 0.0
-        total_r = spec.size_r_blocks
-        while offset < total_r - 1e-9:
-            step = min(chunk, total_r - offset)
+        for offset, step in scan_bounds(0.0, spec.size_r_blocks, chunk):
             with env.memory.hold(step, "R chunk"):
                 r_data = yield from env.drive_r.read_range(env.file_r, offset, step)
-                offset += step
 
                 def probe_s(data, held=env.build(r_data.keys)):
                     env.probe(held, data.keys)

@@ -32,7 +32,7 @@ from repro.core.base import (
 )
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import ResourceRequirements
-from repro.core.spec import JoinSpec
+from repro.core.spec import JoinSpec, scan_bounds
 from repro.costmodel.parameters import SystemParameters
 from repro.faults.checkpoint import run_unit
 
@@ -105,19 +105,15 @@ class DiskTapeGraceHash(_GraceHashBase):
             RBucket(extent_reader(env.array, extent), extent.n_blocks)
             for extent in r_buckets
         ]
-        offset = 0.0
-        total = spec.size_s_blocks
         with env.memory.hold(
             layout.read_staging_blocks + layout.write_staging_blocks, "step II staging"
         ):
-            while offset < total - 1e-9:
-                target = min(d, total - offset)
+            for offset, target in scan_bounds(0.0, spec.size_s_blocks, d):
                 yield from hash_tape_range(
                     env, layout, env.drive_s, env.file_s, offset, target,
                     spec.relation_s, write_buckets(env, s_buckets),
                     chunk_blocks=layout.read_staging_blocks, overlap=False,
                 )
-                offset += target
                 # Join phase: each R bucket back to memory, S bucket
                 # scanned past it.  Each bucket is a checkpointed unit: a
                 # media error restarts only the bucket it hit, not the

@@ -19,6 +19,7 @@ likewise keep it outside the M ledger.
 
 from __future__ import annotations
 
+import functools
 import typing
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.core.base import (
 )
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import NB_R_SCAN_FRACTION, ResourceRequirements
-from repro.core.spec import JoinSpec, ceil_div
+from repro.core.spec import JoinSpec, scan_bounds
 from repro.costmodel.parameters import SystemParameters
 
 
@@ -71,6 +72,16 @@ class _NestedBlockBase(TertiaryJoinMethod):
         env.mark_step1_done()
         return r_disk
 
+    def _join_piece(self, env: JoinEnvironment, r_disk) -> typing.Callable:
+        """Step II's consumer of one S piece: one scan of R past it."""
+        r_window = self._r_scan_blocks(env.spec)
+
+        def join(data):
+            yield from scan_disk_and_join(env, r_disk, r_window, data.keys)
+            env.count_iteration()
+
+        return join
+
 
 class DiskTapeNestedBlock(_NestedBlockBase):
     """DT-NB: sequential Disk–Tape Nested Block Join (Section 5.1.1)."""
@@ -94,17 +105,12 @@ class DiskTapeNestedBlock(_NestedBlockBase):
     def _execute(self, env: JoinEnvironment) -> typing.Generator:
         spec = env.spec
         r_disk = yield from self._copy_r_to_disk(env, overlap=False)
-        chunk = self._chunk_blocks(spec)
-        r_window = self._r_scan_blocks(spec)
-        offset = 0.0
-        total = spec.size_s_blocks
         with env.memory.hold(spec.memory_blocks, "S chunk + R window"):
-            while offset < total - 1e-9:
-                step = min(chunk, total - offset)
-                s_data = yield from env.drive_s.read_range(env.file_s, offset, step)
-                offset += step
-                yield from scan_disk_and_join(env, r_disk, r_window, s_data.keys)
-                env.count_iteration()
+            yield from scan_tape(
+                env, env.drive_s, env.file_s, 0.0, spec.size_s_blocks,
+                self._chunk_blocks(spec), self._join_piece(env, r_disk),
+                overlap=False,
+            )
         env.array.free(r_disk)
 
 
@@ -140,11 +146,6 @@ class ConcurrentNestedBlockMemory(_NestedBlockBase):
         r_disk = yield from self._copy_r_to_disk(env, overlap=True)
         chunk = self._chunk_blocks(spec)
         r_window = self._r_scan_blocks(spec)
-
-        def join(data):
-            yield from scan_disk_and_join(env, r_disk, r_window, data.keys)
-            env.count_iteration()
-
         # Table 2's 2|S_i| plus the R window, held for all of Step II; the
         # order of the holds fixes the float sum reported as peak memory.
         with (
@@ -154,7 +155,7 @@ class ConcurrentNestedBlockMemory(_NestedBlockBase):
         ):
             yield from scan_tape(
                 env, env.drive_s, env.file_s, 0.0, spec.size_s_blocks,
-                chunk, join, overlap=True,
+                chunk, self._join_piece(env, r_disk), overlap=True,
             )
         env.array.free(r_disk)
 
@@ -201,28 +202,20 @@ class ConcurrentNestedBlockDisk(_NestedBlockBase):
         sbuf = InterleavedDiskBuffer(
             sim, env.array, "s_buffer", chunk + slack + 1e-6, env.observer
         )
-        n_iters = ceil_div(spec.size_s_blocks, chunk)
+        s_pieces = scan_bounds(0.0, spec.size_s_blocks, chunk)
         stage = min(self.SPEED_MATCH_BLOCKS, chunk)
 
         def writer():
-            offset = 0.0
-            total = spec.size_s_blocks
-            for iteration in range(n_iters):
-                target = min(chunk, total - offset)
-                filled = 0.0
-                while filled < target - 1e-9:
-                    step = min(stage, target - filled)
-                    data = yield from env.drive_s.read_range(
-                        env.file_s, offset + filled, step
-                    )
-                    filled += step
-                    yield from sbuf.put(iteration, "s", data)
-                offset += target
+            for iteration, (offset, target) in enumerate(s_pieces):
+                yield from scan_tape(
+                    env, env.drive_s, env.file_s, offset, target, stage,
+                    functools.partial(sbuf.put, iteration, "s"), overlap=False,
+                )
                 sbuf.end_iteration(iteration)
 
         def joiner():
             with env.memory.hold(r_window, "R window"):
-                for iteration in range(n_iters):
+                for iteration in range(len(s_pieces)):
                     yield sbuf.wait_iteration(iteration)
                     pieces = []
                     taken = 0.0

@@ -45,7 +45,7 @@ def clamp_gh_memory(memory_blocks: float, r_blocks: float) -> float:
     Relation sizes scale linearly but the sqrt(|R|) memory floor does
     not, so a scaled-down run keeps at least ``1.05 * sqrt(|R|)`` blocks,
     and at most ``|R| - 1`` unless the floor itself is higher.  The
-    experiment drivers and the service's ``clamp_memory_floor`` share it.
+    experiment drivers and the service's admission share it.
     """
     floor = 1.05 * math.sqrt(r_blocks)
     return min(max(memory_blocks, floor), max(r_blocks - 1.0, floor))

@@ -11,7 +11,6 @@ verified join output.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 
 from repro.relational import join_core
@@ -280,8 +279,32 @@ class JoinStats:
         return spec.mb_from_blocks(self.disk_traffic_blocks)
 
 
-def ceil_div(amount: float, chunk: float) -> int:
-    """Iterations needed to consume ``amount`` in pieces of ``chunk``."""
-    if chunk <= 0:
-        raise ValueError(f"chunk must be positive, got {chunk}")
-    return max(1, math.ceil(amount / chunk - 1e-9))
+#: Tolerance of :func:`scan_bounds`, in blocks.
+_SCAN_EPS = 1e-9
+
+
+def scan_bounds(
+    start_block: float, n_blocks: float, chunk_blocks: float, reverse: bool = False
+) -> list[tuple[float, float]]:
+    """The ``(start, n_blocks)`` pieces of the ``n_blocks`` range from
+    ``start_block``, at most ``chunk_blocks`` each, in scan order (back
+    to front with ``reverse``).
+
+    The one walk over a block range: every scan, Step II iteration and
+    rescan of the methods iterates it, and the cost model's counts are
+    its length.
+    """
+    if chunk_blocks <= 0:
+        raise ValueError(f"chunk_blocks must be positive, got {chunk_blocks}")
+    # A range within the tolerance holds no piece (floating-point sums of
+    # tuple-aligned pieces can leave a remainder that small): it is empty
+    # in both modes.
+    bounds: list[tuple[float, float]] = []
+    offset = 0.0
+    while offset < n_blocks - _SCAN_EPS:
+        step = min(chunk_blocks, n_blocks - offset)
+        bounds.append((start_block + offset, step))
+        offset += step
+    if reverse:
+        bounds.reverse()
+    return bounds

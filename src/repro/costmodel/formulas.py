@@ -9,15 +9,14 @@ pay the sum.
 The model takes what the executable methods decide from them, so the
 two cannot drift: feasibility is the method's Table 2 check
 (:meth:`~repro.core.base.TertiaryJoinMethod.infeasibility`, which
-``validate`` also raises from), DT-GH's and CDT-GH's d = D − |R| is the
-methods' ``_s_chunk_blocks``, TT-GH's B is
-:class:`~repro.core.base.GraceHashLayout`'s, and counts round with
-:func:`~repro.core.spec.ceil_div`.  The registry is imported on first use
-because :mod:`repro.core.planner` imports this module.  Only the
-nested-block |S_i| is kept here as well: the model's ``(1 − 0.1)·M``
-differs from the methods' ``M − 0.1·M`` in the last bit, and the pinned
-Figure 1–3, planner and Experiment 3 hashes were recorded with each side
-as it is.
+``validate`` also raises from), the nested-block |S_i| is the methods'
+``_chunk_blocks``, DT-GH's and CDT-GH's d = D − |R| is their
+``_s_chunk_blocks``, TT-GH's B is
+:class:`~repro.core.base.GraceHashLayout`'s, and every count of
+iterations or scans is the number of pieces
+:func:`~repro.core.spec.scan_bounds` cuts, the same walk the simulated
+methods iterate.  The registry is imported on first use because
+:mod:`repro.core.planner` imports this module.
 
 Notation in the derivations below: ``x_t`` = tape blocks/s, ``x_d`` =
 aggregate disk blocks/s, ``Ms`` = |S_i| (the S piece per iteration),
@@ -30,8 +29,7 @@ import dataclasses
 import math
 import typing
 
-from repro.core.requirements import NB_R_SCAN_FRACTION
-from repro.core.spec import ceil_div
+from repro.core.spec import scan_bounds
 from repro.costmodel.parameters import SystemParameters
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -67,19 +65,14 @@ class CostBreakdown:
         return self.total_s / p.optimum_join_s - 1.0
 
 
-def _nb_chunk(p: SystemParameters, halved: bool) -> float:
-    chunk = (1.0 - NB_R_SCAN_FRACTION) * p.memory_blocks
-    return chunk / 2 if halved else chunk
-
-
 def dt_nb(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     """DT-NB: sequential copy, then N sequential (read S_i, scan R) pairs.
 
     ``t = |R|/x_t + |R|/x_d  +  |S|/x_t + N * |R|/x_d`` with N = ⌈|S|/Ms⌉.
     """
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
-    chunk = min(_nb_chunk(p, halved=False), p.size_s_blocks)
-    n = ceil_div(p.size_s_blocks, chunk)
+    chunk = min(method._chunk_blocks(p), p.size_s_blocks)
+    n = len(scan_bounds(0.0, p.size_s_blocks, chunk))
     step1 = p.size_r_blocks / p.rate_tape_r + p.size_r_blocks / x_d
     step2 = p.size_s_blocks / x_t + n * p.size_r_blocks / x_d
     return CostBreakdown(
@@ -95,8 +88,8 @@ def cdt_nb_mb(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     with Ms halved, so N doubles relative to DT-NB.
     """
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
-    chunk = min(_nb_chunk(p, halved=True), p.size_s_blocks)
-    n = ceil_div(p.size_s_blocks, chunk)
+    chunk = min(method._chunk_blocks(p), p.size_s_blocks)
+    n = len(scan_bounds(0.0, p.size_s_blocks, chunk))
     step1 = max(p.size_r_blocks / p.rate_tape_r, p.size_r_blocks / x_d)
     step2 = chunk / x_t + n * max(chunk / x_t, p.size_r_blocks / x_d)
     return CostBreakdown(
@@ -113,8 +106,8 @@ def cdt_nb_db(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     N * max(Ms/x_t, (2Ms+|R|)/x_d)``.
     """
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
-    chunk = min(_nb_chunk(p, halved=False), p.size_s_blocks)
-    n = ceil_div(p.size_s_blocks, chunk)
+    chunk = min(method._chunk_blocks(p), p.size_s_blocks)
+    n = len(scan_bounds(0.0, p.size_s_blocks, chunk))
     step1 = max(p.size_r_blocks / p.rate_tape_r, p.size_r_blocks / x_d)
     step2 = chunk / x_t + n * max(chunk / x_t, (2 * chunk + p.size_r_blocks) / x_d)
     return CostBreakdown(
@@ -132,7 +125,7 @@ def dt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     """
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
     chunk = min(method._s_chunk_blocks(p), p.size_s_blocks)
-    n = ceil_div(p.size_s_blocks, chunk)
+    n = len(scan_bounds(0.0, p.size_s_blocks, chunk))
     step1 = p.size_r_blocks / p.rate_tape_r + p.size_r_blocks / x_d
     step2 = p.size_s_blocks / x_t + (2 * p.size_s_blocks + n * p.size_r_blocks) / x_d
     return CostBreakdown(
@@ -148,7 +141,7 @@ def cdt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     """
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
     chunk = min(method._s_chunk_blocks(p), p.size_s_blocks)
-    n = ceil_div(p.size_s_blocks, chunk)
+    n = len(scan_bounds(0.0, p.size_s_blocks, chunk))
     step1 = max(p.size_r_blocks / p.rate_tape_r, p.size_r_blocks / x_d)
     step2 = chunk / x_t + n * max(
         chunk / x_t, (2 * chunk + p.size_r_blocks) / x_d
@@ -169,7 +162,7 @@ def ctt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     """
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
     x_tr = p.rate_tape_r
-    scans = ceil_div(p.size_r_blocks, p.disk_blocks)
+    scans = len(scan_bounds(0.0, p.size_r_blocks, p.disk_blocks))
     # Per scan: a full read of R overlapped with writing+reading back the
     # |R|/scans blocks assembled that scan, then the tape append pass.
     assembled = p.size_r_blocks / scans
@@ -178,7 +171,7 @@ def ctt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
         + p.size_r_blocks / x_tr
     )
     chunk = min(p.disk_blocks, p.size_s_blocks)
-    n = ceil_div(p.size_s_blocks, chunk)
+    n = len(scan_bounds(0.0, p.size_s_blocks, chunk))
     step2 = chunk / x_t + n * max(
         chunk / x_t, p.size_r_blocks / x_tr, 2 * chunk / x_d
     )
@@ -200,8 +193,8 @@ def tt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     from repro.core.base import GraceHashLayout
 
     x_t, x_tr = p.tape_rate_blocks_s, p.rate_tape_r
-    scans_r = ceil_div(p.size_r_blocks, p.disk_blocks)
-    scans_s = ceil_div(p.size_s_blocks, p.disk_blocks)
+    scans_r = len(scan_bounds(0.0, p.size_r_blocks, p.disk_blocks))
+    scans_s = len(scan_bounds(0.0, p.size_s_blocks, p.disk_blocks))
     hash_r = scans_r * p.size_r_blocks / x_tr + p.size_r_blocks / x_t
     hash_s = scans_s * p.size_s_blocks / x_t + p.size_s_blocks / x_tr
     step1 = hash_r + hash_s

@@ -62,7 +62,9 @@ def media_exchange_share(
     """Scan a relation striped over ``n_volumes`` cartridges via the robot.
 
     The defaults model the paper's setting: DLT-4000 cartridges in "20 GB
-    density mode", each several hours to read end to end.
+    density mode", each several hours to read end to end.  A mount's
+    whole time counts as exchange time: the robot's exchanges, the load,
+    and the rewind of a cartridge read to its end.
     """
     if n_volumes < 1:
         raise ValueError("need at least one volume")

@@ -188,8 +188,6 @@ def experiment5_sweep(
 
         fault_plan = FaultPlan.uniform(fault_rate, seed=fault_seed)
         retry_policy = RetryPolicy()
-    # A fault plan makes the service profile its jobs by simulation.
-    estimator = "analytical" if fault_plan is None else "simulated"
 
     points = [(policy, n) for policy in policies for n in sizes]
     tasks = [
@@ -205,6 +203,8 @@ def experiment5_sweep(
 
     def assemble(results: list[dict]) -> Experiment5Result:
         series: dict[str, list[Experiment5Point]] = {policy: [] for policy in policies}
+        # Every point runs under the same fault plan, so one estimator.
+        (estimator,) = {report["estimator"] for report in results}
         for (policy, n), report in zip(points, results):
             outcomes = report["outcomes"]
             series[policy].append(

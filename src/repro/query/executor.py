@@ -33,11 +33,10 @@ import typing
 
 import numpy as np
 
-from repro.core.base import scan_bounds
 from repro.core.environment import JoinEnvironment, storage_config
 from repro.core.planner import plan_join
 from repro.core.registry import method_by_symbol
-from repro.core.spec import JoinSpec
+from repro.core.spec import JoinSpec, scan_bounds
 from repro.query.plan import Aggregate, Filter, Join, PlanNode, TapeScan
 from repro.query.predicates import Predicate
 from repro.relational.join_core import JoinResult

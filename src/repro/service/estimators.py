@@ -95,13 +95,8 @@ class SimulatedEstimator:
 
         spec = job.spec
         if self.fault_plan is not None:
-            retry = self.retry_policy
-            if retry is None:
-                from repro.faults.policy import RetryPolicy
-
-                retry = RetryPolicy()
             spec = dataclasses.replace(
-                spec, fault_plan=self.fault_plan, retry_policy=retry
+                spec, fault_plan=self.fault_plan, retry_policy=self.retry_policy
             )
         method = method_by_symbol(job.symbol)
         stats = method.run(spec)

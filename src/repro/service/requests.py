@@ -49,8 +49,6 @@ class JoinRequest:
     s_volume: str | None = None
     memory_mb: float | None = None
     disk_mb: float | None = None
-    scratch_r_mb: float | None = None
-    scratch_s_mb: float | None = None
     deadline_s: float | None = None
     arrival_s: float = 0.0
     method: str | None = None
@@ -92,8 +90,6 @@ class JoinRequest:
             "s_volume",
             "memory_mb",
             "disk_mb",
-            "scratch_r_mb",
-            "scratch_s_mb",
             "deadline_s",
             "method",
         ):
@@ -114,9 +110,9 @@ class ServiceConfig:
     the broker leases from and default to twice the per-job budget, so
     two jobs' disk-resident phases can overlap.  Jobs whose needs exceed
     the pool are rejected at admission — granting them would deadlock
-    the broker.  ``clamp_memory_floor`` applies the experiment drivers'
+    the broker.  Each job's memory is clamped to the experiment drivers'
     Grace Hash floor (``1.05 * sqrt(|R|)`` blocks) when scaling shrinks
-    memory below feasibility, through the same
+    it below feasibility, through the same
     :func:`~repro.core.requirements.clamp_gh_memory`.
     """
 
@@ -125,7 +121,6 @@ class ServiceConfig:
     memory_total_mb: float | None = None
     disk_total_mb: float | None = None
     exchange_s: float = 30.0
-    clamp_memory_floor: bool = True
     scale: ExperimentScale = dataclasses.field(default_factory=ExperimentScale)
     tape: TapeDriveParameters = BASE_TAPE
     disk_params: DiskParameters = DISK_1996
@@ -168,7 +163,6 @@ class ServiceConfig:
             "memory_total_mb": self.pool_memory_mb,
             "disk_total_mb": self.pool_disk_mb,
             "exchange_s": self.exchange_s,
-            "clamp_memory_floor": self.clamp_memory_floor,
             "scale": dataclasses.asdict(self.scale),
             "tape": dataclasses.asdict(self.tape),
             "disk_params": dataclasses.asdict(self.disk_params),

@@ -134,9 +134,9 @@ class JoinService:
         config = self.config
         scale = config.scale
         r_blocks = scale.relation_blocks(request.r_mb)
-        memory = scale.blocks(request.memory_mb or config.memory_mb)
-        if config.clamp_memory_floor:
-            memory = clamp_gh_memory(memory, r_blocks)
+        memory = clamp_gh_memory(
+            scale.blocks(request.memory_mb or config.memory_mb), r_blocks
+        )
         disk = scale.blocks(request.disk_mb or config.disk_mb)
         return memory, disk, r_blocks
 
@@ -156,11 +156,6 @@ class JoinService:
                 f"{scale.blocks(config.pool_disk_mb):.0f}"
             )
         relation_r, relation_s = scale.cached_relations(request.r_mb, request.s_mb)
-        scratch = {}
-        if request.scratch_r_mb is not None:
-            scratch["scratch_r_blocks"] = scale.blocks(request.scratch_r_mb)
-        if request.scratch_s_mb is not None:
-            scratch["scratch_s_blocks"] = scale.blocks(request.scratch_s_mb)
         try:
             spec = scale.join_spec(
                 relation_r,
@@ -169,7 +164,6 @@ class JoinService:
                 disk_blocks=disk,
                 tape=config.tape,
                 disk_params=config.disk_params,
-                **scratch,
             )
             plan = plan_join(spec)
         except (InfeasibleJoinError, ValueError) as exc:

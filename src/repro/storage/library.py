@@ -38,8 +38,10 @@ class TapeLibrary:
     def mount(self, drive: TapeDrive, volume_name: str) -> typing.Generator:
         """Load ``volume_name`` into ``drive``, unloading any current media.
 
-        A generator: charges one exchange per media movement.  Mounting
-        the volume the drive already holds is free.  Unknown volumes are
+        A generator: charges one exchange per media movement, and a
+        rewind first when the outgoing cartridge's head is past block 0
+        (a cartridge is unloaded at its beginning).  Mounting the volume
+        the drive already holds is free.  Unknown volumes are
         rejected eagerly (before simulation time passes).
         """
         already_there = drive.volume is not None and drive.volume.name == volume_name
@@ -51,10 +53,11 @@ class TapeLibrary:
         if drive.volume is not None:
             if drive.volume.name == volume_name:
                 return drive.volume
+            rewind_s = drive.params.rewind_s if drive.position > 0.0 else 0.0
             returned = drive.unload()
             self.shelf[returned.name] = returned
             self.exchanges += 1
-            yield self.sim.timeout(self.exchange_s)
+            yield self.sim.timeout(rewind_s + self.exchange_s)
         volume = self.shelf.pop(volume_name)
         self.exchanges += 1
         yield self.sim.timeout(self.exchange_s + drive.params.load_s)

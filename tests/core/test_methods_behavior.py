@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.base import GraceHashLayout
 from repro.core.registry import method_by_symbol
-from repro.core.spec import JoinSpec, ceil_div
+from repro.core.spec import JoinSpec
 from repro.experiments.config import (
     EXPERIMENT3_D_MB,
     EXPERIMENT3_R_MB,
@@ -41,7 +41,7 @@ class TestIterationCounts:
     def test_dt_nb_iterations_follow_memory(self, relations):
         _r, s = relations
         stats = run("DT-NB", relations, memory=10.0)
-        assert stats.iterations == ceil_div(s.n_blocks, 0.9 * 10.0)
+        assert stats.iterations == math.ceil(s.n_blocks / (0.9 * 10.0))
 
     def test_cdt_nb_mb_doubles_iterations(self, relations):
         plain = run("DT-NB", relations, memory=10.0)
@@ -51,12 +51,12 @@ class TestIterationCounts:
     def test_grace_hash_iterations_follow_disk(self, relations):
         r, s = relations
         stats = run("CDT-GH", relations, disk=r.n_blocks + 40.0)
-        assert stats.iterations == ceil_div(s.n_blocks, 40.0)
+        assert stats.iterations == math.ceil(s.n_blocks / 40.0)
 
     def test_ctt_gh_iterations_use_whole_disk(self, relations):
         _r, s = relations
         stats = run("CTT-GH", relations, disk=50.0)
-        assert stats.iterations == ceil_div(s.n_blocks, 50.0)
+        assert stats.iterations == math.ceil(s.n_blocks / 50.0)
 
     def test_more_memory_fewer_nb_iterations(self, relations):
         small = run("DT-NB", relations, memory=8.0)
@@ -164,7 +164,7 @@ class TestMemoryDoubleBuffering:
             monkeypatch.setattr(cls, "__init__", counting_init)
         stats = run("CDT-NB/MB", relations, memory=10.0)
         assert built == ["Process"]  # the method's own
-        assert stats.iterations == ceil_div(relations[1].n_blocks, 0.45 * 10.0)
+        assert stats.iterations == math.ceil(relations[1].n_blocks / (0.45 * 10.0))
 
     @pytest.mark.parametrize("fraction", [0.5, 0.7, 0.9])
     def test_two_s_buffers_and_the_r_window_fill_memory(self, fraction):

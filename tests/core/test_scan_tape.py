@@ -1,8 +1,9 @@
-"""``scan_tape`` at the edge of its chunk loop's tolerance.
+"""``scan_tape`` at the edge of :func:`~repro.core.spec.scan_bounds`' tolerance.
 
-The loop only cuts a chunk while more than 1e-9 blocks remain, and
-``ceil_div``'s slack can leave a last iteration that small.  Such a
-range must read nothing in both modes, not crash the overlapped scan.
+``scan_bounds`` only cuts a piece while more than 1e-9 blocks remain,
+and floating-point sums of a method's pieces can leave a last range
+that small.  Such a range must read nothing in both modes, not crash
+the overlapped scan.
 """
 
 import types

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.spec import JoinSpec, ceil_div
+from repro.core.spec import JoinSpec, scan_bounds
 from repro.relational.datagen import uniform_relation
 from repro.storage.block import BlockSpec
 from repro.storage.tape import TapeDriveParameters
@@ -79,19 +79,24 @@ class TestDerivedQuantities:
         assert spec.effective_scratch_s() == 0.0
 
 
-class TestCeilDiv:
-    def test_exact(self):
-        assert ceil_div(10.0, 5.0) == 2
+class TestScanBounds:
+    def test_exact_multiple(self):
+        assert scan_bounds(0.0, 10.0, 5.0) == [(0.0, 5.0), (5.0, 5.0)]
 
-    def test_rounds_up(self):
-        assert ceil_div(10.1, 5.0) == 3
+    def test_remainder_is_a_last_short_piece(self):
+        assert scan_bounds(2.0, 10.5, 5.0) == [(2.0, 5.0), (7.0, 5.0), (12.0, 0.5)]
 
-    def test_tolerates_dust(self):
-        assert ceil_div(10.0 + 1e-12, 5.0) == 2
+    def test_remainder_within_tolerance_is_dropped(self):
+        assert scan_bounds(0.0, 10.0 + 1e-12, 5.0) == [(0.0, 5.0), (5.0, 5.0)]
 
-    def test_minimum_one(self):
-        assert ceil_div(0.0, 5.0) == 1
+    def test_empty_range_has_no_pieces(self):
+        assert scan_bounds(3.0, 0.0, 5.0) == []
+
+    def test_reverse_visits_the_same_pieces_back_to_front(self):
+        assert scan_bounds(0.0, 10.5, 5.0, reverse=True) == [
+            (10.0, 0.5), (5.0, 5.0), (0.0, 5.0)
+        ]
 
     def test_bad_chunk(self):
         with pytest.raises(ValueError):
-            ceil_div(10.0, 0.0)
+            scan_bounds(0.0, 10.0, 0.0)

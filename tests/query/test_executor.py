@@ -261,7 +261,8 @@ class TestCartridgeSwaps:
             query.Filter(query.TapeScan(r), query.KeyModulo(3, 0)), query.TapeScan(s)
         )
         result = query.execute(plan, machine)
-        swap = 2 * 30.0 + machine.tape_params.load_s
+        # The filter read R to its end: R is rewound before it is ejected.
+        swap = machine.tape_params.rewind_s + 2 * 30.0 + machine.tape_params.load_s
         assert [(label, seconds) for label, seconds in result.passes][1] == (
             "mount S on tape_r", swap
         )

@@ -63,3 +63,14 @@ class TestMount:
     def test_mount_unknown_volume(self, sim, library, drive):
         with pytest.raises(KeyError):
             run(sim, library.mount(drive, "zz"))
+
+    @pytest.mark.parametrize("head", [0.0, 5.0])
+    def test_swap_rewinds_a_cartridge_whose_head_is_past_block_zero(
+        self, sim, library, drive, head
+    ):
+        run(sim, library.mount(drive, "a"))
+        drive.position = head
+        before = sim.now
+        run(sim, library.mount(drive, "b"))
+        rewind = drive.params.rewind_s if head > 0 else 0.0
+        assert sim.now - before == pytest.approx(rewind + 2 * 30.0 + drive.params.load_s)
