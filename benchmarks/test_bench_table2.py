@@ -6,8 +6,7 @@ computations of every method against it for a reference configuration.
 
 import math
 
-from repro.core.registry import ALL_METHODS
-from repro.core.requirements import table2_rows
+from repro.core.registry import ALL_METHODS, table2_rows
 from repro.core.spec import JoinSpec
 from repro.experiments.report import format_table
 from repro.relational.datagen import uniform_relation

@@ -139,8 +139,8 @@ def main() -> None:
     # ---- Table 2 note -----------------------------------------------------------
     w("## Tables 1 and 2\n\n")
     w("Table 1 (notation) is documented in `repro.costmodel.parameters`.\n")
-    w("Table 2 (resource requirements) is encoded in\n")
-    w("`repro.core.requirements.TABLE2` and *enforced* at runtime: every\n")
+    w("Table 2 (resource requirements) is encoded as each method's `table2`\n")
+    w("row (`repro.core.registry.table2_rows`) and *enforced* at runtime: every\n")
     w("method draws memory from a hard M-block ledger, disk from\n")
     w("capacity-checked devices and scratch from fixed-size tape volumes.\n")
     w("`tests/core/test_methods_resources.py` verifies measured peaks and\n")

@@ -36,8 +36,8 @@ from repro.core.nested_block import (
     DiskTapeNestedBlock,
 )
 from repro.core.planner import JoinPlan, plan_join
-from repro.core.registry import ALL_METHODS, method_by_symbol, symbols
-from repro.core.requirements import ResourceRequirements, TABLE2, table2_rows
+from repro.core.registry import ALL_METHODS, method_by_symbol, symbols, table2_rows
+from repro.core.requirements import ResourceRequirements
 from repro.core.spec import InfeasibleJoinError, JoinSpec, JoinStats
 from repro.core.tape_tape import ConcurrentTapeTapeGraceHash, TapeTapeGraceHash
 
@@ -55,7 +55,6 @@ __all__ = [
     "JoinSpec",
     "JoinStats",
     "ResourceRequirements",
-    "TABLE2",
     "TapeTapeGraceHash",
     "TertiaryJoinMethod",
     "method_by_symbol",

@@ -36,8 +36,14 @@ class TertiaryJoinMethod(abc.ABC):
     symbol: str = ""
     #: Full descriptive name.
     name: str = ""
+    #: The method's row of the paper's Table 2, verbatim: M, D, T_R, T_S.
+    table2: tuple[str, str, str, str] = ("", "", "", "")
     #: True for methods exploiting parallel tape/disk I/O.
     concurrent: bool = False
+    #: True when each S piece passes through disk on its way to the join
+    #: (written once, read back once): CDT-NB/DB's disk double buffer and
+    #: the Grace-Hash methods' S buckets.
+    stages_s_on_disk: bool = False
     #: "nested-block" or "grace-hash".
     family: str = ""
     #: True when Step II reads buckets back from *tape*: the method holds
@@ -60,6 +66,11 @@ class TertiaryJoinMethod(abc.ABC):
     @abc.abstractmethod
     def _execute(self, env: JoinEnvironment) -> typing.Generator:
         """The method's main simulation process."""
+
+    def _chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
+        """|S_i|: the piece of S consumed per Step II iteration (the
+        disk–tape methods; the cost model reads it too)."""
+        raise NotImplementedError
 
     def infeasibility(self, p: SystemParameters) -> str | None:
         """Why Table 2 rules this method out under ``p``'s M, D, T_R and

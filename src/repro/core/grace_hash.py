@@ -40,7 +40,9 @@ from repro.faults.checkpoint import run_unit
 class _GraceHashBase(TertiaryJoinMethod):
     """Shared Step I (partition R onto disk) and Table 2 row."""
 
+    table2 = ("sqrt(|R|)", "|R| + |Si|", "0", "0")
     family = "grace-hash"
+    stages_s_on_disk = True
     cacheable_step1 = True
 
     def requirements(self, p: SystemParameters) -> ResourceRequirements:
@@ -80,7 +82,7 @@ class _GraceHashBase(TertiaryJoinMethod):
         env.offer_r_partition(layout.n_buckets, r_buckets)
         return r_buckets
 
-    def _s_chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
+    def _chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
         """|S_i| = d = D - |R|: the S piece consumed per iteration (the
         cost model's d too)."""
         return spec.disk_blocks - spec.size_r_blocks
@@ -98,7 +100,7 @@ class DiskTapeGraceHash(_GraceHashBase):
         layout = GraceHashLayout(spec)
         r_buckets = yield from self._partition_r(env, layout, overlap=False)
         d = align_blocks_to_tuples(
-            self._s_chunk_blocks(spec), spec.relation_s.tuples_per_block
+            self._chunk_blocks(spec), spec.relation_s.tuples_per_block
         )
         s_buckets = [env.array.allocate(f"S.b{b}") for b in range(layout.n_buckets)]
         r_sides = [
@@ -153,7 +155,7 @@ class ConcurrentGraceHash(_GraceHashBase):
         layout = GraceHashLayout(spec)
         r_buckets = yield from self._partition_r(env, layout, overlap=True)
         d = align_blocks_to_tuples(
-            self._s_chunk_blocks(spec), spec.relation_s.tuples_per_block
+            self._chunk_blocks(spec), spec.relation_s.tuples_per_block
         )
         r_sides = [
             RBucket(functools.partial(env.array.read_range, extent), extent.n_blocks)

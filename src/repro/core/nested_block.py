@@ -49,10 +49,6 @@ class _NestedBlockBase(TertiaryJoinMethod):
         """Total memory available for buffering S (M minus the R window)."""
         return spec.memory_blocks - self._r_scan_blocks(spec)
 
-    def _chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
-        """|S_i|: the piece of S consumed per iteration."""
-        raise NotImplementedError
-
     def _copy_r_to_disk(self, env: JoinEnvironment, overlap: bool) -> typing.Generator:
         """Step I: copy relation R from tape to a disk extent."""
         spec = env.spec
@@ -88,6 +84,7 @@ class DiskTapeNestedBlock(_NestedBlockBase):
 
     symbol = "DT-NB"
     name = "Disk-Tape Nested Block Join"
+    table2 = ("|Si|", "|R|", "0", "0")
     concurrent = False
 
     def _chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
@@ -127,6 +124,7 @@ class ConcurrentNestedBlockMemory(_NestedBlockBase):
 
     symbol = "CDT-NB/MB"
     name = "Concurrent Disk-Tape Nested Block Join with Memory Buffering"
+    table2 = ("2|Si|", "|R|", "0", "0")
     concurrent = True
 
     def _chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
@@ -172,7 +170,9 @@ class ConcurrentNestedBlockDisk(_NestedBlockBase):
 
     symbol = "CDT-NB/DB"
     name = "Concurrent Disk-Tape Nested Block Join with Disk Buffering"
+    table2 = ("|Si|", "|R| + |Si|", "0", "0")
     concurrent = True
+    stages_s_on_disk = True
 
     #: Speed-matching buffer (blocks) between tape and the disk region;
     #: outside the M ledger, as in the paper's analysis.

@@ -37,3 +37,12 @@ def method_by_symbol(symbol: str) -> TertiaryJoinMethod:
 def symbols() -> list[str]:
     """All method symbols in Table 2 order."""
     return [method.symbol for method in ALL_METHODS]
+
+
+def table2_rows() -> list[dict]:
+    """The paper's Table 2, one dict per method, for report rendering."""
+    columns = ("memory", "disk", "tape_r", "tape_s")
+    return [
+        {"symbol": method.symbol, "name": method.name, **dict(zip(columns, method.table2))}
+        for method in ALL_METHODS
+    ]

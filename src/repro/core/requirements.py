@@ -2,9 +2,9 @@
 
 Each join method reports its minimum memory, disk and scratch-tape needs
 for a concrete :class:`~repro.core.spec.JoinSpec`; this module holds the
-shared dataclass, the paper's symbolic table for documentation/benchmarks,
-and the memory-layout policy constants every method uses so that the
-numeric requirements and the executed algorithms cannot drift apart.
+shared dataclass and the memory-layout policy constants every method uses
+so that the numeric requirements and the executed algorithms cannot drift
+apart.  The paper's symbolic rows are each method's ``table2``.
 """
 
 from __future__ import annotations
@@ -69,66 +69,3 @@ class ResourceRequirements:
             and scratch_r + eps >= self.tape_scratch_r_blocks
             and scratch_s + eps >= self.tape_scratch_s_blocks
         )
-
-
-@dataclasses.dataclass(frozen=True)
-class SymbolicRequirement:
-    """One row of the paper's Table 2, for rendering."""
-
-    symbol: str
-    name: str
-    memory: str
-    disk: str
-    tape_r: str
-    tape_s: str
-
-
-#: The paper's Table 2, verbatim.
-TABLE2: tuple[SymbolicRequirement, ...] = (
-    SymbolicRequirement(
-        "DT-NB", "Disk-Tape Nested Block Join", "|Si|", "|R|", "0", "0"
-    ),
-    SymbolicRequirement(
-        "CDT-NB/MB",
-        "Concurrent Disk-Tape Nested Block Join with Memory Buffering",
-        "2|Si|",
-        "|R|",
-        "0",
-        "0",
-    ),
-    SymbolicRequirement(
-        "CDT-NB/DB",
-        "Concurrent Disk-Tape Nested Block Join with Disk Buffering",
-        "|Si|",
-        "|R| + |Si|",
-        "0",
-        "0",
-    ),
-    SymbolicRequirement(
-        "DT-GH", "Disk-Tape Grace Hash Join", "sqrt(|R|)", "|R| + |Si|", "0", "0"
-    ),
-    SymbolicRequirement(
-        "CDT-GH",
-        "Concurrent Disk-Tape Grace Hash Join",
-        "sqrt(|R|)",
-        "|R| + |Si|",
-        "0",
-        "0",
-    ),
-    SymbolicRequirement(
-        "CTT-GH",
-        "Concurrent Tape-Tape Grace Hash Join",
-        "sqrt(|R|)",
-        "|Si|",
-        "|R|",
-        "0",
-    ),
-    SymbolicRequirement(
-        "TT-GH", "Tape-Tape Grace Hash Join", "sqrt(|R|)", "any", "|S|", "|R|"
-    ),
-)
-
-
-def table2_rows() -> list[dict]:
-    """Table 2 as dicts, for report rendering and the Table 2 benchmark."""
-    return [dataclasses.asdict(row) for row in TABLE2]

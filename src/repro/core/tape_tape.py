@@ -237,7 +237,9 @@ class ConcurrentTapeTapeGraceHash(_TapeTapeBase):
 
     symbol = "CTT-GH"
     name = "Concurrent Tape-Tape Grace Hash Join"
+    table2 = ("sqrt(|R|)", "|Si|", "|R|", "0")
     concurrent = True
+    stages_s_on_disk = True
 
     def requirements(self, p: SystemParameters) -> ResourceRequirements:
         """Table 2 row: M = sqrt(|R|), D = |S_i|, T_R = |R|.
@@ -275,6 +277,7 @@ class TapeTapeGraceHash(_TapeTapeBase):
 
     symbol = "TT-GH"
     name = "Tape-Tape Grace Hash Join"
+    table2 = ("sqrt(|R|)", "any", "|S|", "|R|")
     concurrent = False
 
     def requirements(self, p: SystemParameters) -> ResourceRequirements:

@@ -1,7 +1,9 @@
 """Analytical cost model for tertiary joins (Section 5.3).
 
-An independent, closed-form implementation of the paper's transfer-only
-cost reasoning, used three ways:
+A closed-form implementation of the paper's transfer-only cost
+reasoning that reads each method's own structure (its Table 2 check,
+|S_i|, whether it overlaps tape and disk and whether S passes through
+disk), used three ways:
 
 * to regenerate the expected-response-time charts (Figures 1–3);
 * to drive :func:`repro.core.planner.plan_join`'s method choice;

@@ -6,13 +6,13 @@ positioning is negligible for multi-block requests; concurrent methods pay
 ``max`` of the overlapped device times per iteration, sequential methods
 pay the sum.
 
-The model takes what the executable methods decide from them, so the
-two cannot drift: feasibility is the method's Table 2 check
-(:meth:`~repro.core.base.TertiaryJoinMethod.infeasibility`, which
-``validate`` also raises from), the nested-block |S_i| is the methods'
-``_chunk_blocks``, DT-GH's and CDT-GH's d = D − |R| is their
-``_s_chunk_blocks``, TT-GH's B is
-:class:`~repro.core.base.GraceHashLayout`'s, and every count of
+The model reads what the executable methods decide from the methods
+themselves, so the two cannot drift: feasibility is the method's Table 2
+check (:meth:`~repro.core.base.TertiaryJoinMethod.infeasibility`, which
+``validate`` also raises from); the five disk–tape methods share one
+closed form, :func:`disk_tape`, driven by each method's ``concurrent``,
+``stages_s_on_disk`` and ``_chunk_blocks`` (|S_i|); TT-GH's B is
+:class:`~repro.core.base.GraceHashLayout`'s; and every count of
 iterations or scans is the number of pieces
 :func:`~repro.core.spec.scan_bounds` cuts, the same walk the simulated
 methods iterate.  The registry is imported on first use because
@@ -65,90 +65,38 @@ class CostBreakdown:
         return self.total_s / p.optimum_join_s - 1.0
 
 
-def dt_nb(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
-    """DT-NB: sequential copy, then N sequential (read S_i, scan R) pairs.
+def disk_tape(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
+    """The five disk–tape methods: R onto disk, then N pieces of S past it.
 
-    ``t = |R|/x_t + |R|/x_d  +  |S|/x_t + N * |R|/x_d`` with N = ⌈|S|/Ms⌉.
+    Three facts of the method fix its cost.  ``_chunk_blocks`` is
+    Ms = |S_i|, so N = ⌈|S|/Ms⌉.  ``stages_s_on_disk`` routes every S
+    piece through disk, a write and a read-back (``staged`` = 2 passes)
+    beside the |R| scan.  ``concurrent`` overlaps tape and disk, so each
+    step pays the larger of the two devices (plus a one-piece pipeline
+    fill) where a sequential method pays their sum::
+
+        concurrent: t = max(|R|/x_t, |R|/x_d)
+                        + Ms/x_t + N * max(Ms/x_t, (staged*Ms + |R|)/x_d)
+        sequential: t = |R|/x_t + |R|/x_d
+                        + |S|/x_t + (staged*|S| + N*|R|)/x_d
     """
     x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
+    staged = 2.0 if method.stages_s_on_disk else 0.0
     chunk = min(method._chunk_blocks(p), p.size_s_blocks)
     n = len(scan_bounds(0.0, p.size_s_blocks, chunk))
-    step1 = p.size_r_blocks / p.rate_tape_r + p.size_r_blocks / x_d
-    step2 = p.size_s_blocks / x_t + n * p.size_r_blocks / x_d
+    if method.concurrent:
+        step1 = max(p.size_r_blocks / p.rate_tape_r, p.size_r_blocks / x_d)
+        step2 = chunk / x_t + n * max(
+            chunk / x_t, (staged * chunk + p.size_r_blocks) / x_d
+        )
+    else:
+        step1 = p.size_r_blocks / p.rate_tape_r + p.size_r_blocks / x_d
+        step2 = p.size_s_blocks / x_t + (
+            staged * p.size_s_blocks + n * p.size_r_blocks
+        ) / x_d
     return CostBreakdown(
         method.symbol, True, step1, step2, n, 1.0 + n,
-        disk_traffic_blocks=p.size_r_blocks * (1 + n),
-    )
-
-
-def cdt_nb_mb(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
-    """CDT-NB/MB: two half-size S buffers; iterations pay max(tape, disk).
-
-    ``t = max(|R|/x_t, |R|/x_d) + Ms/x_t + N * max(Ms/x_t, |R|/x_d)``
-    with Ms halved, so N doubles relative to DT-NB.
-    """
-    x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
-    chunk = min(method._chunk_blocks(p), p.size_s_blocks)
-    n = len(scan_bounds(0.0, p.size_s_blocks, chunk))
-    step1 = max(p.size_r_blocks / p.rate_tape_r, p.size_r_blocks / x_d)
-    step2 = chunk / x_t + n * max(chunk / x_t, p.size_r_blocks / x_d)
-    return CostBreakdown(
-        method.symbol, True, step1, step2, n, 1.0 + n,
-        disk_traffic_blocks=p.size_r_blocks * (1 + n),
-    )
-
-
-def cdt_nb_db(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
-    """CDT-NB/DB: full-size chunk refilled through a disk double buffer.
-
-    Per-iteration disk work is ``2Ms + |R|`` (refill write, chunk read,
-    R scan); ``t = max(|R|/x_t, |R|/x_d) + Ms/x_t +
-    N * max(Ms/x_t, (2Ms+|R|)/x_d)``.
-    """
-    x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
-    chunk = min(method._chunk_blocks(p), p.size_s_blocks)
-    n = len(scan_bounds(0.0, p.size_s_blocks, chunk))
-    step1 = max(p.size_r_blocks / p.rate_tape_r, p.size_r_blocks / x_d)
-    step2 = chunk / x_t + n * max(chunk / x_t, (2 * chunk + p.size_r_blocks) / x_d)
-    return CostBreakdown(
-        method.symbol, True, step1, step2, n, 1.0 + n,
-        disk_traffic_blocks=p.size_r_blocks * (1 + n) + 2 * p.size_s_blocks,
-    )
-
-
-def dt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
-    """DT-GH: sequential Grace hash with the R partition on disk.
-
-    d = D − |R|; per iteration: read d of S from tape, write d of buckets,
-    read back |R| + d; ``t = |R|/x_t + |R|/x_d + |S|/x_t +
-    (2|S| + N|R|)/x_d``.
-    """
-    x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
-    chunk = min(method._s_chunk_blocks(p), p.size_s_blocks)
-    n = len(scan_bounds(0.0, p.size_s_blocks, chunk))
-    step1 = p.size_r_blocks / p.rate_tape_r + p.size_r_blocks / x_d
-    step2 = p.size_s_blocks / x_t + (2 * p.size_s_blocks + n * p.size_r_blocks) / x_d
-    return CostBreakdown(
-        method.symbol, True, step1, step2, n, 1.0 + n,
-        disk_traffic_blocks=p.size_r_blocks * (1 + n) + 2 * p.size_s_blocks,
-    )
-
-
-def cdt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
-    """CDT-GH: DT-GH with the hash and join processes overlapped.
-
-    ``t = max(|R|/x_t, |R|/x_d) + d/x_t + N * max(d/x_t, (2d+|R|)/x_d)``.
-    """
-    x_t, x_d = p.tape_rate_blocks_s, p.disk_rate_blocks_s
-    chunk = min(method._s_chunk_blocks(p), p.size_s_blocks)
-    n = len(scan_bounds(0.0, p.size_s_blocks, chunk))
-    step1 = max(p.size_r_blocks / p.rate_tape_r, p.size_r_blocks / x_d)
-    step2 = chunk / x_t + n * max(
-        chunk / x_t, (2 * chunk + p.size_r_blocks) / x_d
-    )
-    return CostBreakdown(
-        method.symbol, True, step1, step2, n, 1.0 + n,
-        disk_traffic_blocks=p.size_r_blocks * (1 + n) + 2 * p.size_s_blocks,
+        disk_traffic_blocks=p.size_r_blocks * (1 + n) + staged * p.size_s_blocks,
     )
 
 
@@ -206,15 +154,9 @@ def tt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
     )
 
 
-_FORMULAS = {
-    "DT-NB": dt_nb,
-    "CDT-NB/MB": cdt_nb_mb,
-    "CDT-NB/DB": cdt_nb_db,
-    "DT-GH": dt_gh,
-    "CDT-GH": cdt_gh,
-    "CTT-GH": ctt_gh,
-    "TT-GH": tt_gh,
-}
+#: The tape–tape methods' own formulas; every other method is
+#: :func:`disk_tape`.
+_FORMULAS = {"CTT-GH": ctt_gh, "TT-GH": tt_gh}
 
 
 def estimate(symbol: str, p: SystemParameters) -> CostBreakdown:
@@ -229,9 +171,11 @@ def estimate(symbol: str, p: SystemParameters) -> CostBreakdown:
     reason = method.infeasibility(p)
     if reason is not None:
         return CostBreakdown(symbol, False, reason=reason)
-    return _FORMULAS[symbol](p, method)
+    return _FORMULAS.get(symbol, disk_tape)(p, method)
 
 
 def estimate_all(p: SystemParameters) -> dict[str, CostBreakdown]:
     """Analytical costs of all seven methods, keyed by symbol."""
-    return {symbol: estimate(symbol, p) for symbol in _FORMULAS}
+    from repro.core.registry import symbols
+
+    return {symbol: estimate(symbol, p) for symbol in symbols()}

@@ -89,7 +89,7 @@ class ExperimentScale:
         Mirrors the generator's tuple-count rounding, so sweep drivers can
         size memory and disk without materializing the key arrays.
         """
-        per_block = self.block_spec.block_bytes // self.tuple_bytes
+        per_block = self.block_spec.tuples_per_block(self.tuple_bytes)
         return round(self.blocks(paper_mb) * per_block) / per_block
 
     def relations(self, r_mb: float, s_mb: float) -> tuple[Relation, Relation]:

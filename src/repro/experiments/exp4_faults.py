@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.core.registry import symbols
 from repro.experiments.config import (
     BASE_TAPE,
     DISK_1996,
@@ -41,9 +42,7 @@ from repro.sweep.tasks import join_task
 EXPERIMENT4_M_FRACTION = 0.5
 
 #: The full Table 2 method set.
-EXPERIMENT4_METHODS: tuple[str, ...] = (
-    "DT-NB", "CDT-NB/MB", "CDT-NB/DB", "DT-GH", "CDT-GH", "CTT-GH", "TT-GH",
-)
+EXPERIMENT4_METHODS: tuple[str, ...] = tuple(symbols())
 
 
 def fault_rates(max_rate: float) -> tuple[float, ...]:
@@ -119,7 +118,6 @@ def experiment4_sweep(
 ) -> Sweep:
     """The soft-error-rate sweep across all methods."""
     scale = scale or ExperimentScale()
-    policy = retry_policy or RetryPolicy()
     r_blocks = scale.relation_blocks(r_mb)
     memory = EXPERIMENT4_M_FRACTION * r_blocks
     disk = scale.blocks(d_mb)
@@ -134,7 +132,7 @@ def experiment4_sweep(
                     symbol, r_mb, s_mb, memory_blocks=memory, disk_blocks=disk,
                     tape=BASE_TAPE, disk_params=DISK_1996, scale=scale,
                     fault_plan=plan,
-                    retry_policy=None if plan is None else policy,
+                    retry_policy=retry_policy,
                 )
             )
             points.append((symbol, rate))

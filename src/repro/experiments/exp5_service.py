@@ -181,23 +181,14 @@ def experiment5_sweep(
     sizes = workload_sizes(max_jobs)
 
     fault_plan: "FaultPlan | None" = None
-    retry_policy = None
     if fault_rate > 0:
         from repro.faults.plan import FaultPlan
-        from repro.faults.policy import RetryPolicy
 
         fault_plan = FaultPlan.uniform(fault_rate, seed=fault_seed)
-        retry_policy = RetryPolicy()
 
     points = [(policy, n) for policy in policies for n in sizes]
     tasks = [
-        service_task(
-            policy,
-            service_workload(n),
-            config,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-        )
+        service_task(policy, service_workload(n), config, fault_plan=fault_plan)
         for policy, n in points
     ]
 
@@ -228,7 +219,6 @@ def experiment5_sweep(
                 config=config,
                 policy=policy,
                 fault_plan=fault_plan,
-                retry_policy=retry_policy,
                 trace_out=trace_out,
             )
 

@@ -23,9 +23,7 @@ from repro.storage.block import BlockSpec
 
 
 def _tuple_count(size_mb: float, tuple_bytes: int, spec: BlockSpec) -> int:
-    blocks = spec.blocks_from_mb(size_mb)
-    schema_per_block = spec.block_bytes // tuple_bytes
-    count = round(blocks * schema_per_block)
+    count = round(spec.blocks_from_mb(size_mb) * spec.tuples_per_block(tuple_bytes))
     if count < 1:
         raise ValueError(f"relation of {size_mb} MB holds no {tuple_bytes}-byte tuples")
     return count

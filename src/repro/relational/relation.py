@@ -27,7 +27,7 @@ class Relation:
         self.keys = np.ascontiguousarray(keys, dtype=np.int64).view()
         self.keys.flags.writeable = False
         self.spec = spec
-        self.tuples_per_block = schema.tuples_per_block(spec.block_bytes)
+        self.tuples_per_block = spec.tuples_per_block(schema.tuple_bytes)
         if len(self.keys) == 0:
             raise ValueError(f"relation {name!r} has no tuples")
 

@@ -24,13 +24,3 @@ class Schema:
             raise ValueError(f"tuple_bytes must be positive, got {self.tuple_bytes}")
         if not self.name:
             raise ValueError("schema needs a name")
-
-    def tuples_per_block(self, block_bytes: int) -> int:
-        """Whole tuples fitting in one block of ``block_bytes``."""
-        per_block = block_bytes // self.tuple_bytes
-        if per_block < 1:
-            raise ValueError(
-                f"tuple of {self.tuple_bytes} bytes does not fit in a "
-                f"{block_bytes}-byte block"
-            )
-        return per_block

@@ -188,9 +188,13 @@ def _run_join_task(payload: dict) -> dict:
 
 
 def _faults_to_payload(fault_plan, retry_policy) -> dict:
+    """The plan and the policy that will run, the default one named
+    explicitly, so the fingerprint keys on it."""
+    from repro.faults.policy import RetryPolicy
+
     return {
         "plan": dataclasses.asdict(fault_plan),
-        "policy": None if retry_policy is None else dataclasses.asdict(retry_policy),
+        "policy": dataclasses.asdict(retry_policy or RetryPolicy()),
     }
 
 
@@ -198,11 +202,7 @@ def _faults_from_payload(faults: dict):
     from repro.faults.plan import FaultPlan
     from repro.faults.policy import RetryPolicy
 
-    policy = faults.get("policy")
-    return (
-        rebuild(FaultPlan, faults["plan"]),
-        None if policy is None else rebuild(RetryPolicy, policy),
-    )
+    return rebuild(FaultPlan, faults["plan"]), rebuild(RetryPolicy, faults["policy"])
 
 
 def _run_service_task(payload: dict) -> dict:

@@ -3,27 +3,24 @@
 import pytest
 
 from repro.core.environment import JoinEnvironment
-from repro.core.registry import ALL_METHODS, method_by_symbol, symbols
-from repro.core.requirements import ResourceRequirements, TABLE2, table2_rows
+from repro.core.registry import ALL_METHODS, method_by_symbol, table2_rows
+from repro.core.requirements import ResourceRequirements
 from repro.core.spec import JoinSpec
 
 
 class TestTable2:
     def test_seven_rows_in_paper_order(self):
-        assert [row.symbol for row in TABLE2] == [
+        assert [row["symbol"] for row in table2_rows()] == [
             "DT-NB", "CDT-NB/MB", "CDT-NB/DB", "DT-GH", "CDT-GH", "CTT-GH", "TT-GH",
         ]
 
-    def test_rows_match_registry(self):
-        assert [row.symbol for row in TABLE2] == symbols()
-
     def test_symbolic_resources(self):
-        by_symbol = {row.symbol: row for row in TABLE2}
-        assert by_symbol["TT-GH"].disk == "any"
-        assert by_symbol["CTT-GH"].tape_r == "|R|"
-        assert by_symbol["TT-GH"].tape_r == "|S|"
-        assert by_symbol["CDT-NB/MB"].memory == "2|Si|"
-        assert by_symbol["DT-GH"].memory == "sqrt(|R|)"
+        by_symbol = {row["symbol"]: row for row in table2_rows()}
+        assert by_symbol["TT-GH"]["disk"] == "any"
+        assert by_symbol["CTT-GH"]["tape_r"] == "|R|"
+        assert by_symbol["TT-GH"]["tape_r"] == "|S|"
+        assert by_symbol["CDT-NB/MB"]["memory"] == "2|Si|"
+        assert by_symbol["DT-GH"]["memory"] == "sqrt(|R|)"
 
     def test_rows_render_as_dicts(self):
         rows = table2_rows()
@@ -60,11 +57,16 @@ class TestRegistry:
         assert families == {"nested-block", "grace-hash"}
 
     def test_tape_step2_and_cacheable_step1_flags(self):
-        """The service holds both drives for the tape–tape methods, and
-        the partition cache keeps the disk–tape Grace-Hash Step I."""
+        """The service holds both drives for the tape–tape methods, the
+        partition cache keeps the disk–tape Grace-Hash Step I, and the
+        cost model charges S's trip through disk where the method makes
+        one."""
         assert {m.symbol for m in ALL_METHODS if m.tape_step2} == {"CTT-GH", "TT-GH"}
         assert {m.symbol for m in ALL_METHODS if m.cacheable_step1} == {
             "DT-GH", "CDT-GH",
+        }
+        assert {m.symbol for m in ALL_METHODS if m.stages_s_on_disk} == {
+            "CDT-NB/DB", "DT-GH", "CDT-GH", "CTT-GH",
         }
         assert all(m.name for m in ALL_METHODS)
 

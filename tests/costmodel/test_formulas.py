@@ -41,6 +41,24 @@ class TestHandComputedValues:
         # step2 = 9/20 + 112*max(9/20, 100/40) = 0.45 + 280
         assert cost.step2_s == pytest.approx(280.45)
 
+    def test_cdt_nb_db_stages_s_through_disk(self):
+        cost = estimate("CDT-NB/DB", params())
+        assert cost.iterations == 56  # full-size chunk, as DT-NB
+        # step1 = max(100/20, 100/40) = 5
+        assert cost.step1_s == pytest.approx(5.0)
+        # per-iter max(18/20, (2*18 + 100)/40 = 3.4); step2 = 0.9 + 56*3.4
+        assert cost.step2_s == pytest.approx(191.3)
+        assert cost.disk_traffic_blocks == pytest.approx(100 * 57 + 2000.0)
+
+    def test_dt_gh(self):
+        cost = estimate("DT-GH", params())
+        # d = 300 - 100 = 200 -> N = 5
+        assert cost.iterations == 5
+        assert cost.step1_s == pytest.approx(7.5)
+        # step2 = 1000/20 + (2*1000 + 5*100)/40 = 50 + 62.5
+        assert cost.step2_s == pytest.approx(112.5)
+        assert cost.disk_traffic_blocks == pytest.approx(2600.0)
+
     def test_cdt_gh(self):
         cost = estimate("CDT-GH", params())
         # d = 200, N = 5; per-iter max(200/20, (400+100)/40) = 12.5
@@ -54,6 +72,15 @@ class TestHandComputedValues:
         # chunk = min(300, 1000) = 300; N = 4;
         # per-iter max(300/20=15, 100/20=5, 600/40=15) = 15
         assert cost.step2_s == pytest.approx(15 + 4 * 15)
+
+    def test_tt_gh(self):
+        cost = estimate("TT-GH", params())
+        assert cost.iterations == 13  # one per bucket
+        # R: 1 scan of 100 + a 100-block append; S: 4 scans of 1000 + a
+        # 1000-block append; all at 20 blocks/s
+        assert cost.step1_s == pytest.approx(260.0)
+        # the hashed copies stream off both drives at once
+        assert cost.step2_s == pytest.approx(50.0)
 
     def test_unknown_symbol(self):
         with pytest.raises(KeyError):

@@ -25,30 +25,33 @@ class TestFaultRates:
             fault_rates(-0.1)
 
 
+@pytest.fixture(scope="module")
+def seed3():
+    """The seed-3 sweep, run once and read by every test below."""
+    return run_experiment4(scale=SCALE, methods=METHODS, fault_seed=3)
+
+
 class TestRunExperiment4:
-    def test_degradation_curves_start_at_zero(self):
-        result = run_experiment4(scale=SCALE, methods=METHODS, fault_seed=3)
-        assert set(result.series) == set(METHODS)
-        for symbol, points in result.series.items():
-            assert len(points) == len(result.rates)
+    def test_degradation_curves_start_at_zero(self, seed3):
+        assert set(seed3.series) == set(METHODS)
+        for symbol, points in seed3.series.items():
+            assert len(points) == len(seed3.rates)
             assert points[0].rate == 0.0
             assert points[0].degradation_pct == 0.0
             # Faults only cost time: no point may beat its baseline.
             assert all(p.degradation_pct >= 0.0 for p in points)
 
-    def test_top_rate_actually_degrades(self):
-        result = run_experiment4(scale=SCALE, methods=METHODS, fault_seed=3)
-        for symbol, points in result.series.items():
+    def test_top_rate_actually_degrades(self, seed3):
+        for symbol, points in seed3.series.items():
             assert points[-1].degradation_pct > 0.0, symbol
             assert points[-1].fault_events > 0, symbol
 
-    def test_fixed_seed_is_deterministic(self):
-        first = run_experiment4(scale=SCALE, methods=METHODS, fault_seed=3)
+    def test_fixed_seed_is_deterministic(self, seed3):
         second = run_experiment4(scale=SCALE, methods=METHODS, fault_seed=3)
-        assert first.to_dict() == second.to_dict()
+        assert seed3.to_dict() == second.to_dict()
 
-    def test_different_seed_changes_the_curves(self):
-        a = run_experiment4(scale=SCALE, methods=METHODS, fault_seed=3)
+    def test_different_seed_changes_the_curves(self, seed3):
+        a = seed3
         b = run_experiment4(scale=SCALE, methods=METHODS, fault_seed=4)
         assert a.to_dict() != b.to_dict()
         # ... but the fault-free baselines are seed-independent.
@@ -58,9 +61,8 @@ class TestRunExperiment4:
     def test_covers_all_seven_methods_by_default(self):
         assert len(EXPERIMENT4_METHODS) == 7
 
-    def test_render_mentions_every_method(self):
-        result = run_experiment4(scale=SCALE, methods=METHODS, fault_seed=3)
-        text = result.render()
+    def test_render_mentions_every_method(self, seed3):
+        text = seed3.render()
         assert "Experiment 4" in text
         for symbol in METHODS:
             assert symbol in text

@@ -9,17 +9,13 @@ from repro.storage.block import BlockSpec
 
 
 class TestSchema:
-    def test_tuples_per_block(self):
-        schema = Schema("t", tuple_bytes=2048)
-        assert schema.tuples_per_block(100 * 1024) == 50
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Schema("t", tuple_bytes=0)
         with pytest.raises(ValueError):
             Schema("", tuple_bytes=100)
         with pytest.raises(ValueError, match="does not fit"):
-            Schema("t", tuple_bytes=2048).tuples_per_block(1024)
+            Relation("t", Schema("t", 2048), np.arange(10), BlockSpec(block_bytes=1024))
 
 
 class TestRelation:
