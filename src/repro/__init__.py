@@ -51,7 +51,6 @@ from repro.core import (
 from repro.costmodel import SystemParameters, estimate, estimate_all
 from repro.relational import (
     Relation,
-    Schema,
     fk_pk_pair,
     reference_join,
     self_join_relation,
@@ -97,7 +96,6 @@ __all__ = [
     "PartitionCache",
     "Relation",
     "RetryPolicy",
-    "Schema",
     "ServiceConfig",
     "SystemParameters",
     "TapeDriveParameters",

@@ -69,7 +69,7 @@ class TertiaryJoinMethod(abc.ABC):
 
     def _chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
         """|S_i|: the piece of S consumed per Step II iteration (the
-        disk–tape methods; the cost model reads it too)."""
+        disk–tape methods and CTT-GH; the cost model reads it too)."""
         raise NotImplementedError
 
     def infeasibility(self, p: SystemParameters) -> str | None:

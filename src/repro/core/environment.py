@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.buffering.memory import MemoryManager
 from repro.core.spec import JoinSpec, JoinStats
+from repro.costmodel.parameters import SystemParameters
 from repro.faults.checkpoint import JoinCheckpoint
 from repro.faults.injector import FaultInjector
 from repro.hsm.cache import PartitionSetKey
@@ -35,7 +36,7 @@ def storage_config(spec: JoinSpec) -> StorageConfig:
         spec=spec.block_spec,
         n_disks=spec.n_disks,
         disk_capacity_blocks=spec.disk_blocks + slack + 1e-6,
-        disk_params=spec.effective_disk_params(),
+        disk_params=spec.disk_params,
         tape_params_r=spec.tape_params_r,
         tape_params_s=spec.tape_params_s,
         n_buses=spec.n_buses,
@@ -55,6 +56,8 @@ class JoinEnvironment:
     def __init__(self, spec: JoinSpec, storage: StorageSystem | None = None,
                  file_r: TapeFile | None = None, file_s: TapeFile | None = None):
         self.spec = spec
+        #: The join's Table 1 quantities (rates, optimum and bare read times).
+        self.params = SystemParameters.from_spec(spec)
         if storage is None:
             storage = StorageSystem(Simulator(), storage_config(spec))
             vol_r = TapeVolume(
@@ -215,7 +218,7 @@ class JoinEnvironment:
             buckets.append(extent)
         self.cache_hits += 1
         self.cache_saved_blocks += self.spec.size_r_blocks
-        self.cache_saved_s += self.spec.size_r_blocks / self.spec.tape_rate_r_blocks_s
+        self.cache_saved_s += self.spec.size_r_blocks / self.params.rate_tape_r
         if self.observer is not None:
             self.observer.count("cache.hit")
             self.observer.span(
@@ -239,7 +242,7 @@ class JoinEnvironment:
         admitted = cache.admit(
             key,
             [(extent.n_blocks, extent.peek_all()) for extent in r_buckets],
-            value_s=self.spec.size_r_blocks / self.spec.tape_rate_r_blocks_s,
+            value_s=self.spec.size_r_blocks / self.params.rate_tape_r,
         )
         if admitted:
             cache.pin(key)
@@ -280,8 +283,8 @@ class JoinEnvironment:
             peak_disk_blocks=self.array.peak_used_blocks,
             scratch_used_r_blocks=vol_r.written_after(self._data_end_r),
             scratch_used_s_blocks=vol_s.written_after(self._data_end_s),
-            optimum_join_s=spec.optimum_join_s,
-            bare_read_s=spec.bare_read_s,
+            optimum_join_s=self.params.optimum_join_s,
+            bare_read_s=self.params.bare_read_s,
             fault_events=self.faults.stats.events if self.faults else 0,
             fault_retries=self.faults.stats.retries if self.faults else 0,
             fault_recovery_s=self.faults.stats.recovery_s if self.faults else 0.0,

@@ -43,7 +43,8 @@ class JoinSpec:
     ``disk_blocks`` is D (total over ``n_disks``), and the scratch
     allowances are T_R and T_S.  ``None`` scratch means "ample" (sized to
     |S|, enough for every method); pass explicit values to verify the
-    scratch column of Table 2.
+    scratch column of Table 2.  X_D, X_T and the optimum join time are
+    ``SystemParameters.from_spec``'s.
     """
 
     relation_r: Relation
@@ -64,12 +65,6 @@ class JoinSpec:
     #: Purely observational: a traced run's event schedule — and every
     #: reported statistic — is identical to an untraced one.
     trace_devices: bool = False
-    #: Fraction of aggregate disk bandwidth consumed by writing the join
-    #: output locally.  Section 3.2: "if the join output is to be stored
-    #: locally, the effect of writing the output has been taken into
-    #: account in X_D" — i.e. X_D is derated; 0.0 models the default
-    #: pipelined output that costs nothing.
-    output_disk_fraction: float = 0.0
     #: Optional fault injection (``repro.faults``).  None keeps the
     #: original fault-free devices; a plan — even one with all rates
     #: zero — installs the guarded device paths.
@@ -102,11 +97,6 @@ class JoinSpec:
             raise ValueError("disk budget D must be positive")
         if self.n_disks < 1:
             raise ValueError("need at least one disk")
-        if not 0.0 <= self.output_disk_fraction < 1.0:
-            raise ValueError(
-                "output_disk_fraction must be in [0, 1), got "
-                f"{self.output_disk_fraction}"
-            )
 
     # -- model quantities (Table 1) ------------------------------------------
 
@@ -124,46 +114,6 @@ class JoinSpec:
     def size_s_blocks(self) -> float:
         """|S| in blocks."""
         return self.relation_s.n_blocks
-
-    @property
-    def tape_rate_r_blocks_s(self) -> float:
-        """Effective X_T of the R drive in blocks/second."""
-        return self.tape_params_r.rate_bytes_s / self.block_spec.block_bytes
-
-    @property
-    def tape_rate_s_blocks_s(self) -> float:
-        """Effective X_T of the S drive in blocks/second."""
-        return self.tape_params_s.rate_bytes_s / self.block_spec.block_bytes
-
-    def effective_disk_params(self) -> "DiskParameters":
-        """Disk parameters after reserving bandwidth for local output."""
-        if self.output_disk_fraction == 0.0:
-            return self.disk_params
-        # dataclasses.replace keeps every latency parameter intact.
-        return dataclasses.replace(
-            self.disk_params,
-            transfer_rate_mb_s=self.disk_params.transfer_rate_mb_s
-            * (1.0 - self.output_disk_fraction),
-        )
-
-    @property
-    def disk_rate_blocks_s(self) -> float:
-        """Aggregate X_D in blocks/second (net of local-output writes)."""
-        return (
-            self.n_disks
-            * self.effective_disk_params().rate_bytes_s
-            / self.block_spec.block_bytes
-        )
-
-    @property
-    def optimum_join_s(self) -> float:
-        """Bare transfer time of S from tape — the paper's optimum join time."""
-        return self.size_s_blocks / self.tape_rate_s_blocks_s
-
-    @property
-    def bare_read_s(self) -> float:
-        """Time to read S and R once from their tapes, back to back."""
-        return self.optimum_join_s + self.size_r_blocks / self.tape_rate_r_blocks_s
 
     def effective_scratch_r(self) -> float:
         """T_R: scratch blocks available on the R volume."""

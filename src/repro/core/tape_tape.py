@@ -37,6 +37,7 @@ from repro.core.base import (
 )
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import ResourceRequirements
+from repro.core.spec import JoinSpec
 from repro.costmodel.parameters import SystemParameters
 from repro.faults.checkpoint import run_unit
 from repro.relational.hashing import BucketIndex
@@ -255,6 +256,10 @@ class ConcurrentTapeTapeGraceHash(_TapeTapeBase):
             tape_scratch_s_blocks=0.0,
         )
 
+    def _chunk_blocks(self, spec: JoinSpec | SystemParameters) -> float:
+        """|S_i| = D: the whole disk budget double-buffers S."""
+        return spec.disk_blocks
+
     def _execute(self, env: JoinEnvironment) -> typing.Generator:
         spec = env.spec
         layout = GraceHashLayout(spec)
@@ -267,7 +272,9 @@ class ConcurrentTapeTapeGraceHash(_TapeTapeBase):
 
         # Step II: like CDT-GH, with R buckets streamed from tape and the
         # entire disk budget double-buffering S.
-        d = align_blocks_to_tuples(spec.disk_blocks, spec.relation_s.tuples_per_block)
+        d = align_blocks_to_tuples(
+            self._chunk_blocks(spec), spec.relation_s.tuples_per_block
+        )
         r_sides = [tape_r_bucket(env.drive_r, r_files[b]) for b in range(layout.n_buckets)]
         yield from concurrent_step2(env, layout, d, r_sides)
 

@@ -35,7 +35,6 @@ class AnalyticalSetup:
     d_over_m: float = 32.0
     tape_rate_blocks_s: float = 20.0
     disk_over_tape: float = 2.0
-    n_disks: int = 2
 
     def parameters(self, r_over_m: float) -> SystemParameters:
         """Model parameters for one x-axis point (|R| relative to M)."""
@@ -49,7 +48,6 @@ class AnalyticalSetup:
             disk_blocks=self.d_over_m * self.memory_blocks,
             disk_rate_blocks_s=self.disk_over_tape * self.tape_rate_blocks_s,
             tape_rate_blocks_s=self.tape_rate_blocks_s,
-            n_disks=self.n_disks,
         )
 
 

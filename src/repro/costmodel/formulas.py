@@ -11,7 +11,8 @@ themselves, so the two cannot drift: feasibility is the method's Table 2
 check (:meth:`~repro.core.base.TertiaryJoinMethod.infeasibility`, which
 ``validate`` also raises from); the five disk–tape methods share one
 closed form, :func:`disk_tape`, driven by each method's ``concurrent``,
-``stages_s_on_disk`` and ``_chunk_blocks`` (|S_i|); TT-GH's B is
+``stages_s_on_disk`` and ``_chunk_blocks`` (|S_i|, which
+:func:`ctt_gh` reads too); TT-GH's B is
 :class:`~repro.core.base.GraceHashLayout`'s; and every count of
 iterations or scans is the number of pieces
 :func:`~repro.core.spec.scan_bounds` cuts, the same walk the simulated
@@ -101,7 +102,8 @@ def disk_tape(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
 
 
 def ctt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
-    """CTT-GH: hash R tape→tape, then CDT-GH-style Step II with |S_i| = D.
+    """CTT-GH: hash R tape→tape, then CDT-GH-style Step II with |S_i| =
+    ``_chunk_blocks`` = D.
 
     Step I makes ⌈|R|/D⌉ scans of R plus one write pass:
     ``t1 = scans * max(|R|/x_t, 2D/x_d) + |R|/x_t``.
@@ -118,7 +120,7 @@ def ctt_gh(p: SystemParameters, method: TertiaryJoinMethod) -> CostBreakdown:
         scans * max(p.size_r_blocks / x_tr, 2 * assembled / x_d)
         + p.size_r_blocks / x_tr
     )
-    chunk = min(p.disk_blocks, p.size_s_blocks)
+    chunk = min(method._chunk_blocks(p), p.size_s_blocks)
     n = len(scan_bounds(0.0, p.size_s_blocks, chunk))
     step2 = chunk / x_t + n * max(
         chunk / x_t, p.size_r_blocks / x_tr, 2 * chunk / x_d

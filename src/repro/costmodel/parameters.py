@@ -1,5 +1,9 @@
 """System parameters for the analytical model (Table 1 notation).
 
+:meth:`SystemParameters.from_spec` is the one place device parameters
+become Table 1's rates: the simulator's join environment and the cost
+model both read X_D, X_T and the optimum join time from it.
+
 ==========  =====================================================
 Symbol       Meaning
 ==========  =====================================================
@@ -9,7 +13,7 @@ Symbol       Meaning
 ``D``        disk blocks available to the join
 ``X_D``      aggregate sustained disk rate (blocks/second)
 ``X_T``      sustained tape rate (blocks/second, per drive)
-``n``        number of disk drives
+``n``        number of disk drives (the factor inside X_D)
 ``T_R/T_S``  scratch blocks on the R / S tapes
 ==========  =====================================================
 """
@@ -34,7 +38,6 @@ class SystemParameters:
     disk_blocks: float
     disk_rate_blocks_s: float
     tape_rate_blocks_s: float
-    n_disks: int = 2
     tape_rate_r_blocks_s: float | None = None
     scratch_r_blocks: float = math.inf
     scratch_s_blocks: float = math.inf
@@ -69,15 +72,15 @@ class SystemParameters:
     @classmethod
     def from_spec(cls, spec: "JoinSpec") -> "SystemParameters":
         """Derive model parameters from an executable join spec."""
+        block_bytes = spec.block_spec.block_bytes
         return cls(
             size_r_blocks=spec.size_r_blocks,
             size_s_blocks=spec.size_s_blocks,
             memory_blocks=spec.memory_blocks,
             disk_blocks=spec.disk_blocks,
-            disk_rate_blocks_s=spec.disk_rate_blocks_s,
-            tape_rate_blocks_s=spec.tape_rate_s_blocks_s,
-            n_disks=spec.n_disks,
-            tape_rate_r_blocks_s=spec.tape_rate_r_blocks_s,
+            disk_rate_blocks_s=spec.n_disks * spec.disk_params.rate_bytes_s / block_bytes,
+            tape_rate_blocks_s=spec.tape_params_s.rate_bytes_s / block_bytes,
+            tape_rate_r_blocks_s=spec.tape_params_r.rate_bytes_s / block_bytes,
             scratch_r_blocks=spec.effective_scratch_r(),
             scratch_s_blocks=spec.effective_scratch_s(),
         )

@@ -101,12 +101,12 @@ class _Tapes:
         ordered = sorted(relations, key=lambda relation: relation.n_blocks)
         # Filtering keeps tuple size and block geometry, so the storage
         # built for the unfiltered inputs is the one their join gets.
-        config = storage_config(_join_spec(ordered[0], ordered[-1], machine))
-        self.storage = StorageSystem(self.sim, config)
+        spec = _join_spec(ordered[0], ordered[-1], machine)
+        self.storage = StorageSystem(self.sim, storage_config(spec))
         self.library = TapeLibrary(self.sim)
         #: Room after each cartridge's data: a join spec's default scratch
-        #: allowance, |S| + 1, for the largest S the plan can join.
-        self.scratch_blocks = ordered[-1].n_blocks + 1.0
+        #: allowance T_S for the largest S the plan can join.
+        self.scratch_blocks = spec.effective_scratch_s()
         self.passes: list[tuple[str, float]] = []
         # A tape file holds its volume weakly; the query holds them all.
         self._volumes: dict[str, TapeVolume] = {}
@@ -174,7 +174,7 @@ class _Tapes:
         if kept.n_tuples == 0:
             return None
         keys = kept.peek_all().keys
-        return Relation(f"{relation.name}'", relation.schema, keys, relation.spec), kept
+        return Relation(f"{relation.name}'", relation.tuple_bytes, keys, relation.spec), kept
 
     def join(self, streams: list) -> tuple[JoinResult, str | None]:
         """Plan the join of two inputs and run it where they lie on tape."""

@@ -1,14 +1,14 @@
-"""Minimal relational substrate: schemas, relations, data generation,
-hash partitioning and in-memory join primitives: :class:`BuildSide`
-groups a held key array once so each streamed piece is one probe, and
-:func:`hash_join` is the one-shot form of the same kernel.
+"""Minimal relational substrate: relations (join keys and their tuple
+width), data generation, hash partitioning and in-memory join
+primitives: :class:`BuildSide` groups a held key array once so each
+streamed piece is one probe, and :func:`hash_join` is the one-shot form
+of the same kernel.
 
 Relations carry real join-key arrays so every tertiary join method produces
 a verifiable result (output cardinality and an order-independent pair
 checksum) in addition to its simulated timing.
 """
 
-from repro.relational.schema import Schema
 from repro.relational.relation import Relation
 from repro.relational.datagen import (
     fk_pk_pair,
@@ -31,7 +31,6 @@ __all__ = [
     "JoinAccumulator",
     "JoinResult",
     "Relation",
-    "Schema",
     "bucket_ids",
     "fk_pk_pair",
     "hash_join",

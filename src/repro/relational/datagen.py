@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.storage.block import BlockSpec
 
 
@@ -50,7 +49,7 @@ def uniform_relation(
         raise ValueError(f"key_space must be >= 1, got {key_space}")
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, key_space, size=count, dtype=np.int64)
-    return Relation(name, Schema(name, tuple_bytes), keys, spec)
+    return Relation(name, tuple_bytes, keys, spec)
 
 
 def zipf_relation(
@@ -76,7 +75,7 @@ def zipf_relation(
     # Fold the unbounded Zipf ranks into the key space, then scramble so
     # hot keys are not clustered at small values.
     keys = (ranks * np.int64(2654435761)) % np.int64(key_space)
-    return Relation(name, Schema(name, tuple_bytes), keys, spec)
+    return Relation(name, tuple_bytes, keys, spec)
 
 
 def fk_pk_pair(
@@ -107,10 +106,9 @@ def fk_pk_pair(
     misses = rng.random(s_count) >= match_fraction
     # Non-matching foreign keys live above R's key domain.
     s_keys[misses] = r_count + rng.integers(0, max(r_count, 1), size=int(misses.sum()))
-    schema = Schema("fkpk", tuple_bytes)
     return (
-        Relation(r_name, schema, r_keys, spec),
-        Relation(s_name, schema, s_keys, spec),
+        Relation(r_name, tuple_bytes, r_keys, spec),
+        Relation(s_name, tuple_bytes, s_keys, spec),
     )
 
 
@@ -130,4 +128,4 @@ def self_join_relation(
     distinct = max(1, count // duplicates)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, distinct, size=count, dtype=np.int64)
-    return Relation(name, Schema(name, tuple_bytes), keys, spec)
+    return Relation(name, tuple_bytes, keys, spec)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.relational.schema import Schema
 from repro.storage.block import BlockSpec, DataChunk
 
 
@@ -12,7 +11,7 @@ class Relation:
     """A relation materialized as a numpy array of join keys.
 
     Only the join attribute is materialized; the rest of each tuple is
-    represented by the schema's tuple width, which determines how many
+    represented by its width ``tuple_bytes``, which determines how many
     tuples occupy one block and therefore the relation's size in blocks —
     the quantity the paper's cost model is expressed in.
 
@@ -21,13 +20,15 @@ class Relation:
     Build the key array completely before making the relation.
     """
 
-    def __init__(self, name: str, schema: Schema, keys: np.ndarray, spec: BlockSpec):
+    def __init__(self, name: str, tuple_bytes: int, keys: np.ndarray, spec: BlockSpec):
+        if not name:
+            raise ValueError("relation needs a name")
         self.name = name
-        self.schema = schema
+        self.tuple_bytes = tuple_bytes
         self.keys = np.ascontiguousarray(keys, dtype=np.int64).view()
         self.keys.flags.writeable = False
         self.spec = spec
-        self.tuples_per_block = spec.tuples_per_block(schema.tuple_bytes)
+        self.tuples_per_block = spec.tuples_per_block(tuple_bytes)
         if len(self.keys) == 0:
             raise ValueError(f"relation {name!r} has no tuples")
 

@@ -17,7 +17,6 @@ from repro.core.spec import JoinSpec
 from repro.relational.datagen import uniform_relation, zipf_relation
 from repro.relational.join_core import reference_join
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.storage.block import BlockSpec
 
 SPILL_METHODS = ("DT-GH", "CDT-GH", "CTT-GH", "TT-GH", "STAGE-GH")
@@ -37,7 +36,7 @@ def disk_blocks(symbol, default):
 
 def rebuilt(relation, keys):
     """``relation`` with new ``keys``: a relation's own keys are read-only."""
-    return Relation(relation.name, relation.schema, keys, relation.spec)
+    return Relation(relation.name, relation.tuple_bytes, keys, relation.spec)
 
 
 def hot_key_pair():
@@ -47,7 +46,7 @@ def hot_key_pair():
     n = 2560
     keys = rng.integers(0, 4 * n, size=n)
     keys[: int(0.3 * n)] = 7_777  # the hot key
-    r = Relation("R", Schema("t", 2048), keys, BlockSpec())
+    r = Relation("R", 2048, keys, BlockSpec())
     s = uniform_relation("S", 20.0, tuple_bytes=2048, seed=82, key_space=4 * n)
     # Make sure some S tuples hit the hot key too.
     s_keys = s.keys.copy()
@@ -117,7 +116,7 @@ class TestTapeTapePrefetch:
         rng = np.random.default_rng(5)
         n = 2560
         keys = rng.integers(0, 4 * n, size=n)
-        r = Relation("R", Schema("t", 2048), keys, BlockSpec())
+        r = Relation("R", 2048, keys, BlockSpec())
         s = uniform_relation("S", 20.0, tuple_bytes=2048, seed=82, key_space=4 * n)
         n_buckets = GraceHashLayout(JoinSpec(r, s, 8.0, 140.0)).n_buckets
         candidates = np.arange(100_000, 200_000)

@@ -1,5 +1,7 @@
 """Paper extensions: local-output cost (§3.2) and READ REVERSE (footnote 2)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.registry import method_by_symbol
@@ -12,39 +14,28 @@ from repro.storage.bus import Bus
 from repro.storage.tape import TapeDrive, TapeDriveParameters, TapeVolume
 
 
-class TestLocalOutputMode:
-    def test_fraction_validated(self, small_r, small_s):
-        with pytest.raises(ValueError, match="output_disk_fraction"):
-            JoinSpec(small_r, small_s, memory_blocks=10.0, disk_blocks=120.0,
-                     output_disk_fraction=1.0)
+def _derated(spec: JoinSpec) -> JoinSpec:
+    """``spec`` with 40 % of the disk bandwidth taken by local output."""
+    p = spec.disk_params
+    return dataclasses.replace(
+        spec, disk_params=dataclasses.replace(p, transfer_rate_mb_s=0.6 * p.transfer_rate_mb_s)
+    )
 
-    def test_derates_disk_rate(self, small_r, small_s):
-        piped = JoinSpec(small_r, small_s, memory_blocks=10.0, disk_blocks=120.0)
-        local = JoinSpec(small_r, small_s, memory_blocks=10.0, disk_blocks=120.0,
-                         output_disk_fraction=0.25)
-        assert local.disk_rate_blocks_s == pytest.approx(
-            0.75 * piped.disk_rate_blocks_s
-        )
-        # Latency characteristics are untouched.
-        assert local.effective_disk_params().avg_seek_ms == piped.disk_params.avg_seek_ms
+
+class TestLocalOutputMode:
+    """§3.2's locally stored output is a derated ``disk_params``."""
 
     def test_local_output_slows_the_join_but_stays_correct(self, small_r, small_s):
         expected = reference_join(small_r, small_s)
-        piped = method_by_symbol("CDT-GH").run(
-            JoinSpec(small_r, small_s, memory_blocks=10.0, disk_blocks=120.0)
-        )
-        local = method_by_symbol("CDT-GH").run(
-            JoinSpec(small_r, small_s, memory_blocks=10.0, disk_blocks=120.0,
-                     output_disk_fraction=0.4)
-        )
+        spec = JoinSpec(small_r, small_s, memory_blocks=10.0, disk_blocks=120.0)
+        piped = method_by_symbol("CDT-GH").run(spec)
+        local = method_by_symbol("CDT-GH").run(_derated(spec))
         assert local.output == expected
         assert local.response_s > piped.response_s
 
     def test_cost_model_sees_the_derated_rate(self, small_r, small_s):
-        local = JoinSpec(small_r, small_s, memory_blocks=10.0, disk_blocks=120.0,
-                         output_disk_fraction=0.4)
         piped = JoinSpec(small_r, small_s, memory_blocks=10.0, disk_blocks=120.0)
-        slow = estimate("CDT-GH", SystemParameters.from_spec(local))
+        slow = estimate("CDT-GH", SystemParameters.from_spec(_derated(piped)))
         fast = estimate("CDT-GH", SystemParameters.from_spec(piped))
         assert slow.total_s > fast.total_s
 

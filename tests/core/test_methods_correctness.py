@@ -17,7 +17,6 @@ from repro.core.spec import JoinSpec
 from repro.relational.datagen import fk_pk_pair, self_join_relation, uniform_relation
 from repro.relational.join_core import reference_join
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.storage.block import BlockSpec
 
 ALL_SYMBOLS = symbols()
@@ -62,9 +61,8 @@ class TestZeroSelectivity:
     @pytest.mark.parametrize("symbol", ALL_SYMBOLS)
     def test_disjoint_key_spaces(self, symbol):
         spec = BlockSpec()
-        schema = Schema("t", 4096)
-        r = Relation("r", schema, np.arange(0, 800), spec)
-        s = Relation("s", schema, np.arange(10_000, 13_000), spec)
+        r = Relation("r", 4096, np.arange(0, 800), spec)
+        s = Relation("s", 4096, np.arange(10_000, 13_000), spec)
         stats = run_and_check(symbol, r, s, memory_blocks=7.0, disk_blocks=80.0)
         assert stats.output.n_pairs == 0
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.spec import JoinSpec, scan_bounds
+from repro.costmodel.parameters import SystemParameters
 from repro.relational.datagen import uniform_relation
 from repro.storage.block import BlockSpec
 from repro.storage.tape import TapeDriveParameters
@@ -54,19 +55,19 @@ class TestDerivedQuantities:
         tape = TapeDriveParameters(native_rate_mb_s=1.5, compression_ratio=0.25)
         spec = self._spec(small_r, small_s, tape_params_s=tape)
         blocks_per_mb = 1024 * 1024 / spec.block_spec.block_bytes
-        assert spec.tape_rate_s_blocks_s == pytest.approx(2.0 * blocks_per_mb)
+        p = SystemParameters.from_spec(spec)
+        assert p.tape_rate_blocks_s == pytest.approx(2.0 * blocks_per_mb)
 
     def test_disk_rate_aggregates(self, small_r, small_s):
         spec = self._spec(small_r, small_s, n_disks=2)
         blocks_per_mb = 1024 * 1024 / spec.block_spec.block_bytes
-        assert spec.disk_rate_blocks_s == pytest.approx(7.0 * blocks_per_mb)
+        p = SystemParameters.from_spec(spec)
+        assert p.disk_rate_blocks_s == pytest.approx(7.0 * blocks_per_mb)
 
     def test_optimum_and_bare_read(self, small_r, small_s):
-        spec = self._spec(small_r, small_s)
-        assert spec.optimum_join_s == pytest.approx(
-            spec.size_s_blocks / spec.tape_rate_s_blocks_s
-        )
-        assert spec.bare_read_s > spec.optimum_join_s
+        p = SystemParameters.from_spec(self._spec(small_r, small_s))
+        assert p.optimum_join_s == pytest.approx(p.size_s_blocks / p.tape_rate_blocks_s)
+        assert p.bare_read_s > p.optimum_join_s
 
     def test_default_scratch_is_ample(self, small_r, small_s):
         spec = self._spec(small_r, small_s)

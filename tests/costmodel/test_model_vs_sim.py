@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.registry import method_by_symbol, symbols
 from repro.core.spec import InfeasibleJoinError, JoinSpec
+from repro.core.tape_tape import ConcurrentTapeTapeGraceHash
 from repro.costmodel.formulas import estimate
 from repro.costmodel.parameters import SystemParameters
 from repro.relational.datagen import uniform_relation
@@ -66,6 +67,21 @@ class TestAbsoluteAgreement:
         for key, (stats, cost) in measured.items():
             assert stats.iterations == cost.iterations, key
             assert stats.r_scans == cost.r_scans, key
+
+
+    def test_ctt_gh_step2_piece_is_d(self, pair, measured):
+        """CTT-GH's |S_i| is its ``_chunk_blocks``, D, in both the model
+        and the simulator, so the two count the same Step II iterations."""
+        method = ConcurrentTapeTapeGraceHash()
+        iterations = []
+        for memory, disk in CONFIGS:
+            spec = JoinSpec(*pair, memory_blocks=memory, disk_blocks=disk)
+            p = SystemParameters.from_spec(spec)
+            assert method._chunk_blocks(p) == p.disk_blocks
+            stats, cost = measured[(memory, disk, "CTT-GH")]
+            assert estimate("CTT-GH", p).iterations == stats.iterations
+            iterations.append(stats.iterations)
+        assert iterations == [2, 2, 2, 4]
 
 
 class TestOrderingAgreement:

@@ -57,6 +57,14 @@ class TestDerived:
         assert p.size_s_blocks == pytest.approx(spec.size_s_blocks)
         assert p.memory_blocks == spec.memory_blocks
         assert p.disk_blocks == spec.disk_blocks
-        assert p.disk_rate_blocks_s == pytest.approx(spec.disk_rate_blocks_s)
-        assert p.tape_rate_blocks_s == pytest.approx(spec.tape_rate_s_blocks_s)
-        assert p.optimum_join_s == pytest.approx(spec.optimum_join_s)
+        # Default devices: 1.5 MB/s native tape at 25 % compression is
+        # 2.0 MB/s; two 3.5 MB/s disks aggregate to 7.0 MB/s.
+        blocks_per_mb = 1024 * 1024 / spec.block_spec.block_bytes
+        assert p.tape_rate_blocks_s == pytest.approx(2.0 * blocks_per_mb)
+        assert p.rate_tape_r == pytest.approx(2.0 * blocks_per_mb)
+        assert p.disk_rate_blocks_s == pytest.approx(2 * 3.5 * blocks_per_mb)
+        assert p.optimum_join_s == pytest.approx(
+            spec.size_s_blocks / (2.0 * blocks_per_mb)
+        )
+        assert p.scratch_r_blocks == spec.effective_scratch_r()
+        assert p.scratch_s_blocks == spec.effective_scratch_s()

@@ -1,28 +1,23 @@
-"""Schemas and relations."""
+"""Relations: validation, sizes and key arrays."""
 
 import numpy as np
 import pytest
 
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.storage.block import BlockSpec
-
-
-class TestSchema:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Schema("t", tuple_bytes=0)
-        with pytest.raises(ValueError):
-            Schema("", tuple_bytes=100)
-        with pytest.raises(ValueError, match="does not fit"):
-            Relation("t", Schema("t", 2048), np.arange(10), BlockSpec(block_bytes=1024))
 
 
 class TestRelation:
     def _relation(self, n_tuples=500, tuple_bytes=2048):
-        return Relation(
-            "r", Schema("r", tuple_bytes), np.arange(n_tuples), BlockSpec()
-        )
+        return Relation("r", tuple_bytes, np.arange(n_tuples), BlockSpec())
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="tuple_bytes must be positive"):
+            self._relation(tuple_bytes=0)
+        with pytest.raises(ValueError, match="needs a name"):
+            Relation("", 100, np.arange(10), BlockSpec())
+        with pytest.raises(ValueError, match="does not fit"):
+            Relation("t", 2048, np.arange(10), BlockSpec(block_bytes=1024))
 
     def test_sizes(self):
         relation = self._relation(500)
@@ -41,7 +36,7 @@ class TestRelation:
 
     def test_keys_are_read_only_and_the_callers_array_is_not(self):
         keys = np.arange(100, dtype=np.int64)
-        relation = Relation("r", Schema("r", 2048), keys, BlockSpec())
+        relation = Relation("r", 2048, keys, BlockSpec())
         with pytest.raises(ValueError, match="read-only"):
             relation.keys[0] = 7
         keys[1] = 7  # the caller's own array stays writable
