@@ -117,32 +117,33 @@ def scan_tape(
     env: JoinEnvironment,
     drive: TapeDrive,
     file: TapeFile,
-    start_block: float,
-    n_blocks: float,
-    chunk_blocks: float,
-    consume: typing.Callable[[DataChunk], typing.Generator],
+    reads: list[tuple[float, float]],
+    consume: typing.Callable[[DataChunk | None], typing.Generator],
     overlap: bool,
-    reverse: bool = False,
+    keys: bool = True,
 ) -> typing.Generator:
-    """Scan ``n_blocks`` of a tape file in chunks, feeding each to ``consume``.
+    """Read a tape file's ``reads``, in order, feeding each to ``consume``.
+
+    ``reads`` are a scan's ``(start, n_blocks)`` pieces from
+    :func:`~repro.core.spec.scan_bounds`, in scan order: back to front
+    for a reverse scan, which on a drive with READ REVERSE follows an
+    alternating-direction rescan with no repositioning (footnote 2 of
+    the paper; the join algorithms are independent of the order in
+    which tuples are scanned).
 
     With ``overlap=True`` the next chunk's tape read is issued before
     ``consume`` runs on the current chunk, so disk-side work overlaps tape
     I/O (the paper's double-buffering).  The caller must have reserved
     memory for two in-flight chunks; with ``overlap=False`` the scan is
-    strictly sequential (one chunk of memory).
-
-    ``reverse=True`` visits the chunks back to front — on a drive with
-    READ REVERSE an alternating-direction rescan then needs no
-    repositioning (footnote 2 of the paper; the join algorithms are
-    independent of the order in which tuples are scanned).
+    strictly sequential (one chunk of memory).  With ``keys=False`` each
+    read is the same device op but hands ``consume`` None instead of its
+    data (see :meth:`~repro.storage.tape.TapeDrive.read_range`).
     """
-    bounds = scan_bounds(start_block, n_blocks, chunk_blocks, reverse)
-    if not bounds:
+    if not reads:
         return
     if not overlap:
-        for chunk_start, step in bounds:
-            data = yield from drive.read_range(file, chunk_start, step)
+        for chunk_start, step in reads:
+            data = yield from drive.read_range(file, chunk_start, step, keys=keys)
             yield from consume(data)
         return
     sim = env.sim
@@ -154,14 +155,19 @@ def scan_tape(
         # keeps its own (possibly failed) completion from crashing the
         # kernel.  Awaited failures still throw into this generator.
         pending.defused = True
-        sim._schedule(lambda _arg: drive.read_range(file, chunk_start, step, done=pending), None)
+        sim._schedule(
+            lambda _arg: drive.read_range(
+                file, chunk_start, step, done=pending, keys=keys
+            ),
+            None,
+        )
         return pending
 
-    pending = prefetch(*bounds[0])
-    for index in range(len(bounds)):
+    pending = prefetch(*reads[0])
+    for index in range(len(reads)):
         data = yield pending
-        if index + 1 < len(bounds):
-            pending = prefetch(*bounds[index + 1])
+        if index + 1 < len(reads):
+            pending = prefetch(*reads[index + 1])
         yield from consume(data)
 
 
@@ -186,21 +192,27 @@ def align_blocks_to_tuples(blocks: float, tuples_per_block: int) -> float:
 
 def scan_disk_and_join(
     env: JoinEnvironment,
-    extent,
+    r_side: "RBucket",
     buffer_blocks: float,
-    held_keys: np.ndarray,
+    s_keys: np.ndarray,
 ) -> typing.Generator:
-    """Stream a disk-resident relation copy past in-memory held keys.
+    """One nested-block iteration: scan the disk copy of R past an S window.
 
-    Reads the extent sequentially through a ``buffer_blocks`` window
-    (issued as at least :data:`MIN_DISK_REQUEST_BLOCKS`-block requests) and
-    folds each piece's mini-join into the environment's accumulator.
+    Reads ``r_side`` sequentially through a ``buffer_blocks`` window
+    (issued as at least :data:`MIN_DISK_REQUEST_BLOCKS`-block requests),
+    then probes the in-memory S window ``s_keys`` once against R's build
+    side, which the first scan of the join groups from its pieces.  A
+    probe sums the held count times ``mix(k)`` over the streamed tuples,
+    so holding R and streaming S gives the bits of the paper's held S
+    window with R streamed past it.
     """
-    held = env.build(held_keys)
     piece = max(buffer_blocks, MIN_DISK_REQUEST_BLOCKS)
-    for offset, step in scan_bounds(0.0, extent.n_blocks, piece):
-        data = yield from env.array.read_range(extent, offset, step)
-        env.probe(held, data.keys)
+    pieces = [] if r_side.built is None else None
+    for offset, step in scan_bounds(0.0, r_side.n_blocks, piece):
+        data = yield from r_side.read(offset, step)
+        if pieces is not None:
+            pieces.append(data.keys)
+    env.probe(r_side.build(env, pieces), s_keys)
     env.count_r_scan()
 
 
@@ -269,31 +281,36 @@ def extent_reader(array, extent, consume: bool = False) -> typing.Callable:
 
 
 class RBucket:
-    """One R bucket of a Grace-Hash Step II: its reader, size and build.
+    """The R side of a Step II unit: its reader, size and build.
 
-    ``read(offset, n_blocks)`` reads part of the bucket (a generator
-    returning a :class:`~repro.storage.block.DataChunk`); ``n_blocks`` is
-    its size.  R does not change during Step II, so the bucket's
-    :class:`BuildSide` is built on its first read of the join (whole, or
-    gathered from the spill path's pieces) and reused by every later
-    iteration and every restarted attempt.  Each read still moves the
-    data and charges its device time and memory.
+    ``read(offset, n_blocks)`` reads part of it (a generator returning a
+    :class:`~repro.storage.block.DataChunk`); ``n_blocks`` is its size.
+    It is one Grace-Hash R bucket, or the nested-block methods' whole
+    disk copy of R.  R does not change during Step II, so its
+    :class:`BuildSide` is built from the pieces of its first read of the
+    join (a whole bucket, the spill path's pieces, or the first scan of
+    the R copy) and reused by every later iteration and every restarted
+    attempt.  Each read still moves the data and charges its device time
+    and memory.
     """
 
-    __slots__ = ("read", "n_blocks", "_built")
+    __slots__ = ("read", "n_blocks", "built")
 
     def __init__(
         self, read: typing.Callable[[float, float], typing.Generator], n_blocks: float
     ):
         self.read = read
         self.n_blocks = n_blocks
-        self._built: BuildSide | None = None
+        #: The build side once built, else None.
+        self.built: BuildSide | None = None
 
-    def build(self, env: JoinEnvironment, keys: np.ndarray) -> BuildSide:
-        """The bucket's build side, grouped from ``keys`` the first time."""
-        if self._built is None:
-            self._built = env.build(keys)
-        return self._built
+    def build(self, env: JoinEnvironment, pieces: list[np.ndarray]) -> BuildSide:
+        """The build side, grouped from the key ``pieces`` the first time
+        (later calls ignore them)."""
+        if self.built is None:
+            keys = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            self.built = env.build(keys)
+        return self.built
 
 
 def probe_resident(
@@ -349,7 +366,7 @@ def join_bucket(
         r_data = yield from r_bucket.read(0.0, r_total_blocks)
         env.memory.take(r_data.n_blocks, "R bucket")
         try:
-            held = r_bucket.build(env, r_data.keys)
+            held = r_bucket.build(env, [r_data.keys])
             yield from probe_resident(env, held, s_bucket, probe)
         finally:
             # A media error mid-stream must not leak the bucket's memory:
@@ -377,38 +394,46 @@ def join_bucket(
     env.count_overflow_bucket()
     s_bucket.discard()
     if s_pieces:
-        held = r_bucket.build(env, np.concatenate(r_pieces))
+        held = r_bucket.build(env, r_pieces)
         env.probe(held, np.concatenate(s_pieces))
+
+
+def tape_scan_plan(
+    file: TapeFile, start_block: float, n_blocks: float, chunk_blocks: float
+) -> tuple[list[tuple[float, float]], list[tuple[int, int]]]:
+    """A forward scan of a tape file range: its reads
+    (:func:`~repro.core.spec.scan_bounds`) and each read's tuple range
+    ``[first, last)`` in the file.  Reverse both lists for the reverse
+    scan."""
+    reads = scan_bounds(start_block, n_blocks, chunk_blocks)
+    return reads, [tuple_range(file.chunks, start, step) for start, step in reads]
 
 
 def hash_tape_range(
     env: JoinEnvironment, layout: "GraceHashLayout", drive: TapeDrive,
-    file: TapeFile, offset: float, n_blocks: float, relation: Relation,
-    flush_burst: typing.Callable, *, chunk_blocks: float, overlap: bool,
-    reverse: bool = False, **stager_options,
+    file: TapeFile, plan: tuple[list, list], relation: Relation,
+    flush_burst: typing.Callable, *, overlap: bool, **stager_options,
 ) -> typing.Generator:
-    """Scan a range of ``relation``'s tape file and hash it into buckets.
+    """Scan ``relation``'s tape file along ``plan`` and hash it into buckets.
 
-    A :class:`BucketStager` over the join's bucket index of
-    ``relation`` (``stager_options``: ``buckets``, ``threshold_blocks``)
-    takes each read's tuple range, hands each full staging burst to
-    ``flush_burst`` and drains at the end; the caller holds the memory.
+    ``plan`` is a :func:`tape_scan_plan` (reversed for a reverse scan).
+    A :class:`BucketStager` over the join's bucket index of ``relation``
+    (``stager_options``: ``buckets``, ``threshold_blocks``) takes each
+    read's tuple range, hands each full staging burst to ``flush_burst``
+    and drains at the end; the caller holds the memory.  The index
+    already holds the keys, so the reads slice none out.
     """
-    reads = scan_bounds(offset, n_blocks, chunk_blocks, reverse)
+    reads, tuples = plan
     stager = BucketStager(
         layout, env.bucket_index(relation, layout.n_buckets),
-        relation.tuples_per_block, flush_burst,
-        [tuple_range(file.chunks, start, step) for start, step in reads],
-        **stager_options,
+        relation.tuples_per_block, flush_burst, tuples, **stager_options,
     )
 
     def consume(_data):
-        # scan_tape hands over its reads in the order of scan_bounds.
+        # scan_tape hands over the plan's reads in order.
         yield from stager.add_read()
 
-    yield from scan_tape(
-        env, drive, file, offset, n_blocks, chunk_blocks, consume, overlap, reverse
-    )
+    yield from scan_tape(env, drive, file, reads, consume, overlap, keys=False)
     yield from stager.drain()
 
 
@@ -445,10 +470,12 @@ def concurrent_step2(
             "hash staging",
         ):
             for iteration, (offset, target) in enumerate(pieces):
+                plan = tape_scan_plan(
+                    env.file_s, offset, target, layout.scan_chunk_blocks
+                )
                 yield from hash_tape_range(
-                    env, layout, env.drive_s, env.file_s, offset, target,
-                    spec.relation_s, functools.partial(sbuf.put_many, iteration),
-                    chunk_blocks=layout.scan_chunk_blocks, overlap=True,
+                    env, layout, env.drive_s, env.file_s, plan, spec.relation_s,
+                    functools.partial(sbuf.put_many, iteration), overlap=True,
                 )
                 sbuf.end_iteration(iteration)
 

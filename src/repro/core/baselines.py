@@ -91,7 +91,8 @@ class StagedDiskJoin(TertiaryJoinMethod):
 
             with env.memory.hold(staging / 2, f"staging {extent.name}"):
                 yield from scan_tape(
-                    env, drive, file, 0.0, n_blocks, staging / 4, store, True
+                    env, drive, file, scan_bounds(0.0, n_blocks, staging / 4),
+                    store, True,
                 )
 
         yield sim.all_of(
@@ -187,8 +188,9 @@ class NaiveTapeNestedLoop(TertiaryJoinMethod):
 
                 with env.memory.hold(probe, "S window"):
                     yield from scan_tape(
-                        env, env.drive_s, env.file_s, 0.0, spec.size_s_blocks,
-                        max(probe, 1.0), probe_s, overlap=False,
+                        env, env.drive_s, env.file_s,
+                        scan_bounds(0.0, spec.size_s_blocks, max(probe, 1.0)),
+                        probe_s, overlap=False,
                     )
             env.count_iteration()
         env.count_r_scan()

@@ -28,6 +28,7 @@ from repro.core.base import (
     extent_reader,
     hash_tape_range,
     join_bucket,
+    tape_scan_plan,
     write_buckets,
 )
 from repro.core.environment import JoinEnvironment
@@ -72,10 +73,12 @@ class _GraceHashBase(TertiaryJoinMethod):
         with env.memory.hold(
             layout.read_staging_blocks + layout.write_staging_blocks, "step I staging"
         ):
+            plan = tape_scan_plan(
+                env.file_r, 0.0, spec.size_r_blocks, layout.scan_chunk_blocks
+            )
             yield from hash_tape_range(
-                env, layout, env.drive_r, env.file_r, 0.0, spec.size_r_blocks,
-                spec.relation_r, write_buckets(env, r_buckets),
-                chunk_blocks=layout.scan_chunk_blocks, overlap=overlap,
+                env, layout, env.drive_r, env.file_r, plan, spec.relation_r,
+                write_buckets(env, r_buckets), overlap=overlap,
             )
         env.count_r_scan()
         env.mark_step1_done()
@@ -111,10 +114,12 @@ class DiskTapeGraceHash(_GraceHashBase):
             layout.read_staging_blocks + layout.write_staging_blocks, "step II staging"
         ):
             for offset, target in scan_bounds(0.0, spec.size_s_blocks, d):
+                plan = tape_scan_plan(
+                    env.file_s, offset, target, layout.read_staging_blocks
+                )
                 yield from hash_tape_range(
-                    env, layout, env.drive_s, env.file_s, offset, target,
-                    spec.relation_s, write_buckets(env, s_buckets),
-                    chunk_blocks=layout.read_staging_blocks, overlap=False,
+                    env, layout, env.drive_s, env.file_s, plan, spec.relation_s,
+                    write_buckets(env, s_buckets), overlap=False,
                 )
                 # Join phase: each R bucket back to memory, S bucket
                 # scanned past it.  Each bucket is a checkpointed unit: a

@@ -1,7 +1,10 @@
 """Nested Block Join methods for tertiary storage (Sections 5.1.1, 5.1.3).
 
 All three variants copy R from tape to disk in Step I, then iterate over S
-in memory-sized chunks, scanning the disk-resident R once per chunk:
+in memory-sized chunks, scanning the disk-resident R once per chunk.
+The join groups R's keys once, from the pieces of its first scan, and
+probes each S chunk against that build once
+(:func:`~repro.core.base.scan_disk_and_join`):
 
 * :class:`DiskTapeNestedBlock` (DT-NB) — strictly sequential.
 * :class:`ConcurrentNestedBlockMemory` (CDT-NB/MB) — two half-size memory
@@ -26,6 +29,7 @@ import numpy as np
 
 from repro.buffering.interleaved import InterleavedDiskBuffer
 from repro.core.base import (
+    RBucket,
     TertiaryJoinMethod,
     align_blocks_to_tuples,
     scan_disk_and_join,
@@ -61,22 +65,29 @@ class _NestedBlockBase(TertiaryJoinMethod):
 
         with env.memory.hold(staging, "step I staging"):
             yield from scan_tape(
-                env, env.drive_r, env.file_r, 0.0, spec.size_r_blocks,
-                chunk, store, overlap,
+                env, env.drive_r, env.file_r,
+                scan_bounds(0.0, spec.size_r_blocks, chunk), store, overlap,
             )
         env.count_r_scan()
         env.mark_step1_done()
         return r_disk
 
-    def _join_piece(self, env: JoinEnvironment, r_disk) -> typing.Callable:
-        """Step II's consumer of one S piece: one scan of R past it."""
+    def _join_window(self, env: JoinEnvironment, r_disk) -> typing.Callable:
+        """Step II's join of one S window's keys: one scan of the R copy
+        past it, against the build side the first scan groups."""
+        r_side = RBucket(functools.partial(env.array.read_range, r_disk), r_disk.n_blocks)
         r_window = self._r_scan_blocks(env.spec)
 
-        def join(data):
-            yield from scan_disk_and_join(env, r_disk, r_window, data.keys)
+        def join(s_keys):
+            yield from scan_disk_and_join(env, r_side, r_window, s_keys)
             env.count_iteration()
 
         return join
+
+    def _join_piece(self, env: JoinEnvironment, r_disk) -> typing.Callable:
+        """Step II's consumer of one S piece read from tape."""
+        join = self._join_window(env, r_disk)
+        return lambda data: join(data.keys)
 
 
 class DiskTapeNestedBlock(_NestedBlockBase):
@@ -104,9 +115,9 @@ class DiskTapeNestedBlock(_NestedBlockBase):
         r_disk = yield from self._copy_r_to_disk(env, overlap=False)
         with env.memory.hold(spec.memory_blocks, "S chunk + R window"):
             yield from scan_tape(
-                env, env.drive_s, env.file_s, 0.0, spec.size_s_blocks,
-                self._chunk_blocks(spec), self._join_piece(env, r_disk),
-                overlap=False,
+                env, env.drive_s, env.file_s,
+                scan_bounds(0.0, spec.size_s_blocks, self._chunk_blocks(spec)),
+                self._join_piece(env, r_disk), overlap=False,
             )
         env.array.free(r_disk)
 
@@ -152,8 +163,9 @@ class ConcurrentNestedBlockMemory(_NestedBlockBase):
             env.memory.hold(chunk, "S buffer"),
         ):
             yield from scan_tape(
-                env, env.drive_s, env.file_s, 0.0, spec.size_s_blocks,
-                chunk, self._join_piece(env, r_disk), overlap=True,
+                env, env.drive_s, env.file_s,
+                scan_bounds(0.0, spec.size_s_blocks, chunk),
+                self._join_piece(env, r_disk), overlap=True,
             )
         env.array.free(r_disk)
 
@@ -208,10 +220,12 @@ class ConcurrentNestedBlockDisk(_NestedBlockBase):
         def writer():
             for iteration, (offset, target) in enumerate(s_pieces):
                 yield from scan_tape(
-                    env, env.drive_s, env.file_s, offset, target, stage,
+                    env, env.drive_s, env.file_s, scan_bounds(offset, target, stage),
                     functools.partial(sbuf.put, iteration, "s"), overlap=False,
                 )
                 sbuf.end_iteration(iteration)
+
+        join = self._join_window(env, r_disk)
 
         def joiner():
             with env.memory.hold(r_window, "R window"):
@@ -231,8 +245,7 @@ class ConcurrentNestedBlockDisk(_NestedBlockBase):
                         if len(pieces) == 1
                         else np.concatenate([p.keys for p in pieces])
                     )
-                    yield from scan_disk_and_join(env, r_disk, r_window, keys)
-                    env.count_iteration()
+                    yield from join(keys)
                     env.memory.give(taken)
                     sbuf.finish_iteration(iteration)
 

@@ -33,6 +33,7 @@ from repro.core.base import (
     hash_tape_range,
     join_bucket,
     probe_resident,
+    tape_scan_plan,
     write_buckets,
 )
 from repro.core.environment import JoinEnvironment
@@ -184,12 +185,19 @@ class _TapeTapeBase(TertiaryJoinMethod):
         files: dict[int, list[TapeFile]] = {b: [] for b in range(n_buckets)}
         fragment = [0]
         dest_volume = write_drive.volume
+        # Every group scan reads the whole relation.  On drives with READ
+        # REVERSE, alternate scan direction so the next scan starts where
+        # the previous one ended — no rewinds or repositioning between
+        # scans (footnote 2 of the paper).
+        reads, tuples = tape_scan_plan(
+            source_file, 0.0, relation.n_blocks, layout.scan_chunk_blocks
+        )
+        plans = [(reads, tuples)]
+        if read_drive.params.supports_read_reverse:
+            plans.append((reads[::-1], tuples[::-1]))
 
         for scan_index, group in enumerate(groups):
-            # On drives with READ REVERSE, alternate scan direction so the
-            # next scan starts where the previous one ended — no rewinds
-            # or repositioning between scans (footnote 2 of the paper).
-            reverse = read_drive.params.supports_read_reverse and scan_index % 2 == 1
+            plan = plans[scan_index % len(plans)]
             assemblies = {b: env.array.allocate(f"{prefix}.asm{b}") for b in group}
 
             def dump():
@@ -220,10 +228,8 @@ class _TapeTapeBase(TertiaryJoinMethod):
                 "hash-to-tape staging",
             ):
                 yield from hash_tape_range(
-                    env, layout, read_drive, source_file, 0.0, relation.n_blocks,
-                    relation, flush, chunk_blocks=layout.scan_chunk_blocks,
-                    overlap=overlap, reverse=reverse, buckets=group,
-                    threshold_blocks=staging_pool,
+                    env, layout, read_drive, source_file, plan, relation, flush,
+                    overlap=overlap, buckets=group, threshold_blocks=staging_pool,
                 )
                 yield from dump()
             if count_r_scans:
@@ -344,7 +350,7 @@ class TapeTapeGraceHash(_TapeTapeBase):
             except BaseException:
                 env.memory.give(taken)
                 raise
-            return np.concatenate(pieces), taken
+            return pieces, taken
 
         pending: dict[int, object] = {}
 
@@ -358,12 +364,12 @@ class TapeTapeGraceHash(_TapeTapeBase):
             return proc
 
         def join_resident(bucket, s_bucket):
-            r_keys, taken = yield pending.pop(bucket, None) or spawn(bucket)
+            r_pieces, taken = yield pending.pop(bucket, None) or spawn(bucket)
             following = prefetch_after.get(bucket)
             if following is not None and following not in pending:
                 pending[following] = spawn(following)
             try:
-                held = r_sides[bucket].build(env, r_keys)
+                held = r_sides[bucket].build(env, r_pieces)
                 yield from probe_resident(env, held, s_bucket, layout.probe_blocks)
             finally:
                 env.memory.give(taken)

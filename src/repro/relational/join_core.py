@@ -59,13 +59,13 @@ class JoinAccumulator:
 class BuildSide:
     """The held side of a mini-join, built once and probed many times.
 
-    Every method holds one side in memory and streams the other past it
-    (an R bucket and its S bucket, an S window and the R copy on disk,
-    an R chunk and S from tape).  The build groups the held keys by
-    distinct value once.  A Grace-Hash R bucket is built once per join
-    and reused by every Step II iteration, and each bucket unit probes
-    its S bucket's keys in one call; probes add up, so one probe of
-    concatenated pieces equals the sum of a probe per piece.  Each
+    Every method builds R and streams S past it: a Grace-Hash R bucket
+    and its S bucket, the nested-block methods' disk copy of R and an
+    S window, an R chunk and S from tape.  The build groups the held
+    keys by distinct value once.  An R bucket or R copy is built once
+    per join and reused by every Step II iteration, and each bucket unit
+    or S window probes its keys in one call; probes add up, so one probe
+    of concatenated pieces equals the sum of a probe per piece.  Each
     :meth:`probe` sorts its keys and binary searches them into the
     distinct keys (numpy's binary search is several times faster on
     sorted needles than on random ones, more than paying for the sort).

@@ -184,6 +184,16 @@ def tuple_range(
     return first, last
 
 
+def check_range(total_blocks: float, offset_blocks: float, n_blocks: float) -> None:
+    """Raise ValueError unless [offset, offset + n_blocks) lies within
+    ``total_blocks`` blocks."""
+    if offset_blocks < 0 or n_blocks < 0:
+        raise ValueError("offset and length must be non-negative")
+    end = offset_blocks + n_blocks
+    if end > total_blocks + 1e-9:
+        raise ValueError(f"range [{offset_blocks}, {end}) beyond {total_blocks} blocks")
+
+
 def slice_chunks(
     chunks: typing.Iterable[typing.Any],
     total_blocks: float,
@@ -198,11 +208,8 @@ def slice_chunks(
     ``keys`` and ``n_blocks``.  A range within one chunk returns a
     read-only view of that chunk's keys.
     """
-    if offset_blocks < 0 or n_blocks < 0:
-        raise ValueError("offset and length must be non-negative")
+    check_range(total_blocks, offset_blocks, n_blocks)
     end = offset_blocks + n_blocks
-    if end > total_blocks + 1e-9:
-        raise ValueError(f"range [{offset_blocks}, {end}) beyond {total_blocks} blocks")
     # Accumulate raw key slices rather than intermediate DataChunk pieces:
     # range reads dominate the simulation hot path, and the per-piece
     # object churn is measurable at experiment scale.

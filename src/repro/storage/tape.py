@@ -21,7 +21,7 @@ import weakref
 
 from repro.simulator.engine import Simulator
 from repro.simulator.events import Event
-from repro.storage.block import MB, BlockSpec, DataChunk, slice_chunks
+from repro.storage.block import MB, BlockSpec, DataChunk, check_range, slice_chunks
 from repro.storage.bus import Bus
 from repro.storage.device import Device
 
@@ -249,7 +249,12 @@ class TapeDrive(Device):
         return penalty, target_block if reverse else target_block + n_blocks
 
     def read_range(
-        self, file: TapeFile, offset_blocks: float, n_blocks: float, done: Event | None = None
+        self,
+        file: TapeFile,
+        offset_blocks: float,
+        n_blocks: float,
+        done: Event | None = None,
+        keys: bool = True,
     ):
         """Read ``n_blocks`` starting ``offset_blocks`` into ``file``.
 
@@ -257,28 +262,35 @@ class TapeDrive(Device):
         Given ``done``, the drive instead starts the read at once as an
         event op, and ``done`` triggers with the data, or fails with the
         op's failure, through the event queue (the overlapped prefetch
-        of :func:`~repro.core.base.scan_tape`).
+        of :func:`~repro.core.base.scan_tape`).  With ``keys=False`` the
+        read is the same op, checked, counted and timed alike, but it
+        slices out no keys and returns None: a hashing scan names its
+        tuples by block range alone.
         """
         if done is None:
-            return self._read(file, offset_blocks, n_blocks)
-        data = self._take(file, offset_blocks, n_blocks)
+            return self._read(file, offset_blocks, n_blocks, keys)
+        self._take(file, offset_blocks, n_blocks)
+        data = file.slice_range(offset_blocks, n_blocks) if keys else None
         self._start_io(
             file.start_block + offset_blocks, n_blocks, "tape-read", None,
             lambda failure: done.succeed(data) if failure is None else done.fail(failure),
         )
         return done
 
-    def _read(self, file: TapeFile, offset_blocks: float, n_blocks: float) -> typing.Generator:
-        data = self._take(file, offset_blocks, n_blocks)
+    def _read(
+        self, file: TapeFile, offset_blocks: float, n_blocks: float, keys: bool
+    ) -> typing.Generator:
+        self._take(file, offset_blocks, n_blocks)
+        data = file.slice_range(offset_blocks, n_blocks) if keys else None
         yield from self._io(file.start_block + offset_blocks, n_blocks, "tape-read")
         return data
 
-    def _take(self, file: TapeFile, offset_blocks: float, n_blocks: float) -> DataChunk:
-        """Check the mount, slice out the read's data and count it."""
+    def _take(self, file: TapeFile, offset_blocks: float, n_blocks: float) -> None:
+        """Check the mount and the range, and count the read: every tape
+        read passes through here."""
         self._check_mounted(file)
-        data = file.slice_range(offset_blocks, n_blocks)
+        check_range(file.n_blocks, offset_blocks, n_blocks)
         self.read_blocks += n_blocks
-        return data
 
     def read_file(self, file: TapeFile) -> typing.Generator:
         """Read an entire file."""

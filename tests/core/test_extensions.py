@@ -91,6 +91,7 @@ class TestReadReverse:
 
     def test_reverse_scan_collects_identical_data(self, sim):
         from repro.core.base import scan_tape
+        from repro.core.spec import scan_bounds
 
         drive, data = self._drive(sim, reverse=True)
         collected = {"forward": [], "reverse": []}
@@ -106,8 +107,8 @@ class TestReadReverse:
 
             env = _Env()
             env.sim = sim
-            yield from scan_tape(env, drive, data, 0.0, 100.0, 7.0, consume, False,
-                                 reverse=reverse)
+            reads = scan_bounds(0.0, 100.0, 7.0, reverse=reverse)
+            yield from scan_tape(env, drive, data, reads, consume, False)
 
         sim.run(sim.process(scan("forward", False)))
         sim.run(sim.process(scan("reverse", True)))

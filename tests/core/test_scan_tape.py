@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.base import scan_tape
+from repro.core.spec import scan_bounds
 from repro.simulator.engine import Simulator
 from repro.storage.block import BlockSpec, DataChunk
 from repro.storage.bus import Bus
@@ -35,7 +36,8 @@ def scan(n_blocks, overlap):
         yield sim.timeout(0)
 
     env = types.SimpleNamespace(sim=sim)
-    sim.run(sim.process(scan_tape(env, drive, file, 2.0, n_blocks, 2.0, consume, overlap)))
+    reads = scan_bounds(2.0, n_blocks, 2.0)
+    sim.run(sim.process(scan_tape(env, drive, file, reads, consume, overlap)))
     sim.run()
     return consumed, drive.read_blocks, sim.now
 

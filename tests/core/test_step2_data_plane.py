@@ -6,6 +6,9 @@
   exactly once across the restart, and builds its R bucket only once.
 * On the Figure 5 frame, CDT-GH builds each non-empty R bucket once per
   join and probes once per resident bucket unit.
+* The nested-block methods build the disk copy of R once per join and
+  probe each S window once against it.
+* A scan that only hashes a relation off tape slices no keys out of it.
 * A disk extent's slice memo never serves content older than the
   latest write, bury or clear.
 """
@@ -26,13 +29,18 @@ from repro.core.spec import JoinSpec
 from repro.experiments.config import (
     BASE_TAPE,
     DISK_1996,
+    DISK_LIGHTNING,
     EXPERIMENT2_R_MB,
     EXPERIMENT2_S_MB,
+    EXPERIMENT3_D_MB,
+    EXPERIMENT3_R_MB,
+    EXPERIMENT3_S_MB,
     ExperimentScale,
 )
 from repro.faults.checkpoint import run_unit
 from repro.faults.errors import RetryExhaustedError
 from repro.faults.plan import FaultPlan
+from repro.relational.datagen import zipf_relation
 from repro.relational.hashing import bucket_ids
 from repro.relational.join_core import (
     BuildSide,
@@ -45,6 +53,7 @@ from repro.storage.block import BlockSpec, DataChunk
 from repro.storage.bus import Bus
 from repro.storage.disk import Disk
 from repro.storage.disk_array import DiskArray
+from repro.storage.tape import TapeFile
 
 KEYS = st.integers(min_value=-(2**62), max_value=2**62) | st.integers(-8, 8)
 
@@ -161,6 +170,65 @@ def test_cdt_gh_builds_each_r_bucket_once_and_probes_once_per_unit(monkeypatch):
     assert stats.builds == non_empty
     assert stats.probes == units[0] > stats.iterations
     assert stats.probed_keys == spec.relation_s.n_tuples
+
+
+def exp3_spec(m_fraction=0.5):
+    """The Experiment 3 frame of the benchmark (dense keys), at scale 0.03."""
+    scale = ExperimentScale(scale=0.03, tuple_bytes=256, seed=1)
+    relation_r, relation_s = scale.relations(EXPERIMENT3_R_MB, EXPERIMENT3_S_MB)
+    return JoinSpec(
+        relation_r, relation_s,
+        memory_blocks=m_fraction * scale.relation_blocks(EXPERIMENT3_R_MB),
+        disk_blocks=scale.blocks(EXPERIMENT3_D_MB), n_disks=scale.n_disks,
+        disk_params=DISK_LIGHTNING, tape_params_r=BASE_TAPE, tape_params_s=BASE_TAPE,
+    )
+
+
+def zipf_spec():
+    """A skewed pair with duplicate keys on both sides, many iterations."""
+    relation_r = zipf_relation("R", 0.5, tuple_bytes=256, key_space=300, seed=1)
+    relation_s = zipf_relation("S", 5.0, tuple_bytes=256, key_space=300, seed=2)
+    assert len(np.unique(relation_r.keys)) < relation_r.n_tuples
+    assert len(np.unique(relation_s.keys)) < relation_s.n_tuples
+    return JoinSpec(
+        relation_r, relation_s,
+        memory_blocks=0.5 * relation_r.n_blocks, disk_blocks=20.0,
+    )
+
+
+NESTED_BLOCK = ("DT-NB", "CDT-NB/MB", "CDT-NB/DB")
+
+
+@pytest.mark.parametrize("make_spec", [exp3_spec, zipf_spec], ids=["exp3", "zipf"])
+@pytest.mark.parametrize("method", NESTED_BLOCK)
+def test_nested_block_builds_r_once_and_probes_once_per_iteration(method, make_spec):
+    spec = make_spec()
+    stats = run_join(spec, method=method)
+
+    assert stats.output == reference_join(spec.relation_r, spec.relation_s)
+    assert stats.iterations > 1
+    assert stats.builds == 1
+    assert stats.probes == stats.iterations
+    assert stats.probed_keys == spec.relation_s.n_tuples
+
+
+@pytest.mark.parametrize("method", ["DT-GH", "CDT-GH"])
+def test_hashing_scans_slice_no_keys(method, monkeypatch):
+    # Both methods read tape only to hash it into buckets.
+    slices = [0]
+    slice_range = TapeFile.slice_range
+
+    def counting_slice_range(tape_file, offset_blocks, n_blocks):
+        slices[0] += 1
+        return slice_range(tape_file, offset_blocks, n_blocks)
+
+    monkeypatch.setattr(TapeFile, "slice_range", counting_slice_range)
+    spec = exp3_spec()
+    stats = run_join(spec, method=method)
+
+    assert stats.output == reference_join(spec.relation_r, spec.relation_s)
+    assert stats.tape_r_read_blocks + stats.tape_s_read_blocks > 0
+    assert slices[0] == 0
 
 
 @pytest.fixture

@@ -33,6 +33,7 @@ import pytest
 from repro.api import run_join
 from repro.core.base import scan_tape
 from repro.core.environment import JoinEnvironment
+from repro.core.spec import scan_bounds
 from repro.experiments.config import ExperimentScale
 from repro.faults import DiskTransientError, FaultInjector, RetryExhaustedError
 from repro.faults.plan import FaultPlan
@@ -169,7 +170,8 @@ def tape_prefetch(rig):
         yield from rig.disks[0]._io(target, data.n_blocks, "disk-write")
 
     env = types.SimpleNamespace(sim=rig.sim, faults=None)
-    yield from scan_tape(env, rig.drive, rig.file, 0.0, 6.0, 2.0, consume, overlap=True)
+    reads = scan_bounds(0.0, 6.0, 2.0)
+    yield from scan_tape(env, rig.drive, rig.file, reads, consume, overlap=True)
 
 
 PATHS = {
