@@ -16,6 +16,7 @@ that fails puts its handles back at the front, so no chunk is lost.
 
 from __future__ import annotations
 
+import itertools
 import typing
 
 import numpy as np
@@ -25,19 +26,7 @@ from repro.simulator.engine import Simulator
 from repro.simulator.events import Event
 from repro.simulator.resources import Container
 from repro.storage.block import DataChunk
-from repro.storage.disk_array import DiskArray, StoredChunk, StripedExtent
-
-
-def _coalesce(group: list[StoredChunk], start: int, max_blocks: float) -> int:
-    """End index of the batch read from ``group[start]`` on: whole chunks
-    up to ``max_blocks`` in total, and at least one."""
-    index, total = start, 0.0
-    while index < len(group) and (
-        index == start or total + group[index].n_blocks <= max_blocks + 1e-9
-    ):
-        total += group[index].n_blocks
-        index += 1
-    return index
+from repro.storage.disk_array import DiskArray, StoredChunk, StripedExtent, take_batch
 
 
 class InterleavedDiskBuffer:
@@ -158,13 +147,11 @@ class InterleavedDiskBuffer:
         one step with :meth:`discard`.
         """
         group = self._pending.get(iteration, {}).get(tag, [])
-        if start_chunk >= len(group):
+        batch = take_batch(itertools.islice(group, start_chunk, None), max_blocks)
+        if not batch:
             return None, start_chunk
-        index = _coalesce(group, start_chunk, max_blocks)
-        data = yield from self.array.read_chunks(
-            self.extent, group[start_chunk:index], consume=False
-        )
-        return data, index
+        data = yield from self.array.read_chunks(self.extent, batch, consume=False)
+        return data, start_chunk + len(batch)
 
     def discard(self, iteration: int, tag: object) -> None:
         """Release every chunk of ``tag`` without further disk reads."""
@@ -193,9 +180,8 @@ class InterleavedDiskBuffer:
         if not group:
             self._pending.get(iteration, {}).pop(tag, None)
             return None
-        index = _coalesce(group, 0, max_blocks)
-        batch = group[:index]
-        del group[:index]
+        batch = take_batch(group, max_blocks)
+        del group[: len(batch)]
         if not group:
             self._pending.get(iteration, {}).pop(tag, None)
         try:

@@ -44,8 +44,6 @@ class TertiaryJoinMethod(abc.ABC):
     #: (written once, read back once): CDT-NB/DB's disk double buffer and
     #: the Grace-Hash methods' S buckets.
     stages_s_on_disk: bool = False
-    #: "nested-block" or "grace-hash".
-    family: str = ""
     #: True when Step II reads buckets back from *tape*: the method holds
     #: both drives for the whole join (CTT's concurrent scratch drive,
     #: TT's bucket-by-bucket reread), and |R| need not fit on disk.

@@ -61,7 +61,6 @@ class StagedDiskJoin(TertiaryJoinMethod):
     symbol = "STAGE-GH"
     name = "Staged Disk Join (OS staging baseline)"
     concurrent = False
-    family = "baseline"
 
     def requirements(self, p: SystemParameters) -> ResourceRequirements:
         """Needs sqrt(|R|) memory and ~2(|R| + |S|) blocks of disk."""
@@ -112,11 +111,10 @@ class StagedDiskJoin(TertiaryJoinMethod):
             # The staged copy holds the relation in order, so each read's
             # tuple range names its tuples in the join's bucket index.
             reads = scan_bounds(0.0, extent.n_blocks, max(layout.read_staging_blocks, 1.0))
-            chunks = list(extent.live_chunks())
             stager = BucketStager(
                 layout, env.bucket_index(relation, layout.n_buckets),
                 relation.tuples_per_block, write_buckets(env, buckets),
-                [tuple_range(chunks, offset, step) for offset, step in reads],
+                [tuple_range(extent.chunks, offset, step) for offset, step in reads],
             )
             for offset, step in reads:
                 yield from env.array.read_range(extent, offset, step)
@@ -158,7 +156,6 @@ class NaiveTapeNestedLoop(TertiaryJoinMethod):
     symbol = "NAIVE-NL"
     name = "Naive Tape Nested Loop Join"
     concurrent = False
-    family = "baseline"
 
     def requirements(self, p: SystemParameters) -> ResourceRequirements:
         """Any memory, no disk, no scratch."""

@@ -42,7 +42,6 @@ class _GraceHashBase(TertiaryJoinMethod):
     """Shared Step I (partition R onto disk) and Table 2 row."""
 
     table2 = ("sqrt(|R|)", "|R| + |Si|", "0", "0")
-    family = "grace-hash"
     stages_s_on_disk = True
     cacheable_step1 = True
 

@@ -44,8 +44,6 @@ from repro.costmodel.parameters import SystemParameters
 class _NestedBlockBase(TertiaryJoinMethod):
     """Shared Step I (copy R to disk) and memory layout."""
 
-    family = "nested-block"
-
     def _r_scan_blocks(self, spec: JoinSpec | SystemParameters) -> float:
         return NB_R_SCAN_FRACTION * spec.memory_blocks
 

@@ -146,7 +146,6 @@ def pack_bucket_groups(sizes: np.ndarray, capacity_blocks: float) -> list[list[i
 class _TapeTapeBase(TertiaryJoinMethod):
     """Shared hash-to-tape machinery for both tape–tape methods."""
 
-    family = "grace-hash"
     tape_step2 = True
 
     def _hash_to_tape(

@@ -15,10 +15,10 @@ Regenerate any of the paper's tables and figures from a shell::
 ``--scale`` shrinks every size (relations, D, M) while preserving the
 ratios that determine each experiment's outcome; scale 1.0 is the paper's
 parameterization.  ``--json`` additionally writes the simulated artifacts
-as machine-readable data for plotting.  The sweep/fault/tracing flags
-(``--jobs``, ``--cache-dir``, ``--no-cache``, ``--fault-rate``,
-``--fault-seed``, ``--trace-out``) come from the shared parent parser in
-:mod:`repro.experiments.cli`, so they behave identically across exp1–exp5.
+as machine-readable data for plotting.  The sweep execution flags
+(``--jobs``, ``--cache-dir``, ``--no-cache``), the fault flags
+(``--fault-rate``, ``--fault-seed``) and ``--trace-out`` apply to every
+artifact that uses them.
 
 Every wanted artifact is a :class:`~repro.sweep.runner.Sweep` from
 :data:`SWEEPS`.  Their tasks go to the sweep runner in one submission,
@@ -40,7 +40,6 @@ import typing
 from repro.core.requirements import clamp_gh_memory
 from repro.experiments.analytical import figure1, figure2, figure3
 from repro.experiments.assumptions import assumption_sweep
-from repro.experiments.cli import report_sweep_usage, runner_from_args, sweep_options
 from repro.experiments.config import TAPE_SPEEDS, ExperimentScale, ScaleTooSmallError
 from repro.experiments.exp1 import experiment1_sweep, figure4_sweep
 from repro.experiments.exp2 import experiment2_sweep
@@ -48,7 +47,8 @@ from repro.experiments.exp3 import experiment3_sweep
 from repro.experiments.exp4_faults import experiment4_sweep
 from repro.experiments.exp5_service import EXPERIMENT5_POLICIES, experiment5_sweep
 from repro.experiments.exp6_hsm import experiment6_sweep
-from repro.sweep.runner import Sweep
+from repro.sweep.cache import DEFAULT_CACHE_DIR, SweepCache
+from repro.sweep.runner import Sweep, SweepRunner
 
 
 def _scale(args: argparse.Namespace, **fields) -> ExperimentScale:
@@ -86,7 +86,52 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
-        parents=[sweep_options()],
+    )
+    execution = parser.add_argument_group("sweep execution")
+    execution.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes for the simulated sweeps (default 1 = "
+        "in-order, single-process execution)",
+    )
+    execution.add_argument(
+        "--cache-dir",
+        metavar="PATH",
+        default=DEFAULT_CACHE_DIR,
+        help=f"sweep result cache directory (default {DEFAULT_CACHE_DIR!r})",
+    )
+    execution.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="recompute every sweep point; neither read nor write the cache",
+    )
+    faults = parser.add_argument_group("fault injection")
+    faults.add_argument(
+        "--fault-rate",
+        type=float,
+        default=None,
+        metavar="P",
+        help="per-operation soft-error rate: exp4 sweeps 0, P/100, P/10, P "
+        "(default P=0.01); exp5 injects at P directly (default 0 = "
+        "fault-free, analytical job profiles)",
+    )
+    faults.add_argument(
+        "--fault-seed",
+        type=int,
+        default=0,
+        metavar="N",
+        help="seed of the experiments' fault plans; a fixed seed replays "
+        "the exact same fault sequence on every run (default 0)",
+    )
+    tracing = parser.add_argument_group("tracing")
+    tracing.add_argument(
+        "--trace-out",
+        metavar="DIR",
+        default=None,
+        help="additionally run device-traced passes and write JSONL + "
+        "Chrome-trace files to DIR (see docs/observability.md)",
     )
     parser.add_argument(
         "artifacts",
@@ -133,6 +178,49 @@ def _parser() -> argparse.ArgumentParser:
         help="partition-cache eviction policy swept by exp6 (default lru)",
     )
     return parser
+
+
+def progress_printer(done: int, total: int, note: str) -> None:
+    """The stderr progress callback multi-process sweeps report through."""
+    print(f"  sweep {done}/{total} ({note})", file=sys.stderr)
+
+
+def runner_from_args(args: argparse.Namespace) -> SweepRunner:
+    """Build the sweep runner the command-line flags describe."""
+    cache = None if args.no_cache else SweepCache(args.cache_dir)
+    return SweepRunner(
+        jobs=args.jobs,
+        cache=cache,
+        progress=progress_printer if args.jobs > 1 else None,
+    )
+
+
+def report_sweep_usage(runner: SweepRunner) -> None:
+    """Print the cache and profile summaries a run accumulated (stderr)."""
+    cache = runner.cache
+    if cache is not None and (cache.hits or cache.stores):
+        print(
+            f"sweep cache: {cache.hits} hits, {cache.misses} misses "
+            f"({cache.stores} stored) in {cache.root}",
+            file=sys.stderr,
+        )
+    profile = runner.profile()
+    if profile["executed"]:
+        costliest = sorted(
+            profile["by_method"].items(), key=lambda item: -item[1]["run_s"]
+        )[:3]
+        methods = "".join(
+            f"; {symbol} {entry['run_s']:.1f}s ({entry['tasks']} task(s))"
+            for symbol, entry in costliest
+        )
+        print(
+            f"sweep profile: {profile['executed']} task(s) executed "
+            f"({profile['cached']} cached) in {profile['wall_s']:.1f}s wall; "
+            f"run {profile['run_s']:.1f}s, idle {profile['idle_s']:.1f}s, "
+            f"cache load {profile['cache_load_s']:.2f}s / "
+            f"store {profile['cache_store_s']:.2f}s{methods}",
+            file=sys.stderr,
+        )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -141,12 +141,14 @@ class _Tapes:
         self.passes.append((f"mount {name} on {drive.name}", self.sim.now - start))
         return drive
 
-    def scan(self, relation: Relation) -> None:
-        """One read of ``relation``'s whole tape."""
+    def scan(self, relation: Relation) -> np.ndarray:
+        """One read of ``relation``'s whole tape; returns the keys read."""
         data = self._cartridge(relation).record("data", relation.as_chunk())
         start = self.sim.now
-        self.sim.run(self.sim.process(self._mount(data).read_file(data)))
+        read = self.sim.process(self._mount(data).read_file(data))
+        self.sim.run(read)
         self.passes.append((f"scan {relation.name}", self.sim.now - start))
+        return read.value.keys
 
     def join_input(self, relation: Relation, predicates: list[Predicate]):
         """A join input and its tape file: the relation's own, or the
@@ -235,8 +237,7 @@ def execute(plan: PlanNode, machine: Machine) -> QueryResult:
     elif isinstance(plan, Aggregate):
         relation, predicates = _resolve_stream(plan.child)
         tapes = _Tapes(machine, [relation])
-        tapes.scan(relation)
-        keys = relation.keys
+        keys = tapes.scan(relation)
         for predicate in predicates:
             keys = predicate.apply(keys)
         value, method = _stream_aggregate(plan.kind, keys), None

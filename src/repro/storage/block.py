@@ -3,7 +3,9 @@
 The paper's cost model counts *blocks transferred*.  A :class:`BlockSpec`
 fixes the block size and provides unit conversions; a :class:`DataChunk` is
 the payload actually moved by device operations — a numpy array of join keys
-plus the number of blocks it occupies on media.
+plus the number of blocks it occupies on media.  A :class:`ChunkRun` is
+stored content, tape file and disk extent alike: chunks in write order,
+read by block range.
 
 A read that takes its keys from one stored piece — a tape file holds its
 relation as one chunk, and many disk reads fetch one stored chunk —
@@ -153,35 +155,51 @@ def tuple_index(position: float) -> int:
     return int(math.floor(position + 0.5 + 1e-6))
 
 
+def _walk(
+    chunks: typing.Iterable[typing.Any], offset_blocks: float, n_blocks: float
+) -> typing.Iterator[tuple[np.ndarray, int, int, int, float]]:
+    """``(keys, seen, first, last, blocks)`` of each chunk that block range
+    [offset, offset + n_blocks) of ``chunks`` touches, in order: its
+    tuples ``[first, last)`` and ``blocks`` of its blocks lie in the
+    range, and ``seen`` tuples come before it.
+
+    Keys are mapped proportionally within each chunk, which is exact for
+    densely packed relation data.  Reads only each chunk's ``keys`` and
+    ``n_blocks``.
+    """
+    end = offset_blocks + n_blocks
+    seen = 0
+    base = 0.0
+    for chunk in chunks:
+        keys, size = chunk.keys, chunk.n_blocks
+        lo = max(offset_blocks, base)
+        hi = min(end, base + size)
+        if hi > lo and size > 0:
+            density = len(keys) / size
+            first = tuple_index((lo - base) * density)
+            yield keys, seen, first, tuple_index((hi - base) * density), hi - lo
+        seen += len(keys)
+        base += size
+        if base >= end:
+            break
+
+
 def tuple_range(
     chunks: typing.Iterable[typing.Any], offset_blocks: float, n_blocks: float
 ) -> tuple[int, int]:
     """Positions ``[first, last)`` of the tuples :func:`slice_chunks`
     returns for the same block range, counted across ``chunks`` in order.
 
-    The same ``tuple_index`` arithmetic on each chunk, so a scan of a
-    relation's in-order copy can name the tuples a read returns without
-    looking at its keys.  An empty range gives ``(0, 0)``.
+    The same walk as the slice, so a scan of a relation's in-order copy
+    can name the tuples a read returns without looking at its keys.  An
+    empty range gives ``(0, 0)``.
     """
-    end = offset_blocks + n_blocks
-    first = last = 0
-    touched = False
-    seen = 0
-    base = 0.0
-    for chunk in chunks:
-        lo = max(offset_blocks, base)
-        hi = min(end, base + chunk.n_blocks)
-        if hi > lo and chunk.n_blocks > 0:
-            density = len(chunk.keys) / chunk.n_blocks
-            if not touched:
-                first = seen + tuple_index((lo - base) * density)
-                touched = True
-            last = seen + tuple_index((hi - base) * density)
-        seen += len(chunk.keys)
-        base += chunk.n_blocks
-        if base >= end:
-            break
-    return first, last
+    first = last = None
+    for _keys, seen, lo, hi, _blocks in _walk(chunks, offset_blocks, n_blocks):
+        if first is None:
+            first = seen + lo
+        last = seen + hi
+    return (0, 0) if first is None else (first, last)
 
 
 def check_range(total_blocks: float, offset_blocks: float, n_blocks: float) -> None:
@@ -202,34 +220,85 @@ def slice_chunks(
 ) -> DataChunk:
     """Tuples stored in block range [offset, offset + n_blocks) of ``chunks``.
 
-    Keys are mapped proportionally within each chunk, which is exact for
-    densely packed relation data.  Shared by disk extents (stored-chunk
-    handles) and tape files (data chunks): it reads only each chunk's
-    ``keys`` and ``n_blocks``.  A range within one chunk returns a
-    read-only view of that chunk's keys.
+    A range within one chunk returns a read-only view of that chunk's
+    keys.
     """
     check_range(total_blocks, offset_blocks, n_blocks)
-    end = offset_blocks + n_blocks
     # Accumulate raw key slices rather than intermediate DataChunk pieces:
     # range reads dominate the simulation hot path, and the per-piece
     # object churn is measurable at experiment scale.
     pieces = []
     blocks = 0.0
-    base = 0.0
-    for chunk in chunks:
-        lo = max(offset_blocks, base)
-        hi = min(end, base + chunk.n_blocks)
-        if hi > lo and chunk.n_blocks > 0:
-            density = len(chunk.keys) / chunk.n_blocks
-            first = tuple_index((lo - base) * density)
-            last = tuple_index((hi - base) * density)
-            pieces.append(chunk.keys[first:last])
-            blocks += hi - lo
-        base += chunk.n_blocks
-        if base >= end:
-            break
+    for keys, _seen, first, last, span in _walk(chunks, offset_blocks, n_blocks):
+        pieces.append(keys[first:last])
+        blocks += span
     if not pieces:
         return DataChunk.empty()
     if len(pieces) == 1:
         return DataChunk._of(_read_only(pieces[0]), blocks)
     return DataChunk._of(np.concatenate(pieces), blocks)
+
+
+class ChunkRun:
+    """Chunks in write order, addressed by block offset: the content of a
+    tape file or of a disk extent.
+
+    ``chunks`` is an insertion-ordered dict used as an ordered set, so a
+    chunk leaves the run in O(1) wherever it stands (the interleaved
+    buffer frees bucket fragments in any order) and the survivors keep
+    write order.  Each chunk has ``keys`` and ``n_blocks``.
+
+    :meth:`slice_range` remembers its last result: a Grace-Hash Step II
+    reads the same whole R bucket, on disk or on tape, on every
+    iteration, and the memo hands back the same
+    :class:`DataChunk` without walking the chunks again.  Every content
+    change drops the memo, so a read never sees stale content.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.chunks: dict[typing.Any, None] = {}
+        self.n_blocks = 0.0
+        #: ``((offset_blocks, n_blocks), data)`` of the last slice, or None.
+        self._memo: tuple[tuple[float, float], DataChunk] | None = None
+
+    @property
+    def n_tuples(self) -> int:
+        """Total tuples stored in the run."""
+        return sum(len(chunk.keys) for chunk in self.chunks)
+
+    def peek_all(self) -> DataChunk:
+        """All content without consuming it."""
+        return DataChunk.concat(list(self.chunks))
+
+    def slice_range(self, offset_blocks: float, n_blocks: float) -> DataChunk:
+        """Tuples in the block range [offset, offset + n_blocks).
+
+        A repeat of the last slice, with no content change between,
+        returns the same chunk object, whose keys are read-only.
+        """
+        span = (offset_blocks, n_blocks)
+        memo = self._memo
+        if memo is not None and memo[0] == span:
+            return memo[1]
+        data = slice_chunks(self.chunks, self.n_blocks, offset_blocks, n_blocks)
+        data.keys.flags.writeable = False  # every repeat shares these keys
+        self._memo = (span, data)
+        return data
+
+    def _add(self, chunk: typing.Any) -> None:
+        """Store ``chunk`` after every chunk already in the run."""
+        if chunk in self.chunks:
+            raise ValueError(f"chunk already stored in {self.name!r}")
+        self._memo = None
+        self.chunks[chunk] = None
+        self.n_blocks += chunk.n_blocks
+
+    def _remove(self, chunk: typing.Any) -> None:
+        """Take ``chunk`` out of the run."""
+        try:
+            del self.chunks[chunk]
+        except KeyError:
+            raise ValueError(f"chunk not stored in {self.name!r}") from None
+        self._memo = None
+        self.n_blocks -= chunk.n_blocks

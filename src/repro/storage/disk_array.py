@@ -25,14 +25,14 @@ without the cyclic collector.
 
 Each stored chunk is one :class:`StoredChunk` handle: its keys (for a
 bucket flush, usually a view into the join's bucket index), its block
-count, the per-disk blocks it occupies, its extent and an ``alive`` flag.
+count and the per-disk blocks it occupies.  An extent is a
+:class:`~repro.storage.block.ChunkRun`, the store a tape file uses too.
 A burst is placed in one loop (:meth:`DiskArray._store`), and its
-handles join their extents once the write completes.  Consuming a chunk
-tombstones its handle (``alive`` turns False) and releases its space; an
-extent's chunk list is compacted lazily, since experiments create
-hundreds of thousands of bucket fragments and eager list removal would
-be quadratic.  Callers such as the interleaved buffer hold handles,
-which compaction leaves valid.
+handles join the extents they were written to once the write
+completes.  Consuming a chunk takes it out of its extent, in O(1)
+wherever it stands, and releases its space; a handle is stored in an
+extent exactly while it is in the extent's run.  Callers such as the
+interleaved buffer hold handles and read them in any order.
 """
 
 from __future__ import annotations
@@ -43,31 +43,33 @@ import numpy as np
 
 from repro.simulator.engine import Simulator
 from repro.simulator.events import Event
-from repro.storage.block import DataChunk, slice_chunks
+from repro.storage.block import ChunkRun, DataChunk
 from repro.storage.disk import Disk
-
-#: Compact an extent's chunk list once this many tombstones accumulate
-#: (and they are the majority).
-_COMPACT_THRESHOLD = 512
 
 
 class StoredChunk:
     """One chunk stored in a :class:`StripedExtent`."""
 
-    __slots__ = ("keys", "n_blocks", "placement", "extent", "alive")
+    __slots__ = ("keys", "n_blocks", "placement")
 
-    def __init__(
-        self,
-        keys: np.ndarray,
-        n_blocks: float,
-        placement: list[tuple[Disk, float]],
-        extent: "StripedExtent",
-    ):
+    def __init__(self, keys: np.ndarray, n_blocks: float, placement: list[tuple[Disk, float]]):
         self.keys = keys
         self.n_blocks = n_blocks
         self.placement = placement
-        self.extent = extent
-        self.alive = True
+
+
+def take_batch(chunks: typing.Iterable[StoredChunk], max_blocks: float) -> list[StoredChunk]:
+    """The leading ``chunks`` up to ``max_blocks`` blocks in total, and at
+    least one (none only if there are none): the batch of every
+    coalesced read."""
+    batch = []
+    total = 0.0
+    for chunk in chunks:
+        if batch and total + chunk.n_blocks > max_blocks + 1e-9:
+            break
+        batch.append(chunk)
+        total += chunk.n_blocks
+    return batch
 
 
 def _proportional(
@@ -91,87 +93,30 @@ class Region:
         self.name = name
 
 
-class StripedExtent:
-    """A named allocation spanning the disks of a :class:`DiskArray`.
-
-    :meth:`slice_range` remembers its last result: a Grace-Hash Step II
-    reads the same whole R bucket on every iteration, and the memo hands
-    back the same :class:`~repro.storage.block.DataChunk` without
-    walking the chunks again.  Every content change (:meth:`_bury`,
-    :meth:`_clear`, ``DiskArray._keep``) drops the memo, so a read never
-    sees stale content.
-    """
+class StripedExtent(ChunkRun):
+    """A named allocation spanning the disks of a :class:`DiskArray`."""
 
     def __init__(self, name: str, disks: list[Disk]):
-        self.name = name
+        super().__init__(name)
         self.region = Region(name)
         self.disks = list(disks)
-        self.chunks: list[StoredChunk] = []
-        self.n_blocks = 0.0
-        self._n_dead = 0
         self._rr = 0
-        #: ``((offset_blocks, n_blocks), data)`` of the last slice, or None.
-        self._memo: tuple[tuple[float, float], DataChunk] | None = None
-
-    # -- chunk bookkeeping -----------------------------------------------------
-
-    def live_chunks(self) -> typing.Iterator[StoredChunk]:
-        """All stored (non-tombstoned) chunks, oldest first."""
-        return (pc for pc in self.chunks if pc.alive)
-
-    @property
-    def n_chunks(self) -> int:
-        """Number of stored chunks."""
-        return len(self.chunks) - self._n_dead
-
-    @property
-    def n_tuples(self) -> int:
-        """Total tuples currently stored in the extent."""
-        return sum(len(chunk.keys) for chunk in self.live_chunks())
 
     def _bury(self, chunks: list[StoredChunk]) -> None:
-        """Tombstone ``chunks`` and release their disk space."""
-        self._memo = None
+        """Take ``chunks`` out of the extent and release their disk space."""
         for chunk in chunks:
-            if not chunk.alive or chunk.extent is not self:
-                raise ValueError(f"chunk not stored in extent {self.name!r}")
-            chunk.alive = False
-            self._n_dead += 1
-            self.n_blocks -= chunk.n_blocks
+            self._remove(chunk)
             for disk, blocks in chunk.placement:
                 disk._release(blocks)
-        if self._n_dead >= _COMPACT_THRESHOLD and self._n_dead * 2 >= len(self.chunks):
-            self.chunks = [pc for pc in self.chunks if pc.alive]
-            self._n_dead = 0
 
     def _clear(self) -> None:
         """Drop every chunk, releasing all space."""
-        self._memo = None
-        for pc in self.live_chunks():
-            for disk, blocks in pc.placement:
+        for chunk in self.chunks:
+            for disk, blocks in chunk.placement:
                 disk._release(blocks)
-        self.chunks = []
-        self._n_dead = 0
+        self.chunks = {}
         self.n_blocks = 0.0
-
-    def peek_all(self) -> DataChunk:
-        """All content without consuming it."""
-        return DataChunk.concat(list(self.live_chunks()))
-
-    def slice_range(self, offset_blocks: float, n_blocks: float) -> DataChunk:
-        """Tuples in the logical block range [offset, offset + n_blocks).
-
-        A repeat of the last slice, with no content change between,
-        returns the same chunk object, whose keys are read-only.
-        """
-        span = (offset_blocks, n_blocks)
-        memo = self._memo
-        if memo is not None and memo[0] == span:
-            return memo[1]
-        data = slice_chunks(self.live_chunks(), self.n_blocks, offset_blocks, n_blocks)
-        data.keys.flags.writeable = False  # every repeat shares these keys
-        self._memo = (span, data)
-        return data
+        self._memo = None
 
 
 class DiskArray:
@@ -284,7 +229,7 @@ class DiskArray:
 
     def _store(
         self, writes: list[tuple[StripedExtent, np.ndarray, float]], traffic: bool
-    ) -> tuple[list[StoredChunk], dict[Disk, tuple[Region, float, int]]]:
+    ) -> tuple[list[tuple[StripedExtent, StoredChunk]], dict[Disk, tuple[Region, float, int]]]:
         """Place and reserve each ``(extent, keys, n_blocks)`` write, in order.
 
         The array's one placement rule, the "balance the consumption of
@@ -299,8 +244,8 @@ class DiskArray:
         :class:`~repro.storage.disk.DiskFullError` at the chunk that
         overflows it.  ``traffic`` counts the blocks as written.
 
-        Returns the handles, not yet in their extents, and per disk the
-        burst op ``(last extent's region, blocks, writes - 1)``.
+        Returns each write's extent and handle, not yet in the extent,
+        and per disk the burst op ``(last extent's region, blocks, writes - 1)``.
         """
         threshold = self.stripe_threshold_blocks
         stored = []
@@ -341,16 +286,13 @@ class DiskArray:
                     disk.write_blocks += blocks
                 _last, total, near = per_disk.get(disk, (extent.region, 0.0, -1))
                 per_disk[disk] = (extent.region, total + blocks, near + 1)
-            stored.append(StoredChunk(keys, n_blocks, placement, extent))
+            stored.append((extent, StoredChunk(keys, n_blocks, placement)))
         return stored, per_disk
 
-    def _keep(self, stored: list[StoredChunk]) -> None:
-        """Append placed chunks to their extents, in write order."""
-        for chunk in stored:
-            extent = chunk.extent
-            extent._memo = None
-            extent.chunks.append(chunk)
-            extent.n_blocks += chunk.n_blocks
+    def _keep(self, stored: list[tuple[StripedExtent, StoredChunk]]) -> None:
+        """Add each placed chunk to the extent it was written to, in order."""
+        for extent, chunk in stored:
+            extent._add(chunk)
         self.chunks_placed += len(stored)
 
     def write(self, extent: StripedExtent, chunk: DataChunk) -> typing.Generator:
@@ -358,10 +300,11 @@ class DiskArray:
 
         Returns the stored chunk's handle.
         """
-        (stored,), _ = self._store([(extent, chunk.keys, chunk.n_blocks)], traffic=True)
-        yield from self._parallel_io(extent, stored.placement, "disk-write")
-        self._keep([stored])
-        return stored
+        stored, _ = self._store([(extent, chunk.keys, chunk.n_blocks)], traffic=True)
+        placed = stored[0][1]
+        yield from self._parallel_io(extent, placed.placement, "disk-write")
+        self._keep(stored)
+        return placed
 
     def install(self, extent: StripedExtent, chunk: DataChunk) -> None:
         """Place already-disk-resident content: space, but no I/O.
@@ -383,7 +326,7 @@ class DiskArray:
             placement = [(disk, share) for disk in extent.disks]
             for disk, blocks in placement:
                 disk._reserve(blocks)
-            stored = [StoredChunk(chunk.keys, chunk.n_blocks, placement, extent)]
+            stored = [(extent, StoredChunk(chunk.keys, chunk.n_blocks, placement))]
         else:
             stored, _ = self._store([(extent, chunk.keys, chunk.n_blocks)], traffic=False)
         self._keep(stored)
@@ -404,7 +347,7 @@ class DiskArray:
         if per_disk:
             yield self._fan_out([(disk, *op) for disk, op in per_disk.items()], "disk-write")
         self._keep(stored)
-        return stored
+        return [chunk for _extent, chunk in stored]
 
     def read_chunks(
         self,
@@ -421,8 +364,8 @@ class DiskArray:
         """
         per_disk: dict[Disk, tuple[Region, float, int]] = {}
         for placed in placed_list:
-            if not placed.alive or placed.extent is not extent:
-                raise ValueError(f"chunk not stored in extent {extent.name!r}")
+            if placed not in extent.chunks:
+                raise ValueError(f"chunk not stored in {extent.name!r}")
             for disk, blocks in placed.placement:
                 _region, total, near = per_disk.get(disk, (extent.region, 0.0, -1))
                 per_disk[disk] = (extent.region, total + blocks, near + 1)
@@ -450,13 +393,7 @@ class DiskArray:
         Used to drain assembly extents through a bounded memory buffer.
         Returns an empty chunk when the extent is empty.
         """
-        batch = []
-        total = 0.0
-        for placed in extent.live_chunks():
-            if batch and total + placed.n_blocks > max_blocks + 1e-9:
-                break
-            batch.append(placed)
-            total += placed.n_blocks
+        batch = take_batch(extent.chunks, max_blocks)
         if not batch:
             return DataChunk.empty()
         return (yield from self.read_chunks(extent, batch))
@@ -464,8 +401,8 @@ class DiskArray:
     def read_all(self, extent: StripedExtent, consume: bool = False) -> typing.Generator:
         """Read the full extent in parallel across its disks."""
         per_disk: dict[Disk, float] = {}
-        for pc in extent.live_chunks():
-            for disk, blocks in pc.placement:
+        for chunk in extent.chunks:
+            for disk, blocks in chunk.placement:
                 per_disk[disk] = per_disk.get(disk, 0.0) + blocks
         for disk, blocks in per_disk.items():
             disk.read_blocks += blocks
@@ -476,13 +413,21 @@ class DiskArray:
         return data
 
     def read_next(self, extent: StripedExtent) -> typing.Generator:
-        """Read and consume the extent's oldest chunk."""
-        for placed in extent.live_chunks():
-            return (yield from self.read_chunks(extent, [placed]))
-        raise ValueError(f"striped extent {extent.name!r} is empty")
+        """Read and consume the extent's oldest chunk.
+
+        No join calls it: it is kept only because the benchmark's call
+        counters name it (ROADMAP item 8).
+        """
+        if not extent.chunks:
+            raise ValueError(f"striped extent {extent.name!r} is empty")
+        return (yield from self.read_chunks(extent, [next(iter(extent.chunks))]))
 
     def read_chunk(self, extent: StripedExtent, placed: StoredChunk) -> typing.Generator:
-        """Read and consume one specific stored chunk."""
+        """Read and consume one specific stored chunk.
+
+        No join calls it: it is kept only because the benchmark's call
+        counters name it (ROADMAP item 8).
+        """
         return (yield from self.read_chunks(extent, [placed]))
 
     def read_range(

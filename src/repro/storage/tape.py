@@ -21,7 +21,7 @@ import weakref
 
 from repro.simulator.engine import Simulator
 from repro.simulator.events import Event
-from repro.storage.block import MB, BlockSpec, DataChunk, check_range, slice_chunks
+from repro.storage.block import MB, BlockSpec, ChunkRun, DataChunk, check_range
 from repro.storage.bus import Bus
 from repro.storage.device import Device
 
@@ -81,18 +81,16 @@ class TapeDriveParameters:
         return self.effective_rate_mb_s * MB
 
 
-class TapeFile:
+class TapeFile(ChunkRun):
     """A contiguous file on a tape volume."""
 
     def __init__(self, volume: "TapeVolume", name: str, start_block: float):
+        super().__init__(name)
         # Weak, because the volume owns its files: a strong back-reference
         # would make every volume a reference cycle, and a finished join's
         # tape contents would wait for the cyclic garbage collector.
         self._volume = weakref.ref(volume)
-        self.name = name
         self.start_block = start_block
-        self.chunks: list[DataChunk] = []
-        self.n_blocks = 0.0
         self.closed = False
 
     @property
@@ -105,24 +103,10 @@ class TapeFile:
         """Position just past the file's last block."""
         return self.start_block + self.n_blocks
 
-    @property
-    def n_tuples(self) -> int:
-        """Total tuples stored in the file."""
-        return sum(c.n_tuples for c in self.chunks)
-
-    def peek_all(self) -> DataChunk:
-        """Entire file content."""
-        return DataChunk.concat(self.chunks)
-
-    def slice_range(self, offset_blocks: float, n_blocks: float) -> DataChunk:
-        """Tuples in block range [offset, offset + n_blocks) of the file."""
-        return slice_chunks(self.chunks, self.n_blocks, offset_blocks, n_blocks)
-
     def _append(self, chunk: DataChunk) -> None:
         if self.closed:
             raise RuntimeError(f"tape file {self.name!r} is closed")
-        self.chunks.append(chunk)
-        self.n_blocks += chunk.n_blocks
+        self._add(chunk)
 
 
 class TapeVolume:

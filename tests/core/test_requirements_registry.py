@@ -53,8 +53,6 @@ class TestRegistry:
             "DT-NB": False, "CDT-NB/MB": True, "CDT-NB/DB": True,
             "DT-GH": False, "CDT-GH": True, "CTT-GH": True, "TT-GH": False,
         }
-        families = {m.family for m in ALL_METHODS}
-        assert families == {"nested-block", "grace-hash"}
 
     def test_tape_step2_and_cacheable_step1_flags(self):
         """The service holds both drives for the tape–tape methods, the

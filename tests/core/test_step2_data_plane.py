@@ -9,8 +9,6 @@
 * The nested-block methods build the disk copy of R once per join and
   probe each S window once against it.
 * A scan that only hashes a relation off tape slices no keys out of it.
-* A disk extent's slice memo never serves content older than the
-  latest write, bury or clear.
 """
 
 import functools
@@ -49,10 +47,7 @@ from repro.relational.join_core import (
     nested_loop_join,
     reference_join,
 )
-from repro.storage.block import BlockSpec, DataChunk
-from repro.storage.bus import Bus
-from repro.storage.disk import Disk
-from repro.storage.disk_array import DiskArray
+from repro.storage.block import DataChunk
 from repro.storage.tape import TapeFile
 
 KEYS = st.integers(min_value=-(2**62), max_value=2**62) | st.integers(-8, 8)
@@ -229,49 +224,3 @@ def test_hashing_scans_slice_no_keys(method, monkeypatch):
     assert stats.output == reference_join(spec.relation_r, spec.relation_s)
     assert stats.tape_r_read_blocks + stats.tape_s_read_blocks > 0
     assert slices[0] == 0
-
-
-@pytest.fixture
-def array(sim):
-    bus = Bus(sim, "scsi")
-    return DiskArray(sim, [Disk(sim, "d0", bus, BlockSpec(), capacity_blocks=100.0)])
-
-
-def chunk_of(n_blocks, start, tpb=10):
-    return DataChunk.from_keys(np.arange(start, start + round(n_blocks * tpb)), tpb)
-
-
-class TestSliceMemo:
-    def test_a_repeated_slice_is_the_same_chunk(self, sim, array):
-        extent = array.allocate("x")
-        sim.run(sim.process(array.write(extent, chunk_of(4.0, 0))))
-        first = extent.slice_range(0.0, 4.0)
-        assert extent.slice_range(0.0, 4.0) is first
-        assert not first.keys.flags.writeable  # shared, so never written
-        assert extent.slice_range(1.0, 2.0) is not first
-
-    def test_no_slice_outlives_a_write_a_bury_or_a_clear(self, sim, array):
-        extent = array.allocate("x")
-        sim.run(sim.process(array.write(extent, chunk_of(4.0, 0))))
-        assert list(extent.slice_range(0.0, 4.0).keys) == list(range(40))
-
-        sim.run(sim.process(array.write(extent, chunk_of(4.0, 100))))
-        both = extent.slice_range(0.0, 8.0)
-        assert list(both.keys) == list(range(40)) + list(range(100, 140))
-        assert both.n_blocks == 8.0
-
-        first = next(extent.live_chunks())
-        extent._bury([first])
-        assert list(extent.slice_range(0.0, 4.0).keys) == list(range(100, 140))
-
-        array.discard_content(extent)
-        assert extent.slice_range(0.0, 0.0).n_tuples == 0
-        sim.run(sim.process(array.write(extent, chunk_of(4.0, 200))))
-        assert list(extent.slice_range(0.0, 4.0).keys) == list(range(200, 240))
-
-    def test_free_drops_the_memo(self, sim, array):
-        extent = array.allocate("x")
-        sim.run(sim.process(array.write(extent, chunk_of(4.0, 0))))
-        extent.slice_range(0.0, 4.0)
-        array.free(extent)
-        assert extent._memo is None

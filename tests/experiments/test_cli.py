@@ -6,8 +6,7 @@ from unittest import mock
 
 import pytest
 
-from repro.experiments.__main__ import main
-from repro.experiments.cli import report_sweep_usage
+from repro.experiments.__main__ import main, report_sweep_usage
 from repro.sweep.runner import SweepRunner
 
 

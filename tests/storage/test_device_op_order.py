@@ -160,7 +160,7 @@ def read_chunks(rig):
     extent = rig.array.allocate("chunks")
     for i in range(3):
         rig.array.install(extent, chunk_of(3.0, start=100 * i))
-    yield from rig.array.read_chunks(extent, list(extent.live_chunks()), consume=False)
+    yield from rig.array.read_chunks(extent, list(extent.chunks), consume=False)
 
 
 def tape_prefetch(rig):

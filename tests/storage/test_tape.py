@@ -98,7 +98,7 @@ class TestTapeVolume:
         tape_file = volume.create_file("a")
         tape_file._append(chunk_of(10.0))
         assert tape_file.volume is volume
-        content = weakref.ref(tape_file.chunks[0].keys)
+        content = weakref.ref(next(iter(tape_file.chunks)).keys)
         del volume, tape_file
         enabled = gc.isenabled()
         gc.disable()
